@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/check.h"
 
@@ -90,6 +91,14 @@ std::string StrFormat(const char* format, ...) {
   std::vsnprintf(out.data(), out.size() + 1, format, args_copy);
   va_end(args_copy);
   return out;
+}
+
+std::string FormatDouble(double value) {
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::string text = StrFormat("%.*g", precision, value);
+    if (std::strtod(text.c_str(), nullptr) == value) return text;
+  }
+  return StrFormat("%.17g", value);
 }
 
 }  // namespace nde

@@ -32,6 +32,11 @@ size_t EditDistance(std::string_view a, std::string_view b);
 std::string StrFormat(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Shortest decimal spelling that strtod parses back to exactly `value`, so
+/// every serialized double (registry options, job results, run reports)
+/// round-trips bit-identically.
+std::string FormatDouble(double value);
+
 }  // namespace nde
 
 #endif  // NDE_COMMON_STRING_UTIL_H_

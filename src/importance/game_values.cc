@@ -220,6 +220,24 @@ Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
         "TMC-Shapley requires at least one permutation");
   }
   NDE_TRACE_SPAN_VAR(span, "TmcShapleyValues", "importance");
+  if (options.use_prefix_scan) {
+    // The prelude: build the utility's shared scan state (KNN: the
+    // train-to-eval distance matrix) on this estimator's threads, instead of
+    // lazily inside the first permutation while the other workers wait. v(N)
+    // below is then scored from it instead of retrained.
+    NDE_TRACE_SPAN("scorer_context", "importance");
+    telemetry::AllocationScope context_alloc("scorer_context");
+    Status prepared = utility.PreparePrefixScan(options.num_threads);
+    if (!prepared.ok()) {
+      // No wave ran, so there is no partial estimate: the cause is the
+      // run's Status (DESIGN.md §11).
+      NDE_METRIC_COUNT("estimator.aborted", 1);
+      telemetry::SetDegraded(prepared.ToString());
+      NDE_LOG(WARNING) << "tmc_shapley aborted before its first wave: "
+                       << prepared.ToString();
+      return prepared;
+    }
+  }
   NDE_ASSIGN_OR_RETURN(double empty_utility,
                        EvaluateWithRetry(utility, {}, options));
   std::vector<size_t> all_units(n);

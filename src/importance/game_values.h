@@ -39,10 +39,6 @@ struct ImportanceEstimate {
   Status abort_cause;
 };
 
-/// Deprecated pre-parallel name; remove after one release.
-using MonteCarloEstimate [[deprecated("use ImportanceEstimate")]] =
-    ImportanceEstimate;
-
 /// --- Leave-one-out -----------------------------------------------------------
 
 /// LOO importance: phi_i = v(N) - v(N \ {i}). The simplest importance score;
@@ -63,7 +59,11 @@ struct TmcShapleyOptions : EstimatorOptions {
 };
 
 /// Permutation-sampling Shapley estimator with truncation. Unbiased for
-/// truncation_tolerance == 0. Permutations are independent tasks (one Rng
+/// truncation_tolerance == 0. With use_prefix_scan, the run starts by
+/// building the utility's shared scan state on options.num_threads
+/// (UtilityFunction::PreparePrefixScan); v(N) is then scored from that state
+/// where the utility can (a built KNN context), and a failed build is
+/// returned as the run's Status. Permutations are independent tasks (one Rng
 /// stream per permutation index); with convergence_tolerance > 0, sampling
 /// stops at the first 32-permutation wave where every std error is within
 /// tolerance. Returns InvalidArgument for zero units or zero permutations.

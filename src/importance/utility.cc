@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/parallel.h"
 #include "telemetry/profiler.h"
 #include "telemetry/telemetry.h"
 
@@ -65,32 +66,6 @@ double ModelAccuracyUtility::Evaluate(const std::vector<size_t>& subset) const {
   return EvaluateUncached(subset);
 }
 
-double ModelAccuracyUtility::EvaluateUncached(
-    const std::vector<size_t>& subset) const {
-  // The retrain path is the expensive one, so it carries the phase
-  // observability; the prefix-scan fast path stays clock-free.
-  telemetry::AllocationScope eval_alloc("utility.evaluate");
-  [[maybe_unused]] int64_t start_us =
-      telemetry::Enabled() ? telemetry::NowMicros() : 0;
-  std::unique_ptr<Classifier> model = factory_();
-  MlDatasetView view(train_, subset);
-  Status fit = fast_path_.zero_copy_views
-                   ? model->FitView(view, num_classes_)
-                   : model->FitWithClasses(train_.Subset(subset), num_classes_);
-  double result;
-  if (fit.ok()) {
-    std::vector<int> predicted = model->Predict(validation_.features);
-    result = Accuracy(validation_.labels, predicted);
-  } else {
-    // Fallback: majority-label predictor of the coalition.
-    result = MajorityAccuracy(view.CopyLabels());
-  }
-  NDE_METRIC_RECORD(
-      "utility.eval_ms",
-      static_cast<double>(telemetry::NowMicros() - start_us) / 1000.0);
-  return result;
-}
-
 double ModelAccuracyUtility::MajorityAccuracy(
     const std::vector<int>& coalition_labels) const {
   std::map<int, size_t> counts;
@@ -117,14 +92,16 @@ double ModelAccuracyUtility::MajorityAccuracy(
 /// already cheaper than a cache probe plus the occasional retrain.
 class ModelAccuracyUtility::ExactScan : public UtilityFunction::PrefixScan {
  public:
-  /// Takes a pooled arena (may be null) that the scorer's buffers were
-  /// carved from; it is returned to the owner's pool — bump pointer reset,
+  /// Carves the scorer's buffers from a pooled arena when the arena fast
+  /// path is on; the arena returns to the owner's pool — bump pointer reset,
   /// chunks retained — when the scan dies, so steady-state permutation scans
   /// reuse warm memory instead of allocating.
   ExactScan(const ModelAccuracyUtility* owner,
-            std::unique_ptr<Arena> arena,
-            std::unique_ptr<CoalitionScorer> scorer)
-      : owner_(owner), arena_(std::move(arena)), scorer_(std::move(scorer)) {}
+            const CoalitionScorerContext& context)
+      : owner_(owner),
+        arena_(owner->fast_path_.arena ? owner->arena_pool_.Acquire()
+                                       : nullptr),
+        scorer_(context.NewScorer(arena_.get())) {}
 
   ~ExactScan() override {
     scorer_.reset();  // The scorer's buffers live in the arena; it dies first.
@@ -135,6 +112,13 @@ class ModelAccuracyUtility::ExactScan : public UtilityFunction::PrefixScan {
     owner_->evaluations_.fetch_add(1, std::memory_order_relaxed);
     NDE_METRIC_COUNT("utility.prefix_scan_evals", 1);
     scorer_->Add(unit);
+    return Accuracy(owner_->validation_.labels, scorer_->Predict());
+  }
+
+  /// Admits a whole coalition, then predicts once: Evaluate's path, which
+  /// counts its query itself.
+  double Score(const std::vector<size_t>& coalition) {
+    for (size_t unit : coalition) scorer_->Add(unit);
     return Accuracy(owner_->validation_.labels, scorer_->Predict());
   }
 
@@ -185,24 +169,84 @@ class ModelAccuracyUtility::WarmStartScan
   Matrix row_;  ///< Reused 1 x d staging row for AppendRows.
 };
 
+double ModelAccuracyUtility::EvaluateUncached(
+    const std::vector<size_t>& subset) const {
+  // Whole-coalition evaluations carry the phase observability; the per-Push
+  // prefix-scan path stays clock-free.
+  telemetry::AllocationScope eval_alloc("utility.evaluate");
+  [[maybe_unused]] int64_t start_us =
+      telemetry::Enabled() ? telemetry::NowMicros() : 0;
+  const CoalitionScorerContext* context =
+      scorer_context_built_.load(std::memory_order_acquire)
+          ? scorer_context_.get()
+          : nullptr;
+  double result;
+  if (context != nullptr && context->ReplacesColdFit()) {
+    // Bit-identical to the retrain below by the CoalitionScorer contract,
+    // but reads the context's precomputed distances instead of recomputing
+    // |subset| x |validation| of them. TMC builds the context before its
+    // first wave, so this is how its v(N) is scored.
+    result = ExactScan(this, *context).Score(subset);
+  } else {
+    std::unique_ptr<Classifier> model = factory_();
+    MlDatasetView view(train_, subset);
+    Status fit =
+        fast_path_.zero_copy_views
+            ? model->FitView(view, num_classes_)
+            : model->FitWithClasses(train_.Subset(subset), num_classes_);
+    if (fit.ok()) {
+      std::vector<int> predicted = model->Predict(validation_.features);
+      result = Accuracy(validation_.labels, predicted);
+    } else {
+      // Fallback: majority-label predictor of the coalition.
+      result = MajorityAccuracy(view.CopyLabels());
+    }
+  }
+  NDE_METRIC_RECORD(
+      "utility.eval_ms",
+      static_cast<double>(telemetry::NowMicros() - start_us) / 1000.0);
+  return result;
+}
+
+Status ModelAccuracyUtility::BuildScorerContext(
+    const ParallelRunner& parallel) const {
+  std::lock_guard<std::mutex> lock(scorer_context_mu_);
+  if (scorer_context_built_.load(std::memory_order_relaxed)) {
+    return Status::OK();
+  }
+  CoalitionScorerOptions options;
+  options.soa_kernels = fast_path_.soa_kernels;
+  options.float32 = fast_path_.float32;
+  options.parallel = parallel;
+  NDE_ASSIGN_OR_RETURN(scorer_context_,
+                       factory_()->NewCoalitionScorerContext(
+                           train_, validation_.features, num_classes_,
+                           options));
+  scorer_context_built_.store(true, std::memory_order_release);
+  return Status::OK();
+}
+
+Status ModelAccuracyUtility::PreparePrefixScan(size_t num_threads) const {
+  return BuildScorerContext(
+      [num_threads](size_t count, const std::function<void(size_t)>& body) {
+        return TryParallelFor(0, count, body, num_threads,
+                              "scorer_context_rows")
+            .status();
+      });
+}
+
 std::unique_ptr<UtilityFunction::PrefixScan>
 ModelAccuracyUtility::NewPrefixScan(bool allow_warm_start) const {
   if (train_.size() == 0 || validation_.size() == 0) return nullptr;
-  std::call_once(scorer_context_once_, [this] {
-    std::unique_ptr<Classifier> probe = factory_();
-    CoalitionScorerOptions options;
-    options.soa_kernels = fast_path_.soa_kernels;
-    options.float32 = fast_path_.float32;
-    scorer_context_ = probe->NewCoalitionScorerContext(
-        train_, validation_.features, num_classes_, options);
-  });
+  if (!scorer_context_built_.load(std::memory_order_acquire)) {
+    // Callers that skipped PreparePrefixScan build here, inline on this
+    // thread (concurrent callers wait on the mutex). No pool task runs, so
+    // there is nothing to lose.
+    Status built = BuildScorerContext(nullptr);
+    NDE_CHECK(built.ok()) << built.ToString();
+  }
   if (scorer_context_ != nullptr) {
-    std::unique_ptr<Arena> arena =
-        fast_path_.arena ? arena_pool_.Acquire() : nullptr;
-    std::unique_ptr<CoalitionScorer> scorer =
-        scorer_context_->NewScorer(arena.get());
-    return std::make_unique<ExactScan>(this, std::move(arena),
-                                       std::move(scorer));
+    return std::make_unique<ExactScan>(this, *scorer_context_);
   }
   if (allow_warm_start) {
     return std::make_unique<WarmStartScan>(this);

@@ -80,6 +80,17 @@ class UtilityFunction {
     (void)allow_warm_start;
     return nullptr;
   }
+
+  /// Builds up front the shared state NewPrefixScan would otherwise build
+  /// lazily on its first call, fanning the work out over `num_threads`
+  /// (0 = the process-wide default). TMC-Shapley calls this once before its
+  /// first wave. A failure (such as a lost pool task) leaves the state
+  /// unbuilt, so a later call can build it. Never changes a value. Default:
+  /// nothing to build.
+  virtual Status PreparePrefixScan(size_t num_threads) const {
+    (void)num_threads;
+    return Status::OK();
+  }
 };
 
 /// Fast-path knobs for ModelAccuracyUtility. All defaults preserve the exact
@@ -130,11 +141,18 @@ class ModelAccuracyUtility : public UtilityFunction {
   double Evaluate(const std::vector<size_t>& subset) const override;
   size_t num_units() const override { return train_.size(); }
 
-  /// Exact scan via the model's CoalitionScorerContext when available (KNN),
-  /// else a warm-started scan via Classifier::FitIncremental when
-  /// `allow_warm_start`, else nullptr.
+  /// Exact scan via the model's CoalitionScorerContext when available (KNN,
+  /// Gaussian NB), else a warm-started scan via Classifier::FitIncremental
+  /// when `allow_warm_start`, else nullptr. Builds the context inline on the
+  /// calling thread when PreparePrefixScan has not.
   std::unique_ptr<PrefixScan> NewPrefixScan(
       bool allow_warm_start) const override;
+
+  /// Builds the model's CoalitionScorerContext; KNN fills its train-to-eval
+  /// distance matrix in row blocks over TryParallelFor. Once a built context
+  /// ReplacesColdFit, Evaluate scores coalitions from it instead of
+  /// retraining, bit-identically by the CoalitionScorer contract.
+  Status PreparePrefixScan(size_t num_threads) const override;
 
   const MlDataset& train() const { return train_; }
   const MlDataset& validation() const { return validation_; }
@@ -157,6 +175,10 @@ class ModelAccuracyUtility : public UtilityFunction {
   /// Evaluate minus counting and caching.
   double EvaluateUncached(const std::vector<size_t>& subset) const;
 
+  /// Builds the scorer context unless it is built, fanning out through
+  /// `parallel`; a failed build leaves it unbuilt.
+  Status BuildScorerContext(const ParallelRunner& parallel) const;
+
   /// Majority-label fallback accuracy from coalition label counts.
   double MajorityAccuracy(const std::vector<int>& coalition_labels) const;
 
@@ -170,10 +192,14 @@ class ModelAccuracyUtility : public UtilityFunction {
   /// scan). Mutable: NewPrefixScan is const and runs concurrently; the pool
   /// is internally synchronized.
   mutable ArenaPool arena_pool_;
-  /// Shared exact-scorer precomputation, built lazily on the first
-  /// NewPrefixScan (it is useless — and not free — for plain Evaluate users).
-  mutable std::once_flag scorer_context_once_;
+  /// Shared exact-scorer precomputation, built by PreparePrefixScan or the
+  /// first NewPrefixScan (it is useless — and not free — for plain Evaluate
+  /// users). Written once under the mutex, then published by the release
+  /// store of `scorer_context_built_`; a reader that sees the flag set reads
+  /// the pointer without locking.
+  mutable std::mutex scorer_context_mu_;
   mutable std::shared_ptr<const CoalitionScorerContext> scorer_context_;
+  mutable std::atomic<bool> scorer_context_built_{false};
   /// Atomic: Evaluate runs concurrently under the parallel estimators.
   mutable std::atomic<size_t> evaluations_{0};
 };

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <type_traits>
 
 #include "common/arena.h"
 #include "common/string_util.h"
@@ -139,15 +141,22 @@ class KnnCoalitionScorer : public CoalitionScorer {
 
 class KnnCoalitionContext : public CoalitionScorerContext {
  public:
+  /// Allocates the distance matrix; FillRows computes it.
   KnnCoalitionContext(const MlDataset& train, const Matrix& eval_features,
                       size_t k, int num_classes)
       : labels_(&train.labels),
+        eval_features_(&eval_features),
         k_(k),
         num_classes_(num_classes),
-        distances_(train.size(), eval_features.rows()) {
-    size_t d = train.features.cols();
-    for (size_t i = 0; i < train.size(); ++i) {
-      const double* row = train.features.RowPtr(i);
+        distances_(train.size(), eval_features.rows()) {}
+
+  /// Computes distance rows [begin, end). Each row depends only on its own
+  /// training row, so any block split yields the same matrix.
+  void FillRows(const Matrix& train_features, size_t begin, size_t end) {
+    const Matrix& eval_features = *eval_features_;
+    size_t d = train_features.cols();
+    for (size_t i = begin; i < end; ++i) {
+      const double* row = train_features.RowPtr(i);
       for (size_t e = 0; e < eval_features.rows(); ++e) {
         const double* query = eval_features.RowPtr(e);
         double acc = 0.0;
@@ -165,6 +174,8 @@ class KnnCoalitionContext : public CoalitionScorerContext {
     return std::make_unique<KnnCoalitionScorer>(this);
   }
 
+  bool ReplacesColdFit() const override { return true; }
+
   /// Squared distance from training row `i` to evaluation row `e`; row-major
   /// in `i`, so a scorer's Add(i) streams one contiguous row.
   double distance(size_t i, size_t e) const { return distances_(i, e); }
@@ -175,6 +186,7 @@ class KnnCoalitionContext : public CoalitionScorerContext {
 
  private:
   const std::vector<int>* labels_;
+  const Matrix* eval_features_;  ///< Borrowed; read by FillRows only.
   size_t k_;
   int num_classes_;
   Matrix distances_;
@@ -290,37 +302,47 @@ class KnnSoaScorer final : public CoalitionScorer {
 template <typename Dist>
 class KnnSoaContext final : public CoalitionScorerContext {
  public:
+  /// Transposes the evaluation features and allocates the distance matrix
+  /// uninitialized, so its pages are first touched by FillRows — on the
+  /// build's worker threads when it fans out.
   KnnSoaContext(const MlDataset& train, const Matrix& eval_features, size_t k,
                 int num_classes)
       : labels_(train.labels),
         k_(k),
         num_classes_(num_classes),
         num_eval_(eval_features.rows()),
-        distances_(train.size() * eval_features.rows()) {
+        eval_t_(train.features.cols() * eval_features.rows()),
+        distances_(std::make_unique_for_overwrite<Dist[]>(
+            train.size() * eval_features.rows())) {
     NDE_CHECK_LT(train.size(), std::numeric_limits<uint32_t>::max());
-    size_t n = train.size();
     size_t m = num_eval_;
     size_t d = train.features.cols();
     // Transposed (feature-major) evaluation features: the accumulation loop
-    // below then runs contiguously over evaluation points. Interchanging the
-    // (e, c) loops does not touch any per-element accumulation chain — each
-    // distance still sums diff*diff over features in index order — so the
-    // double path stays bit-identical to the reference kernel and to
-    // KnnClassifier::Neighbors.
-    std::vector<Dist> eval_t(d * m);
+    // in FillRows then runs contiguously over evaluation points.
+    // Interchanging the (e, c) loops does not touch any per-element
+    // accumulation chain — each distance still sums diff*diff over features
+    // in index order — so the double path stays bit-identical to the
+    // reference kernel and to KnnClassifier::Neighbors.
     for (size_t e = 0; e < m; ++e) {
       const double* query = eval_features.RowPtr(e);
       for (size_t c = 0; c < d; ++c) {
-        eval_t[c * m + e] = static_cast<Dist>(query[c]);
+        eval_t_[c * m + e] = static_cast<Dist>(query[c]);
       }
     }
-    for (size_t i = 0; i < n; ++i) {
-      const double* row = train.features.RowPtr(i);
-      Dist* out = distances_.data() + i * m;
+  }
+
+  /// Computes distance rows [begin, end). Each row depends only on its own
+  /// training row, so any block split yields the same matrix.
+  void FillRows(const Matrix& train_features, size_t begin, size_t end) {
+    size_t m = num_eval_;
+    size_t d = train_features.cols();
+    for (size_t i = begin; i < end; ++i) {
+      const double* row = train_features.RowPtr(i);
+      Dist* out = distances_.get() + i * m;
       std::fill(out, out + m, Dist{0});
       for (size_t c = 0; c < d; ++c) {
         const Dist value = static_cast<Dist>(row[c]);
-        const Dist* queries = eval_t.data() + c * m;
+        const Dist* queries = eval_t_.data() + c * m;
         for (size_t e = 0; e < m; ++e) {
           Dist diff = value - queries[e];
           out[e] += diff * diff;
@@ -333,9 +355,15 @@ class KnnSoaContext final : public CoalitionScorerContext {
     return std::make_unique<KnnSoaScorer<Dist>>(this, arena);
   }
 
+  /// float32 distances are approximate, so only the double kernel may
+  /// answer for the cold fit.
+  bool ReplacesColdFit() const override {
+    return std::is_same_v<Dist, double>;
+  }
+
   /// Contiguous distances from training row `i` to every evaluation row.
   const Dist* DistanceRow(size_t i) const {
-    return distances_.data() + i * num_eval_;
+    return distances_.get() + i * num_eval_;
   }
   int label(size_t i) const { return labels_[i]; }
   size_t num_eval() const { return num_eval_; }
@@ -347,7 +375,8 @@ class KnnSoaContext final : public CoalitionScorerContext {
   size_t k_;
   int num_classes_;
   size_t num_eval_;
-  std::vector<Dist> distances_;  ///< n x num_eval, train-major.
+  std::vector<Dist> eval_t_;  ///< d x num_eval, feature-major; FillRows only.
+  std::unique_ptr<Dist[]> distances_;  ///< n x num_eval, train-major.
 };
 
 template <typename Dist>
@@ -447,25 +476,55 @@ void KnnSoaScorer<Dist>::Insert(size_t e, uint32_t train_index, Dist dist) {
   predictions_[e] = best;
 }
 
+/// The distance precompute fans out as this many row blocks (fewer when
+/// there are fewer training rows): enough to balance any realistic worker
+/// count, few enough that claiming a block costs nothing next to filling it.
+constexpr size_t kDistanceBlocks = 64;
+
+/// Fills `context`'s distance matrix in row blocks through `parallel`
+/// (inline when empty) and hands the context out once every row is written.
+template <typename Context>
+Result<std::shared_ptr<const CoalitionScorerContext>> FillDistances(
+    std::shared_ptr<Context> context, const Matrix& train_features,
+    const ParallelRunner& parallel) {
+  const size_t rows = train_features.rows();
+  const size_t blocks = std::min(rows, kDistanceBlocks);
+  auto fill_block = [&](size_t b) {
+    context->FillRows(train_features, b * rows / blocks,
+                      (b + 1) * rows / blocks);
+  };
+  if (parallel) {
+    NDE_RETURN_IF_ERROR(parallel(blocks, fill_block));
+  } else {
+    for (size_t b = 0; b < blocks; ++b) fill_block(b);
+  }
+  return std::shared_ptr<const CoalitionScorerContext>(std::move(context));
+}
+
 }  // namespace
 
-std::shared_ptr<const CoalitionScorerContext>
+Result<std::shared_ptr<const CoalitionScorerContext>>
 KnnClassifier::NewCoalitionScorerContext(
     const MlDataset& train, const Matrix& eval_features, int num_classes,
     const CoalitionScorerOptions& options) const {
-  if (train.size() == 0 || eval_features.rows() == 0) return nullptr;
+  if (train.size() == 0 || eval_features.rows() == 0) {
+    return std::shared_ptr<const CoalitionScorerContext>();
+  }
   if (num_classes < train.NumClasses()) num_classes = train.NumClasses();
   num_classes = std::max(num_classes, 1);
   if (options.float32) {
-    return std::make_shared<KnnSoaContext<float>>(train, eval_features, k_,
-                                                  num_classes);
+    return FillDistances(std::make_shared<KnnSoaContext<float>>(
+                             train, eval_features, k_, num_classes),
+                         train.features, options.parallel);
   }
   if (options.soa_kernels) {
-    return std::make_shared<KnnSoaContext<double>>(train, eval_features, k_,
-                                                   num_classes);
+    return FillDistances(std::make_shared<KnnSoaContext<double>>(
+                             train, eval_features, k_, num_classes),
+                         train.features, options.parallel);
   }
-  return std::make_shared<KnnCoalitionContext>(train, eval_features, k_,
-                                               num_classes);
+  return FillDistances(std::make_shared<KnnCoalitionContext>(
+                           train, eval_features, k_, num_classes),
+                       train.features, options.parallel);
 }
 
 std::unique_ptr<Classifier> KnnClassifier::Clone() const {

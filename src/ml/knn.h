@@ -32,7 +32,8 @@ class KnnClassifier : public Classifier {
   Status FitView(const MlDatasetView& view, int num_classes) override;
 
   /// KNN supports exact incremental coalition scoring: the context holds the
-  /// train-to-eval distance matrix, computed once, and scorers maintain
+  /// train-to-eval distance matrix, computed once (in row blocks through
+  /// options.parallel when given), and scorers maintain
   /// per-evaluation-point k-nearest windows as rows are added.
   ///
   /// Kernel selection via `options`: the default SoA kernel keeps flat
@@ -40,7 +41,9 @@ class KnnClassifier : public Classifier {
   /// bit-identical to both the reference row-wise kernel
   /// (options.soa_kernels = false) and the cold FitWithClasses + Predict
   /// path; options.float32 opts into approximate float32 distance storage.
-  std::shared_ptr<const CoalitionScorerContext> NewCoalitionScorerContext(
+  /// The two double-precision contexts ReplacesColdFit; float32 does not.
+  Result<std::shared_ptr<const CoalitionScorerContext>>
+  NewCoalitionScorerContext(
       const MlDataset& train, const Matrix& eval_features, int num_classes,
       const CoalitionScorerOptions& options = {}) const override;
 

@@ -14,6 +14,13 @@ namespace nde {
 
 class Arena;
 
+/// Runs body(i) for every i in [0, count), possibly concurrently and in any
+/// order, and returns the first failure (such as a lost pool task). Callers
+/// lend one to a scorer-context build so its one-time precomputation can fan
+/// out over their threads without the ml layer owning a thread runtime.
+using ParallelRunner = std::function<Status(
+    size_t count, const std::function<void(size_t)>& body)>;
+
 /// Kernel knobs for CoalitionScorerContext construction. Defaults preserve
 /// the exact bit-level semantics of the cold training path.
 struct CoalitionScorerOptions {
@@ -27,6 +34,12 @@ struct CoalitionScorerOptions {
   /// bits, so it is opt-in and never part of the default configuration.
   /// Implies the SoA kernels.
   bool float32 = false;
+
+  /// Fans the context's one-time precomputation (KNN: the train-to-eval
+  /// distance matrix, in row blocks) out through this runner; empty runs it
+  /// inline on the calling thread. Blocks write disjoint rows with unchanged
+  /// arithmetic, so the runner never changes bits.
+  ParallelRunner parallel;
 };
 
 /// Incrementally scores a growing coalition of training rows against a fixed
@@ -73,6 +86,11 @@ class CoalitionScorerContext {
   std::unique_ptr<CoalitionScorer> NewScorer() const {
     return NewScorer(nullptr);
   }
+
+  /// True when a fresh scorer fed a whole coalition (Add every row, Predict
+  /// once) can stand in for the cold fit: exact, and cheaper. A utility may
+  /// then serve plain coalition evaluations from this context. Default false.
+  virtual bool ReplacesColdFit() const { return false; }
 };
 
 /// Abstract multi-class classifier. All models in the library implement this
@@ -117,11 +135,12 @@ class Classifier {
 
   /// A scorer context for models that support exact incremental coalition
   /// scoring over (`train`, `eval_features`); nullptr (the default) when the
-  /// model has no such fast path. Both arguments must outlive the context.
-  /// `options` selects kernel variants; every default-options variant is
-  /// bit-identical to the cold path, and approximate variants (float32) are
-  /// only taken when explicitly requested.
-  virtual std::shared_ptr<const CoalitionScorerContext>
+  /// model has no such fast path, and the runner's failure when the build
+  /// fanned out through options.parallel and lost a task. Both arguments
+  /// must outlive the context. `options` selects kernel variants; every
+  /// default-options variant is bit-identical to the cold path, and
+  /// approximate variants (float32) are only taken when explicitly requested.
+  virtual Result<std::shared_ptr<const CoalitionScorerContext>>
   NewCoalitionScorerContext(const MlDataset& train, const Matrix& eval_features,
                             int num_classes,
                             const CoalitionScorerOptions& options = {}) const {
@@ -129,7 +148,7 @@ class Classifier {
     (void)eval_features;
     (void)num_classes;
     (void)options;
-    return nullptr;
+    return std::shared_ptr<const CoalitionScorerContext>();
   }
 
   /// Predicted class per row. Precondition: fitted.

@@ -242,6 +242,10 @@ class NbCoalitionContext final : public CoalitionScorerContext {
     return std::make_unique<NbCoalitionScorer>(this, arena);
   }
 
+  // ReplacesColdFit stays false: every Add recomputes the pushed class's
+  // moments over all of its members, so scoring a whole coalition through a
+  // scorer costs O(n^2 d) against the cold fit's O(n d).
+
   const Matrix& train_features() const { return *train_features_; }
   const Matrix& eval_features() const { return *eval_features_; }
   int label(size_t i) const { return labels_[i]; }
@@ -417,15 +421,20 @@ const std::vector<int>& NbCoalitionScorer::Predict() {
 
 }  // namespace
 
-std::shared_ptr<const CoalitionScorerContext>
+Result<std::shared_ptr<const CoalitionScorerContext>>
 GaussianNaiveBayes::NewCoalitionScorerContext(
     const MlDataset& train, const Matrix& eval_features, int num_classes,
     const CoalitionScorerOptions& options) const {
-  (void)options;  // One exact kernel; float32 does not apply to NB.
-  if (train.size() == 0 || eval_features.rows() == 0) return nullptr;
+  // One exact kernel with nothing to precompute: neither float32 nor the
+  // parallel runner applies to NB.
+  (void)options;
+  if (train.size() == 0 || eval_features.rows() == 0) {
+    return std::shared_ptr<const CoalitionScorerContext>();
+  }
   if (num_classes < train.NumClasses()) num_classes = train.NumClasses();
-  return std::make_shared<NbCoalitionContext>(
-      train, eval_features, std::max(num_classes, 1), var_smoothing_);
+  return std::shared_ptr<const CoalitionScorerContext>(
+      std::make_shared<NbCoalitionContext>(
+          train, eval_features, std::max(num_classes, 1), var_smoothing_));
 }
 
 }  // namespace nde

@@ -26,7 +26,8 @@ class GaussianNaiveBayes : public Classifier {
   /// two-pass FitWithClasses on the sorted coalition — so Predict() is
   /// bit-identical to cold retraining, regardless of insertion order.
   /// `train` and `eval_features` must outlive the context.
-  std::shared_ptr<const CoalitionScorerContext> NewCoalitionScorerContext(
+  Result<std::shared_ptr<const CoalitionScorerContext>>
+  NewCoalitionScorerContext(
       const MlDataset& train, const Matrix& eval_features, int num_classes,
       const CoalitionScorerOptions& options = {}) const override;
 

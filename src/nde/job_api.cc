@@ -2,7 +2,6 @@
 
 #include <sys/stat.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -40,17 +39,6 @@ namespace {
 using telemetry::HttpRequest;
 using telemetry::JsonEscape;
 using telemetry::MakeHttpResponse;
-
-/// Shortest decimal spelling that strtod parses back to exactly `value`, so
-/// a client reading job values gets the same bits the estimator produced
-/// (the CLI-vs-API determinism test relies on this).
-std::string FormatDouble(double value) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::string text = StrFormat("%.*g", precision, value);
-    if (std::strtod(text.c_str(), nullptr) == value) return text;
-  }
-  return StrFormat("%.17g", value);
-}
 
 std::string ErrorJson(const Status& status) {
   return std::string("{\"error\":{\"code\":\"") +

@@ -23,8 +23,6 @@ int64_t SteadyMicros() {
       .count();
 }
 
-std::string JsonNumber(double value) { return StrFormat("%.9g", value); }
-
 /// Aggregated span stats for the "top_spans" trace summary.
 struct SpanAgg {
   uint64_t count = 0;
@@ -62,8 +60,8 @@ std::string RenderTraceSummary() {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"" << JsonEscape(name) << "\",\"count\":" << agg.count
-       << ",\"total_ms\":" << JsonNumber(agg.total_us / 1000.0)
-       << ",\"max_ms\":" << JsonNumber(agg.max_us / 1000.0) << "}";
+       << ",\"total_ms\":" << FormatDouble(agg.total_us / 1000.0)
+       << ",\"max_ms\":" << FormatDouble(agg.max_us / 1000.0) << "}";
   }
   os << "]}";
   return os.str();
@@ -90,7 +88,7 @@ void RunReport::SetConfig(const std::string& key, int64_t value) {
 }
 
 void RunReport::SetConfig(const std::string& key, double value) {
-  config_.emplace_back(key, JsonNumber(value));
+  config_.emplace_back(key, FormatDouble(value));
 }
 
 void RunReport::SetConfig(const std::string& key, bool value) {
@@ -159,16 +157,16 @@ std::string RunReport::ToJson() {
     first = false;
     os << "\"" << JsonEscape(key) << "\":" << value;
   }
-  os << "},\"timing\":{\"wall_ms\":" << JsonNumber(wall_ms_)
-     << ",\"cpu_ms\":" << JsonNumber(cpu_ms_) << "},\"convergence_curve\":[";
+  os << "},\"timing\":{\"wall_ms\":" << FormatDouble(wall_ms_)
+     << ",\"cpu_ms\":" << FormatDouble(cpu_ms_) << "},\"convergence_curve\":[";
   first = true;
   for (const ConvergencePoint& point : curve_) {
     if (!first) os << ",";
     first = false;
     os << "{\"completed\":" << point.completed << ",\"total\":" << point.total
        << ",\"utility_evaluations\":" << point.utility_evaluations
-       << ",\"max_std_error\":" << JsonNumber(point.max_std_error)
-       << ",\"envelope\":" << JsonNumber(point.envelope) << "}";
+       << ",\"max_std_error\":" << FormatDouble(point.max_std_error)
+       << ",\"envelope\":" << FormatDouble(point.envelope) << "}";
   }
   os << "],\"metrics\":";
   // Re-render the snapshot taken at Finish() time (not the live registry, so
@@ -186,7 +184,7 @@ std::string RunReport::ToJson() {
   for (const auto& [name, value] : metrics_.gauges) {
     if (!first) metrics << ",";
     first = false;
-    metrics << "\"" << JsonEscape(name) << "\":" << JsonNumber(value);
+    metrics << "\"" << JsonEscape(name) << "\":" << FormatDouble(value);
   }
   metrics << "},\"histograms\":{";
   first = true;
@@ -213,10 +211,10 @@ std::string RunReport::ToJson() {
   uint64_t lookups = hits + misses;
   os << ",\"utility_cache\":{\"hits\":" << hits << ",\"misses\":" << misses
      << ",\"hit_rate\":"
-     << JsonNumber(lookups == 0
-                       ? 0.0
-                       : static_cast<double>(hits) /
-                             static_cast<double>(lookups))
+     << FormatDouble(lookups == 0
+                         ? 0.0
+                         : static_cast<double>(hits) /
+                               static_cast<double>(lookups))
      << "}";
   if (has_error_) {
     os << ",\"error\":{\"code\":\""

@@ -24,9 +24,11 @@
 #include "common/trace_context.h"
 #include "data/csv.h"
 #include "data/table.h"
+#include "datagen/synthetic.h"
 #include "importance/game_values.h"
 #include "importance/subset_cache.h"
 #include "importance/utility.h"
+#include "ml/knn.h"
 #include "pipeline/encoders.h"
 #include "pipeline/plan.h"
 #include "telemetry/health.h"
@@ -372,6 +374,52 @@ TEST_F(ChaosTest, ExhaustedRetriesAbortWithCause) {
   EXPECT_NE(estimate.status().message().find("backend down"),
             std::string::npos);
   EXPECT_FALSE(telemetry::IsHealthy());
+}
+
+/// On a real KNN utility, TMC's prelude fills the distance matrix over pool
+/// tasks — the first ones of the run — so the pool's failpoint can kill the
+/// build itself. No wave ran: the fault is the run's typed Status, and the
+/// context stays unbuilt for the next call to build.
+TEST_F(ChaosTest, PoolFaultDuringScorerContextBuildIsTypedAndRetryable) {
+  BlobsOptions blobs;
+  blobs.num_examples = 40;
+  blobs.seed = 5;
+  blobs.center_seed = 9;
+  MlDataset train = MakeBlobs(blobs);
+  blobs.num_examples = 12;
+  blobs.seed = 6;
+  MlDataset validation = MakeBlobs(blobs);
+  ClassifierFactory knn = [] { return std::make_unique<KnnClassifier>(3); };
+  TmcShapleyOptions options;
+  options.num_permutations = 8;
+  options.num_threads = 4;
+  options.seed = 13;
+
+  ModelAccuracyUtility utility(knn, train, validation);
+  ASSERT_TRUE(
+      failpoint::Arm("threadpool.task=error(unavailable:worker fault)#1x1")
+          .ok());
+  Result<ImportanceEstimate> faulted = TmcShapleyValues(utility, options);
+  ASSERT_FALSE(faulted.ok());
+  EXPECT_EQ(faulted.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(faulted.status().message().find("worker fault"),
+            std::string::npos);
+  EXPECT_EQ(FiresFor("threadpool.task"), 1u);
+  EXPECT_EQ(utility.num_evaluations(), 0u);  // The build precedes v(empty).
+  EXPECT_FALSE(telemetry::IsHealthy());
+
+  // Rerunning on the same utility builds the context and matches a fresh
+  // utility bit for bit.
+  failpoint::DisarmAll();
+  Result<ImportanceEstimate> rerun = TmcShapleyValues(utility, options);
+  ModelAccuracyUtility fresh(knn, train, validation);
+  Result<ImportanceEstimate> clean = TmcShapleyValues(fresh, options);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ(rerun->values, clean->values);
+  EXPECT_EQ(rerun->std_errors, clean->std_errors);
+  EXPECT_EQ(rerun->utility_evaluations, clean->utility_evaluations);
+  EXPECT_EQ(utility.num_evaluations(), fresh.num_evaluations());
 }
 
 TEST_F(ChaosTest, KeyedDecisionBitmapIsThreadScheduleInvariant) {

@@ -80,6 +80,8 @@ else
       || fail "metrics table missing pipeline counters"
   grep -q '"ph":"X"' out.json || fail "trace file lacks complete events"
   grep -q 'tmc_permutation' out.json || fail "trace lacks Shapley iteration spans"
+  grep -q '"scorer_context"' out.json \
+      || fail "trace lacks the scorer-context prelude span"
 fi
 
 # --- --threads: parallel runs match the serial run ---------------------------
@@ -218,6 +220,15 @@ grep -q "backend down" chaos_err.txt \
 [ -s chaos_report.json ] || fail "run report missing after injected fault"
 grep -q '"error":{"code":"unavailable","message":"backend down","exit_code":3}' \
     chaos_report.json || fail "report lacks the structured error block"
+
+# The run's first pool tasks fill TMC's scorer context, before any wave:
+# losing one is a typed runtime failure (exit 3), not a crash.
+NDE_FAILPOINTS='threadpool.task=error(unavailable:worker fault)#1x1' \
+    "$CLI" importance train.csv --label label --top 5 --permutations 8 \
+    --threads 4 > /dev/null 2> pool_fault_err.txt
+[ $? -eq 3 ] || fail "pool fault in the scorer-context build should exit 3"
+grep -q "worker fault" pool_fault_err.txt \
+    || fail "pool fault in the scorer-context build not reported on stderr"
 
 # A malformed NDE_FAILPOINTS spec warns and is ignored — an operator typo
 # must not break the run it was trying to observe.

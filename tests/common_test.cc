@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -334,6 +335,15 @@ TEST(StringUtilTest, StrFormatBasics) {
   EXPECT_EQ(StrFormat("%d-%s", 5, "x"), "5-x");
   EXPECT_EQ(StrFormat("%.2f", 1.2345), "1.23");
   EXPECT_EQ(StrFormat("empty"), "empty");
+}
+
+TEST(StringUtilTest, FormatDoubleIsTheShortestRoundTrip) {
+  EXPECT_EQ(FormatDouble(0.5), "0.5");
+  EXPECT_EQ(FormatDouble(3.0), "3");
+  EXPECT_EQ(FormatDouble(0.1 + 0.2), "0.30000000000000004");
+  for (double value : {1.0 / 3.0, 1e-300, -2.5e17, 6.02214076e23}) {
+    EXPECT_EQ(std::strtod(FormatDouble(value).c_str(), nullptr), value);
+  }
 }
 
 TEST(JsonParseTest, ScalarsKeepValueAndRawSpelling) {

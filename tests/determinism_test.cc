@@ -491,6 +491,55 @@ TEST(KernelBitIdentityTest, KnnSoaAndArenaIdenticalToSlowPathAcrossThreads) {
   }
 }
 
+TEST(KernelBitIdentityTest, ScorerContextBuildThreadCountChangesNoBits) {
+  // TMC builds the scorer context before its first wave and scores v(N)
+  // from it. The build's own thread count must not move a bit: per kernel
+  // configuration, a context built on 1, 2 or 8 threads (waves fixed at 2)
+  // yields identical values, std errors and eval counts — the cold slow
+  // path's for every exact configuration.
+  MlDataset train = FastPathTrain();
+  MlDataset validation = FastPathValidation();
+  TmcShapleyOptions options = FastPathTmcOptions();
+  options.use_prefix_scan = false;
+  options.num_threads = 1;
+  ModelAccuracyUtility cold_utility(KnnFactory(), train, validation);
+  ImportanceEstimate cold = TmcShapleyValues(cold_utility, options).value();
+
+  UtilityFastPathOptions reference;
+  reference.soa_kernels = false;
+  UtilityFastPathOptions cache;
+  cache.subset_cache = true;
+  UtilityFastPathOptions float32;
+  float32.float32 = true;
+  struct Config {
+    const char* name;
+    UtilityFastPathOptions fast_path;
+    bool exact;
+  };
+  options.use_prefix_scan = true;
+  options.num_threads = 2;
+  for (const Config& config :
+       {Config{"soa", {}, true}, Config{"reference", reference, true},
+        Config{"cache", cache, true}, Config{"float32", float32, false}}) {
+    std::vector<ImportanceEstimate> runs;
+    for (size_t build_threads : kThreadCounts) {
+      ModelAccuracyUtility utility(KnnFactory(), train, validation,
+                                   config.fast_path);
+      ASSERT_TRUE(utility.PreparePrefixScan(build_threads).ok());
+      runs.push_back(TmcShapleyValues(utility, options).value());
+    }
+    for (size_t r = 0; r < runs.size(); ++r) {
+      const ImportanceEstimate& expected = config.exact ? cold : runs[0];
+      std::string label = std::string(config.name) +
+                          " build_threads=" + std::to_string(kThreadCounts[r]);
+      EXPECT_EQ(runs[r].values, expected.values) << label;
+      EXPECT_EQ(runs[r].std_errors, expected.std_errors) << label;
+      EXPECT_EQ(runs[r].utility_evaluations, expected.utility_evaluations)
+          << label;
+    }
+  }
+}
+
 TEST(KernelBitIdentityTest, GaussianNbScanIdenticalToRetrainingAcrossThreads) {
   // The NB incremental scorer (sorted member lists, decremental moments) must
   // reproduce the retrain-per-prefix path exactly, for any Add order the

@@ -21,6 +21,7 @@
 #include "importance/utility.h"
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
+#include "ml/naive_bayes.h"
 #include "proptest/check.h"
 #include "proptest/gen.h"
 
@@ -559,6 +560,55 @@ TEST(ModelAccuracyUtilityTest, ZeroCopyViewsMatchMaterializedSubsets) {
       EXPECT_EQ(with_views.Evaluate(picks), materialized.Evaluate(picks))
           << "trial " << trial;
     }
+  }
+}
+
+TEST(ModelAccuracyUtilityTest, BuiltContextServesKnnFullSetButNotNbOrFloat32) {
+  // Once the scorer context is built (TMC's prelude), v(N) comes from it —
+  // training no model — only where the context ReplacesColdFit: KNN's
+  // double-precision kernels. Gaussian NB keeps the cold fit (its scorer
+  // recomputes the pushed class's moments over all members on every Add, so
+  // a full set through it is quadratic in n), and so does float32 (its
+  // distances are approximate). Every value equals the cold one.
+  BlobsOptions options;
+  options.num_examples = 30;
+  options.seed = 41;
+  options.center_seed = 5;
+  MlDataset train = MakeBlobs(options);
+  options.num_examples = 10;
+  options.seed = 42;
+  MlDataset validation = MakeBlobs(options);
+
+  ClassifierFactory knn = [] { return std::make_unique<KnnClassifier>(3); };
+  ClassifierFactory nb = [] { return std::make_unique<GaussianNaiveBayes>(); };
+  UtilityFastPathOptions reference;
+  reference.soa_kernels = false;
+  UtilityFastPathOptions float32;
+  float32.float32 = true;
+  struct Case {
+    const char* name;
+    ClassifierFactory model;
+    UtilityFastPathOptions fast_path;
+    bool served_from_context;
+  };
+  for (const Case& c : {Case{"knn", knn, {}, true},
+                        Case{"knn_reference", knn, reference, true},
+                        Case{"knn_float32", knn, float32, false},
+                        Case{"gaussian_nb", nb, {}, false}}) {
+    size_t models = 0;
+    ModelAccuracyUtility utility(
+        [&models, &c] {
+          ++models;
+          return c.model();
+        },
+        train, validation, c.fast_path);
+    ASSERT_TRUE(utility.PreparePrefixScan(2).ok()) << c.name;
+    size_t after_build = models;
+    double full = utility.FullUtility();
+    EXPECT_EQ(models - after_build, c.served_from_context ? 0u : 1u)
+        << c.name;
+    ModelAccuracyUtility cold(c.model, train, validation);
+    EXPECT_EQ(full, cold.FullUtility()) << c.name;
   }
 }
 

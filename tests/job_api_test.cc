@@ -222,6 +222,32 @@ TEST(JobApiTest, FailingJobDegradesHealthAndLaterSuccessRestoresIt) {
   EXPECT_TRUE(telemetry::IsHealthy());
 }
 
+TEST(JobApiTest, PoolFaultDuringScorerContextBuildFailsTheJob) {
+  telemetry::SetHealthy();
+  failpoint::DisarmAll();
+  // Hit 1 is the job's own task on the manager's pool; hit 2 is the first
+  // task of TMC's scorer-context fan-out, which the fault kills.
+  ASSERT_TRUE(
+      failpoint::Arm("threadpool.task=error(unavailable:worker fault)#2x1")
+          .ok());
+  JobApiOptions options;
+  options.num_workers = 1;
+  JobManager manager(options);
+  JobRequest request = QuickRequest();
+  request.algorithm = "tmc_shapley";
+  request.options = {
+      {"k", "3"}, {"num_permutations", "8"}, {"num_threads", "4"}};
+  std::string id = manager.Submit(request).value();
+  JobSnapshot failed = AwaitDone(manager, id);
+  failpoint::DisarmAll();
+
+  EXPECT_EQ(failed.state, JobState::kError);
+  EXPECT_EQ(failed.error.code(), StatusCode::kUnavailable);
+  EXPECT_NE(failed.error.message().find("worker fault"), std::string::npos);
+  EXPECT_TRUE(failed.estimate.values.empty());
+  telemetry::SetHealthy();
+}
+
 TEST(JobApiTest, WritesRunReportArtifact) {
   JobApiOptions options;
   options.artifact_dir = ::testing::TempDir() + "nde_job_artifacts";

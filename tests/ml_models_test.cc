@@ -548,7 +548,8 @@ void CheckScorerMatchesColdFit(const Model& model, const MlDataset& train,
                                Arena* arena) {
   std::shared_ptr<const CoalitionScorerContext> context =
       model.NewCoalitionScorerContext(train, eval_features, num_classes,
-                                      options);
+                                      options)
+          .value();
   ASSERT_NE(context, nullptr);
   std::unique_ptr<CoalitionScorer> scorer = context->NewScorer(arena);
   std::vector<size_t> coalition;
@@ -603,7 +604,8 @@ TEST(CoalitionScorerTest, Float32KnnKernelIsDeterministic) {
   options.float32 = true;
   std::shared_ptr<const CoalitionScorerContext> context =
       model.NewCoalitionScorerContext(train, eval.features, train.NumClasses(),
-                                      options);
+                                      options)
+          .value();
   ASSERT_NE(context, nullptr);
   Arena arena;
   std::unique_ptr<CoalitionScorer> heap_scorer = context->NewScorer();

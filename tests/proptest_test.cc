@@ -513,7 +513,11 @@ TEST(EstimatorPropertyTest, RegistryMatchesDirectCall) {
 
 /// --- Prefix scan vs full retrain ----------------------------------------------
 
+/// Pushes a random permutation through `utility`'s exact scan and compares
+/// every prefix with `cold`, a twin that never builds a scorer context (so
+/// its Evaluate always retrains, unlike `utility`'s once the scan built one).
 std::string CheckExactScan(const ModelAccuracyUtility& utility,
+                           const ModelAccuracyUtility& cold,
                            const MlDataset& train, Rng* rng) {
   std::unique_ptr<UtilityFunction::PrefixScan> scan =
       utility.NewPrefixScan(/*allow_warm_start=*/false);
@@ -527,7 +531,7 @@ std::string CheckExactScan(const ModelAccuracyUtility& utility,
     prefix.push_back(unit);
     std::vector<size_t> sorted = prefix;
     std::sort(sorted.begin(), sorted.end());
-    double retrained = utility.Evaluate(sorted);
+    double retrained = cold.Evaluate(sorted);
     if (scanned != retrained) {
       return StrFormat(
           "prefix of size %zu: scan %.17g != full retrain %.17g",
@@ -549,14 +553,18 @@ TEST(EstimatorPropertyTest, PrefixScanMatchesFullRetrain) {
     {
       ModelAccuracyUtility knn(KnnFactory(3), scenario.train, scenario.valid,
                                {});
-      std::string diff = CheckExactScan(knn, scenario.train, &rng);
+      ModelAccuracyUtility cold(KnnFactory(3), scenario.train, scenario.valid,
+                                {});
+      std::string diff = CheckExactScan(knn, cold, scenario.train, &rng);
       if (!diff.empty()) return "knn: " + diff;
     }
     {
-      ModelAccuracyUtility nb(
-          [] { return std::make_unique<GaussianNaiveBayes>(); },
-          scenario.train, scenario.valid, {});
-      std::string diff = CheckExactScan(nb, scenario.train, &rng);
+      ClassifierFactory factory = [] {
+        return std::make_unique<GaussianNaiveBayes>();
+      };
+      ModelAccuracyUtility nb(factory, scenario.train, scenario.valid, {});
+      ModelAccuracyUtility cold(factory, scenario.train, scenario.valid, {});
+      std::string diff = CheckExactScan(nb, cold, scenario.train, &rng);
       if (!diff.empty()) return "gaussian_nb: " + diff;
     }
     {
@@ -571,6 +579,68 @@ TEST(EstimatorPropertyTest, PrefixScanMatchesFullRetrain) {
   };
   std::string report = CheckProperty<ImportanceScenario>(
       "prefix-scan-equality", AnyImportanceScenario(), property,
+      DescribeScenario, HereConfig(40));
+  EXPECT_TRUE(report.empty()) << report;
+}
+
+TEST(EstimatorPropertyTest, BuiltContextServesEvaluateExactly) {
+  // Once a KNN utility's scorer context is built (TMC's prelude), Evaluate
+  // scores coalitions from it without training a model; for the exact
+  // kernels (SoA and reference) every generated coalition must equal a cold
+  // retrain. A float32 context is approximate and must never serve
+  // Evaluate: each call still trains one model.
+  std::function<std::string(const ImportanceScenario&)> property =
+      [](const ImportanceScenario& scenario) -> std::string {
+    const size_t n = scenario.train.size();
+    Rng rng(static_cast<uint64_t>(n * 2654435761u + scenario.valid.size()));
+    ModelAccuracyUtility cold(KnnFactory(3), scenario.train, scenario.valid,
+                              {});
+    UtilityFastPathOptions reference;
+    reference.soa_kernels = false;
+    UtilityFastPathOptions float32;
+    float32.float32 = true;
+    struct Variant {
+      const char* name;
+      UtilityFastPathOptions fast_path;
+      bool serves;
+    };
+    for (const Variant& variant : {Variant{"soa", {}, true},
+                                   Variant{"reference", reference, true},
+                                   Variant{"float32", float32, false}}) {
+      size_t models = 0;
+      ModelAccuracyUtility built(
+          [&models] {
+            ++models;
+            return std::make_unique<KnnClassifier>(3);
+          },
+          scenario.train, scenario.valid, variant.fast_path);
+      Status prepared = built.PreparePrefixScan(4);
+      if (!prepared.ok()) {
+        return StrFormat("%s: build failed: %s", variant.name,
+                         prepared.ToString().c_str());
+      }
+      for (int trial = 0; trial < 6; ++trial) {
+        std::vector<size_t> coalition =
+            rng.SampleWithoutReplacement(n, 1 + rng.NextBounded(n));
+        std::sort(coalition.begin(), coalition.end());
+        const size_t models_before = models;
+        double served = built.Evaluate(coalition);
+        double retrained = cold.Evaluate(coalition);
+        if (served != retrained) {
+          return StrFormat("%s: coalition of %zu: %.17g != cold retrain %.17g",
+                           variant.name, coalition.size(), served, retrained);
+        }
+        size_t trained = models - models_before;
+        if (trained != (variant.serves ? 0u : 1u)) {
+          return StrFormat("%s: Evaluate trained %zu models", variant.name,
+                           trained);
+        }
+      }
+    }
+    return "";
+  };
+  std::string report = CheckProperty<ImportanceScenario>(
+      "built-context-evaluate", AnyImportanceScenario(), property,
       DescribeScenario, HereConfig(40));
   EXPECT_TRUE(report.empty()) << report;
 }

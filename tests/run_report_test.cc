@@ -74,6 +74,20 @@ TEST(RunReportTest, ConfigKeepsTypesAndLastWriteWins) {
   EXPECT_NE(json.find("\"cache\":true"), std::string::npos);
 }
 
+TEST(RunReportTest, DoublesCarryTheirShortestRoundTripSpelling) {
+  // Report doubles carry the same bits as the job API's values and eventz:
+  // 0.1 + 0.2 needs all 17 significant digits to round-trip.
+  telemetry::RunReport report("doubles");
+  report.SetConfig("tolerance", 0.1 + 0.2);
+  report.RecordProgress(MakeUpdate(1, 2, 3, 1.0 / 3.0));
+  std::string json = report.ToJson();
+  EXPECT_NE(json.find("\"tolerance\":0.30000000000000004"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"max_std_error\":0.3333333333333333,"),
+            std::string::npos)
+      << json;
+}
+
 TEST(RunReportTest, ToJsonIsWellFormedAndFinishIsIdempotent) {
   telemetry::RunReport report("shape");
   report.SetConfig("escaped \"key\"", "escaped \"value\"\n");
