@@ -45,7 +45,8 @@ void Run() {
               dirty_accuracy, corrupted.size());
 
   // importances = nde.knn_shapley_values(train_df_err, validation=valid_df)
-  std::vector<double> importances = KnnShapleyValues(dirty, splits.valid, 5);
+  std::vector<double> importances =
+      KnnShapleyValues(dirty, splits.valid, 5).value();
   std::vector<size_t> ranking = AscendingOrder(importances);
 
   std::printf("\nlowest-importance tuples (top 10 of 25 shown):\n");

@@ -54,7 +54,8 @@ void BM_KnnShapleyExact(benchmark::State& state) {
   MlDataset train = MakeTrain(static_cast<size_t>(state.range(0)));
   MlDataset validation = MakeValidation();
   for (auto _ : state) {
-    std::vector<double> values = KnnShapleyValues(train, validation, 5);
+    std::vector<double> values =
+        KnnShapleyValues(train, validation, 5).value();
     benchmark::DoNotOptimize(values);
   }
   state.SetComplexityN(state.range(0));

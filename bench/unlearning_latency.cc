@@ -85,7 +85,8 @@ void DebugThenForget() {
   std::printf("dirty accuracy: %.4f (%zu hidden label flips)\n",
               dirty_accuracy, corrupted.size());
 
-  std::vector<double> importance = KnnShapleyValues(dirty, splits.valid, 5);
+  std::vector<double> importance =
+      KnnShapleyValues(dirty, splits.valid, 5).value();
   std::vector<size_t> ranking = AscendingOrder(importance);
   std::printf("%16s %14s %16s\n", "tuples forgotten", "accuracy",
               "forget time (ms)");

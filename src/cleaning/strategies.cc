@@ -41,7 +41,9 @@ CleaningStrategy KnnShapleyStrategy(size_t k) {
       [k](const MlDataset& dirty, const MlDataset& validation,
           uint64_t seed) -> Result<std::vector<size_t>> {
         (void)seed;
-        return AscendingOrder(KnnShapleyValues(dirty, validation, k));
+        NDE_ASSIGN_OR_RETURN(std::vector<double> values,
+                             KnnShapleyValues(dirty, validation, k));
+        return AscendingOrder(values);
       }};
 }
 

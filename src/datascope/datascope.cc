@@ -51,8 +51,8 @@ Result<std::vector<double>> KnnShapleyOverPipeline(
                 << " output rows, " << validation.size()
                 << " validation points, k=" << k;
   MlDataset train = output.ToDataset();
-  std::vector<double> output_values =
-      KnnShapleyValues(train, validation, k, options);
+  NDE_ASSIGN_OR_RETURN(std::vector<double> output_values,
+                       KnnShapleyValues(train, validation, k, options));
 
   std::vector<double> source_values(num_source_rows, 0.0);
   for (size_t r = 0; r < output.size(); ++r) {

@@ -59,12 +59,14 @@ struct EstimatorOptions {
   /// (DESIGN.md §10). Leave empty to skip all progress bookkeeping.
   ProgressCallback progress;
 
-  /// Cooperative cancellation: when non-null, the wave-based estimators poll
-  /// this flag at fixed wave boundaries and stop with abort_cause
-  /// StatusCode::kCancelled. Completed waves are kept, so a cancelled run's
-  /// partial estimate is bit-identical to a clean smaller-budget run (the
-  /// same contract fault aborts follow, DESIGN.md §11); the serving layer's
-  /// DELETE /jobs/<id> raises it. The flag must outlive the estimator call.
+  /// Cooperative cancellation: when non-null, every estimator polls this
+  /// flag at its fixed wave boundaries and stops with
+  /// StatusCode::kCancelled. The Monte-Carlo estimators keep their completed
+  /// waves, so a cancelled run's partial estimate is bit-identical to a clean
+  /// smaller-budget run (the same contract fault aborts follow, DESIGN.md
+  /// §11); LOO and KNN-Shapley return the status. A cancel does not mark the
+  /// process degraded. The serving layer's DELETE /jobs/<id> raises it. The
+  /// flag must outlive the estimator call.
   const std::atomic<bool>* cancel = nullptr;
 };
 

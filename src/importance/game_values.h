@@ -11,12 +11,16 @@
 
 namespace nde {
 
-/// Every Monte-Carlo estimator in this header follows one contract:
+/// Every estimator in this header follows one contract:
 ///  - options embed EstimatorOptions (seed, num_threads, convergence
-///    tolerance);
-///  - utility evaluations fan out over ParallelFor with per-task Rng streams
-///    from SeedSequence, and partial results reduce in fixed task order, so a
-///    fixed seed yields bit-identical values for any num_threads;
+///    tolerance, cancel flag, progress callback);
+///  - utility evaluations run as fixed waves of tasks through one runner
+///    (importance/waves.h) with per-task Rng streams from SeedSequence, and
+///    partial results reduce in fixed task order, so a fixed seed yields
+///    bit-identical values for any num_threads;
+///  - a cancel, a lost pool task, or a failed evaluation stops the run at a
+///    wave boundary; the Monte-Carlo estimators keep the completed waves
+///    (ImportanceEstimate::aborted_early), LOO returns the cause;
 ///  - bad input (zero units, zero sampling budget) returns
 ///    Status::InvalidArgument instead of aborting.
 
@@ -42,9 +46,11 @@ struct ImportanceEstimate {
 /// --- Leave-one-out -----------------------------------------------------------
 
 /// LOO importance: phi_i = v(N) - v(N \ {i}). The simplest importance score;
-/// O(n) utility evaluations, one per unit, evaluated in parallel. LOO draws no
-/// randomness, so results are identical for any (seed, num_threads).
-/// Returns InvalidArgument when the utility has zero units.
+/// O(n) utility evaluations, one per unit, evaluated in parallel in 64-unit
+/// waves. LOO draws no randomness, so results are identical for any (seed,
+/// num_threads). Returns InvalidArgument when the utility has zero units, and
+/// the cause when a cancel or a failure stops the run: LOO has no budget to
+/// shrink, so there is no partial result.
 Result<std::vector<double>> LeaveOneOutValues(
     const UtilityFunction& utility, const EstimatorOptions& options = {});
 

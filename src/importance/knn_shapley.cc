@@ -5,9 +5,8 @@
 #include <numeric>
 #include <span>
 
-#include "common/parallel.h"
-#include "telemetry/metrics.h"
-#include "telemetry/trace.h"
+#include "common/check.h"
+#include "importance/waves.h"
 
 namespace nde {
 
@@ -38,9 +37,10 @@ std::vector<size_t> DistanceOrder(const Matrix& train_features,
 
 }  // namespace
 
-std::vector<double> KnnShapleyValues(const MlDataset& train,
-                                     const MlDataset& validation, size_t k,
-                                     const EstimatorOptions& options) {
+Result<std::vector<double>> KnnShapleyValues(const MlDataset& train,
+                                             const MlDataset& validation,
+                                             size_t k,
+                                             const EstimatorOptions& options) {
   NDE_CHECK_GE(k, 1u);
   NDE_CHECK_GT(train.size(), 0u);
   NDE_CHECK_GT(validation.size(), 0u);
@@ -49,72 +49,58 @@ std::vector<double> KnnShapleyValues(const MlDataset& train,
   double kd = static_cast<double>(k);
 
   // Validation points are independent; process them as fixed 8-point chunks
-  // with one partial sum per chunk, folded in chunk order below, so the
-  // result is bit-identical for any thread count. Chunks run in fixed
-  // 8-chunk waves purely so progress can be reported at deterministic
-  // boundaries; the per-chunk work is unchanged.
+  // with one partial sum per chunk, folded in chunk order, so the result is
+  // bit-identical for any thread count. Chunks run in fixed 8-chunk waves so
+  // progress and cancellation land on deterministic boundaries; the
+  // per-chunk work is unchanged.
   constexpr size_t kChunkPoints = 8;
   constexpr size_t kWaveChunks = 8;
   size_t num_chunks = (validation.size() + kChunkPoints - 1) / kChunkPoints;
-  std::vector<std::vector<double>> partials(num_chunks);
-  auto run_chunk = [&](size_t chunk) {
-        std::vector<double>& partial = partials[chunk];
-        partial.assign(n, 0.0);
-        std::vector<double> s(n, 0.0);
-        size_t begin = chunk * kChunkPoints;
-        size_t end = std::min(begin + kChunkPoints, validation.size());
-        for (size_t v = begin; v < end; ++v) {
-          std::vector<size_t> order =
-              DistanceOrder(train.features, validation.features.RowSpan(v));
-          int y = validation.labels[v];
-          // Recurrence from Jia et al. (2019), Theorem 1. Positions are
-          // 1-indexed in the paper; `pos` below is 0-indexed.
-          size_t farthest = order[n - 1];
-          s[farthest] = (train.labels[farthest] == y ? 1.0 : 0.0) /
-                        static_cast<double>(n);
-          for (size_t pos = n - 1; pos-- > 0;) {
-            size_t i = order[pos];
-            size_t next = order[pos + 1];
-            double indicator_i = train.labels[i] == y ? 1.0 : 0.0;
-            double indicator_next = train.labels[next] == y ? 1.0 : 0.0;
-            double rank = static_cast<double>(pos + 1);  // 1-indexed position.
-            s[i] = s[next] + (indicator_i - indicator_next) / kd *
-                                 std::min(kd, rank) / rank;
-          }
-          for (size_t i = 0; i < n; ++i) partial[i] += s[i];
-        }
-  };
-  for (size_t wave_begin = 0; wave_begin < num_chunks;
-       wave_begin += kWaveChunks) {
-    size_t wave_end = std::min(wave_begin + kWaveChunks, num_chunks);
-    int64_t wave_start_us =
-        telemetry::Enabled() ? telemetry::NowMicros() : 0;
-    ParallelFor(wave_begin, wave_end, run_chunk, options.num_threads,
-                "knn_shapley");
-    // Wave latency, attributed to the owning job when one is active — purely
-    // observational, like the progress callback below.
-    if (telemetry::Enabled()) {
-      telemetry::MetricsRegistry::Global()
-          .GetHistogramWithLabels("estimator.wave_ms",
-                                  telemetry::CurrentJobLabels())
-          .Record(static_cast<double>(telemetry::NowMicros() -
-                                      wave_start_us) /
-                  1000.0);
-    }
-    if (options.progress) {
-      ProgressUpdate update;
-      update.phase = "knn_shapley";
-      update.completed = std::min(wave_end * kChunkPoints, validation.size());
-      update.total = validation.size();
-      // Closed-form estimator: no utility evaluations, no error estimate.
-      options.progress(update);
-    }
-  }
-
+  std::vector<std::vector<double>> wave(std::min(kWaveChunks, num_chunks),
+                                        std::vector<double>(n, 0.0));
   std::vector<double> values(n, 0.0);
-  for (const std::vector<double>& partial : partials) {
-    for (size_t i = 0; i < n; ++i) values[i] += partial[i];
-  }
+  auto run_chunk = [&](size_t chunk) -> Status {
+    std::vector<double>& partial = wave[chunk % kWaveChunks];
+    std::fill(partial.begin(), partial.end(), 0.0);
+    std::vector<double> s(n, 0.0);
+    size_t begin = chunk * kChunkPoints;
+    size_t end = std::min(begin + kChunkPoints, validation.size());
+    for (size_t v = begin; v < end; ++v) {
+      std::vector<size_t> order =
+          DistanceOrder(train.features, validation.features.RowSpan(v));
+      int y = validation.labels[v];
+      // Recurrence from Jia et al. (2019), Theorem 1. Positions are
+      // 1-indexed in the paper; `pos` below is 0-indexed.
+      size_t farthest = order[n - 1];
+      s[farthest] =
+          (train.labels[farthest] == y ? 1.0 : 0.0) / static_cast<double>(n);
+      for (size_t pos = n - 1; pos-- > 0;) {
+        size_t i = order[pos];
+        size_t next = order[pos + 1];
+        double indicator_i = train.labels[i] == y ? 1.0 : 0.0;
+        double indicator_next = train.labels[next] == y ? 1.0 : 0.0;
+        double rank = static_cast<double>(pos + 1);  // 1-indexed position.
+        s[i] = s[next] +
+               (indicator_i - indicator_next) / kd * std::min(kd, rank) / rank;
+      }
+      for (size_t i = 0; i < n; ++i) partial[i] += s[i];
+    }
+    return Status::OK();
+  };
+  auto fold = [&](size_t begin, size_t end) {
+    for (size_t chunk = begin; chunk < end; ++chunk) {
+      const std::vector<double>& partial = wave[chunk % kWaveChunks];
+      for (size_t i = 0; i < n; ++i) values[i] += partial[i];
+    }
+    // Closed-form estimator: no utility evaluations, no error estimate.
+    return WaveTally{std::min(end * kChunkPoints, validation.size()),
+                     validation.size()};
+  };
+  WaveOutcome run = RunWaves(options, "knn_shapley", "knn_shapley_wave",
+                             num_chunks, kWaveChunks, run_chunk, fold);
+  // A closed form has no smaller budget to fall back to: a cancelled or
+  // faulted run returns its cause.
+  if (!run.abort_cause.ok()) return run.abort_cause;
   double inv_m = 1.0 / static_cast<double>(validation.size());
   for (double& value : values) value *= inv_m;
   return values;

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/result.h"
 #include "importance/estimator_options.h"
 #include "importance/utility.h"
 #include "ml/dataset.h"
@@ -27,10 +28,13 @@ namespace nde {
 /// Validation points are scored in parallel (fixed 8-point chunks with
 /// per-chunk partial sums folded in chunk order), so for any
 /// `options.num_threads` the result is bit-identical; the closed form draws
-/// no randomness, so `options.seed` is unused.
-std::vector<double> KnnShapleyValues(const MlDataset& train,
-                                     const MlDataset& validation, size_t k,
-                                     const EstimatorOptions& options = {});
+/// no randomness, so `options.seed` is unused. Like LeaveOneOutValues, a run
+/// stopped by `options.cancel` (polled every 64 validation points) or by a
+/// lost pool task returns that cause as its Status: a closed form has no
+/// partial estimate.
+Result<std::vector<double>> KnnShapleyValues(
+    const MlDataset& train, const MlDataset& validation, size_t k,
+    const EstimatorOptions& options = {});
 
 /// The same game as an explicit UtilityFunction, used to validate the closed
 /// form against exact enumeration in tests and to plug the KNN proxy game

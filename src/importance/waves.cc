@@ -1,0 +1,132 @@
+#include "importance/waves.h"
+
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <string>
+#include <thread>
+
+#include "common/log.h"
+#include "common/parallel.h"
+#include "common/progress.h"
+#include "telemetry/health.h"
+#include "telemetry/metrics.h"
+#include "telemetry/profiler.h"
+#include "telemetry/telemetry.h"
+
+namespace nde {
+
+WaveOutcome RunWaves(const EstimatorOptions& options, const char* phase,
+                     const char* label, size_t num_tasks, size_t wave_size,
+                     const std::function<Status(size_t)>& task,
+                     const std::function<WaveTally(size_t, size_t)>& fold) {
+  WaveOutcome outcome;
+  std::vector<Status> errors(std::min(wave_size, num_tasks));
+  size_t waves_done = 0;
+  for (size_t begin = 0; begin < num_tasks; begin += wave_size) {
+    // Polled on this thread at wave boundaries only, so a cancelled run keeps
+    // exactly the waves a clean smaller-budget run would have.
+    if (options.cancel != nullptr &&
+        options.cancel->load(std::memory_order_relaxed)) {
+      outcome.abort_cause = Status::Cancelled(std::string(phase) +
+                                              " cancelled");
+      break;
+    }
+    size_t end = std::min(begin + wave_size, num_tasks);
+    telemetry::AllocationScope wave_alloc(label);
+    int64_t wave_start_us = telemetry::Enabled() ? telemetry::NowMicros() : 0;
+    Result<size_t> used = TryParallelFor(
+        begin, end, [&](size_t i) { errors[i - begin] = task(i); },
+        options.num_threads, label);
+    if (!used.ok()) {
+      outcome.abort_cause = used.status();
+      break;
+    }
+    outcome.threads_used = std::max(outcome.threads_used, *used);
+    if (telemetry::Enabled()) {
+      telemetry::MetricsRegistry::Global()
+          .GetHistogramWithLabels("estimator.wave_ms",
+                                  telemetry::CurrentJobLabels())
+          .Record(static_cast<double>(telemetry::NowMicros() - wave_start_us) /
+                  1000.0);
+    }
+    for (size_t i = 0; i < end - begin && outcome.abort_cause.ok(); ++i) {
+      outcome.abort_cause = errors[i];
+    }
+    if (!outcome.abort_cause.ok()) break;
+
+    WaveTally tally = fold(begin, end);
+    ++waves_done;
+    if (options.progress) {
+      ProgressUpdate update;
+      update.phase = phase;
+      update.completed = tally.completed;
+      update.total = tally.total;
+      update.utility_evaluations = tally.utility_evaluations;
+      update.max_std_error = tally.max_std_error;
+      options.progress(update);
+    }
+    if (tally.converged) {
+      NDE_LOG(INFO) << phase << " converged after " << tally.completed << "/"
+                    << tally.total << " (max std error "
+                    << tally.max_std_error
+                    << " <= " << options.convergence_tolerance << ")";
+      break;
+    }
+  }
+  if (!outcome.abort_cause.ok()) {
+    NDE_METRIC_COUNT("estimator.aborted", 1);
+    if (outcome.abort_cause.code() != StatusCode::kCancelled) {
+      telemetry::SetDegraded(outcome.abort_cause.ToString());
+    }
+    size_t num_waves = (num_tasks + wave_size - 1) / wave_size;
+    NDE_LOG(WARNING) << phase << " aborted after " << waves_done << "/"
+                     << num_waves
+                     << " waves: " << outcome.abort_cause.ToString();
+  }
+  return outcome;
+}
+
+void BackoffBeforeRetry(const EstimatorOptions& options, size_t attempt) {
+  CountForJob("estimator.retries", 1);
+  uint64_t delay_ms = static_cast<uint64_t>(options.retry_backoff_ms)
+                      << (attempt - 1);
+  delay_ms = std::min<uint64_t>(delay_ms,
+                                uint64_t{10} * options.retry_backoff_ms);
+  if (delay_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+  }
+}
+
+Result<double> EvaluateWithRetry(const UtilityFunction& utility,
+                                 const std::vector<size_t>& subset,
+                                 const EstimatorOptions& options) {
+  Status last;
+  for (size_t attempt = 0; attempt <= options.max_retries; ++attempt) {
+    if (attempt > 0) BackoffBeforeRetry(options, attempt);
+    Result<double> value = utility.TryEvaluate(subset, attempt);
+    if (value.ok()) {
+      if (!std::isfinite(*value)) {
+        Status poisoned =
+            Status::Internal("utility produced a non-finite value");
+        telemetry::SetDegraded(poisoned.ToString());
+        return poisoned;
+      }
+      if (attempt > 0) telemetry::SetHealthy();  // Recovered on retry.
+      return value;
+    }
+    last = value.status();
+    telemetry::SetDegraded(last.ToString());
+    if (!IsRetryable(last.code())) break;
+  }
+  return last;
+}
+
+void CountForJob(const char* name, uint64_t delta) {
+  if (!telemetry::Enabled()) return;
+  telemetry::MetricsRegistry::Global()
+      .GetCounterWithLabels(name, telemetry::CurrentJobLabels())
+      .Increment(delta);
+}
+
+}  // namespace nde

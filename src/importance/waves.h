@@ -1,0 +1,87 @@
+#ifndef NDE_IMPORTANCE_WAVES_H_
+#define NDE_IMPORTANCE_WAVES_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "common/result.h"
+#include "common/status.h"
+#include "importance/estimator_options.h"
+#include "importance/utility.h"
+
+namespace nde {
+
+/// Internal to the importance estimators: the one wave loop behind LOO,
+/// TMC-Shapley, Banzhaf, Beta-Shapley and KNN-Shapley, and the retry policy
+/// their utility evaluations share. DESIGN.md §8 (determinism) and §11
+/// (abort and cancel) describe the contracts this loop enforces.
+
+/// What a fold reports after reducing one wave: the progress fields, plus
+/// whether the estimator's convergence test passed at this boundary.
+struct WaveTally {
+  size_t completed = 0;  ///< Budget units done (permutations, samples, ...).
+  size_t total = 0;      ///< The full budget in the same unit.
+  size_t utility_evaluations = 0;
+  double max_std_error = 0.0;
+  bool converged = false;
+};
+
+/// How a RunWaves call ended.
+struct WaveOutcome {
+  /// Largest worker count any wave fanned out over (1 when none ran).
+  size_t threads_used = 1;
+  /// OK when every wave ran or the fold converged; otherwise the cancel, the
+  /// lost pool task, or the first failed task (in index order) that stopped
+  /// the run. Waves folded before it are kept.
+  Status abort_cause;
+};
+
+/// Runs tasks [0, num_tasks) in fixed waves of `wave_size`. For each wave, on
+/// the coordinating thread: poll `options.cancel` (a raised flag stops with
+/// Status::Cancelled("<phase> cancelled")); fan the wave out through
+/// TryParallelFor under an AllocationScope and an `estimator.wave_ms` sample,
+/// both named `label`; discard the wave whole when the pool lost a task or
+/// any task returned an error (the first in index order is the cause);
+/// otherwise call `fold(begin, end)`, hand its tally to `options.progress` as
+/// `phase`, and stop when it reports convergence.
+///
+/// A task writes only its own slot, conventionally `i % wave_size` of
+/// storage the caller allocated up front on this thread, and the fold reduces
+/// the wave in index order: together with per-index Rng streams this makes
+/// results bit-identical for any num_threads.
+///
+/// On abort, counts `estimator.aborted` and logs the cause; health turns
+/// degraded unless the cause is a cancel, which is not a fault.
+WaveOutcome RunWaves(const EstimatorOptions& options, const char* phase,
+                     const char* label, size_t num_tasks, size_t wave_size,
+                     const std::function<Status(size_t)>& task,
+                     const std::function<WaveTally(size_t, size_t)>& fold);
+
+/// The wait before retry `attempt` (>= 1) of a failed utility evaluation:
+/// counts `estimator.retries` (also into the job-labeled series) and sleeps
+/// retry_backoff_ms doubled per attempt, capped at 10x the base.
+void BackoffBeforeRetry(const EstimatorOptions& options, size_t attempt);
+
+/// One utility evaluation with bounded retry. Retries only *retryable*
+/// failures (unavailable / resource_exhausted: a transient backend), after
+/// BackoffBeforeRetry. Non-finite values are data corruption and fail
+/// immediately: the utility is deterministic, so retrying would return the
+/// same poison. Passing the attempt number as the TryEvaluate salt re-rolls
+/// an injected probabilistic fault deterministically, so a flaky-backend
+/// simulation can succeed on retry and replay bit-identically.
+Result<double> EvaluateWithRetry(const UtilityFunction& utility,
+                                 const std::vector<size_t>& subset,
+                                 const EstimatorOptions& options);
+
+/// Per-job labeled twin of NDE_METRIC_COUNT: under a job's TraceContext the
+/// count lands in both the base metric and the job-labeled series, so
+/// /metrics breaks the value out per job; outside a job (CLI, tests) only
+/// the base metric moves. Called at wave boundaries, retry slow paths and run
+/// ends, never per utility evaluation, so the registry lookup is irrelevant.
+void CountForJob(const char* name, uint64_t delta);
+
+}  // namespace nde
+
+#endif  // NDE_IMPORTANCE_WAVES_H_

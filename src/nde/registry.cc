@@ -439,15 +439,13 @@ class KnnShapleyAlgorithm final : public AlgorithmInstance {
   }
 
   Result<ImportanceEstimate> Run(const RunInput& input) const override {
-    if (cancel_requested()) {
-      return Status::Cancelled("'knn_shapley' cancelled before start");
-    }
     NDE_RETURN_IF_ERROR(CheckTrainValidation(*this, input, true));
     EstimatorOptions options = options_;
     ApplyRuntime(&options);
     ImportanceEstimate estimate;
-    estimate.values =
-        KnnShapleyValues(*input.train, *input.validation, k_, options);
+    NDE_ASSIGN_OR_RETURN(
+        estimate.values,
+        KnnShapleyValues(*input.train, *input.validation, k_, options));
     return estimate;
   }
 
@@ -471,9 +469,6 @@ class DatascopeAlgorithm final : public AlgorithmInstance {
   bool values_are_source_rows() const override { return true; }
 
   Result<ImportanceEstimate> Run(const RunInput& input) const override {
-    if (cancel_requested()) {
-      return Status::Cancelled("'datascope' cancelled before start");
-    }
     NDE_RETURN_IF_ERROR(CheckTrainValidation(*this, input, true));
     if (input.pipeline_output == nullptr) {
       return Status::InvalidArgument(

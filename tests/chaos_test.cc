@@ -33,6 +33,7 @@
 #include "pipeline/plan.h"
 #include "telemetry/health.h"
 #include "telemetry/http_exporter.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace nde {
@@ -354,6 +355,38 @@ TEST_F(ChaosTest, RetryRecoversProbabilisticFaultsOnThePrefixScanPath) {
   EXPECT_EQ(retried->std_errors, clean->std_errors);
   EXPECT_GE(FiresFor("utility.evaluate"), 1u);
   EXPECT_TRUE(telemetry::IsHealthy());
+}
+
+/// Both retry paths share one backoff helper, so a scan-path retry lands in
+/// the running job's labeled `estimator.retries` series too, not only in the
+/// unlabeled one.
+TEST_F(ChaosTest, PrefixScanRetriesCountTowardTheJob) {
+  bool was_enabled = telemetry::Enabled();
+  telemetry::SetEnabled(true);
+  TraceContext context = MintTraceContext();
+  context.job_id = "job-scan-retry";
+  context.algorithm = "tmc_shapley";
+  ScopedTraceContext scope(context);
+  ScanSumUtility utility(4);
+  TmcShapleyOptions options;
+  options.num_permutations = 8;
+  options.truncation_tolerance = 0.0;
+  options.num_threads = 1;
+  options.retry_backoff_ms = 0;
+  // Hits 1 and 2 are v(empty) and v(N) through TryEvaluate; hit 3 is the
+  // first Push of permutation 0, on the scan path.
+  ASSERT_TRUE(
+      failpoint::Arm("utility.evaluate=error(unavailable:flaky)#3x1").ok());
+  Result<ImportanceEstimate> estimate = TmcShapleyValues(utility, options);
+  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+  EXPECT_FALSE(estimate->aborted_early);
+  EXPECT_EQ(FiresFor("utility.evaluate"), 1u);
+  telemetry::MetricsSnapshot snapshot =
+      telemetry::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snapshot.counters.at("estimator.retries{algorithm=\"tmc_shapley\","
+                                 "job_id=\"job-scan-retry\"}"),
+            1u);
+  telemetry::SetEnabled(was_enabled);
 }
 
 TEST_F(ChaosTest, ExhaustedRetriesAbortWithCause) {

@@ -230,6 +230,17 @@ NDE_FAILPOINTS='threadpool.task=error(unavailable:worker fault)#1x1' \
 grep -q "worker fault" pool_fault_err.txt \
     || fail "pool fault in the scorer-context build not reported on stderr"
 
+# The closed-form KNN-Shapley fan-out (also under datascope) runs its waves
+# through the same runner: a lost pool task is exit 3, not a crash.
+for method in knn_shapley datascope; do
+  NDE_FAILPOINTS='threadpool.task=error(unavailable:worker fault)#1x1' \
+      "$CLI" importance train.csv --label label --top 5 --method "$method" \
+      --threads 4 > /dev/null 2> pool_fault_err.txt
+  [ $? -eq 3 ] || fail "pool fault in the $method fan-out should exit 3"
+  grep -q "worker fault" pool_fault_err.txt \
+      || fail "pool fault in the $method fan-out not reported on stderr"
+done
+
 # A malformed NDE_FAILPOINTS spec warns and is ignored — an operator typo
 # must not break the run it was trying to observe.
 NDE_FAILPOINTS='utility.evaluate=bogus_action' \

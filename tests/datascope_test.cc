@@ -99,7 +99,7 @@ TEST(KnnShapleyOverPipelineTest, IdentityPipelineMatchesFlatKnnShapley) {
                              /*k=*/3)
           .value();
   std::vector<double> flat_values =
-      KnnShapleyValues(fixture.output.ToDataset(), validation, 3);
+      KnnShapleyValues(fixture.output.ToDataset(), validation, 3).value();
   ASSERT_EQ(pipeline_values.size(), flat_values.size());
   for (size_t i = 0; i < flat_values.size(); ++i) {
     EXPECT_NEAR(pipeline_values[i], flat_values[i], 1e-12);
@@ -155,7 +155,7 @@ TEST(KnnShapleyOverPipelineTest, JoinFanOutAggregatesChildValues) {
   validation.labels = {0, 1};
 
   std::vector<double> output_values =
-      KnnShapleyValues(output.ToDataset(), validation, 1);
+      KnnShapleyValues(output.ToDataset(), validation, 1).value();
   std::vector<double> left_values =
       KnnShapleyOverPipeline(output, validation, 0, 2, 1).value();
   // Left row 0 feeds the three join results with k=1.

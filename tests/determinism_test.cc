@@ -1,7 +1,9 @@
 // The parallel runtime's central promise (DESIGN.md §8): for a fixed seed,
 // every estimator returns bit-identical values no matter how many worker
-// threads run it. These tests exercise the promise across num_threads
-// {1, 2, 8}, including ragged chunk sizes and early stopping.
+// threads run it. The per-estimator thread sweep with ragged waves lives in
+// estimator_contract_test; these tests extend the promise across num_threads
+// {1, 2, 8} to early stopping, the utility fast path and kernels, the
+// observability hooks, and the serving layer.
 
 #include <chrono>
 #include <cmath>
@@ -25,7 +27,6 @@
 #include "nde/job_api.h"
 #include "nde/registry.h"
 #include "importance/game_values.h"
-#include "importance/knn_shapley.h"
 #include "importance/utility.h"
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
@@ -66,118 +67,6 @@ LambdaUtility NonAdditiveGame(size_t n) {
 }
 
 const std::vector<size_t> kThreadCounts = {1, 2, 8};
-
-TEST(DeterminismTest, TmcShapleyIdenticalAcrossThreadCounts) {
-  LambdaUtility game = NonAdditiveGame(8);
-  TmcShapleyOptions options;
-  options.num_permutations = 65;  // Ragged final wave (65 = 2*32 + 1).
-  options.truncation_tolerance = 0.0;
-  options.seed = 7;
-
-  std::vector<ImportanceEstimate> runs;
-  for (size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    runs.push_back(TmcShapleyValues(game, options).value());
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    EXPECT_EQ(runs[r].values, runs[0].values) << kThreadCounts[r] << " threads";
-    EXPECT_EQ(runs[r].std_errors, runs[0].std_errors);
-    EXPECT_EQ(runs[r].utility_evaluations, runs[0].utility_evaluations);
-  }
-}
-
-TEST(DeterminismTest, TmcShapleyWithTruncationIdenticalAcrossThreadCounts) {
-  // Truncation decisions depend only on each permutation's own stream and the
-  // utility values, so they too must be thread-count invariant.
-  LambdaUtility game = NonAdditiveGame(10);
-  TmcShapleyOptions options;
-  options.num_permutations = 48;
-  options.truncation_tolerance = 0.4;
-  options.seed = 11;
-
-  std::vector<ImportanceEstimate> runs;
-  for (size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    runs.push_back(TmcShapleyValues(game, options).value());
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    EXPECT_EQ(runs[r].values, runs[0].values);
-    EXPECT_EQ(runs[r].utility_evaluations, runs[0].utility_evaluations);
-  }
-}
-
-TEST(DeterminismTest, BanzhafIdenticalAcrossThreadCounts) {
-  LambdaUtility game = NonAdditiveGame(6);
-  BanzhafOptions options;
-  options.num_samples = 333;  // Not a multiple of the 16-sample chunk.
-  options.seed = 3;
-
-  std::vector<ImportanceEstimate> runs;
-  for (size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    runs.push_back(BanzhafValues(game, options).value());
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    EXPECT_EQ(runs[r].values, runs[0].values) << kThreadCounts[r] << " threads";
-    EXPECT_EQ(runs[r].std_errors, runs[0].std_errors);
-    EXPECT_EQ(runs[r].utility_evaluations, runs[0].utility_evaluations);
-  }
-}
-
-TEST(DeterminismTest, BetaShapleyIdenticalAcrossThreadCounts) {
-  LambdaUtility game = NonAdditiveGame(7);
-  BetaShapleyOptions options;
-  options.alpha = 4.0;
-  options.beta = 1.0;
-  options.samples_per_unit = 32;
-  options.seed = 5;
-
-  std::vector<ImportanceEstimate> runs;
-  for (size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    runs.push_back(BetaShapleyValues(game, options).value());
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    EXPECT_EQ(runs[r].values, runs[0].values) << kThreadCounts[r] << " threads";
-    EXPECT_EQ(runs[r].std_errors, runs[0].std_errors);
-    EXPECT_EQ(runs[r].utility_evaluations, runs[0].utility_evaluations);
-  }
-}
-
-TEST(DeterminismTest, LeaveOneOutIdenticalAcrossThreadCounts) {
-  LambdaUtility game = NonAdditiveGame(9);
-  EstimatorOptions options;
-  std::vector<std::vector<double>> runs;
-  for (size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    runs.push_back(LeaveOneOutValues(game, options).value());
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    EXPECT_EQ(runs[r], runs[0]) << kThreadCounts[r] << " threads";
-  }
-}
-
-TEST(DeterminismTest, KnnShapleyIdenticalAcrossThreadCounts) {
-  BlobsOptions blob;
-  blob.num_examples = 40;
-  blob.num_features = 4;
-  blob.seed = 42;
-  blob.center_seed = 99;
-  MlDataset train = MakeBlobs(blob);
-  blob.num_examples = 21;  // Not a multiple of the 8-point chunk.
-  blob.seed = 43;
-  MlDataset validation = MakeBlobs(blob);
-
-  EstimatorOptions options;
-  std::vector<std::vector<double>> runs;
-  for (size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    runs.push_back(KnnShapleyValues(train, validation, 3, options));
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    EXPECT_EQ(runs[r], runs[0]) << kThreadCounts[r] << " threads";
-  }
-}
 
 TEST(DeterminismTest, ConvergenceToleranceStopsEarlyAndStaysDeterministic) {
   LambdaUtility game = NonAdditiveGame(6);
@@ -787,68 +676,6 @@ TEST(DeterminismTest, TraceContextAndLabeledMetricsDoNotPerturbResults) {
   telemetry::TraceBuffer::Global().Clear();
 }
 
-TEST(DeterminismTest, ProgressSequencesIdenticalForAllEstimators) {
-  LambdaUtility game = NonAdditiveGame(20);  // > one 16-unit beta wave.
-  auto collect = [](auto&& run_fn) {
-    std::vector<ProgressUpdate> updates;
-    run_fn([&updates](const ProgressUpdate& update) {
-      updates.push_back(update);
-    });
-    return updates;
-  };
-
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    SCOPED_TRACE(threads);
-    std::vector<ProgressUpdate> banzhaf =
-        collect([&](ProgressCallback progress) {
-          BanzhafOptions options;
-          options.num_samples = 200;
-          options.seed = 23;
-          options.num_threads = threads;
-          options.progress = std::move(progress);
-          BanzhafValues(game, options).value();
-        });
-    ASSERT_FALSE(banzhaf.empty());
-    EXPECT_EQ(banzhaf.back().completed, 200u);
-    EXPECT_STREQ(banzhaf.back().phase, "banzhaf");
-
-    std::vector<ProgressUpdate> beta = collect([&](ProgressCallback progress) {
-      BetaShapleyOptions options;
-      options.samples_per_unit = 4;
-      options.seed = 29;
-      options.num_threads = threads;
-      options.progress = std::move(progress);
-      BetaShapleyValues(game, options).value();
-    });
-    ASSERT_EQ(beta.size(), 2u);  // 20 units = 16 + ragged 4.
-    EXPECT_EQ(beta[0].completed, 16u);
-    EXPECT_EQ(beta[1].completed, 20u);
-    EXPECT_GT(beta.back().max_std_error, 0.0);
-
-    std::vector<ProgressUpdate> loo = collect([&](ProgressCallback progress) {
-      EstimatorOptions options;
-      options.num_threads = threads;
-      options.progress = std::move(progress);
-      LeaveOneOutValues(game, options).value();
-    });
-    ASSERT_EQ(loo.size(), 1u);  // 20 units fit one 64-unit wave.
-    EXPECT_EQ(loo[0].completed, 20u);
-    EXPECT_EQ(loo[0].utility_evaluations, 21u);
-  }
-}
-
-TEST(EstimatorValidationTest, ZeroUnitsIsInvalidArgument) {
-  LambdaUtility empty(0, [](const std::vector<size_t>&) { return 0.0; });
-  EXPECT_EQ(LeaveOneOutValues(empty).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(TmcShapleyValues(empty, {}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(BanzhafValues(empty, {}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(BetaShapleyValues(empty, {}).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 // --- CLI vs job API: one engine, bit-identical answers. ---------------------
 
 TEST(DeterminismTest, JobApiMatchesDirectEngineRunBitForBit) {
@@ -1059,22 +886,6 @@ TEST(GenerativeThreadSweepTest, BetaShapleyIsThreadCountInvariant) {
       [](const Case& c) { return prop::DescribeScenario(c.scenario); },
       SweepCheckConfig(12));
   EXPECT_TRUE(report.empty()) << report;
-}
-
-TEST(EstimatorValidationTest, ZeroBudgetIsInvalidArgument) {
-  LambdaUtility game = NonAdditiveGame(4);
-  TmcShapleyOptions tmc;
-  tmc.num_permutations = 0;
-  EXPECT_EQ(TmcShapleyValues(game, tmc).status().code(),
-            StatusCode::kInvalidArgument);
-  BanzhafOptions banzhaf;
-  banzhaf.num_samples = 0;
-  EXPECT_EQ(BanzhafValues(game, banzhaf).status().code(),
-            StatusCode::kInvalidArgument);
-  BetaShapleyOptions beta;
-  beta.samples_per_unit = 0;
-  EXPECT_EQ(BetaShapleyValues(game, beta).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

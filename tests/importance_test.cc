@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/failpoint.h"
 #include "common/status.h"
 #include "datagen/synthetic.h"
 #include "importance/fairness_debugging.h"
@@ -281,7 +280,8 @@ TEST(KnnShapleyTest, MatchesExactEnumerationOfItsGame) {
   for (size_t k : {1u, 3u}) {
     SoftKnnUtility game(train, validation, k);
     std::vector<double> exact = ExactShapleyValues(game).value();
-    std::vector<double> closed_form = KnnShapleyValues(train, validation, k);
+    std::vector<double> closed_form =
+        KnnShapleyValues(train, validation, k).value();
     ASSERT_EQ(exact.size(), closed_form.size());
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_NEAR(closed_form[i], exact[i], 1e-9) << "k=" << k << " i=" << i;
@@ -296,7 +296,7 @@ TEST(KnnShapleyTest, EfficiencySumsToFullUtility) {
   val_options.seed = 77;
   MlDataset validation = MakeBlobs(val_options);
   size_t k = 5;
-  std::vector<double> values = KnnShapleyValues(train, validation, k);
+  std::vector<double> values = KnnShapleyValues(train, validation, k).value();
   SoftKnnUtility game(train, validation, k);
   double total = std::accumulate(values.begin(), values.end(), 0.0);
   EXPECT_NEAR(total, game.FullUtility(), 1e-9);
@@ -307,7 +307,8 @@ TEST(KnnShapleyTest, FlippedLabelsGetLowValues) {
   MlDataset dirty = splits.train;
   Rng rng(13);
   std::vector<size_t> corrupted = InjectLabelErrors(&dirty, 0.1, &rng);
-  std::vector<double> values = KnnShapleyValues(dirty, splits.valid, 5);
+  std::vector<double> values =
+      KnnShapleyValues(dirty, splits.valid, 5).value();
 
   double corrupted_mean = 0.0;
   double clean_mean = 0.0;
@@ -786,112 +787,6 @@ TEST(KnnShapleyTest, SoftKnnEpochMembershipMatchesSetReference) {
     }
     EXPECT_EQ(game.Evaluate({}), 0.0);
   }
-}
-
-// --- Fault injection: abort semantics ----------------------------------------
-
-/// RAII disarm so injection never leaks into neighboring tests.
-struct FailpointGuard {
-  FailpointGuard() {
-    failpoint::DisarmAll();
-    failpoint::ResetStats();
-  }
-  ~FailpointGuard() {
-    failpoint::DisarmAll();
-    failpoint::ResetStats();
-  }
-};
-
-TEST(LeaveOneOutTest, UtilityFaultSurfacesTypedError) {
-  FailpointGuard guard;
-  LambdaUtility game = AdditiveGame({1.0, 2.0, 3.0});
-  EstimatorOptions options;
-  options.num_threads = 1;
-  // Hit 1 is the full-set evaluation; hit 2 (the first leave-one-out
-  // evaluation) fails with a non-retryable error.
-  ASSERT_TRUE(failpoint::Arm("utility.evaluate=error(internal:dead)#2").ok());
-  Result<std::vector<double>> values = LeaveOneOutValues(game, options);
-  ASSERT_FALSE(values.ok());
-  EXPECT_EQ(values.status().code(), StatusCode::kInternal);
-  EXPECT_EQ(values.status().message(), "dead");
-}
-
-TEST(TmcShapleyTest, MidWaveAbortYieldsPartialEstimate) {
-  FailpointGuard guard;
-  LambdaUtility game = AdditiveGame({1.0, 2.0, 3.0, 4.0});
-
-  // Reference: a clean run covering exactly the first 32-permutation wave.
-  TmcShapleyOptions clean_options;
-  clean_options.num_permutations = 32;
-  clean_options.truncation_tolerance = 0.0;
-  clean_options.num_threads = 1;
-  clean_options.seed = 9;
-  ImportanceEstimate clean =
-      TmcShapleyValues(game, clean_options).value();
-
-  // Full run: 64 permutations in two waves. Wave 1 costs 2 bookend
-  // evaluations plus 32 permutations x 4 units = 130 hits; hit 140 lands
-  // mid-wave-2, every later evaluation (including retries) also fails, so
-  // wave 2 is discarded whole.
-  TmcShapleyOptions faulty_options = clean_options;
-  faulty_options.num_permutations = 64;
-  faulty_options.retry_backoff_ms = 0;
-  ASSERT_TRUE(
-      failpoint::Arm("utility.evaluate=error(unavailable:boom)#140").ok());
-  Result<ImportanceEstimate> partial = TmcShapleyValues(game, faulty_options);
-  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  EXPECT_TRUE(partial->aborted_early);
-  EXPECT_EQ(partial->abort_cause.code(), StatusCode::kUnavailable);
-  EXPECT_NE(partial->abort_cause.message().find("boom"), std::string::npos);
-  // The partial estimate is exactly the clean smaller-budget run: discarded
-  // waves leave no trace in the completed portion.
-  EXPECT_EQ(partial->values, clean.values);
-  EXPECT_EQ(partial->std_errors, clean.std_errors);
-}
-
-TEST(TmcShapleyTest, AbortBeforeAnyWaveReturnsCause) {
-  FailpointGuard guard;
-  LambdaUtility game = AdditiveGame({1.0, 2.0});
-  TmcShapleyOptions options;
-  options.num_permutations = 8;
-  options.truncation_tolerance = 0.0;
-  options.num_threads = 1;
-  options.max_retries = 0;
-  ASSERT_TRUE(
-      failpoint::Arm("utility.evaluate=error(unavailable:all down)").ok());
-  Result<ImportanceEstimate> estimate = TmcShapleyValues(game, options);
-  // Nothing completed, so there is no partial estimate to return — the
-  // cause becomes the estimator's status.
-  ASSERT_FALSE(estimate.ok());
-  EXPECT_EQ(estimate.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(estimate.status().message().find("all down"), std::string::npos);
-}
-
-TEST(BanzhafMsrTest, UtilityFaultAborts) {
-  FailpointGuard guard;
-  LambdaUtility game = AdditiveGame({1.0, 2.0, 3.0});
-  BanzhafOptions options;
-  options.num_samples = 64;
-  options.num_threads = 1;
-  options.max_retries = 0;
-  ASSERT_TRUE(failpoint::Arm("utility.evaluate=error(internal:gone)").ok());
-  Result<ImportanceEstimate> estimate = BanzhafValues(game, options);
-  ASSERT_FALSE(estimate.ok());
-  EXPECT_EQ(estimate.status().code(), StatusCode::kInternal);
-}
-
-TEST(BetaShapleyTest, UtilityFaultAborts) {
-  FailpointGuard guard;
-  LambdaUtility game = AdditiveGame({1.0, 2.0, 3.0});
-  BetaShapleyOptions options;
-  options.samples_per_unit = 16;
-  options.num_threads = 1;
-  options.max_retries = 0;
-  ASSERT_TRUE(
-      failpoint::Arm("utility.evaluate=error(unavailable:flaky)").ok());
-  Result<ImportanceEstimate> estimate = BetaShapleyValues(game, options);
-  ASSERT_FALSE(estimate.ok());
-  EXPECT_EQ(estimate.status().code(), StatusCode::kUnavailable);
 }
 
 // --- Generative SubsetCache properties (src/proptest harness) ---------------

@@ -19,6 +19,7 @@
 #include "common/failpoint.h"
 #include "common/json.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "common/trace_context.h"
 #include "nde/job_api.h"
 #include "nde/registry.h"
@@ -245,6 +246,42 @@ TEST(JobApiTest, PoolFaultDuringScorerContextBuildFailsTheJob) {
   EXPECT_EQ(failed.error.code(), StatusCode::kUnavailable);
   EXPECT_NE(failed.error.message().find("worker fault"), std::string::npos);
   EXPECT_TRUE(failed.estimate.values.empty());
+  telemetry::SetHealthy();
+}
+
+TEST(JobApiTest, PoolFaultInKnnShapleyFanOutFailsTheJob) {
+  // Enough rows for the 1-in-5 validation split to span several 8-point
+  // chunks, so the closed form fans out over the pool.
+  std::string csv = "a,b,label\n";
+  for (int i = 0; i < 100; ++i) {
+    csv += StrFormat("%d,%d,%d\n", i % 7, (i * 3) % 5, i % 2);
+  }
+  for (const char* algorithm : {"knn_shapley", "datascope"}) {
+    SCOPED_TRACE(algorithm);
+    telemetry::SetHealthy();
+    failpoint::ResetStats();
+    // Hit 1 is the job's own task on the manager's pool; hit 2 is the first
+    // task of the estimator's fan-out, which the fault kills.
+    ASSERT_TRUE(
+        failpoint::Arm("threadpool.task=error(unavailable:worker fault)#2x1")
+            .ok());
+    JobApiOptions options;
+    options.num_workers = 1;
+    JobManager manager(options);
+    JobRequest request = QuickRequest();
+    request.algorithm = algorithm;
+    request.csv_data = csv;
+    request.options = {{"k", "3"}, {"num_threads", "4"}};
+    std::string id = manager.Submit(request).value();
+    JobSnapshot failed = AwaitDone(manager, id);
+    failpoint::DisarmAll();
+
+    EXPECT_EQ(failed.state, JobState::kError);
+    EXPECT_EQ(failed.error.code(), StatusCode::kUnavailable);
+    EXPECT_NE(failed.error.message().find("worker fault"), std::string::npos);
+    EXPECT_TRUE(failed.estimate.values.empty());
+    EXPECT_FALSE(telemetry::IsHealthy());
+  }
   telemetry::SetHealthy();
 }
 

@@ -717,7 +717,7 @@ TEST(MetamorphicPropertyTest, InjectedErrorsDropImportance) {
     if (c.corrupted.empty()) return "injector corrupted zero rows";
     // Closed-form KNN-Shapley: flipped labels must strictly lose.
     std::vector<double> shapley =
-        KnnShapleyValues(c.train, c.valid, /*k=*/3, {});
+        KnnShapleyValues(c.train, c.valid, /*k=*/3, {}).value();
     std::string diff =
         CompareGroupMeans(shapley, c.corrupted, /*strict=*/true,
                           "knn_shapley");

@@ -217,7 +217,7 @@ TEST(RegistryTest, KnnShapleyBitIdenticalToDirectCall) {
 
   EstimatorOptions options;
   EXPECT_EQ(via_registry->values,
-            KnnShapleyValues(train, validation, 3, options));
+            KnnShapleyValues(train, validation, 3, options).value());
 }
 
 TEST(RegistryTest, MissingValidationIsInvalidArgument) {

@@ -717,7 +717,7 @@ if [ "$MODE" = "tsan" ]; then
   # 5-15x, so the default 100-case budgets would dominate the run.
   NDE_PROP_CASES="${NDE_PROP_CASES:-10}" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R "determinism|parallel|importance|registry|job_api|proptest"
+      -R "determinism|parallel|importance|estimator_contract|registry|job_api|proptest"
   echo "check.sh: parallel suites passed under TSan"
 else
   # Full suite, including the property label at a reduced generative budget
