@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 #include "common/check.h"
 
@@ -94,11 +95,29 @@ std::string StrFormat(const char* format, ...) {
 }
 
 std::string FormatDouble(double value) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::string text = StrFormat("%.*g", precision, value);
-    if (std::strtod(text.c_str(), nullptr) == value) return text;
+  // The shortest round-trip spelling (Ryu) fixes the digit count P: no
+  // precision below P can read back as `value`. `%.Pg` may still miss it (at
+  // a power of two the round-trip interval is lopsided, and the nearest
+  // P-digit decimal can fall outside it), so step up until the read-back
+  // matches. A value that never matches (NaN) keeps the 17-digit spelling.
+  char buffer[32];
+  char* const limit = buffer + sizeof(buffer);
+  char* end = std::to_chars(buffer, limit, value, std::chars_format::scientific)
+                  .ptr;
+  int precision = std::max<int>(
+      1, std::count_if(buffer, std::find(buffer, end, 'e'),
+                       [](char c) { return c >= '0' && c <= '9'; }));
+  for (; precision <= 17; ++precision) {
+    end = std::to_chars(buffer, limit, value, std::chars_format::general,
+                        precision)
+              .ptr;
+    double parsed = 0.0;
+    if (std::from_chars(buffer, end, parsed).ec == std::errc() &&
+        parsed == value) {
+      break;
+    }
   }
-  return StrFormat("%.17g", value);
+  return std::string(buffer, end);
 }
 
 }  // namespace nde

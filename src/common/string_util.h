@@ -34,7 +34,10 @@ std::string StrFormat(const char* format, ...)
 
 /// Shortest decimal spelling that strtod parses back to exactly `value`, so
 /// every serialized double (registry options, job results, run reports)
-/// round-trips bit-identically.
+/// round-trips bit-identically. The bytes are pinned: the first precision P
+/// at which `%.Pg` reads back as `value` ("nan"/"-nan" spell as `%.17g`).
+/// One pass: the shortest round-trip digit count from std::to_chars is the
+/// lowest P that can match, so the search starts there (DESIGN.md §13).
 std::string FormatDouble(double value);
 
 }  // namespace nde

@@ -27,6 +27,33 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
+/// Adds curvature * x x^T to the lower triangle of the p x p `hessian`.
+/// Rows go in pairs so each x[l] load feeds two rows: twice the work per
+/// pass of the inner loop, whose speed then depends less on where the
+/// linker places it (a one-row loop is a single 32-byte fetch window at
+/// some offsets and two at others). Every element still receives the same
+/// products in the same order, so the sums are unchanged.
+void AddCurvatureOuterProduct(double curvature, const double* x, size_t p,
+                              Matrix* hessian) {
+  size_t j = 0;
+  for (; j + 1 < p; j += 2) {
+    double* upper = &(*hessian)(j, 0);
+    double* lower = &(*hessian)(j + 1, 0);
+    double upper_scale = curvature * x[j];
+    double lower_scale = curvature * x[j + 1];
+    for (size_t l = 0; l <= j; ++l) {
+      upper[l] += upper_scale * x[l];
+      lower[l] += lower_scale * x[l];
+    }
+    lower[j + 1] += lower_scale * x[j + 1];
+  }
+  if (j < p) {
+    double* row = &(*hessian)(j, 0);
+    double scale = curvature * x[j];
+    for (size_t l = 0; l <= j; ++l) row[l] += scale * x[l];
+  }
+}
+
 /// Newton-fitted binary logistic regression on a prepared design matrix.
 /// Returns the weight vector (last entry = bias).
 Result<std::vector<double>> NewtonLogistic(const Matrix& design,
@@ -46,11 +73,8 @@ Result<std::vector<double>> NewtonLogistic(const Matrix& design,
       double prob = Sigmoid(z);
       double err = prob - static_cast<double>(labels[i]);
       double curvature = std::max(prob * (1.0 - prob), 1e-9);
-      for (size_t j = 0; j < p; ++j) {
-        gradient[j] += err * xi[j];
-        double scaled = curvature * xi[j];
-        for (size_t l = 0; l <= j; ++l) hessian(j, l) += scaled * xi[l];
-      }
+      for (size_t j = 0; j < p; ++j) gradient[j] += err * xi[j];
+      AddCurvatureOuterProduct(curvature, xi, p, &hessian);
     }
     for (size_t j = 0; j < p; ++j) {
       for (size_t l = 0; l < j; ++l) hessian(l, j) = hessian(j, l);
@@ -135,10 +159,7 @@ Result<std::vector<double>> InfluenceOnValidationLoss(
     double prob = Sigmoid(z);
     residuals[i] = prob - static_cast<double>(train.labels[i]);
     double curvature = std::max(prob * (1.0 - prob), 1e-9);
-    for (size_t j = 0; j < p; ++j) {
-      double scaled = curvature * xi[j];
-      for (size_t l = 0; l <= j; ++l) hessian(j, l) += scaled * xi[l];
-    }
+    AddCurvatureOuterProduct(curvature, xi, p, &hessian);
   }
   for (size_t j = 0; j < p; ++j) {
     for (size_t l = 0; l < j; ++l) hessian(l, j) = hessian(j, l);

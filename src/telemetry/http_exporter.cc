@@ -25,13 +25,13 @@ namespace telemetry {
 std::string MakeHttpResponse(int status, const char* reason,
                              const std::string& content_type,
                              const std::string& body) {
-  std::ostringstream os;
-  os << "HTTP/1.1 " << status << " " << reason << "\r\n"
-     << "Content-Type: " << content_type << "\r\n"
-     << "Content-Length: " << body.size() << "\r\n"
-     << "Connection: close\r\n\r\n"
-     << body;
-  return os.str();
+  std::string response = StrFormat(
+      "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %zu\r\n"
+      "Connection: close\r\n\r\n",
+      status, reason, content_type.c_str(), body.size());
+  response.reserve(response.size() + body.size());
+  response.append(body);
+  return response;
 }
 
 namespace {
@@ -137,8 +137,7 @@ bool ReadHttpRequest(int fd, size_t max_body_bytes, HttpRequest* out,
     if (!header.empty() && header.back() == '\r') header.pop_back();
     size_t colon = header.find(':');
     if (colon == std::string::npos) continue;
-    std::string key = header.substr(0, colon);
-    for (char& c : key) c = static_cast<char>(std::tolower(c));
+    std::string key = ToLowerAscii(std::string_view(header).substr(0, colon));
     size_t value_begin = header.find_first_not_of(" \t", colon + 1);
     if (value_begin == std::string::npos) continue;
     std::string value = header.substr(value_begin);

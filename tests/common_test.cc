@@ -1,8 +1,11 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -337,12 +340,71 @@ TEST(StringUtilTest, StrFormatBasics) {
   EXPECT_EQ(StrFormat("empty"), "empty");
 }
 
+// The spelling FormatDouble is pinned to: the first `%.*g` precision whose
+// strtod read-back is exactly `value`, else `%.17g`. The oracle for the
+// one-pass implementation.
+std::string ReferenceFormatDouble(double value) {
+  char text[32];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(text, sizeof(text), "%.*g", precision, value);
+    if (std::strtod(text, nullptr) == value) return text;
+  }
+  std::snprintf(text, sizeof(text), "%.17g", value);
+  return text;
+}
+
 TEST(StringUtilTest, FormatDoubleIsTheShortestRoundTrip) {
   EXPECT_EQ(FormatDouble(0.5), "0.5");
   EXPECT_EQ(FormatDouble(3.0), "3");
   EXPECT_EQ(FormatDouble(0.1 + 0.2), "0.30000000000000004");
   for (double value : {1.0 / 3.0, 1e-300, -2.5e17, 6.02214076e23}) {
     EXPECT_EQ(std::strtod(FormatDouble(value).c_str(), nullptr), value);
+  }
+  // `%g`'s digits and its fixed/scientific choice, where the shortest
+  // to_chars spelling would give 7.120236347223045e-307 and
+  // 1.0485759999999999e+06.
+  EXPECT_EQ(FormatDouble(std::ldexp(1.0, -1017)), "7.1202363472230444e-307");
+  EXPECT_EQ(FormatDouble(0x1.fffffffffffffp+19), "1048575.9999999999");
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> corpus = {0.0, -0.0, inf, -inf, nan, -nan};
+  for (int exponent = -1074; exponent <= 1023; ++exponent) {
+    double power = std::ldexp(1.0, exponent);
+    for (double value : {power, std::nextafter(power, 0.0),
+                         std::nextafter(power, inf)}) {
+      corpus.push_back(value);
+      corpus.push_back(-value);
+    }
+  }
+  for (int exponent = -323; exponent <= 308; ++exponent) {
+    double power = std::strtod(StrFormat("1e%d", exponent).c_str(), nullptr);
+    corpus.push_back(power);
+    corpus.push_back(std::nextafter(power, 0.0));
+    corpus.push_back(std::nextafter(power, inf));
+  }
+  for (int i = -100000; i <= 100000; ++i) {
+    corpus.push_back(i);
+    corpus.push_back(i / 1000.0);
+    corpus.push_back(i * 0.1);
+  }
+  Rng rng(20261017);
+  for (int i = 0; i < 20000; ++i) {
+    corpus.push_back(std::bit_cast<double>(rng.NextUint64()));
+    corpus.push_back(rng.NextGaussian(0.0, 1e-3));
+  }
+
+  for (double value : corpus) {
+    std::string spelling = FormatDouble(value);
+    ASSERT_EQ(spelling, ReferenceFormatDouble(value)) << std::hexfloat << value;
+    if (!std::isfinite(value)) continue;
+    // The JSON reader takes back exactly the bits the writer spelled.
+    Result<json::Value> parsed = json::Parse(spelling);
+    ASSERT_TRUE(parsed.ok()) << spelling;
+    ASSERT_EQ(std::bit_cast<uint64_t>(parsed.value().as_number()),
+              std::bit_cast<uint64_t>(value))
+        << spelling;
+    ASSERT_EQ(parsed.value().raw(), spelling);
   }
 }
 

@@ -25,9 +25,9 @@
 namespace nde {
 namespace {
 
-// One blocking HTTP GET against 127.0.0.1:port; returns the raw response
+// Writes `request` verbatim to 127.0.0.1:port and returns the raw response
 // bytes ("" on connect failure).
-std::string HttpGet(uint16_t port, const std::string& path) {
+std::string SendRaw(uint16_t port, const std::string& request) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -38,7 +38,6 @@ std::string HttpGet(uint16_t port, const std::string& path) {
     ::close(fd);
     return "";
   }
-  std::string request = "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   size_t sent = 0;
   while (sent < request.size()) {
     ssize_t n = ::write(fd, request.data() + sent, request.size() - sent);
@@ -53,6 +52,12 @@ std::string HttpGet(uint16_t port, const std::string& path) {
   }
   ::close(fd);
   return response;
+}
+
+// One blocking HTTP GET against 127.0.0.1:port.
+std::string HttpGet(uint16_t port, const std::string& path) {
+  return SendRaw(port,
+                 "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n");
 }
 
 std::string Body(const std::string& response) {
@@ -277,33 +282,10 @@ TEST(HttpExporterTest, StartTwiceFailsAndRestartWorks) {
 /// One blocking request with an arbitrary method and body.
 std::string HttpSend(uint16_t port, const std::string& method,
                      const std::string& path, const std::string& body) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  std::string request = method + " " + path + " HTTP/1.1\r\nHost: localhost\r\n"
-                        "Content-Length: " + std::to_string(body.size()) +
-                        "\r\n\r\n" + body;
-  size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = ::write(fd, request.data() + sent, request.size() - sent);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
-    response.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
+  return SendRaw(port, method + " " + path +
+                           " HTTP/1.1\r\nHost: localhost\r\n"
+                           "Content-Length: " +
+                           std::to_string(body.size()) + "\r\n\r\n" + body);
 }
 
 TEST(HttpExporterTest, HandlerReceivesMethodTargetAndBody) {
@@ -353,28 +335,29 @@ TEST(HttpExporterTest, OversizedBodyIs413) {
 TEST(HttpExporterTest, MalformedContentLengthIs400) {
   telemetry::HttpExporter exporter;
   ASSERT_TRUE(exporter.Start(0).ok());
-  uint16_t port = exporter.port();
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  std::string request =
-      "POST /jobs HTTP/1.1\r\nContent-Length: lots\r\n\r\nx";
-  ASSERT_EQ(::write(fd, request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buffer[1024];
-  ssize_t n;
-  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
-    response.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
+  std::string response =
+      SendRaw(exporter.port(),
+              "POST /jobs HTTP/1.1\r\nContent-Length: lots\r\n\r\nx");
   EXPECT_EQ(response.rfind("HTTP/1.1 400", 0), 0u) << response;
+  exporter.Stop();
+}
+
+TEST(HttpExporterTest, HeaderNamesWithHighBytesKeepContentLength) {
+  // Header names are matched case-insensitively; a name carrying a byte
+  // >= 0x80 must not disturb that for the headers around it.
+  telemetry::HttpExporter exporter;
+  exporter.SetHandler([](const telemetry::HttpRequest& request) {
+    return telemetry::MakeHttpResponse(200, "OK", "text/plain",
+                                       "[" + request.body + "]\n");
+  });
+  ASSERT_TRUE(exporter.Start(0).ok());
+
+  std::string response = SendRaw(exporter.port(),
+                                 "POST /jobs HTTP/1.1\r\nX-Caf\xC3"
+                                 "\xA9: 1\r\nCONTENT-LENGTH: 2\r\n\r\nhi");
+  EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
+  EXPECT_EQ(Body(response), "[hi]\n") << response;
   exporter.Stop();
 }
 
@@ -467,30 +450,13 @@ TEST(HttpExporterTest, TraceparentHeaderIsCapturedFromTheWire) {
                                        "[" + request.traceparent + "]\n");
   });
   ASSERT_TRUE(exporter.Start(0).ok());
-  uint16_t port = exporter.port();
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   std::string tp = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01";
   // Mixed-case header name: HTTP headers are case-insensitive on the wire.
-  std::string request =
+  std::string response = SendRaw(
+      exporter.port(),
       "POST /jobs HTTP/1.1\r\nHost: localhost\r\nTraceparent: " + tp +
-      "\r\nContent-Length: 2\r\n\r\nhi";
-  ASSERT_EQ(::write(fd, request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buffer[1024];
-  ssize_t n;
-  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
-    response.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
+          "\r\nContent-Length: 2\r\n\r\nhi");
   EXPECT_EQ(Body(response), "[" + tp + "]\n") << response;
   exporter.Stop();
 }
