@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -174,10 +175,10 @@ BENCHMARK(BM_TmcShapleyThreads)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TmcUtilityFastPath(benchmark::State& state) {
-  // The utility fast path on the medium TMC config at one thread: arg 0 runs
-  // the legacy path (materialized coalitions, per-prefix retraining), arg 1
-  // the prefix scan over zero-copy views. Values are byte-identical either
-  // way (asserted at startup); only evals/sec should move.
+  // The utility fast path on the medium TMC config at one thread: arg 0
+  // retrains on every prefix, arg 1 runs the prefix scan. Values are
+  // byte-identical either way (asserted at startup); only evals/sec should
+  // move.
   MlDataset train = MakeTrain(200);
   MlDataset validation = MakeValidation();
   auto factory = []() { return std::make_unique<KnnClassifier>(5); };
@@ -187,11 +188,9 @@ void BM_TmcUtilityFastPath(benchmark::State& state) {
   options.truncation_tolerance = 0.0;
   options.num_threads = 1;
   options.use_prefix_scan = fast;
-  UtilityFastPathOptions fast_path;
-  fast_path.zero_copy_views = fast;
   size_t evaluations = 0;
   for (auto _ : state) {
-    ModelAccuracyUtility utility(factory, train, validation, fast_path);
+    ModelAccuracyUtility utility(factory, train, validation);
     ImportanceEstimate estimate = TmcShapleyValues(utility, options).value();
     benchmark::DoNotOptimize(estimate);
     evaluations += estimate.utility_evaluations;
@@ -203,7 +202,7 @@ void BM_TmcUtilityFastPath(benchmark::State& state) {
   // accounted run on the same utility. Only meaningful when the allocation
   // interposer is compiled in (telemetry on, no sanitizer).
   if (fast && telemetry::AllocAccountingCompiledIn()) {
-    ModelAccuracyUtility utility(factory, train, validation, fast_path);
+    ModelAccuracyUtility utility(factory, train, validation);
     benchmark::DoNotOptimize(TmcShapleyValues(utility, options).value());
     telemetry::ResetAllocStats();
     telemetry::SetAllocAccountingEnabled(true);
@@ -224,15 +223,12 @@ BENCHMARK(BM_TmcUtilityFastPath)
 void BM_KnnKernel(benchmark::State& state) {
   // The KNN coalition-scorer kernel in isolation: one full permutation scan
   // per iteration, straight through NewPrefixScan — no estimator, no wave
-  // scheduling. Arg 0 runs the reference row-wise kernel, arg 1 the SoA
-  // kernel (flat cutoff/window buffers, vectorizable candidate-mask pass).
-  // Outputs are bit-identical (asserted at startup); only evals/sec moves.
+  // scheduling. Its output matches the cold path bit for bit (asserted at
+  // startup).
   MlDataset train = MakeTrain(200);
   MlDataset validation = MakeValidation();
   auto factory = []() { return std::make_unique<KnnClassifier>(5); };
-  UtilityFastPathOptions fast_path;
-  fast_path.soa_kernels = state.range(0) != 0;
-  ModelAccuracyUtility utility(factory, train, validation, fast_path);
+  ModelAccuracyUtility utility(factory, train, validation);
   std::vector<size_t> perm = Rng(7).Permutation(train.size());
   size_t evaluations = 0;
   for (auto _ : state) {
@@ -246,11 +242,7 @@ void BM_KnnKernel(benchmark::State& state) {
   state.counters["utility_evals_per_sec"] = benchmark::Counter(
       static_cast<double>(evaluations), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_KnnKernel)
-    ->ArgName("soa")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_KnnKernel)->Unit(benchmark::kMicrosecond);
 
 void BM_GaussianNbPrefixScan(benchmark::State& state) {
   // TMC over the Gaussian-NB proxy utility: arg 0 retrains from scratch on
@@ -281,54 +273,6 @@ BENCHMARK(BM_GaussianNbPrefixScan)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_BanzhafSubsetCache(benchmark::State& state) {
-  // Sharded subset-memoization cache, cold vs warm. Arg 0: a fresh cache per
-  // estimator run, so only within-run duplicates hit. Arg 1: one cache shared
-  // across runs (the wave-replay scenario), so after the first run nearly
-  // every coalition is a hit. The hit_rate counter lands in
-  // BENCH_results.json alongside the timings.
-  MlDataset train = MakeTrain(200);
-  MlDataset validation = MakeValidation();
-  auto factory = []() { return std::make_unique<KnnClassifier>(5); };
-  bool warm = state.range(0) != 0;
-  BanzhafOptions options;
-  options.num_samples = 100;
-  options.num_threads = 1;
-  UtilityFastPathOptions fast_path;
-  fast_path.subset_cache = true;
-  std::unique_ptr<ModelAccuracyUtility> shared;
-  if (warm) {
-    shared =
-        std::make_unique<ModelAccuracyUtility>(factory, train, validation,
-                                               fast_path);
-    // Populate outside the timed region; the timed runs replay these subsets.
-    benchmark::DoNotOptimize(BanzhafValues(*shared, options).value());
-  }
-  double hit_rate = 0.0;
-  for (auto _ : state) {
-    if (warm) {
-      ImportanceEstimate estimate = BanzhafValues(*shared, options).value();
-      benchmark::DoNotOptimize(estimate);
-      SubsetCache::Stats stats = shared->subset_cache()->stats();
-      hit_rate = static_cast<double>(stats.hits) /
-                 static_cast<double>(stats.hits + stats.misses);
-    } else {
-      ModelAccuracyUtility utility(factory, train, validation, fast_path);
-      ImportanceEstimate estimate = BanzhafValues(utility, options).value();
-      benchmark::DoNotOptimize(estimate);
-      SubsetCache::Stats stats = utility.subset_cache()->stats();
-      hit_rate = static_cast<double>(stats.hits) /
-                 static_cast<double>(stats.hits + stats.misses);
-    }
-  }
-  state.counters["cache_hit_rate"] = benchmark::Counter(hit_rate);
-}
-BENCHMARK(BM_BanzhafSubsetCache)
-    ->ArgName("warm")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_TmcWaveLatency(benchmark::State& state) {
   // Wave-latency tail with telemetry live: runs the same medium TMC config as
   // the fast-path sweep but with the estimator.wave_ms histogram recording,
@@ -343,15 +287,13 @@ void BM_TmcWaveLatency(benchmark::State& state) {
   options.truncation_tolerance = 0.0;
   options.num_threads = 1;
   options.use_prefix_scan = true;
-  UtilityFastPathOptions fast_path;
-  fast_path.zero_copy_views = true;
   bool was_enabled = telemetry::Enabled();
   telemetry::SetEnabled(true);
   telemetry::Histogram& wave_ms =
       telemetry::MetricsRegistry::Global().GetHistogram("estimator.wave_ms");
   wave_ms.Reset();
   for (auto _ : state) {
-    ModelAccuracyUtility utility(factory, train, validation, fast_path);
+    ModelAccuracyUtility utility(factory, train, validation);
     ImportanceEstimate estimate = TmcShapleyValues(utility, options).value();
     benchmark::DoNotOptimize(estimate);
   }
@@ -392,7 +334,7 @@ class JsonAppendingReporter : public benchmark::ConsoleReporter {
       std::vector<std::pair<std::string, std::string>> extras = {
           {"iterations", std::to_string(run.iterations)},
           {"bench", "\"scalability\""}};
-      // User counters (evals/sec, cache hit rate, ...) ride along so the
+      // User counters (evals/sec, wave p99, ...) ride along so the
       // fast-path sweep is diffable straight from BENCH_results.json. They
       // arrive already finalized (rates divided by elapsed time).
       for (const auto& [name, counter] : run.counters) {
@@ -433,92 +375,39 @@ bool CheckThreadCountDeterminism() {
   return true;
 }
 
-/// Guards the fast-path sweep's premise: the prefix scan + zero-copy views +
-/// subset cache must change only the speed of BM_TmcUtilityFastPath, never a
-/// bit of its output.
-bool CheckUtilityFastPathBitIdentity() {
-  MlDataset train = MakeTrain(200);
-  MlDataset validation = MakeValidation();
-  auto factory = []() { return std::make_unique<KnnClassifier>(5); };
-  TmcShapleyOptions options;
-  options.num_permutations = 8;
-  options.truncation_tolerance = 0.0;
-  options.num_threads = 1;
-
-  options.use_prefix_scan = false;
-  UtilityFastPathOptions slow_path;
-  slow_path.zero_copy_views = false;
-  ModelAccuracyUtility slow(factory, train, validation, slow_path);
-  ImportanceEstimate baseline = TmcShapleyValues(slow, options).value();
-
-  options.use_prefix_scan = true;
-  UtilityFastPathOptions fast_path;
-  fast_path.subset_cache = true;
-  ModelAccuracyUtility fast(factory, train, validation, fast_path);
-  ImportanceEstimate candidate = TmcShapleyValues(fast, options).value();
-
-  if (candidate.values.size() != baseline.values.size() ||
-      std::memcmp(candidate.values.data(), baseline.values.data(),
-                  baseline.values.size() * sizeof(double)) != 0 ||
-      candidate.utility_evaluations != baseline.utility_evaluations) {
-    std::fprintf(stderr,
-                 "FATAL: utility fast path changed TMC-Shapley output\n");
-    return false;
-  }
-  std::fprintf(stderr,
-               "determinism: utility fast path (views + prefix scan + cache) "
-               "byte-identical to the slow path\n");
-  return true;
-}
-
-/// Guards the kernel benchmarks' premise: the SoA KNN kernel (with arena
-/// allocation) and the incremental Gaussian-NB scorer are pure speed knobs —
-/// their TMC-Shapley output must match the reference kernels bit for bit.
-bool CheckKernelVariantsBitIdentity() {
+/// Guards the fast-path and kernel benchmarks' premise: the KNN prefix scan
+/// (SoA kernel) and the incremental Gaussian-NB scorer change only the speed
+/// of BM_TmcUtilityFastPath, BM_KnnKernel and BM_GaussianNbPrefixScan, never
+/// a bit of TMC-Shapley's output against retraining on every prefix.
+bool CheckPrefixScanBitIdentity() {
   MlDataset train = MakeTrain(200);
   MlDataset validation = MakeValidation();
   TmcShapleyOptions options;
   options.num_permutations = 8;
   options.truncation_tolerance = 0.0;
   options.num_threads = 1;
-  options.use_prefix_scan = true;
-
-  {
-    auto factory = []() { return std::make_unique<KnnClassifier>(5); };
-    UtilityFastPathOptions reference_path;
-    reference_path.soa_kernels = false;
-    reference_path.arena = false;
-    ModelAccuracyUtility reference(factory, train, validation, reference_path);
-    ImportanceEstimate baseline = TmcShapleyValues(reference, options).value();
-    ModelAccuracyUtility soa(factory, train, validation);  // Defaults: SoA on.
-    ImportanceEstimate candidate = TmcShapleyValues(soa, options).value();
-    if (candidate.values.size() != baseline.values.size() ||
-        std::memcmp(candidate.values.data(), baseline.values.data(),
-                    baseline.values.size() * sizeof(double)) != 0) {
-      std::fprintf(stderr,
-                   "FATAL: SoA KNN kernel changed TMC-Shapley output\n");
-      return false;
-    }
-  }
-  {
-    auto factory = []() { return std::make_unique<GaussianNaiveBayes>(); };
-    ModelAccuracyUtility utility(factory, train, validation);
+  const std::vector<std::pair<const char*, ClassifierFactory>> models = {
+      {"SoA KNN kernel", [] { return std::make_unique<KnnClassifier>(5); }},
+      {"Gaussian-NB prefix scan",
+       [] { return std::make_unique<GaussianNaiveBayes>(); }}};
+  for (const auto& [name, factory] : models) {
     options.use_prefix_scan = false;
-    ImportanceEstimate baseline = TmcShapleyValues(utility, options).value();
+    ModelAccuracyUtility slow(factory, train, validation);
+    ImportanceEstimate baseline = TmcShapleyValues(slow, options).value();
     options.use_prefix_scan = true;
-    ImportanceEstimate candidate = TmcShapleyValues(utility, options).value();
+    ModelAccuracyUtility fast(factory, train, validation);
+    ImportanceEstimate candidate = TmcShapleyValues(fast, options).value();
     if (candidate.values.size() != baseline.values.size() ||
         std::memcmp(candidate.values.data(), baseline.values.data(),
-                    baseline.values.size() * sizeof(double)) != 0) {
-      std::fprintf(stderr,
-                   "FATAL: Gaussian-NB prefix scan changed TMC-Shapley "
-                   "output\n");
+                    baseline.values.size() * sizeof(double)) != 0 ||
+        candidate.utility_evaluations != baseline.utility_evaluations) {
+      std::fprintf(stderr, "FATAL: %s changed TMC-Shapley output\n", name);
       return false;
     }
   }
   std::fprintf(stderr,
                "determinism: SoA KNN kernel and Gaussian-NB prefix scan "
-               "byte-identical to reference kernels\n");
+               "byte-identical to retraining on every prefix\n");
   return true;
 }
 
@@ -527,8 +416,7 @@ bool CheckKernelVariantsBitIdentity() {
 
 int main(int argc, char** argv) {
   if (!nde::CheckThreadCountDeterminism()) return 1;
-  if (!nde::CheckUtilityFastPathBitIdentity()) return 1;
-  if (!nde::CheckKernelVariantsBitIdentity()) return 1;
+  if (!nde::CheckPrefixScanBitIdentity()) return 1;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   nde::JsonAppendingReporter reporter;

@@ -416,7 +416,6 @@ const std::vector<std::string>& KnownSites() {
       "encoder.fit",         // ColumnTransformer::Fit, per column encoder
       "encoder.transform",   // ColumnTransformer::Transform, per column
       "utility.evaluate",    // UtilityFunction::TryEvaluate (key: subset hash)
-      "subset_cache.insert", // SubsetCache insertion (alloc_fail degrades)
       "threadpool.task",     // ThreadPool worker, per dequeued task
       "http.handle_request", // HttpExporter::HandleRequest, per request
   };

@@ -15,8 +15,8 @@ namespace failpoint {
 /// --- Failpoint fault injection ----------------------------------------------
 ///
 /// Named injection sites threaded through the engine's failure-prone layers
-/// (CSV reader, plan operators, encoders, utility evaluation, subset cache,
-/// thread pool, HTTP exporter). Each site is a no-op until a spec arms it:
+/// (CSV reader, plan operators, encoders, utility evaluation, thread pool,
+/// HTTP exporter). Each site is a no-op until a spec arms it:
 ///
 ///   NDE_FAILPOINTS="csv.record=error(io_error:disk gone)#3" nde_cli ...
 ///
@@ -33,9 +33,7 @@ namespace failpoint {
 ///             delay(ms)                 sleep, then continue normally
 ///             nan                       poison the value path with a NaN
 ///             alloc_fail                simulated allocation failure
-///                                       (Status::ResourceExhausted; the
-///                                       subset cache degrades to a no-op
-///                                       insert instead of erroring)
+///                                       (Status::ResourceExhausted)
 ///   @prob[/seed]  fire with probability `prob` in [0, 1]. The decision is a
 ///             pure function of (seed, site name, key) — see Fire(name, key)
 ///             — so keyed sites replay bit-identically for any thread count.

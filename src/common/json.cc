@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cstdlib>
+#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -248,13 +249,14 @@ class Parser {
     std::vector<std::pair<std::string, Value>> members;
     SkipWhitespace();
     if (Consume('}')) return Value::Object(std::move(members));
+    // Keys seen so far, hashed: a request body may hold ~100k keys, and a
+    // scan of the earlier members per key would be quadratic.
+    std::unordered_set<std::string> keys;
     while (true) {
       SkipWhitespace();
       NDE_ASSIGN_OR_RETURN(std::string key, ParseString());
-      for (const auto& [existing, unused] : members) {
-        if (existing == key) {
-          return Error(StrFormat("duplicate object key '%s'", key.c_str()));
-        }
+      if (!keys.insert(key).second) {
+        return Error(StrFormat("duplicate object key '%s'", key.c_str()));
       }
       SkipWhitespace();
       if (!Consume(':')) return Error("expected ':' after object key");

@@ -87,23 +87,9 @@ PipelineSourceUtility::PipelineSourceUtility(const MlPipeline* pipeline,
   num_classes_ = std::max(validation_.NumClasses(), 2);
 }
 
-void PipelineSourceUtility::EnableSubsetCache(SubsetCacheOptions options) {
-  cache_ = std::make_unique<SubsetCache>(options);
-}
-
 double PipelineSourceUtility::Evaluate(const std::vector<size_t>& subset) const {
-  // Counted before the cache lookup so eval counts match with the cache off.
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   NDE_METRIC_COUNT("datascope.pipeline_utility_evaluations", 1);
-  if (cache_ != nullptr) {
-    return cache_->GetOrCompute(subset,
-                                [&] { return EvaluateUncached(subset); });
-  }
-  return EvaluateUncached(subset);
-}
-
-double PipelineSourceUtility::EvaluateUncached(
-    const std::vector<size_t>& subset) const {
   // Remove the complement of the coalition from the target table.
   std::vector<bool> keep(num_units_, false);
   for (size_t i : subset) {

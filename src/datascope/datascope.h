@@ -59,25 +59,13 @@ class PipelineSourceUtility : public UtilityFunction {
     return evaluations_.load(std::memory_order_relaxed);
   }
 
-  /// Attaches a sharded exact-value SubsetCache to Evaluate. Pipeline
-  /// re-execution is the most expensive utility in the codebase, so repeated
-  /// coalitions (LOO duplicates, waves shared across estimators) skip the
-  /// rerun entirely; values and eval counts stay bit-identical.
-  void EnableSubsetCache(SubsetCacheOptions options = {});
-
-  /// The attached cache, or nullptr before EnableSubsetCache.
-  const SubsetCache* subset_cache() const { return cache_.get(); }
-
  private:
-  double EvaluateUncached(const std::vector<size_t>& subset) const;
-
   const MlPipeline* pipeline_;
   int32_t target_table_id_;
   ClassifierFactory factory_;
   MlDataset validation_;
   size_t num_units_;
   int num_classes_;
-  std::unique_ptr<SubsetCache> cache_;  ///< Internally synchronized.
   /// Atomic: Evaluate runs concurrently under the parallel estimators.
   mutable std::atomic<size_t> evaluations_{0};
 };

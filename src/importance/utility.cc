@@ -39,31 +39,12 @@ Result<double> UtilityFunction::TryEvaluate(const std::vector<size_t>& subset,
 
 ModelAccuracyUtility::ModelAccuracyUtility(ClassifierFactory factory,
                                            MlDataset train,
-                                           MlDataset validation,
-                                           UtilityFastPathOptions fast_path)
+                                           MlDataset validation)
     : factory_(std::move(factory)),
       train_(std::move(train)),
-      validation_(std::move(validation)),
-      fast_path_(fast_path) {
+      validation_(std::move(validation)) {
   NDE_CHECK(factory_ != nullptr);
   num_classes_ = std::max({train_.NumClasses(), validation_.NumClasses(), 2});
-  if (fast_path_.subset_cache) {
-    cache_ = std::make_unique<SubsetCache>(fast_path_.cache);
-  }
-}
-
-double ModelAccuracyUtility::Evaluate(const std::vector<size_t>& subset) const {
-  // Counted before the cache lookup so evaluation counts (the estimators'
-  // cost accounting) are identical with the cache on or off.
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  if (subset.empty()) {
-    return 1.0 / static_cast<double>(num_classes_);
-  }
-  if (cache_ != nullptr) {
-    return cache_->GetOrCompute(subset,
-                                [&] { return EvaluateUncached(subset); });
-  }
-  return EvaluateUncached(subset);
 }
 
 double ModelAccuracyUtility::MajorityAccuracy(
@@ -88,20 +69,18 @@ double ModelAccuracyUtility::MajorityAccuracy(
 
 /// Exact prefix scan over a model's CoalitionScorer: every Push admits one
 /// row and rescores the validation set, bit-identical to a cold retrain by
-/// the CoalitionScorer contract. Bypasses the subset cache — the scorer is
-/// already cheaper than a cache probe plus the occasional retrain.
+/// the CoalitionScorer contract.
 class ModelAccuracyUtility::ExactScan : public UtilityFunction::PrefixScan {
  public:
-  /// Carves the scorer's buffers from a pooled arena when the arena fast
-  /// path is on; the arena returns to the owner's pool — bump pointer reset,
-  /// chunks retained — when the scan dies, so steady-state permutation scans
-  /// reuse warm memory instead of allocating.
+  /// Carves the scorer's buffers from a pooled arena, which returns to the
+  /// owner's pool — bump pointer reset, chunks retained — when the scan
+  /// dies, so steady-state permutation scans reuse warm memory instead of
+  /// allocating.
   ExactScan(const ModelAccuracyUtility* owner,
             const CoalitionScorerContext& context)
       : owner_(owner),
-        arena_(owner->fast_path_.arena ? owner->arena_pool_.Acquire()
-                                       : nullptr),
-        scorer_(context.NewScorer(arena_.get())) {}
+        arena_(owner->arena_pool_.Acquire()),
+        scorer_(context.NewScorer(*arena_)) {}
 
   ~ExactScan() override {
     scorer_.reset();  // The scorer's buffers live in the arena; it dies first.
@@ -169,8 +148,11 @@ class ModelAccuracyUtility::WarmStartScan
   Matrix row_;  ///< Reused 1 x d staging row for AppendRows.
 };
 
-double ModelAccuracyUtility::EvaluateUncached(
-    const std::vector<size_t>& subset) const {
+double ModelAccuracyUtility::Evaluate(const std::vector<size_t>& subset) const {
+  evaluations_.fetch_add(1, std::memory_order_relaxed);
+  if (subset.empty()) {
+    return 1.0 / static_cast<double>(num_classes_);
+  }
   // Whole-coalition evaluations carry the phase observability; the per-Push
   // prefix-scan path stays clock-free.
   telemetry::AllocationScope eval_alloc("utility.evaluate");
@@ -190,10 +172,7 @@ double ModelAccuracyUtility::EvaluateUncached(
   } else {
     std::unique_ptr<Classifier> model = factory_();
     MlDatasetView view(train_, subset);
-    Status fit =
-        fast_path_.zero_copy_views
-            ? model->FitView(view, num_classes_)
-            : model->FitWithClasses(train_.Subset(subset), num_classes_);
+    Status fit = model->FitView(view, num_classes_);
     if (fit.ok()) {
       std::vector<int> predicted = model->Predict(validation_.features);
       result = Accuracy(validation_.labels, predicted);
@@ -214,14 +193,10 @@ Status ModelAccuracyUtility::BuildScorerContext(
   if (scorer_context_built_.load(std::memory_order_relaxed)) {
     return Status::OK();
   }
-  CoalitionScorerOptions options;
-  options.soa_kernels = fast_path_.soa_kernels;
-  options.float32 = fast_path_.float32;
-  options.parallel = parallel;
   NDE_ASSIGN_OR_RETURN(scorer_context_,
                        factory_()->NewCoalitionScorerContext(
                            train_, validation_.features, num_classes_,
-                           options));
+                           parallel));
   scorer_context_built_.store(true, std::memory_order_release);
   return Status::OK();
 }

@@ -8,7 +8,6 @@
 
 #include "common/arena.h"
 #include "common/result.h"
-#include "importance/subset_cache.h"
 #include "ml/dataset.h"
 #include "ml/metrics.h"
 #include "ml/model.h"
@@ -93,37 +92,6 @@ class UtilityFunction {
   }
 };
 
-/// Fast-path knobs for ModelAccuracyUtility. All defaults preserve the exact
-/// semantics of the slow path.
-struct UtilityFastPathOptions {
-  /// Train via zero-copy index views (Classifier::FitView) instead of
-  /// materializing each coalition. Bit-identical by the FitView contract;
-  /// off only to benchmark the copy cost.
-  bool zero_copy_views = true;
-
-  /// Attach a sharded exact-value SubsetCache shared by every Evaluate call
-  /// on this utility (and thus across waves and estimators). Values stay
-  /// bit-identical; repeated coalitions skip retraining entirely.
-  bool subset_cache = false;
-
-  /// Cache shape when `subset_cache` is on.
-  SubsetCacheOptions cache;
-
-  /// Use the structure-of-arrays coalition-scorer kernels on the prefix-scan
-  /// fast path (see CoalitionScorerOptions::soa_kernels). Bit-identical; off
-  /// only to benchmark the kernel layout.
-  bool soa_kernels = true;
-
-  /// Opt into float32 distance storage on the KNN prefix-scan kernel.
-  /// Approximate (changes bits), so default-off; deterministic for any
-  /// thread count like every fast path.
-  bool float32 = false;
-
-  /// Back each prefix scan's scorer state with a pooled arena instead of
-  /// per-scan heap allocations. Placement only — never changes results.
-  bool arena = true;
-};
-
 /// The standard data-valuation utility: validation accuracy of a model
 /// retrained on the subset.
 ///
@@ -132,11 +100,14 @@ struct UtilityFastPathOptions {
 ///   - training failure (e.g. one class only and the model rejects it):
 ///     accuracy of predicting the subset's majority label on the validation
 ///     set.
+///
+/// Coalitions train through zero-copy index views (Classifier::FitView,
+/// bit-identical to materializing them by the FitView contract), and prefix
+/// scans carve their scorer state from pooled arenas.
 class ModelAccuracyUtility : public UtilityFunction {
  public:
   ModelAccuracyUtility(ClassifierFactory factory, MlDataset train,
-                       MlDataset validation,
-                       UtilityFastPathOptions fast_path = {});
+                       MlDataset validation);
 
   double Evaluate(const std::vector<size_t>& subset) const override;
   size_t num_units() const override { return train_.size(); }
@@ -158,22 +129,16 @@ class ModelAccuracyUtility : public UtilityFunction {
   const MlDataset& validation() const { return validation_; }
 
   /// Total number of Evaluate calls so far (Monte-Carlo cost accounting).
-  /// Cache hits and prefix-scan pushes count too: the number reflects how
-  /// often the *game* was queried, not how often a model was trained, so it
-  /// is identical with every fast path on or off.
+  /// Prefix-scan pushes count too: the number reflects how often the *game*
+  /// was queried, not how often a model was trained, so it is identical with
+  /// the prefix scan on or off.
   size_t num_evaluations() const {
     return evaluations_.load(std::memory_order_relaxed);
   }
 
-  /// The attached cache, or nullptr when fast_path.subset_cache is off.
-  const SubsetCache* subset_cache() const { return cache_.get(); }
-
  private:
   class ExactScan;
   class WarmStartScan;
-
-  /// Evaluate minus counting and caching.
-  double EvaluateUncached(const std::vector<size_t>& subset) const;
 
   /// Builds the scorer context unless it is built, fanning out through
   /// `parallel`; a failed build leaves it unbuilt.
@@ -186,8 +151,6 @@ class ModelAccuracyUtility : public UtilityFunction {
   MlDataset train_;
   MlDataset validation_;
   int num_classes_;
-  UtilityFastPathOptions fast_path_;
-  std::unique_ptr<SubsetCache> cache_;  ///< Internally synchronized.
   /// Recycles scorer arenas across permutation scans (one arena per live
   /// scan). Mutable: NewPrefixScan is const and runs concurrently; the pool
   /// is internally synchronized.

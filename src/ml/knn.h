@@ -33,19 +33,14 @@ class KnnClassifier : public Classifier {
 
   /// KNN supports exact incremental coalition scoring: the context holds the
   /// train-to-eval distance matrix, computed once (in row blocks through
-  /// options.parallel when given), and scorers maintain
-  /// per-evaluation-point k-nearest windows as rows are added.
-  ///
-  /// Kernel selection via `options`: the default SoA kernel keeps flat
-  /// cutoff/window buffers with a vectorizable candidate-mask pass and is
-  /// bit-identical to both the reference row-wise kernel
-  /// (options.soa_kernels = false) and the cold FitWithClasses + Predict
-  /// path; options.float32 opts into approximate float32 distance storage.
-  /// The two double-precision contexts ReplacesColdFit; float32 does not.
+  /// `parallel` when given), and scorers maintain per-evaluation-point
+  /// k-nearest windows in flat structure-of-arrays buffers with a
+  /// vectorizable candidate-mask pass. Bit-identical to the cold
+  /// FitWithClasses + Predict path, so the context ReplacesColdFit.
   Result<std::shared_ptr<const CoalitionScorerContext>>
-  NewCoalitionScorerContext(
-      const MlDataset& train, const Matrix& eval_features, int num_classes,
-      const CoalitionScorerOptions& options = {}) const override;
+  NewCoalitionScorerContext(const MlDataset& train,
+                            const Matrix& eval_features, int num_classes,
+                            const ParallelRunner& parallel = {}) const override;
 
   std::vector<int> Predict(const Matrix& features) const override;
   Matrix PredictProba(const Matrix& features) const override;

@@ -21,27 +21,6 @@ class Arena;
 using ParallelRunner = std::function<Status(
     size_t count, const std::function<void(size_t)>& body)>;
 
-/// Kernel knobs for CoalitionScorerContext construction. Defaults preserve
-/// the exact bit-level semantics of the cold training path.
-struct CoalitionScorerOptions {
-  /// Use the structure-of-arrays kernels (flat cutoff/window buffers,
-  /// branch-light contiguous inner loops). Bit-identical to the reference
-  /// row-wise kernels; off only to benchmark the layout difference.
-  bool soa_kernels = true;
-
-  /// Store precomputed distances in float32 instead of float64 (KNN only).
-  /// Halves the kernel's memory traffic and doubles SIMD width but changes
-  /// bits, so it is opt-in and never part of the default configuration.
-  /// Implies the SoA kernels.
-  bool float32 = false;
-
-  /// Fans the context's one-time precomputation (KNN: the train-to-eval
-  /// distance matrix, in row blocks) out through this runner; empty runs it
-  /// inline on the calling thread. Blocks write disjoint rows with unchanged
-  /// arithmetic, so the runner never changes bits.
-  ParallelRunner parallel;
-};
-
 /// Incrementally scores a growing coalition of training rows against a fixed
 /// evaluation set (see CoalitionScorerContext). Add() admits one parent-row
 /// index at a time; Predict() returns the evaluation-set predictions of the
@@ -75,17 +54,11 @@ class CoalitionScorerContext {
  public:
   virtual ~CoalitionScorerContext() = default;
 
-  /// A fresh scorer over the empty coalition. When `arena` is non-null the
-  /// scorer carves its window/statistics buffers from it instead of the heap;
-  /// the arena must outlive the scorer and belongs to it exclusively until
-  /// the scorer is destroyed (scorers are single-threaded, so one arena per
-  /// permutation scan suffices). Arena placement never changes results.
-  virtual std::unique_ptr<CoalitionScorer> NewScorer(Arena* arena) const = 0;
-
-  /// Heap-backed convenience overload.
-  std::unique_ptr<CoalitionScorer> NewScorer() const {
-    return NewScorer(nullptr);
-  }
+  /// A fresh scorer over the empty coalition that carves its window/statistics
+  /// buffers from `arena`. The arena must outlive the scorer and belongs to it
+  /// exclusively until the scorer is destroyed (scorers are single-threaded,
+  /// so one arena per permutation scan suffices).
+  virtual std::unique_ptr<CoalitionScorer> NewScorer(Arena& arena) const = 0;
 
   /// True when a fresh scorer fed a whole coalition (Add every row, Predict
   /// once) can stand in for the cold fit: exact, and cheaper. A utility may
@@ -136,18 +109,19 @@ class Classifier {
   /// A scorer context for models that support exact incremental coalition
   /// scoring over (`train`, `eval_features`); nullptr (the default) when the
   /// model has no such fast path, and the runner's failure when the build
-  /// fanned out through options.parallel and lost a task. Both arguments
-  /// must outlive the context. `options` selects kernel variants; every
-  /// default-options variant is bit-identical to the cold path, and
-  /// approximate variants (float32) are only taken when explicitly requested.
+  /// fanned out through `parallel` and lost a task. `parallel` spreads the
+  /// context's one-time precomputation (KNN: the train-to-eval distance
+  /// matrix, in row blocks); empty runs it inline on the calling thread.
+  /// Blocks write disjoint rows with unchanged arithmetic, so the runner never
+  /// changes bits. Both data arguments must outlive the context.
   virtual Result<std::shared_ptr<const CoalitionScorerContext>>
   NewCoalitionScorerContext(const MlDataset& train, const Matrix& eval_features,
                             int num_classes,
-                            const CoalitionScorerOptions& options = {}) const {
+                            const ParallelRunner& parallel = {}) const {
     (void)train;
     (void)eval_features;
     (void)num_classes;
-    (void)options;
+    (void)parallel;
     return std::shared_ptr<const CoalitionScorerContext>();
   }
 

@@ -194,7 +194,7 @@ class NbCoalitionContext;
 
 class NbCoalitionScorer final : public CoalitionScorer {
  public:
-  NbCoalitionScorer(const NbCoalitionContext* context, Arena* arena);
+  NbCoalitionScorer(const NbCoalitionContext* context, Arena& arena);
 
   void Add(size_t train_index) override;
   const std::vector<int>& Predict() override;
@@ -206,7 +206,7 @@ class NbCoalitionScorer final : public CoalitionScorer {
   size_t d_;
   int num_classes_;
   size_t capacity_;  ///< Training-set size; bounds every member list.
-  // Flat buffers carved from one block (arena or owned_), doubles first:
+  // Flat buffers carved from one arena block, doubles first:
   double* means_;           ///< C x d, valid rows only where counts_ > 0.
   double* vars_;            ///< C x d, unfloored.
   double* global_mean_;     ///< d, maintained only while a class is absent.
@@ -222,7 +222,6 @@ class NbCoalitionScorer final : public CoalitionScorer {
   int present_classes_ = 0;
   bool derived_dirty_ = false;
   std::vector<int> predictions_;
-  std::vector<char> owned_;  ///< Backing block when no arena is given.
 };
 
 class NbCoalitionContext final : public CoalitionScorerContext {
@@ -238,7 +237,7 @@ class NbCoalitionContext final : public CoalitionScorerContext {
     NDE_CHECK_EQ(train.features.cols(), eval_features.cols());
   }
 
-  std::unique_ptr<CoalitionScorer> NewScorer(Arena* arena) const override {
+  std::unique_ptr<CoalitionScorer> NewScorer(Arena& arena) const override {
     return std::make_unique<NbCoalitionScorer>(this, arena);
   }
 
@@ -262,7 +261,7 @@ class NbCoalitionContext final : public CoalitionScorerContext {
 };
 
 NbCoalitionScorer::NbCoalitionScorer(const NbCoalitionContext* context,
-                                     Arena* arena)
+                                     Arena& arena)
     : context_(context),
       d_(context->train_features().cols()),
       num_classes_(context->num_classes()),
@@ -273,13 +272,7 @@ NbCoalitionScorer::NbCoalitionScorer(const NbCoalitionContext* context,
   const size_t doubles = 5 * stats + 2 * d_ + classes;
   const size_t uints = capacity_ + classes * capacity_ + classes;
   const size_t total = doubles * sizeof(double) + uints * sizeof(uint32_t);
-  char* block;
-  if (arena != nullptr) {
-    block = static_cast<char*>(arena->Allocate(total, alignof(double)));
-  } else {
-    owned_.resize(total);
-    block = owned_.data();
-  }
+  char* block = static_cast<char*>(arena.Allocate(total, alignof(double)));
   double* dbl = reinterpret_cast<double*>(block);
   means_ = dbl;
   vars_ = means_ + stats;
@@ -424,10 +417,8 @@ const std::vector<int>& NbCoalitionScorer::Predict() {
 Result<std::shared_ptr<const CoalitionScorerContext>>
 GaussianNaiveBayes::NewCoalitionScorerContext(
     const MlDataset& train, const Matrix& eval_features, int num_classes,
-    const CoalitionScorerOptions& options) const {
-  // One exact kernel with nothing to precompute: neither float32 nor the
-  // parallel runner applies to NB.
-  (void)options;
+    const ParallelRunner& parallel) const {
+  (void)parallel;
   if (train.size() == 0 || eval_features.rows() == 0) {
     return std::shared_ptr<const CoalitionScorerContext>();
   }

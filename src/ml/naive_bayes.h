@@ -26,10 +26,11 @@ class GaussianNaiveBayes : public Classifier {
   /// two-pass FitWithClasses on the sorted coalition — so Predict() is
   /// bit-identical to cold retraining, regardless of insertion order.
   /// `train` and `eval_features` must outlive the context.
+  /// There is nothing to precompute, so `parallel` goes unused.
   Result<std::shared_ptr<const CoalitionScorerContext>>
-  NewCoalitionScorerContext(
-      const MlDataset& train, const Matrix& eval_features, int num_classes,
-      const CoalitionScorerOptions& options = {}) const override;
+  NewCoalitionScorerContext(const MlDataset& train,
+                            const Matrix& eval_features, int num_classes,
+                            const ParallelRunner& parallel = {}) const override;
 
   std::vector<int> Predict(const Matrix& features) const override;
   Matrix PredictProba(const Matrix& features) const override;

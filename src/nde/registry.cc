@@ -277,19 +277,6 @@ class GameAlgorithm : public AlgorithmInstance {
         },
         [this]() -> std::string { return model_; });
     BindSize("k", "neighbors of the KNN proxy model", &k_, 1);
-    BindBool("utility_cache",
-             "memoize utility values in the sharded subset cache",
-             &utility_cache_);
-    BindBool("soa_kernels",
-             "use the SoA prefix-scan kernels (bit-identical; off only to "
-             "compare kernel layouts)", &soa_kernels_);
-    BindBool("float32",
-             "approximate float32 distance storage on the KNN prefix-scan "
-             "kernel (changes bits; deterministic for any thread count)",
-             &float32_);
-    BindBool("arena",
-             "back prefix-scan scorer state with pooled arena allocation "
-             "(placement only, never changes results)", &arena_);
     BindEstimatorOptions(options);
   }
 
@@ -299,11 +286,6 @@ class GameAlgorithm : public AlgorithmInstance {
       return Status::Cancelled("'" + name() + "' cancelled before start");
     }
     NDE_RETURN_IF_ERROR(CheckTrainValidation(*this, input, true));
-    UtilityFastPathOptions fast_path;
-    fast_path.subset_cache = utility_cache_;
-    fast_path.soa_kernels = soa_kernels_;
-    fast_path.float32 = float32_;
-    fast_path.arena = arena_;
     ClassifierFactory factory;
     if (model_ == "gaussian_nb") {
       factory = [] { return std::make_unique<GaussianNaiveBayes>(); };
@@ -314,16 +296,12 @@ class GameAlgorithm : public AlgorithmInstance {
       factory = [k] { return std::make_unique<KnnClassifier>(k); };
     }
     return std::make_unique<ModelAccuracyUtility>(
-        std::move(factory), *input.train, *input.validation, fast_path);
+        std::move(factory), *input.train, *input.validation);
   }
 
  private:
   std::string model_ = "knn";
   size_t k_ = 5;
-  bool utility_cache_ = false;
-  bool soa_kernels_ = true;
-  bool float32_ = false;
-  bool arena_ = true;
 };
 
 class LooAlgorithm final : public GameAlgorithm {

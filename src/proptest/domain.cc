@@ -326,6 +326,99 @@ std::string DescribeCsvText(const std::string& text) {
   return "csv bytes (escaped): \"" + escaped + "\"";
 }
 
+/// --- JSON text --------------------------------------------------------------
+
+namespace {
+
+/// One JSON-ish value: strings mixing valid escapes with bad ones, lone
+/// surrogates and raw control, NUL and high bytes; well-formed and malformed
+/// numbers and literals; and, less than 4 levels down, arrays and objects
+/// whose later keys repeat the first a fifth of the time.
+std::string JsonValueText(Rng* rng, size_t depth) {
+  static const char* const kStringPieces[] = {
+      "a", "dup", " ", "\\n", "\\\"", "\\\\", "\\u00e9", "\\ud83d\\ude00",
+      "\xc3\xa9", "\\ud800", "\\udc00", "\\ud800\\u0041", "\\q", "\\u12",
+      "\\uzzzz", "\x01", "\x1f", "\xff"};
+  static const char* const kScalars[] = {
+      "0", "-0", "-12", "3.25", "1E-3", "2.5e+2", "1e999999", "-1e999999",
+      "1e-999999", "123456789012345678901234567890", "01", "1.", ".5", "-",
+      "1e", "+1", "0x10", "NaN", "true", "false", "null", "tru", "True"};
+  auto string_token = [rng] {
+    std::string token = "\"";
+    for (size_t i = rng->NextBounded(5); i > 0; --i) {
+      token += rng->NextBernoulli(0.05)
+                   ? std::string(1, '\0')
+                   : kStringPieces[rng->NextBounded(std::size(kStringPieces))];
+    }
+    return token + "\"";
+  };
+  size_t kind = rng->NextBounded(depth >= 4 ? 2 : 4);
+  if (kind == 0) return string_token();
+  if (kind == 1) return kScalars[rng->NextBounded(std::size(kScalars))];
+  bool array = kind == 2;
+  std::string text = array ? "[" : "{";
+  std::string first_key;
+  for (size_t i = 0, n = rng->NextBounded(4); i < n; ++i) {
+    if (i > 0) text += ',';
+    if (!array) {
+      std::string key = i > 0 && rng->NextBernoulli(0.2) ? first_key
+                                                         : string_token();
+      if (i == 0) first_key = key;
+      text += key + ":";
+    }
+    text += JsonValueText(rng, depth + 1);
+  }
+  return text + (array ? "]" : "}");
+}
+
+}  // namespace
+
+Gen<std::string> AnyJsonText() {
+  return Gen<std::string>(
+      [](Rng* rng) {
+        // A quarter of the documents sit 58..70 levels deep, straddling the
+        // parser's cap of 64.
+        std::string text;
+        std::string closers;
+        size_t levels = rng->NextBernoulli(0.25) ? 58 + rng->NextBounded(13)
+                                                 : 0;
+        for (size_t i = 0; i < levels; ++i) {
+          bool array = rng->NextBernoulli(0.5);
+          text += array ? "[" : "{\"k\":";
+          closers += array ? ']' : '}';
+        }
+        text += JsonValueText(rng, 0);
+        text.append(closers.rbegin(), closers.rend());
+        if (rng->NextBernoulli(0.15)) {
+          text.resize(rng->NextBounded(text.size() + 1));  // truncated
+        } else if (rng->NextBernoulli(0.05)) {
+          text += rng->NextBernoulli(0.5) ? " x" : ",";  // trailing garbage
+        }
+        return text;
+      },
+      [](const std::string& text) {
+        std::vector<std::string> candidates;  // All strictly shorter.
+        if (text.empty()) return candidates;
+        candidates = {text.substr(0, text.size() / 2),
+                      text.substr(text.size() / 2 + 1),
+                      text.substr(0, text.size() - 1), text.substr(1)};
+        return candidates;
+      });
+}
+
+std::string DescribeJsonText(const std::string& text) {
+  std::string escaped;
+  for (char c : text) {
+    unsigned char byte = static_cast<unsigned char>(c);
+    if (byte < 0x20 || byte >= 0x7f || c == '\\') {
+      escaped += StrFormat("\\x%02x", byte);
+    } else {
+      escaped.push_back(c);
+    }
+  }
+  return "json bytes (escaped): \"" + escaped + "\"";
+}
+
 /// --- Estimator options ------------------------------------------------------
 
 Gen<TmcShapleyOptions> AnyTmcOptions(size_t max_permutations) {

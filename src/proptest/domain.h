@@ -66,6 +66,19 @@ Gen<std::string> AnyCsvText(size_t max_rows = 12, size_t max_cols = 5);
 std::string DescribeTable(const Table& table);
 std::string DescribeCsvText(const std::string& text);
 
+/// --- JSON text --------------------------------------------------------------
+
+/// Raw JSON text, structured but nasty: nesting on both sides of the
+/// parser's depth cap of 64, duplicate object keys, bad escapes and lone
+/// surrogates, huge exponents and malformed numbers, raw control and high
+/// bytes, truncation and trailing garbage. A parser must either accept it
+/// or return a typed error. Shrinks toward shorter prefixes and suffixes.
+Gen<std::string> AnyJsonText();
+
+/// Escapes every byte outside printable ASCII (and the backslash) as \xNN,
+/// so the text survives a terminal copy.
+std::string DescribeJsonText(const std::string& text);
+
 /// --- Estimator options ------------------------------------------------------
 
 /// Random estimator options with small budgets (properties run hundreds of

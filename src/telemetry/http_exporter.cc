@@ -3,9 +3,11 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -37,6 +39,31 @@ std::string MakeHttpResponse(int status, const char* reason,
 namespace {
 
 constexpr size_t kMaxHeaderBytes = 16384;
+
+using Clock = std::chrono::steady_clock;
+
+/// Bounds the next blocking read (SO_RCVTIMEO) or write (SO_SNDTIMEO) on
+/// `fd` by what is left of `deadline`; false once it has passed.
+bool ArmTimeout(int fd, int option, Clock::time_point deadline) {
+  auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+                  deadline - Clock::now())
+                  .count();
+  if (left <= 0) return false;
+  timeval timeout{static_cast<time_t>(left / 1000000),
+                  static_cast<suseconds_t>(left % 1000000)};
+  return ::setsockopt(fd, SOL_SOCKET, option, &timeout, sizeof(timeout)) == 0;
+}
+
+/// Appends the next bytes the peer sends to `out`. False at end of stream,
+/// on error, or once `deadline` passes with nothing read.
+bool ReadSome(int fd, Clock::time_point deadline, std::string* out) {
+  char buf[4096];
+  if (!ArmTimeout(fd, SO_RCVTIMEO, deadline)) return false;
+  ssize_t n = ::read(fd, buf, sizeof(buf));
+  if (n <= 0) return false;
+  out->append(buf, static_cast<size_t>(n));
+  return true;
+}
 
 std::string TracezJson() {
   std::vector<TraceEvent> events = TraceBuffer::Global().Snapshot();
@@ -88,12 +115,12 @@ void ParseRequestLine(const std::string& line, HttpRequest* out) {
 /// Reads one HTTP request off the socket: request line, headers, and — when
 /// Content-Length says so — the body. Bodyless methods keep the historical
 /// single-read fast path (a complete request line is enough; clients may
-/// never send the blank line). Returns false when there is nothing to
-/// answer; a non-empty `error_response` carries a 413/400 to send instead.
-bool ReadHttpRequest(int fd, size_t max_body_bytes, HttpRequest* out,
-                     std::string* error_response) {
+/// never send the blank line). Every read gives up at `deadline`. Returns
+/// false when there is nothing to answer; a non-empty `error_response`
+/// carries a 413/400 to send instead.
+bool ReadHttpRequest(int fd, size_t max_body_bytes, Clock::time_point deadline,
+                     HttpRequest* out, std::string* error_response) {
   std::string data;
-  char buf[4096];
   size_t body_start = std::string::npos;
   while (true) {
     size_t crlf = data.find("\r\n\r\n");
@@ -112,9 +139,7 @@ bool ReadHttpRequest(int fd, size_t max_body_bytes, HttpRequest* out,
       std::string method = data.substr(0, data.find_first_of(" \r\n"));
       if (method != "POST" && method != "PUT") break;  // no body expected
     }
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    data.append(buf, static_cast<size_t>(n));
+    if (!ReadSome(fd, deadline, &data)) break;
   }
 
   size_t eol = data.find('\n');
@@ -167,9 +192,7 @@ bool ReadHttpRequest(int fd, size_t max_body_bytes, HttpRequest* out,
   std::string body =
       body_start < data.size() ? data.substr(body_start) : std::string();
   while (body.size() < content_length) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    body.append(buf, static_cast<size_t>(n));
+    if (!ReadSome(fd, deadline, &body)) break;
   }
   if (body.size() < content_length) {
     *error_response =
@@ -214,10 +237,14 @@ const std::vector<double>& RequestLatencyBucketsUs() {
   return *bounds;
 }
 
-void WriteAll(int fd, const std::string& data) {
+/// Sends `data`, giving up at `deadline`: a peer that stops reading must not
+/// hold the serving thread. MSG_NOSIGNAL makes a vanished peer an error
+/// return instead of a SIGPIPE.
+void WriteAll(int fd, const std::string& data, Clock::time_point deadline) {
   size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::write(fd, data.data() + sent, data.size() - sent);
+  while (sent < data.size() && ArmTimeout(fd, SO_SNDTIMEO, deadline)) {
+    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                       MSG_NOSIGNAL);
     if (n <= 0) return;
     sent += static_cast<size_t>(n);
   }
@@ -383,12 +410,19 @@ void HttpExporter::Serve() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
+    Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(kConnectionDeadlineMs);
     HttpRequest request;
     std::string error_response;
-    if (ReadHttpRequest(client, max_body_bytes_, &request, &error_response)) {
-      WriteAll(client, Dispatch(request));
+    if (ReadHttpRequest(client, max_body_bytes_, deadline, &request,
+                        &error_response)) {
+      Clock::time_point dispatched = Clock::now();
+      std::string response = Dispatch(request);
+      // The handler's run time is the server's, not the client's.
+      deadline += Clock::now() - dispatched;
+      WriteAll(client, response, deadline);
     } else if (!error_response.empty()) {
-      WriteAll(client, error_response);
+      WriteAll(client, error_response, deadline);
     }
     ::close(client);
   }

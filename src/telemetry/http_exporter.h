@@ -58,6 +58,12 @@ std::string MakeHttpResponse(int status, const char* reason,
 /// public service. Start(0) picks an ephemeral port, readable via port().
 class HttpExporter {
  public:
+  /// Time a connection gets, counted from accept, to send its request and
+  /// take the response (the handler's own run time is not charged); past it
+  /// the connection is closed. Requests are served one at a time, so an
+  /// idle or trickling client delays the others by at most this long.
+  static constexpr int kConnectionDeadlineMs = 2000;
+
   HttpExporter() = default;
   ~HttpExporter();
 

@@ -199,23 +199,6 @@ std::string RunReport::ToJson() {
   }
   metrics << "}}";
   os << metrics.str();
-  // Derived cache summary: the question a report reader actually asks is
-  // "did the subset cache help", so answer it directly instead of making
-  // them divide counters.
-  auto counter = [&](const char* name) -> uint64_t {
-    auto it = metrics_.counters.find(name);
-    return it == metrics_.counters.end() ? 0 : it->second;
-  };
-  uint64_t hits = counter("utility_cache.hits");
-  uint64_t misses = counter("utility_cache.misses");
-  uint64_t lookups = hits + misses;
-  os << ",\"utility_cache\":{\"hits\":" << hits << ",\"misses\":" << misses
-     << ",\"hit_rate\":"
-     << FormatDouble(lookups == 0
-                         ? 0.0
-                         : static_cast<double>(hits) /
-                               static_cast<double>(lookups))
-     << "}";
   if (has_error_) {
     os << ",\"error\":{\"code\":\""
        << JsonEscape(StatusCodeToString(error_.code())) << "\",\"message\":\""

@@ -80,7 +80,7 @@ class RunReport {
 
   /// Serializes the report (calls Finish() if the caller has not). Shape:
   /// {"name":...,"config":{...},"timing":{"wall_ms":...,"cpu_ms":...},
-  ///  "convergence_curve":[{...}],"metrics":{...},"utility_cache":{...},
+  ///  "convergence_curve":[{...}],"metrics":{...},
   ///  "profile":{...},"trace":{...}}
   /// The "profile" block is Profiler::ToJson() captured at Finish() time; its
   /// "enabled" field is false (and its aggregates empty) when the sampling

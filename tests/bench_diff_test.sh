@@ -15,53 +15,52 @@ fail() {
   exit 1
 }
 
-# make_results FILE EVALS_PER_SEC HIT_RATE P99_MS — one stamped record per
-# watched benchmark, in the exact shape ReportJson emits.
+# make_results FILE EVALS_PER_SEC P99_MS — one stamped record per watched
+# benchmark, in the exact shape ReportJson emits.
 make_results() {
   cat > "$1" <<EOF
 {"name": "BM_TmcUtilityFastPath/fast:1", "ms": 1.25, "utility_evals_per_sec": $2, "git_rev": "fixture", "date": "2026-08-07", "cpus": 1, "telemetry": "off"}
-{"name": "BM_BanzhafSubsetCache/warm:1", "ms": 0.5, "cache_hit_rate": $3, "git_rev": "fixture", "date": "2026-08-07", "cpus": 1, "telemetry": "off"}
-{"name": "BM_TmcWaveLatency", "ms": 4.0, "wave_p99_ms": $4, "git_rev": "fixture", "date": "2026-08-07", "cpus": 1, "telemetry": "off"}
+{"name": "BM_TmcWaveLatency", "ms": 4.0, "wave_p99_ms": $3, "git_rev": "fixture", "date": "2026-08-07", "cpus": 1, "telemetry": "off"}
 EOF
 }
 
-make_results base.json 1000 0.99 4.0
+make_results base.json 1000 4.0
 
 # --- identical runs pass ------------------------------------------------------
-make_results cand.json 1000 0.99 4.0
+make_results cand.json 1000 4.0
 "$DIFF" --baseline base.json --candidate cand.json > /dev/null \
     || fail "identical candidate should exit 0"
 
 # --- small drift within the threshold passes ----------------------------------
-make_results cand.json 950 0.95 4.2
+make_results cand.json 950 4.2
 "$DIFF" --baseline base.json --candidate cand.json > /dev/null \
     || fail "5% drift should be within the default 15% threshold"
 
 # --- improvements pass ---------------------------------------------------------
-make_results cand.json 2000 1.0 2.0
+make_results cand.json 2000 2.0
 "$DIFF" --baseline base.json --candidate cand.json > /dev/null \
     || fail "improvement should exit 0"
 
 # --- a 20% throughput regression fails ----------------------------------------
-make_results cand.json 800 0.99 4.0
+make_results cand.json 800 4.0
 "$DIFF" --baseline base.json --candidate cand.json > diff_out.txt
 [ $? -eq 1 ] || fail "20% throughput regression should exit 1"
 grep -q "utility_evals_per_sec" diff_out.txt \
     || fail "regression report does not name the regressed counter"
 
 # --- a 20% latency regression fails (lower-is-better counter) -----------------
-make_results cand.json 1000 0.99 4.8
+make_results cand.json 1000 4.8
 "$DIFF" --baseline base.json --candidate cand.json > /dev/null
 [ $? -eq 1 ] || fail "20% wave_p99_ms regression should exit 1"
 
 # --- a loose threshold lets the same candidate through ------------------------
-make_results cand.json 800 0.99 4.8
+make_results cand.json 800 4.8
 "$DIFF" --baseline base.json --candidate cand.json --threshold 0.5 \
     > /dev/null || fail "20% regression should pass a 50% threshold"
 
 # --- last record per name wins (append-only results file) ---------------------
-make_results cand.json 100 0.1 40.0
-make_results fresh.json 1000 0.99 4.0
+make_results cand.json 100 40.0
+make_results fresh.json 1000 4.0
 cat fresh.json >> cand.json
 "$DIFF" --baseline base.json --candidate cand.json > /dev/null \
     || fail "stale earlier records should be shadowed by the last run"

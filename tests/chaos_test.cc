@@ -26,7 +26,6 @@
 #include "data/table.h"
 #include "datagen/synthetic.h"
 #include "importance/game_values.h"
-#include "importance/subset_cache.h"
 #include "importance/utility.h"
 #include "ml/knn.h"
 #include "pipeline/encoders.h"
@@ -121,12 +120,9 @@ class ScanSumUtility : public SumUtility {
 };
 
 /// One workload per failpoint site, exercising the real code path that hosts
-/// the site. `degrades_gracefully` marks sites whose contract is "keep
-/// working without the feature" (the subset cache skips the insert) rather
-/// than "surface the error".
+/// the site.
 struct SiteWorkload {
   std::function<Status()> run;
-  bool degrades_gracefully = false;
 };
 
 std::map<std::string, SiteWorkload> BuildWorkloads() {
@@ -170,17 +166,6 @@ std::map<std::string, SiteWorkload> BuildWorkloads() {
   workloads["utility.evaluate"] = {
       [] { return SumUtility(4).TryEvaluate({0, 2}).status(); }};
 
-  // Contract: a failed cache insert must not fail the evaluation — the value
-  // is still returned, the cache just stays cold.
-  workloads["subset_cache.insert"] = {[] {
-    SubsetCache cache;
-    double value = cache.GetOrCompute({1, 2}, [] { return 7.5; });
-    if (value != 7.5) {
-      return Status::Internal("cache returned wrong value under fault");
-    }
-    return Status();
-  }, /*degrades_gracefully=*/true};
-
   workloads["threadpool.task"] = {[] {
     std::vector<double> out(16, 0.0);
     return TryParallelFor(
@@ -223,15 +208,10 @@ TEST_F(ChaosTest, EveryKnownSiteDegradesToTypedError) {
     ASSERT_TRUE(
         failpoint::Arm(site + "=error(unavailable:chaos injected)").ok());
     Status injected = workload.run();
-    if (workload.degrades_gracefully) {
-      EXPECT_TRUE(injected.ok())
-          << site << " should degrade gracefully: " << injected.ToString();
-    } else {
-      EXPECT_FALSE(injected.ok()) << site << " swallowed the injection";
-      EXPECT_EQ(injected.code(), StatusCode::kUnavailable) << site;
-      EXPECT_NE(injected.message().find("chaos injected"), std::string::npos)
-          << site << ": " << injected.ToString();
-    }
+    EXPECT_FALSE(injected.ok()) << site << " swallowed the injection";
+    EXPECT_EQ(injected.code(), StatusCode::kUnavailable) << site;
+    EXPECT_NE(injected.message().find("chaos injected"), std::string::npos)
+        << site << ": " << injected.ToString();
     EXPECT_GE(FiresFor(site), 1u) << site << " never fired";
 
     // Recovery: disarming restores clean behavior with no residue.
@@ -249,9 +229,9 @@ TEST_F(ChaosTest, AllSitesArmedAtOnceStaysTypedAndRecovers) {
         failpoint::Arm(site + "=error(unavailable:chaos injected)").ok());
   }
   // With everything failing at once nothing may crash; every workload either
-  // degrades gracefully or reports the injected unavailable error (possibly
-  // from an upstream site it depends on, e.g. the CSV read inside the
-  // pipeline workload).
+  // succeeds or reports the injected unavailable error (possibly from an
+  // upstream site it depends on, e.g. the CSV read inside the pipeline
+  // workload).
   for (const std::string& site : failpoint::KnownSites()) {
     Status status = workloads[site].run();
     if (!status.ok()) {
@@ -266,22 +246,6 @@ TEST_F(ChaosTest, AllSitesArmedAtOnceStaysTypedAndRecovers) {
     Status status = workloads[site].run();
     EXPECT_TRUE(status.ok()) << site << ": " << status.ToString();
   }
-}
-
-TEST_F(ChaosTest, SubsetCacheInsertFaultKeepsValuesAndStaysCold) {
-  SubsetCache cache;
-  ASSERT_TRUE(failpoint::Arm("subset_cache.insert=error").ok());
-  EXPECT_EQ(cache.GetOrCompute({1, 2}, [] { return 3.5; }), 3.5);
-  EXPECT_EQ(cache.GetOrCompute({1, 2}, [] { return 3.5; }), 3.5);
-  SubsetCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);   // inserts were dropped
-  EXPECT_EQ(stats.misses, 2u);    // both lookups recomputed
-  failpoint::DisarmAll();
-  EXPECT_EQ(cache.GetOrCompute({1, 2}, [] { return 3.5; }), 3.5);
-  EXPECT_EQ(cache.GetOrCompute({1, 2}, [] { return 3.5; }), 3.5);
-  stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);   // insert works again
-  EXPECT_EQ(stats.hits, 1u);      // and the second lookup hit
 }
 
 TEST_F(ChaosTest, NanPoisonBecomesTypedNonFiniteError) {

@@ -106,6 +106,49 @@ grep -q -- "--threads" err.txt || fail "--threads error does not name the flag"
 "$CLI" importance train.csv --label label --threads -3 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "negative --threads should exit 2"
 
+# --- prefix-scan kernels: rankings match retraining on every prefix ----------
+# The exact coalition scorers (the SoA KNN kernel, the incremental Gaussian-NB
+# scorer) must rank exactly as retraining per prefix does, end to end through
+# the CLI. Three noisy classes keep KNN windows and NB class moments busy;
+# the Park-Miller generator keeps the fixture identical under any awk.
+awk 'BEGIN {
+  s = 11
+  print "x0,x1,x2,label"
+  for (i = 0; i < 90; i++) {
+    label = i % 3
+    cx = (label == 0) ? -1.5 : (label == 1 ? 1.5 : 0.0)
+    cy = (label == 0) ? 0.0 : (label == 1 ? 1.0 : -1.5)
+    for (f = 0; f < 3; f++) {
+      noise = 0
+      for (j = 0; j < 3; j++) {
+        s = (s * 16807) % 2147483647
+        noise += s / 2147483647
+      }
+      x[f] = noise * 2 - 3
+    }
+    printf "%.4f,%.4f,%.4f,%d\n", cx + x[0], cy + x[1], x[2], label
+  }
+}' > blobs.csv
+
+# Keeps only the ranking block: the timing lines above it legitimately differ
+# run to run.
+run_ranking() {
+  local out="$1"
+  shift
+  "$CLI" importance blobs.csv --label label --method tmc_shapley \
+      --permutations 6 --top 30 --seed 5 "$@" \
+      | sed -n '/cleaning candidates/,$p' > "$out"
+  [ -s "$out" ] || fail "no ranking output for $out"
+}
+run_ranking knn_kernel.txt
+run_ranking knn_slow.txt --set use_prefix_scan=false
+cmp -s knn_slow.txt knn_kernel.txt \
+    || fail "KNN kernel ranking differs from the slow path"
+run_ranking nb_kernel.txt --model gaussian_nb
+run_ranking nb_slow.txt --model gaussian_nb --set use_prefix_scan=false
+cmp -s nb_slow.txt nb_kernel.txt \
+    || fail "Gaussian-NB kernel ranking differs from the slow path"
+
 # --- observability flags: --report / --log-level / --log-json / --serve ------
 "$CLI" importance train.csv --label label --top 5 --permutations 8 \
     --report report.json > /dev/null 2> report_err.txt \
@@ -333,6 +376,19 @@ grep -q "no option 'bogus'" err.txt \
 [ $? -eq 2 ] || fail "badly typed --set value should exit 2"
 "$CLI" screen train.csv --label label --set k=3 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "--set on a non-importance command should exit 2"
+
+# The subset cache, float32 and the benchmark-only kernel switches are gone:
+# their registry options are unknown, and their flags are unknown flags.
+"$CLI" importance train.csv --label label --set float32=true \
+    > /dev/null 2> err.txt
+[ $? -eq 2 ] || fail "--set float32=true should exit 2"
+grep -q "no option 'float32'" err.txt \
+    || fail "retired --set option error should name the option"
+for flag in --utility-cache --float32; do
+  "$CLI" importance train.csv --label label "$flag" > /dev/null 2> err.txt
+  [ $? -eq 2 ] || fail "retired flag $flag should exit 2"
+  grep -q -- "$flag" err.txt || fail "retired flag error does not name $flag"
+done
 
 # --- usage ----------------------------------------------------------------------
 "$CLI" > /dev/null 2>&1

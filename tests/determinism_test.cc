@@ -104,11 +104,11 @@ TEST(DeterminismTest, NumThreadsUsedIsReported) {
 }
 
 // ---------------------------------------------------------------------------
-// Utility fast path (DESIGN.md §9): zero-copy views, the prefix-scan exact
-// scorer, and the subset cache must leave estimates bit-identical — same
-// values, same std errors, same eval counts — for every on/off combination
-// and every thread count. Warm start is the one *opt-in approximate* knob;
-// its results must still be identical across thread counts and cache states.
+// Utility fast path (DESIGN.md §9): the prefix-scan exact scorer must leave
+// estimates bit-identical — same values, same std errors, same eval counts —
+// on or off, at every thread count. Warm start is the one *opt-in
+// approximate* knob; its results must still be identical across thread
+// counts.
 // ---------------------------------------------------------------------------
 
 MlDataset FastPathTrain() {
@@ -151,82 +151,62 @@ TEST(FastPathBitIdentityTest, TmcIdenticalAcrossAllFastPathConfigs) {
   MlDataset train = FastPathTrain();
   MlDataset validation = FastPathValidation();
 
-  // Baseline: every fast path off, single-threaded.
-  UtilityFastPathOptions slow;
-  slow.zero_copy_views = false;
-  ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation, slow);
+  // Baseline: no prefix scan, single-threaded.
+  ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation);
   TmcShapleyOptions baseline_options = FastPathTmcOptions();
   baseline_options.use_prefix_scan = false;
   baseline_options.num_threads = 1;
   ImportanceEstimate baseline =
       TmcShapleyValues(baseline_utility, baseline_options).value();
 
-  for (bool views : {false, true}) {
-    for (bool cache : {false, true}) {
-      for (bool prefix_scan : {false, true}) {
-        for (bool warm_start : {false, true}) {
-          for (size_t threads : kThreadCounts) {
-            UtilityFastPathOptions fast;
-            fast.zero_copy_views = views;
-            fast.subset_cache = cache;
-            ModelAccuracyUtility utility(KnnFactory(), train, validation,
-                                         fast);
-            TmcShapleyOptions options = FastPathTmcOptions();
-            options.use_prefix_scan = prefix_scan;
-            // KNN has an exact scorer, so opting into warm start must be a
-            // no-op for values.
-            options.warm_start = warm_start;
-            options.num_threads = threads;
-            ImportanceEstimate run = TmcShapleyValues(utility, options).value();
-            std::string config =
-                "views=" + std::to_string(views) +
-                " cache=" + std::to_string(cache) +
-                " prefix_scan=" + std::to_string(prefix_scan) +
-                " warm_start=" + std::to_string(warm_start) +
-                " threads=" + std::to_string(threads);
-            EXPECT_EQ(run.values, baseline.values) << config;
-            EXPECT_EQ(run.std_errors, baseline.std_errors) << config;
-            EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations)
-                << config;
-            EXPECT_EQ(utility.num_evaluations(),
-                      baseline_utility.num_evaluations())
-                << config;
-          }
-        }
+  for (bool prefix_scan : {false, true}) {
+    for (bool warm_start : {false, true}) {
+      for (size_t threads : kThreadCounts) {
+        ModelAccuracyUtility utility(KnnFactory(), train, validation);
+        TmcShapleyOptions options = FastPathTmcOptions();
+        options.use_prefix_scan = prefix_scan;
+        // KNN has an exact scorer, so opting into warm start must be a no-op
+        // for values.
+        options.warm_start = warm_start;
+        options.num_threads = threads;
+        ImportanceEstimate run = TmcShapleyValues(utility, options).value();
+        std::string config = "prefix_scan=" + std::to_string(prefix_scan) +
+                             " warm_start=" + std::to_string(warm_start) +
+                             " threads=" + std::to_string(threads);
+        EXPECT_EQ(run.values, baseline.values) << config;
+        EXPECT_EQ(run.std_errors, baseline.std_errors) << config;
+        EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations)
+            << config;
+        EXPECT_EQ(utility.num_evaluations(),
+                  baseline_utility.num_evaluations())
+            << config;
       }
     }
   }
 }
 
-TEST(FastPathBitIdentityTest, BanzhafIdenticalWithCacheOnOffAcrossThreads) {
+TEST(FastPathBitIdentityTest, BanzhafIdenticalAcrossThreads) {
   MlDataset train = FastPathTrain();
   MlDataset validation = FastPathValidation();
   BanzhafOptions options;
   options.num_samples = 120;
   options.seed = 9;
 
-  UtilityFastPathOptions slow;
-  slow.zero_copy_views = false;
-  ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation, slow);
+  ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation);
   options.num_threads = 1;
   ImportanceEstimate baseline = BanzhafValues(baseline_utility, options).value();
 
-  for (bool cache : {false, true}) {
-    for (size_t threads : kThreadCounts) {
-      UtilityFastPathOptions fast;
-      fast.subset_cache = cache;
-      ModelAccuracyUtility utility(KnnFactory(), train, validation, fast);
-      options.num_threads = threads;
-      ImportanceEstimate run = BanzhafValues(utility, options).value();
-      EXPECT_EQ(run.values, baseline.values)
-          << "cache=" << cache << " threads=" << threads;
-      EXPECT_EQ(run.std_errors, baseline.std_errors);
-      EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations);
-    }
+  for (size_t threads : kThreadCounts) {
+    ModelAccuracyUtility utility(KnnFactory(), train, validation);
+    options.num_threads = threads;
+    ImportanceEstimate run = BanzhafValues(utility, options).value();
+    EXPECT_EQ(run.values, baseline.values) << "threads=" << threads;
+    EXPECT_EQ(run.std_errors, baseline.std_errors);
+    EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations);
   }
 }
 
-TEST(FastPathBitIdentityTest, BetaShapleyIdenticalWithCacheOnOffAcrossThreads) {
+TEST(FastPathBitIdentityTest, BetaShapleyIdenticalAcrossThreads) {
   MlDataset train = FastPathTrain();
   MlDataset validation = FastPathValidation();
   BetaShapleyOptions options;
@@ -235,59 +215,25 @@ TEST(FastPathBitIdentityTest, BetaShapleyIdenticalWithCacheOnOffAcrossThreads) {
   options.samples_per_unit = 6;
   options.seed = 31;
 
-  UtilityFastPathOptions slow;
-  slow.zero_copy_views = false;
-  ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation, slow);
+  ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation);
   options.num_threads = 1;
   ImportanceEstimate baseline =
       BetaShapleyValues(baseline_utility, options).value();
 
-  for (bool cache : {false, true}) {
-    for (size_t threads : kThreadCounts) {
-      UtilityFastPathOptions fast;
-      fast.subset_cache = cache;
-      ModelAccuracyUtility utility(KnnFactory(), train, validation, fast);
-      options.num_threads = threads;
-      ImportanceEstimate run = BetaShapleyValues(utility, options).value();
-      EXPECT_EQ(run.values, baseline.values)
-          << "cache=" << cache << " threads=" << threads;
-      EXPECT_EQ(run.std_errors, baseline.std_errors);
-      EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations);
-    }
+  for (size_t threads : kThreadCounts) {
+    ModelAccuracyUtility utility(KnnFactory(), train, validation);
+    options.num_threads = threads;
+    ImportanceEstimate run = BetaShapleyValues(utility, options).value();
+    EXPECT_EQ(run.values, baseline.values) << "threads=" << threads;
+    EXPECT_EQ(run.std_errors, baseline.std_errors);
+    EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations);
   }
 }
 
-TEST(FastPathBitIdentityTest, TinyCacheEvictionPreservesIdentity) {
-  // A cache far smaller than the working set evicts constantly; eviction may
-  // only cost recomputation, never change a value.
-  MlDataset train = FastPathTrain();
-  MlDataset validation = FastPathValidation();
-  BanzhafOptions options;
-  options.num_samples = 96;
-  options.seed = 15;
-  options.num_threads = 2;
-
-  ModelAccuracyUtility uncached(KnnFactory(), train, validation);
-  ImportanceEstimate expected = BanzhafValues(uncached, options).value();
-
-  UtilityFastPathOptions fast;
-  fast.subset_cache = true;
-  fast.cache.num_shards = 2;
-  fast.cache.max_entries = 8;
-  ModelAccuracyUtility tiny(KnnFactory(), train, validation, fast);
-  ImportanceEstimate run = BanzhafValues(tiny, options).value();
-  EXPECT_EQ(run.values, expected.values);
-  EXPECT_EQ(run.std_errors, expected.std_errors);
-  ASSERT_NE(tiny.subset_cache(), nullptr);
-  EXPECT_GT(tiny.subset_cache()->stats().evictions, 0u);
-  EXPECT_LE(tiny.subset_cache()->stats().entries, 8u);
-}
-
-TEST(FastPathBitIdentityTest,
-     WarmStartLogregDeterministicAcrossThreadsAndCache) {
+TEST(FastPathBitIdentityTest, WarmStartLogregDeterministicAcrossThreads) {
   // Logistic regression has no exact scorer, so warm_start=true switches TMC
   // to the approximate warm-started scan. The *approximation* must still be
-  // bit-identical across thread counts and cache states.
+  // bit-identical across thread counts.
   MlDataset train = FastPathTrain();
   MlDataset validation = FastPathValidation();
   TmcShapleyOptions options = FastPathTmcOptions();
@@ -295,15 +241,10 @@ TEST(FastPathBitIdentityTest,
   options.warm_start = true;
 
   std::vector<ImportanceEstimate> runs;
-  for (bool cache : {false, true}) {
-    for (size_t threads : kThreadCounts) {
-      UtilityFastPathOptions fast;
-      fast.subset_cache = cache;
-      ModelAccuracyUtility utility(SmallLogregFactory(), train, validation,
-                                   fast);
-      options.num_threads = threads;
-      runs.push_back(TmcShapleyValues(utility, options).value());
-    }
+  for (size_t threads : kThreadCounts) {
+    ModelAccuracyUtility utility(SmallLogregFactory(), train, validation);
+    options.num_threads = threads;
+    runs.push_back(TmcShapleyValues(utility, options).value());
   }
   for (size_t r = 1; r < runs.size(); ++r) {
     EXPECT_EQ(runs[r].values, runs[0].values) << "run " << r;
@@ -336,56 +277,40 @@ TEST(FastPathBitIdentityTest,
 }
 
 // ---------------------------------------------------------------------------
-// Raw-speed kernels (DESIGN.md §14): the SoA KNN kernel, arena allocation,
-// and the incremental Gaussian-NB scorer are pure speed knobs — every on/off
-// combination must be bit-identical to the reference slow path at every
-// thread count. float32 is the one approximate knob and must stay opt-in.
+// Coalition-scoring kernels (DESIGN.md §14): the SoA KNN kernel and the
+// incremental Gaussian-NB scorer must be bit-identical to the slow path
+// (retraining per prefix) at every thread count.
 // ---------------------------------------------------------------------------
 
-TEST(KernelBitIdentityTest, KnnSoaAndArenaIdenticalToSlowPathAcrossThreads) {
+TEST(KernelBitIdentityTest, KnnSoaIdenticalToSlowPathAcrossThreads) {
   MlDataset train = FastPathTrain();
   MlDataset validation = FastPathValidation();
 
-  UtilityFastPathOptions slow;
-  slow.zero_copy_views = false;
-  slow.soa_kernels = false;
-  slow.arena = false;
-  ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation, slow);
+  ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation);
   TmcShapleyOptions baseline_options = FastPathTmcOptions();
   baseline_options.use_prefix_scan = false;
   baseline_options.num_threads = 1;
   ImportanceEstimate baseline =
       TmcShapleyValues(baseline_utility, baseline_options).value();
 
-  for (bool soa : {false, true}) {
-    for (bool arena : {false, true}) {
-      for (size_t threads : kThreadCounts) {
-        UtilityFastPathOptions fast;
-        fast.soa_kernels = soa;
-        fast.arena = arena;
-        ModelAccuracyUtility utility(KnnFactory(), train, validation, fast);
-        TmcShapleyOptions options = FastPathTmcOptions();
-        options.use_prefix_scan = true;
-        options.num_threads = threads;
-        ImportanceEstimate run = TmcShapleyValues(utility, options).value();
-        std::string config = "soa=" + std::to_string(soa) +
-                             " arena=" + std::to_string(arena) +
-                             " threads=" + std::to_string(threads);
-        EXPECT_EQ(run.values, baseline.values) << config;
-        EXPECT_EQ(run.std_errors, baseline.std_errors) << config;
-        EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations)
-            << config;
-      }
-    }
+  for (size_t threads : kThreadCounts) {
+    ModelAccuracyUtility utility(KnnFactory(), train, validation);
+    TmcShapleyOptions options = FastPathTmcOptions();
+    options.use_prefix_scan = true;
+    options.num_threads = threads;
+    ImportanceEstimate run = TmcShapleyValues(utility, options).value();
+    std::string config = "threads=" + std::to_string(threads);
+    EXPECT_EQ(run.values, baseline.values) << config;
+    EXPECT_EQ(run.std_errors, baseline.std_errors) << config;
+    EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations) << config;
   }
 }
 
 TEST(KernelBitIdentityTest, ScorerContextBuildThreadCountChangesNoBits) {
   // TMC builds the scorer context before its first wave and scores v(N)
-  // from it. The build's own thread count must not move a bit: per kernel
-  // configuration, a context built on 1, 2 or 8 threads (waves fixed at 2)
-  // yields identical values, std errors and eval counts — the cold slow
-  // path's for every exact configuration.
+  // from it. The build's own thread count must not move a bit: a context
+  // built on 1, 2 or 8 threads (waves fixed at 2) yields the cold slow
+  // path's values, std errors and eval counts.
   MlDataset train = FastPathTrain();
   MlDataset validation = FastPathValidation();
   TmcShapleyOptions options = FastPathTmcOptions();
@@ -394,38 +319,16 @@ TEST(KernelBitIdentityTest, ScorerContextBuildThreadCountChangesNoBits) {
   ModelAccuracyUtility cold_utility(KnnFactory(), train, validation);
   ImportanceEstimate cold = TmcShapleyValues(cold_utility, options).value();
 
-  UtilityFastPathOptions reference;
-  reference.soa_kernels = false;
-  UtilityFastPathOptions cache;
-  cache.subset_cache = true;
-  UtilityFastPathOptions float32;
-  float32.float32 = true;
-  struct Config {
-    const char* name;
-    UtilityFastPathOptions fast_path;
-    bool exact;
-  };
   options.use_prefix_scan = true;
   options.num_threads = 2;
-  for (const Config& config :
-       {Config{"soa", {}, true}, Config{"reference", reference, true},
-        Config{"cache", cache, true}, Config{"float32", float32, false}}) {
-    std::vector<ImportanceEstimate> runs;
-    for (size_t build_threads : kThreadCounts) {
-      ModelAccuracyUtility utility(KnnFactory(), train, validation,
-                                   config.fast_path);
-      ASSERT_TRUE(utility.PreparePrefixScan(build_threads).ok());
-      runs.push_back(TmcShapleyValues(utility, options).value());
-    }
-    for (size_t r = 0; r < runs.size(); ++r) {
-      const ImportanceEstimate& expected = config.exact ? cold : runs[0];
-      std::string label = std::string(config.name) +
-                          " build_threads=" + std::to_string(kThreadCounts[r]);
-      EXPECT_EQ(runs[r].values, expected.values) << label;
-      EXPECT_EQ(runs[r].std_errors, expected.std_errors) << label;
-      EXPECT_EQ(runs[r].utility_evaluations, expected.utility_evaluations)
-          << label;
-    }
+  for (size_t build_threads : kThreadCounts) {
+    ModelAccuracyUtility utility(KnnFactory(), train, validation);
+    ASSERT_TRUE(utility.PreparePrefixScan(build_threads).ok());
+    ImportanceEstimate run = TmcShapleyValues(utility, options).value();
+    std::string label = "build_threads=" + std::to_string(build_threads);
+    EXPECT_EQ(run.values, cold.values) << label;
+    EXPECT_EQ(run.std_errors, cold.std_errors) << label;
+    EXPECT_EQ(run.utility_evaluations, cold.utility_evaluations) << label;
   }
 }
 
@@ -444,47 +347,13 @@ TEST(KernelBitIdentityTest, GaussianNbScanIdenticalToRetrainingAcrossThreads) {
   ImportanceEstimate baseline = TmcShapleyValues(slow_utility, options).value();
 
   options.use_prefix_scan = true;
-  for (bool arena : {false, true}) {
-    for (size_t threads : kThreadCounts) {
-      UtilityFastPathOptions fast;
-      fast.arena = arena;
-      ModelAccuracyUtility utility(factory, train, validation, fast);
-      options.num_threads = threads;
-      ImportanceEstimate run = TmcShapleyValues(utility, options).value();
-      EXPECT_EQ(run.values, baseline.values)
-          << "arena=" << arena << " threads=" << threads;
-      EXPECT_EQ(run.std_errors, baseline.std_errors);
-      EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations);
-    }
-  }
-}
-
-TEST(KernelBitIdentityTest, Float32IsOptInAndDeterministicWhenEnabled) {
-  // The float32 kernel changes bits by design, so it must never be on by
-  // default — and once opted in, it must still be deterministic across
-  // reruns and thread counts.
-  UtilityFastPathOptions defaults;
-  EXPECT_FALSE(defaults.float32);
-
-  MlDataset train = FastPathTrain();
-  MlDataset validation = FastPathValidation();
-  TmcShapleyOptions options = FastPathTmcOptions();
-  options.use_prefix_scan = true;
-
-  std::vector<ImportanceEstimate> runs;
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    for (size_t threads : kThreadCounts) {
-      UtilityFastPathOptions fast;
-      fast.float32 = true;
-      ModelAccuracyUtility utility(KnnFactory(), train, validation, fast);
-      options.num_threads = threads;
-      runs.push_back(TmcShapleyValues(utility, options).value());
-    }
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    EXPECT_EQ(runs[r].values, runs[0].values) << "run " << r;
-    EXPECT_EQ(runs[r].std_errors, runs[0].std_errors);
-    EXPECT_EQ(runs[r].utility_evaluations, runs[0].utility_evaluations);
+  for (size_t threads : kThreadCounts) {
+    ModelAccuracyUtility utility(factory, train, validation);
+    options.num_threads = threads;
+    ImportanceEstimate run = TmcShapleyValues(utility, options).value();
+    EXPECT_EQ(run.values, baseline.values) << "threads=" << threads;
+    EXPECT_EQ(run.std_errors, baseline.std_errors);
+    EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations);
   }
 }
 

@@ -220,9 +220,9 @@ TEST_F(FailpointTest, KnownSitesCatalogMatchesDesignDoc) {
   const char* expected[] = {
       "csv.open",         "csv.record",        "pipeline.execute",
       "encoder.fit",      "encoder.transform", "utility.evaluate",
-      "subset_cache.insert", "threadpool.task", "http.handle_request",
+      "threadpool.task",  "http.handle_request",
   };
-  EXPECT_EQ(sites.size(), 9u);
+  EXPECT_EQ(sites.size(), 8u);
   for (const char* site : expected) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
         << "missing site: " << site;

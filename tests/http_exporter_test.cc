@@ -3,8 +3,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -329,6 +331,91 @@ TEST(HttpExporterTest, OversizedBodyIs413) {
   std::string small(16, 'x');
   std::string accepted = HttpSend(port, "POST", "/jobs", small);
   EXPECT_EQ(accepted.rfind("HTTP/1.1 200", 0), 0u) << accepted;
+  exporter.Stop();
+}
+
+/// A socket connected to 127.0.0.1:port whose reads and writes time out
+/// after `timeout_ms`, so a server that never answers fails the test instead
+/// of hanging it; -1 when the connect fails.
+int ConnectWithTimeout(uint16_t port, int timeout_ms) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval timeout{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(HttpExporterTest, IdleAndTricklingClientsDoNotStallHealthz) {
+  // The exporter serves one connection at a time, so every connection gets
+  // a fixed deadline from accept. A client that connects and sends nothing,
+  // or one that trickles its request a byte at a time, may delay /healthz
+  // from another socket by at most that deadline.
+  using Clock = std::chrono::steady_clock;
+  const int deadline_ms = telemetry::HttpExporter::kConnectionDeadlineMs;
+  telemetry::HttpExporter exporter;
+  exporter.SetHandler([](const telemetry::HttpRequest&) {
+    return telemetry::MakeHttpResponse(200, "OK", "text/plain", "job\n");
+  });
+  ASSERT_TRUE(exporter.Start(0).ok());
+  const uint16_t port = exporter.port();
+
+  // Milliseconds until /healthz answered 200 on a fresh socket (the budget
+  // when it never did).
+  const int budget_ms = deadline_ms + 1000;
+  auto healthz_ms = [&]() -> double {
+    Clock::time_point start = Clock::now();
+    int fd = ConnectWithTimeout(port, budget_ms);
+    if (fd < 0) return budget_ms;
+    std::string request = "GET /healthz HTTP/1.1\r\n\r\n";
+    std::string response;
+    if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+        static_cast<ssize_t>(request.size())) {
+      char buffer[512];
+      ssize_t n;
+      while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+        response.append(buffer, static_cast<size_t>(n));
+      }
+    }
+    ::close(fd);
+    if (response.rfind("HTTP/1.1 200", 0) != 0) return budget_ms;
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
+
+  // Idle: connected first, so the serving thread takes it before /healthz.
+  int idle = ConnectWithTimeout(port, budget_ms);
+  ASSERT_GE(idle, 0);
+  EXPECT_LT(healthz_ms(), budget_ms) << "an idle client stalled /healthz";
+  ::close(idle);
+
+  // Trickling: a complete POST /jobs, one byte every 50 ms, ~5.5 s in all.
+  // Each byte arrives well inside any per-read timeout; only a deadline
+  // counted from accept cuts it off.
+  int trickle = ConnectWithTimeout(port, budget_ms);
+  ASSERT_GE(trickle, 0);
+  std::thread trickler([trickle] {
+    std::string request =
+        "POST /jobs HTTP/1.1\r\nContent-Length: 64\r\n\r\n" +
+        std::string(64, 'x');
+    for (char byte : request) {
+      if (::send(trickle, &byte, 1, MSG_NOSIGNAL) != 1) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LT(healthz_ms(), budget_ms) << "a trickling client stalled /healthz";
+  ::shutdown(trickle, SHUT_RDWR);  // Ends the trickle on a live server too.
+  trickler.join();
+  ::close(trickle);
   exporter.Stop();
 }
 

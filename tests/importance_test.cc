@@ -2,7 +2,6 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -16,13 +15,10 @@
 #include "importance/influence.h"
 #include "importance/knn_shapley.h"
 #include "importance/label_scores.h"
-#include "importance/subset_cache.h"
 #include "importance/utility.h"
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
-#include "proptest/check.h"
-#include "proptest/gen.h"
 
 namespace nde {
 namespace {
@@ -547,30 +543,33 @@ TEST(ModelAccuracyUtilityTest, ZeroCopyViewsMatchMaterializedSubsets) {
         lr.epochs = 25;
         return std::make_unique<LogisticRegression>(lr);
       }};
-  UtilityFastPathOptions slow;
-  slow.zero_copy_views = false;
+  const int num_classes =
+      std::max({train.NumClasses(), validation.NumClasses(), 2});
 
   Rng rng(71);
   for (const ClassifierFactory& factory : factories) {
     ModelAccuracyUtility with_views(factory, train, validation);
-    ModelAccuracyUtility materialized(factory, train, validation, slow);
     for (size_t trial = 0; trial < 12; ++trial) {
       size_t size = 1 + rng.NextBounded(train.size() - 1);
       std::vector<size_t> picks = rng.SampleWithoutReplacement(train.size(), size);
       std::sort(picks.begin(), picks.end());
-      EXPECT_EQ(with_views.Evaluate(picks), materialized.Evaluate(picks))
+      std::unique_ptr<Classifier> materialized = factory();
+      ASSERT_TRUE(
+          materialized->FitWithClasses(train.Subset(picks), num_classes).ok());
+      EXPECT_EQ(with_views.Evaluate(picks),
+                Accuracy(validation.labels,
+                         materialized->Predict(validation.features)))
           << "trial " << trial;
     }
   }
 }
 
-TEST(ModelAccuracyUtilityTest, BuiltContextServesKnnFullSetButNotNbOrFloat32) {
+TEST(ModelAccuracyUtilityTest, BuiltContextServesKnnFullSetButNotNb) {
   // Once the scorer context is built (TMC's prelude), v(N) comes from it —
   // training no model — only where the context ReplacesColdFit: KNN's
-  // double-precision kernels. Gaussian NB keeps the cold fit (its scorer
-  // recomputes the pushed class's moments over all members on every Add, so
-  // a full set through it is quadratic in n), and so does float32 (its
-  // distances are approximate). Every value equals the cold one.
+  // kernel. Gaussian NB keeps the cold fit (its scorer recomputes the pushed
+  // class's moments over all members on every Add, so a full set through it
+  // is quadratic in n). Every value equals the cold one.
   BlobsOptions options;
   options.num_examples = 30;
   options.seed = 41;
@@ -582,27 +581,20 @@ TEST(ModelAccuracyUtilityTest, BuiltContextServesKnnFullSetButNotNbOrFloat32) {
 
   ClassifierFactory knn = [] { return std::make_unique<KnnClassifier>(3); };
   ClassifierFactory nb = [] { return std::make_unique<GaussianNaiveBayes>(); };
-  UtilityFastPathOptions reference;
-  reference.soa_kernels = false;
-  UtilityFastPathOptions float32;
-  float32.float32 = true;
   struct Case {
     const char* name;
     ClassifierFactory model;
-    UtilityFastPathOptions fast_path;
     bool served_from_context;
   };
-  for (const Case& c : {Case{"knn", knn, {}, true},
-                        Case{"knn_reference", knn, reference, true},
-                        Case{"knn_float32", knn, float32, false},
-                        Case{"gaussian_nb", nb, {}, false}}) {
+  for (const Case& c :
+       {Case{"knn", knn, true}, Case{"gaussian_nb", nb, false}}) {
     size_t models = 0;
     ModelAccuracyUtility utility(
         [&models, &c] {
           ++models;
           return c.model();
         },
-        train, validation, c.fast_path);
+        train, validation);
     ASSERT_TRUE(utility.PreparePrefixScan(2).ok()) << c.name;
     size_t after_build = models;
     double full = utility.FullUtility();
@@ -611,112 +603,6 @@ TEST(ModelAccuracyUtilityTest, BuiltContextServesKnnFullSetButNotNbOrFloat32) {
     ModelAccuracyUtility cold(c.model, train, validation);
     EXPECT_EQ(full, cold.FullUtility()) << c.name;
   }
-}
-
-TEST(ModelAccuracyUtilityTest, CacheCountsHitsAndKeepsValues) {
-  BlobsOptions options;
-  options.num_examples = 16;
-  options.seed = 33;
-  MlDataset train = MakeBlobs(options);
-  options.num_examples = 8;
-  options.seed = 34;
-  MlDataset validation = MakeBlobs(options);
-
-  auto factory = []() { return std::make_unique<KnnClassifier>(3); };
-  UtilityFastPathOptions fast;
-  fast.subset_cache = true;
-  ModelAccuracyUtility utility(factory, train, validation, fast);
-
-  BanzhafOptions estimator;
-  estimator.num_samples = 64;
-  estimator.seed = 3;
-  ImportanceEstimate first = BanzhafValues(utility, estimator).value();
-  ASSERT_NE(utility.subset_cache(), nullptr);
-  SubsetCache::Stats cold = utility.subset_cache()->stats();
-  EXPECT_GT(cold.misses, 0u);
-
-  // Same seed, same game: the second run replays the same subsets, so every
-  // evaluation (minus empty sets, which skip the cache) must hit.
-  ImportanceEstimate second = BanzhafValues(utility, estimator).value();
-  SubsetCache::Stats warm = utility.subset_cache()->stats();
-  EXPECT_EQ(second.values, first.values);
-  EXPECT_EQ(warm.misses, cold.misses);
-  EXPECT_GT(warm.hits, cold.hits);
-  // Eval counts are game queries, not model trainings: both runs report the
-  // same cost even though the second trained nothing.
-  EXPECT_EQ(second.utility_evaluations, first.utility_evaluations);
-}
-
-// --- SubsetCache --------------------------------------------------------------------------
-
-TEST(SubsetCacheTest, HitsAreOrderIndependent) {
-  SubsetCache cache;
-  size_t computes = 0;
-  auto compute = [&computes] { return static_cast<double>(++computes); };
-  EXPECT_EQ(cache.GetOrCompute({3, 1, 2}, compute), 1.0);
-  EXPECT_EQ(cache.GetOrCompute({1, 2, 3}, compute), 1.0);
-  EXPECT_EQ(cache.GetOrCompute({2, 3, 1}, compute), 1.0);
-  EXPECT_EQ(computes, 1u);
-  SubsetCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(SubsetCacheTest, EvictionBoundsSizeAndOnlyCostsRecomputation) {
-  SubsetCacheOptions options;
-  options.num_shards = 2;
-  options.max_entries = 4;
-  SubsetCache cache(options);
-  auto value_of = [](const std::vector<size_t>& s) {
-    return static_cast<double>(s[0] * 10);
-  };
-  for (size_t round = 0; round < 3; ++round) {
-    for (size_t i = 0; i < 20; ++i) {
-      std::vector<size_t> subset = {i};
-      EXPECT_EQ(cache.GetOrCompute(subset, [&] { return value_of(subset); }),
-                value_of(subset));
-    }
-  }
-  SubsetCache::Stats stats = cache.stats();
-  EXPECT_LE(stats.entries, 4u);
-  EXPECT_GT(stats.evictions, 0u);
-}
-
-TEST(SubsetCacheTest, KeyViewProbeAgreesWithOwnedKeys) {
-  // The hot lookup path probes the map with a non-owning SubsetKeyView
-  // (precomputed hash, borrowed span) via C++20 transparent lookup. The view
-  // must hash and compare exactly like the owned vector key it mirrors —
-  // including against near-miss keys that share a hash, a size, or a prefix.
-  std::vector<size_t> key = {1, 5, 9};
-  SubsetKeyView view{key.data(), key.size(),
-                     OrderIndependentSubsetHash{}(key)};
-  EXPECT_EQ(SubsetKeyHash{}(view), SubsetKeyHash{}(key));
-  EXPECT_TRUE(SubsetKeyEq{}(key, view));
-  EXPECT_TRUE(SubsetKeyEq{}(view, key));
-
-  // The commutative hash makes {9, 5, 1} collide with {1, 5, 9} by
-  // construction; equality must still separate them (stored keys are
-  // canonicalized, so a non-sorted stored key never occurs, but the
-  // comparator must not rely on that).
-  std::vector<size_t> permuted = {9, 5, 1};
-  EXPECT_EQ(SubsetKeyHash{}(permuted), SubsetKeyHash{}(key));
-  EXPECT_FALSE(SubsetKeyEq{}(permuted, view));
-
-  std::vector<size_t> shorter = {1, 5};
-  std::vector<size_t> same_size = {1, 5, 8};
-  EXPECT_FALSE(SubsetKeyEq{}(shorter, view));
-  EXPECT_FALSE(SubsetKeyEq{}(same_size, view));
-
-  // End to end: a probe that misses must not plant a bad entry — the value
-  // computed for {1, 5, 9} stays keyed to it alone.
-  SubsetCache cache;
-  EXPECT_EQ(cache.GetOrCompute({9, 5, 1}, [] { return 2.5; }), 2.5);
-  EXPECT_EQ(cache.GetOrCompute({1, 5, 8}, [] { return 7.0; }), 7.0);
-  EXPECT_EQ(cache.GetOrCompute({1, 5, 9}, [] { return -1.0; }), 2.5);
-  SubsetCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 1u);
 }
 
 // --- SoftKnnUtility fast membership -------------------------------------------------------
@@ -787,169 +673,6 @@ TEST(KnnShapleyTest, SoftKnnEpochMembershipMatchesSetReference) {
     }
     EXPECT_EQ(game.Evaluate({}), 0.0);
   }
-}
-
-// --- Generative SubsetCache properties (src/proptest harness) ---------------
-
-prop::CheckConfig CacheCheckConfig(int default_cases) {
-  prop::CheckConfig config;
-  config.num_cases = prop::DefaultNumCases(default_cases);
-  config.ctest_target = "importance_test";
-  const testing::TestInfo* info =
-      testing::UnitTest::GetInstance()->current_test_info();
-  config.gtest_filter =
-      std::string(info->test_suite_name()) + "." + info->name();
-  return config;
-}
-
-/// The deterministic "utility" a cached coalition must always resolve to,
-/// regardless of probe order or eviction history.
-double CanonicalCacheValue(std::vector<size_t> subset) {
-  std::sort(subset.begin(), subset.end());
-  uint64_t h = OrderIndependentSubsetHash{}(subset);
-  return static_cast<double>(h % 100003) + 0.5;
-}
-
-prop::Gen<std::vector<std::vector<size_t>>> AnyProbeSequence() {
-  return prop::VectorOf(prop::SizeInRange(1, 12),
-                        prop::VectorOf(prop::SizeInRange(0, 6),
-                                       prop::SizeInRange(0, 19)),
-                        /*min_size=*/1);
-}
-
-std::string DescribeProbeSequence(
-    const std::vector<std::vector<size_t>>& probes) {
-  std::ostringstream os;
-  for (const std::vector<size_t>& subset : probes) {
-    os << "{";
-    for (size_t i = 0; i < subset.size(); ++i) {
-      if (i > 0) os << ",";
-      os << subset[i];
-    }
-    os << "} ";
-  }
-  return os.str();
-}
-
-TEST(SubsetCachePropertyTest, PermutedProbesHitWithoutRecompute) {
-  // For any probe sequence: the first probe of a coalition computes, and a
-  // reversed-order re-probe must be served from cache — a poisoned compute
-  // callback on the second probe must never be invoked. This is the invariant
-  // the order-independent hash + full-key equality pair exists to provide
-  // (subset_cache.h); a hash that depended on order, or equality that
-  // compared less than the full key, fails it within a handful of cases.
-  std::string report = prop::CheckProperty<std::vector<std::vector<size_t>>>(
-      "permuted probes hit the same entry", AnyProbeSequence(),
-      [](const std::vector<std::vector<size_t>>& probes) -> std::string {
-        SubsetCache cache;  // Default capacity: nothing evicts at this size.
-        for (const std::vector<size_t>& subset : probes) {
-          double expected = CanonicalCacheValue(subset);
-          double first =
-              cache.GetOrCompute(subset, [&] { return expected; });
-          if (first != expected) {
-            return "first probe returned " + std::to_string(first) +
-                   ", expected " + std::to_string(expected);
-          }
-          std::vector<size_t> reversed(subset.rbegin(), subset.rend());
-          bool poison_invoked = false;
-          double second = cache.GetOrCompute(reversed, [&] {
-            poison_invoked = true;
-            return expected + 1e6;
-          });
-          if (poison_invoked) {
-            return "reversed re-probe missed the cache (recompute invoked)";
-          }
-          if (second != expected) {
-            return "reversed re-probe returned " + std::to_string(second);
-          }
-        }
-        SubsetCache::Stats stats = cache.stats();
-        if (stats.hits < probes.size()) {
-          return "expected at least " + std::to_string(probes.size()) +
-                 " hits, saw " + std::to_string(stats.hits);
-        }
-        return "";
-      },
-      DescribeProbeSequence, CacheCheckConfig(150));
-  EXPECT_TRUE(report.empty()) << report;
-}
-
-TEST(SubsetCachePropertyTest, EvictionOnlyCostsRecomputation) {
-  // A pathologically tiny cache (one shard, one entry) evicts on nearly
-  // every insert. The contract (subset_cache.h): eviction may cost extra
-  // compute calls but can never change a served value, and the entry count
-  // must respect the bound throughout.
-  std::string report = prop::CheckProperty<std::vector<std::vector<size_t>>>(
-      "eviction never corrupts values", AnyProbeSequence(),
-      [](const std::vector<std::vector<size_t>>& probes) -> std::string {
-        SubsetCacheOptions options;
-        options.num_shards = 1;
-        options.max_entries = 1;
-        SubsetCache cache(options);
-        uint64_t total_probes = 0;
-        for (int pass = 0; pass < 2; ++pass) {
-          for (const std::vector<size_t>& subset : probes) {
-            double expected = CanonicalCacheValue(subset);
-            double got =
-                cache.GetOrCompute(subset, [&] { return expected; });
-            ++total_probes;
-            if (got != expected) {
-              return "probe returned " + std::to_string(got) +
-                     ", expected " + std::to_string(expected);
-            }
-            SubsetCache::Stats stats = cache.stats();
-            if (stats.entries > 1) {
-              return "entry count " + std::to_string(stats.entries) +
-                     " exceeds max_entries=1";
-            }
-          }
-        }
-        SubsetCache::Stats stats = cache.stats();
-        if (stats.hits + stats.misses != total_probes) {
-          return "hits+misses=" +
-                 std::to_string(stats.hits + stats.misses) +
-                 " != probes=" + std::to_string(total_probes);
-        }
-        return "";
-      },
-      DescribeProbeSequence, CacheCheckConfig(100));
-  EXPECT_TRUE(report.empty()) << report;
-}
-
-TEST(SubsetCachePropertyTest, HashIsOrderIndependent) {
-  // The commutative-fold hash must agree across every ordering of the same
-  // elements (here: sorted vs reversed vs rotated), and the transparent
-  // SubsetKeyView hasher must agree with the owned-key hasher — the pair of
-  // contracts the heterogeneous map lookup in GetOrCompute relies on.
-  std::string report = prop::CheckProperty<std::vector<size_t>>(
-      "subset hash is order independent",
-      prop::VectorOf(prop::SizeInRange(0, 8), prop::SizeInRange(0, 40)),
-      [](const std::vector<size_t>& subset) -> std::string {
-        OrderIndependentSubsetHash hasher;
-        size_t baseline = hasher(subset);
-        std::vector<size_t> reversed(subset.rbegin(), subset.rend());
-        if (hasher(reversed) != baseline) {
-          return "reversed ordering hashed differently";
-        }
-        if (!subset.empty()) {
-          std::vector<size_t> rotated(subset.begin() + 1, subset.end());
-          rotated.push_back(subset.front());
-          if (hasher(rotated) != baseline) {
-            return "rotated ordering hashed differently";
-          }
-        }
-        SubsetKeyView view{subset.data(), subset.size(),
-                           static_cast<uint64_t>(baseline)};
-        if (SubsetKeyHash{}(view) != SubsetKeyHash{}(subset)) {
-          return "view hasher disagrees with owned-key hasher";
-        }
-        if (!SubsetKeyEq{}(subset, view)) {
-          return "view equality rejected the identical subset";
-        }
-        return "";
-      },
-      nullptr, CacheCheckConfig(200));
-  EXPECT_TRUE(report.empty()) << report;
 }
 
 }  // namespace

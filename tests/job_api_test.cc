@@ -416,6 +416,15 @@ TEST(JobApiHttpTest, BadRequestsGetStructuredErrors) {
   std::string missing_job = manager.HandleHttp(Request("GET", "/jobs/job-9"));
   EXPECT_NE(StatusLine(missing_job).find("404"), std::string::npos);
 
+  // A retired fast-path switch is an unknown option, named in the 404.
+  std::string retired = manager.HandleHttp(Request(
+      "POST", "/jobs",
+      "{\"algorithm\":\"tmc_shapley\",\"label\":\"y\","
+      "\"csv\":\"a,y\\n1,0\\n\",\"options\":{\"soa_kernels\":false}}"));
+  EXPECT_NE(StatusLine(retired).find("404"), std::string::npos);
+  EXPECT_NE(Body(retired).find("no option 'soa_kernels'"), std::string::npos)
+      << Body(retired);
+
   std::string bad_method = manager.HandleHttp(Request("PUT", "/jobs"));
   EXPECT_NE(StatusLine(bad_method).find("405"), std::string::npos);
 }

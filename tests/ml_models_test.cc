@@ -514,7 +514,7 @@ TEST(FitIncrementalTest, DefaultImplementationDelegatesToExactFit) {
 // The CoalitionScorer contract: Predict() after any sequence of Add() calls
 // is bit-identical to a cold FitWithClasses on the *sorted* coalition. These
 // tests drive the scorers directly (no estimator) with adversarial insertion
-// orders, for every kernel variant and with and without arena placement.
+// orders.
 
 MlDataset ScorerBlobs(uint64_t seed, size_t n) {
   BlobsOptions options;
@@ -543,14 +543,12 @@ std::vector<size_t> AdversarialOrder(const MlDataset& train) {
 
 template <typename Model>
 void CheckScorerMatchesColdFit(const Model& model, const MlDataset& train,
-                               const Matrix& eval_features, int num_classes,
-                               const CoalitionScorerOptions& options,
-                               Arena* arena) {
+                               const Matrix& eval_features, int num_classes) {
   std::shared_ptr<const CoalitionScorerContext> context =
-      model.NewCoalitionScorerContext(train, eval_features, num_classes,
-                                      options)
+      model.NewCoalitionScorerContext(train, eval_features, num_classes)
           .value();
   ASSERT_NE(context, nullptr);
+  Arena arena;
   std::unique_ptr<CoalitionScorer> scorer = context->NewScorer(arena);
   std::vector<size_t> coalition;
   for (size_t index : AdversarialOrder(train)) {
@@ -565,56 +563,18 @@ void CheckScorerMatchesColdFit(const Model& model, const MlDataset& train,
   }
 }
 
-TEST(CoalitionScorerTest, KnnKernelsMatchColdFitUnderAdversarialOrder) {
+TEST(CoalitionScorerTest, KnnKernelMatchesColdFitUnderAdversarialOrder) {
   MlDataset train = ScorerBlobs(31, 24);
   MlDataset eval = ScorerBlobs(32, 10);
-  KnnClassifier model(3);
-  for (bool soa : {false, true}) {
-    for (bool use_arena : {false, true}) {
-      CoalitionScorerOptions options;
-      options.soa_kernels = soa;
-      Arena arena;
-      CheckScorerMatchesColdFit(model, train, eval.features,
-                                train.NumClasses(), options,
-                                use_arena ? &arena : nullptr);
-    }
-  }
+  CheckScorerMatchesColdFit(KnnClassifier(3), train, eval.features,
+                            train.NumClasses());
 }
 
 TEST(CoalitionScorerTest, GaussianNbScorerMatchesColdFitUnderAdversarialOrder) {
   MlDataset train = ScorerBlobs(33, 24);
   MlDataset eval = ScorerBlobs(34, 10);
-  GaussianNaiveBayes model;
-  for (bool use_arena : {false, true}) {
-    Arena arena;
-    CheckScorerMatchesColdFit(model, train, eval.features, train.NumClasses(),
-                              CoalitionScorerOptions{},
-                              use_arena ? &arena : nullptr);
-  }
-}
-
-TEST(CoalitionScorerTest, Float32KnnKernelIsDeterministic) {
-  // float32 trades bits for speed, so it is not compared against the cold
-  // double-precision fit — but two float32 scorers (heap and arena backed)
-  // must agree with each other exactly at every step.
-  MlDataset train = ScorerBlobs(35, 24);
-  MlDataset eval = ScorerBlobs(36, 10);
-  KnnClassifier model(3);
-  CoalitionScorerOptions options;
-  options.float32 = true;
-  std::shared_ptr<const CoalitionScorerContext> context =
-      model.NewCoalitionScorerContext(train, eval.features, train.NumClasses(),
-                                      options)
-          .value();
-  ASSERT_NE(context, nullptr);
-  Arena arena;
-  std::unique_ptr<CoalitionScorer> heap_scorer = context->NewScorer();
-  std::unique_ptr<CoalitionScorer> arena_scorer = context->NewScorer(&arena);
-  for (size_t index : AdversarialOrder(train)) {
-    heap_scorer->Add(index);
-    arena_scorer->Add(index);
-    EXPECT_EQ(heap_scorer->Predict(), arena_scorer->Predict());
-  }
+  CheckScorerMatchesColdFit(GaussianNaiveBayes(), train, eval.features,
+                            train.NumClasses());
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "common/failpoint.h"
 #include "common/status.h"
 #include "common/trace_context.h"
-#include "importance/subset_cache.h"
 
 namespace nde {
 namespace {
@@ -145,46 +144,6 @@ TEST(SeedSequenceTest, StreamsAreUncorrelatedAcrossTasks) {
     first_draws.insert(seeds.RngFor(t).NextUint64());
   }
   EXPECT_EQ(first_draws.size(), 64u);
-}
-
-// --- SubsetCache under concurrency ------------------------------------------
-//
-// Hammers one sharded cache from a thread pool (tools/check.sh --tsan runs
-// this test under ThreadSanitizer). The value function is a pure function of
-// the subset, so any lost update, torn read, or cross-key collision would
-// surface as a value mismatch.
-
-TEST(ParallelForTest, SubsetCacheConcurrentGetOrCompute) {
-  SubsetCacheOptions options;
-  options.num_shards = 4;
-  options.max_entries = 64;  // Small enough that eviction races are exercised.
-  SubsetCache cache(options);
-
-  auto expected_value = [](size_t pattern) {
-    return static_cast<double>(pattern * 7 + 1);
-  };
-  std::atomic<size_t> mismatches{0};
-  ParallelFor(
-      0, 4000,
-      [&](size_t i) {
-        // A small hot set guarantees hits; interleaved unique cold keys keep
-        // every shard at capacity so eviction runs concurrently with lookups.
-        size_t pattern = (i % 5 == 0) ? 1000 + i : i % 13;
-        std::vector<size_t> subset = {pattern, pattern + 100, pattern + 200};
-        if (i % 2 == 1) std::swap(subset[0], subset[2]);  // Unsorted submissions.
-        double got =
-            cache.GetOrCompute(subset, [&] { return expected_value(pattern); });
-        if (got != expected_value(pattern)) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      },
-      /*num_threads=*/4);
-
-  EXPECT_EQ(mismatches.load(), 0u);
-  SubsetCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 4000u);
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_LE(stats.entries, options.max_entries);
 }
 
 // --- Fault propagation ------------------------------------------------------

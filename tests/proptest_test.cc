@@ -15,15 +15,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "data/csv.h"
@@ -34,12 +38,15 @@
 #include "importance/utility.h"
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
+#include "json_checker.h"
 #include "ml/naive_bayes.h"
+#include "nde/job_api.h"
 #include "nde/registry.h"
 #include "pipeline/pipeline.h"
 #include "proptest/check.h"
 #include "proptest/domain.h"
 #include "proptest/gen.h"
+#include "telemetry/health.h"
 
 namespace nde {
 namespace prop {
@@ -259,6 +266,125 @@ TEST(CsvPropertyTest, ReaderIsTotalAndReparseIsStable) {
   EXPECT_TRUE(report.empty()) << report;
 }
 
+/// --- JSON and POST /jobs parsers --------------------------------------------
+
+TEST(JsonPropertyTest, ParserIsTotal) {
+  // json::Parse reads untrusted request bodies on the serving thread: for any
+  // bytes it returns a value or an InvalidArgument — no other code, no crash,
+  // no stack overflow past the depth cap.
+  std::function<std::string(const std::string&)> property =
+      [](const std::string& text) -> std::string {
+    Result<json::Value> parsed = json::Parse(text);
+    if (parsed.ok() || parsed.status().code() == StatusCode::kInvalidArgument) {
+      return "";
+    }
+    return "parse failed with " + parsed.status().ToString();
+  };
+  std::string report = CheckProperty<std::string>(
+      "json-totality", AnyJsonText(), property, DescribeJsonText,
+      HereConfig(300));
+  EXPECT_TRUE(report.empty()) << report;
+}
+
+/// POST /jobs bodies: an object over the job fields (algorithm, label, csv,
+/// csv_path, options) and a stray unknown one, each present or absent, and
+/// each a plausible value or one of another JSON type; options name known
+/// and unknown options. Shrinks like AnyJsonText.
+Gen<std::string> AnyJobRequestJson() {
+  return Gen<std::string>(
+      [](Rng* rng) {
+        static const char* const kAnyType[] = {
+            "7", "-1", "0.01", "1e400", "\"3\"", "\"\"", "true", "null",
+            "[]", "[1,\"a\"]", "{}", "{\"a\":{}}"};
+        static const char* const kOptionNames[] = {
+            "k", "num_permutations", "num_samples", "seed", "model",
+            "use_prefix_scan", "warm_start", "truncation_tolerance",
+            "num_threads", "bogus"};
+        const std::string csv =
+            "\"x0,x1,label\\n0.1,1.2,0\\n0.3,0.8,0\\n-0.2,1.1,0\\n0.0,0.9,0\\n"
+            "0.2,1.0,0\\n-0.1,1.3,0\\n2.1,-1.0,1\\n1.8,-0.7,1\\n2.3,-1.2,1\\n"
+            "1.9,-0.9,1\\n2.0,-1.1,1\\n2.2,-0.8,1\\n\"";
+        // `plausible` seven times in ten, else a value of any JSON type.
+        auto value = [rng](const std::string& plausible) {
+          return rng->NextBernoulli(0.7)
+                     ? plausible
+                     : kAnyType[rng->NextBounded(std::size(kAnyType))];
+        };
+        static const char* const kAlgorithms[] = {
+            "tmc_shapley", "knn_shapley", "banzhaf", "loo", "influence",
+            "bogus"};
+        std::vector<std::string> members;
+        auto maybe_add = [&](double p, const std::string& member) {
+          if (rng->NextBernoulli(p)) members.push_back(member);
+        };
+        maybe_add(0.95, "\"algorithm\":" +
+                            value(std::string("\"") +
+                                  kAlgorithms[rng->NextBounded(
+                                      std::size(kAlgorithms))] +
+                                  "\""));
+        maybe_add(0.95, "\"label\":" + value(rng->NextBernoulli(0.8)
+                                                 ? "\"label\""
+                                                 : "\"missing\""));
+        maybe_add(0.9, "\"csv\":" + value(csv));
+        maybe_add(0.05, "\"csv_path\":\"missing.csv\"");
+        maybe_add(0.05, "\"bogus\":1");
+        std::string options = "{";
+        for (size_t i = 0, n = rng->NextBounded(4); i < n; ++i) {
+          options += StrFormat(
+              "%s\"%s\":%s", i > 0 ? "," : "",
+              kOptionNames[rng->NextBounded(std::size(kOptionNames))],
+              value(rng->NextBernoulli(0.5) ? "3" : "\"knn\"").c_str());
+        }
+        maybe_add(0.7, "\"options\":" + value(options + "}"));
+        for (size_t i = members.size(); i > 1; --i) {
+          std::swap(members[i - 1], members[rng->NextBounded(i)]);
+        }
+        return "{" + JoinStrings(members, ",") + "}";
+      },
+      [](const std::string& text) { return AnyJsonText().Shrink(text); });
+}
+
+TEST(JobApiPropertyTest, PostJobsAnswers2xxOr4xxWithJsonBody) {
+  // POST /jobs is the job API's untrusted ingress: for any JSON text, and for
+  // job objects whose fields and options carry any JSON type, the answer is
+  // 2xx or 4xx with a well-formed JSON body — never a 5xx.
+  std::function<std::string(const std::string&)> property =
+      [](const std::string& body) -> std::string {
+    // One manager per case, so an accepted job never fills a later case's
+    // queue; its destructor cancels and drains what was accepted.
+    JobManager manager;
+    telemetry::HttpRequest request;
+    request.method = "POST";
+    request.target = "/jobs";
+    request.body = body;
+    std::string response = manager.HandleHttp(request);
+    int status =
+        response.size() >= 12 ? std::atoi(response.substr(9, 3).c_str()) : 0;
+    if (status < 200 || status >= 500) {
+      return "answered '" + response.substr(0, response.find("\r\n")) + "'";
+    }
+    size_t split = response.find("\r\n\r\n");
+    std::string payload =
+        split == std::string::npos ? "" : response.substr(split + 4);
+    if (!payload.empty() && payload.back() == '\n') payload.pop_back();
+    if (!JsonChecker(payload).Valid()) {
+      return StrFormat("%d with a body that is not JSON: %s", status,
+                       payload.c_str());
+    }
+    return "";
+  };
+  std::string report = CheckProperty<std::string>(
+      "post-jobs-json-text", AnyJsonText(), property, DescribeJsonText,
+      HereConfig(100));
+  EXPECT_TRUE(report.empty()) << report;
+  report = CheckProperty<std::string>("post-jobs-job-objects",
+                                      AnyJobRequestJson(), property,
+                                      DescribeJsonText, HereConfig(100));
+  EXPECT_TRUE(report.empty()) << report;
+  // Accepted jobs that then failed marked the process degraded.
+  telemetry::SetHealthy();
+}
+
 /// --- Estimator configuration sweeps ------------------------------------------
 
 /// One generated estimator case: a matched train/validation pair plus TMC
@@ -324,15 +450,14 @@ ClassifierFactory KnnFactory(size_t k) {
 }
 
 TEST(EstimatorPropertyTest, FastPathConfigSweepIsBitIdentical) {
-  // DESIGN.md §9/§13: every fast-path knob (subset cache, zero-copy views,
-  // SoA kernels, arena placement, prefix scan) and every thread count must
-  // reproduce the slow path bit for bit.
+  // DESIGN.md §9/§13: the prefix scan on or off and any thread count must
+  // reproduce the same estimate bit for bit.
   std::function<std::string(const EstimatorCase&)> property =
       [](const EstimatorCase& c) -> std::string {
     TmcShapleyOptions base_options = c.tmc;
     base_options.num_threads = 1;
     ModelAccuracyUtility baseline_utility(KnnFactory(3), c.scenario.train,
-                                          c.scenario.valid, {});
+                                          c.scenario.valid);
     Result<ImportanceEstimate> baseline =
         TmcShapleyValues(baseline_utility, base_options);
     if (!baseline.ok()) {
@@ -341,79 +466,17 @@ TEST(EstimatorPropertyTest, FastPathConfigSweepIsBitIdentical) {
 
     struct Variant {
       std::string name;
-      UtilityFastPathOptions fast_path;
       size_t num_threads = 1;
       bool use_prefix_scan = true;
     };
-    std::vector<Variant> variants;
-    {
-      Variant v;
-      v.name = "subset_cache=on";
-      v.fast_path.subset_cache = true;
-      variants.push_back(v);
-    }
-    {
-      Variant v;
-      v.name = "zero_copy_views=off";
-      v.fast_path.zero_copy_views = false;
-      variants.push_back(v);
-    }
-    {
-      Variant v;
-      v.name = "soa_kernels=off";
-      v.fast_path.soa_kernels = false;
-      variants.push_back(v);
-    }
-    {
-      Variant v;
-      v.name = "arena=off";
-      v.fast_path.arena = false;
-      variants.push_back(v);
-    }
-    {
-      Variant v;
-      v.name = "num_threads=8";
-      v.num_threads = 8;
-      variants.push_back(v);
-    }
-    {
-      Variant v;
-      v.name = "use_prefix_scan=off";
-      v.use_prefix_scan = false;
-      variants.push_back(v);
-    }
-    {
-      // With KNN the default prefix-scan scorer bypasses Evaluate(), so the
-      // cache only serves values when the scan is off — this is the one
-      // variant where a poisoned cache entry can reach the estimate.
-      Variant v;
-      v.name = "cache+scan=off";
-      v.fast_path.subset_cache = true;
-      v.use_prefix_scan = false;
-      variants.push_back(v);
-    }
-    {
-      Variant v;
-      v.name = "cache+scan=off+threads=8";
-      v.fast_path.subset_cache = true;
-      v.use_prefix_scan = false;
-      v.num_threads = 8;
-      variants.push_back(v);
-    }
-    {
-      Variant v;
-      v.name = "cache+threads=8";
-      v.fast_path.subset_cache = true;
-      v.num_threads = 8;
-      variants.push_back(v);
-    }
-
-    for (const Variant& variant : variants) {
+    for (const Variant& variant :
+         {Variant{"num_threads=8", 8, true},
+          Variant{"use_prefix_scan=off", 1, false}}) {
       TmcShapleyOptions options = c.tmc;
       options.num_threads = variant.num_threads;
       options.use_prefix_scan = variant.use_prefix_scan;
       ModelAccuracyUtility utility(KnnFactory(3), c.scenario.train,
-                                   c.scenario.valid, variant.fast_path);
+                                   c.scenario.valid);
       Result<ImportanceEstimate> estimate = TmcShapleyValues(utility, options);
       if (!estimate.ok()) {
         return variant.name + " failed: " + estimate.status().ToString();
@@ -430,40 +493,6 @@ TEST(EstimatorPropertyTest, FastPathConfigSweepIsBitIdentical) {
   EXPECT_TRUE(report.empty()) << report;
 }
 
-TEST(EstimatorPropertyTest, Float32KernelIsThreadCountInvariant) {
-  // float32 distances are approximate (bits may differ from the float64
-  // kernel) but must still be deterministic across thread counts.
-  std::function<std::string(const EstimatorCase&)> property =
-      [](const EstimatorCase& c) -> std::string {
-    UtilityFastPathOptions fast_path;
-    fast_path.float32 = true;
-    ImportanceEstimate reference;
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      TmcShapleyOptions options = c.tmc;
-      options.num_threads = threads;
-      ModelAccuracyUtility utility(KnnFactory(3), c.scenario.train,
-                                   c.scenario.valid, fast_path);
-      Result<ImportanceEstimate> estimate = TmcShapleyValues(utility, options);
-      if (!estimate.ok()) {
-        return "float32 run failed: " + estimate.status().ToString();
-      }
-      if (threads == 1) {
-        reference = std::move(estimate).value();
-      } else {
-        std::string diff = CompareEstimates(
-            reference, estimate.value(),
-            StrFormat("float32 threads=%zu", threads));
-        if (!diff.empty()) return diff;
-      }
-    }
-    return "";
-  };
-  std::string report = CheckProperty<EstimatorCase>(
-      "float32-thread-identity", AnyEstimatorCase(), property,
-      DescribeEstimatorCase, HereConfig(20));
-  EXPECT_TRUE(report.empty()) << report;
-}
-
 TEST(EstimatorPropertyTest, RegistryMatchesDirectCall) {
   // The registry surface (string-configured instances) must be a pure
   // veneer: tmc_shapley through Create/Configure/Run equals the direct
@@ -473,7 +502,7 @@ TEST(EstimatorPropertyTest, RegistryMatchesDirectCall) {
     TmcShapleyOptions options = c.tmc;
     options.num_threads = 2;
     ModelAccuracyUtility utility(KnnFactory(5), c.scenario.train,
-                                 c.scenario.valid, {});
+                                 c.scenario.valid);
     Result<ImportanceEstimate> direct = TmcShapleyValues(utility, options);
     if (!direct.ok()) return "direct failed: " + direct.status().ToString();
 
@@ -551,10 +580,8 @@ TEST(EstimatorPropertyTest, PrefixScanMatchesFullRetrain) {
                 ? 1
                 : static_cast<uint64_t>(scenario.train.size() * 2654435761u));
     {
-      ModelAccuracyUtility knn(KnnFactory(3), scenario.train, scenario.valid,
-                               {});
-      ModelAccuracyUtility cold(KnnFactory(3), scenario.train, scenario.valid,
-                                {});
+      ModelAccuracyUtility knn(KnnFactory(3), scenario.train, scenario.valid);
+      ModelAccuracyUtility cold(KnnFactory(3), scenario.train, scenario.valid);
       std::string diff = CheckExactScan(knn, cold, scenario.train, &rng);
       if (!diff.empty()) return "knn: " + diff;
     }
@@ -562,15 +589,15 @@ TEST(EstimatorPropertyTest, PrefixScanMatchesFullRetrain) {
       ClassifierFactory factory = [] {
         return std::make_unique<GaussianNaiveBayes>();
       };
-      ModelAccuracyUtility nb(factory, scenario.train, scenario.valid, {});
-      ModelAccuracyUtility cold(factory, scenario.train, scenario.valid, {});
+      ModelAccuracyUtility nb(factory, scenario.train, scenario.valid);
+      ModelAccuracyUtility cold(factory, scenario.train, scenario.valid);
       std::string diff = CheckExactScan(nb, cold, scenario.train, &rng);
       if (!diff.empty()) return "gaussian_nb: " + diff;
     }
     {
       ModelAccuracyUtility logreg(
           [] { return std::make_unique<LogisticRegression>(); },
-          scenario.train, scenario.valid, {});
+          scenario.train, scenario.valid);
       if (logreg.NewPrefixScan(/*allow_warm_start=*/false) != nullptr) {
         return "logreg returned an exact scan it cannot honor";
       }
@@ -585,56 +612,36 @@ TEST(EstimatorPropertyTest, PrefixScanMatchesFullRetrain) {
 
 TEST(EstimatorPropertyTest, BuiltContextServesEvaluateExactly) {
   // Once a KNN utility's scorer context is built (TMC's prelude), Evaluate
-  // scores coalitions from it without training a model; for the exact
-  // kernels (SoA and reference) every generated coalition must equal a cold
-  // retrain. A float32 context is approximate and must never serve
-  // Evaluate: each call still trains one model.
+  // scores coalitions from it without training a model, and every generated
+  // coalition must equal a cold retrain.
   std::function<std::string(const ImportanceScenario&)> property =
       [](const ImportanceScenario& scenario) -> std::string {
     const size_t n = scenario.train.size();
     Rng rng(static_cast<uint64_t>(n * 2654435761u + scenario.valid.size()));
-    ModelAccuracyUtility cold(KnnFactory(3), scenario.train, scenario.valid,
-                              {});
-    UtilityFastPathOptions reference;
-    reference.soa_kernels = false;
-    UtilityFastPathOptions float32;
-    float32.float32 = true;
-    struct Variant {
-      const char* name;
-      UtilityFastPathOptions fast_path;
-      bool serves;
-    };
-    for (const Variant& variant : {Variant{"soa", {}, true},
-                                   Variant{"reference", reference, true},
-                                   Variant{"float32", float32, false}}) {
-      size_t models = 0;
-      ModelAccuracyUtility built(
-          [&models] {
-            ++models;
-            return std::make_unique<KnnClassifier>(3);
-          },
-          scenario.train, scenario.valid, variant.fast_path);
-      Status prepared = built.PreparePrefixScan(4);
-      if (!prepared.ok()) {
-        return StrFormat("%s: build failed: %s", variant.name,
-                         prepared.ToString().c_str());
+    ModelAccuracyUtility cold(KnnFactory(3), scenario.train, scenario.valid);
+    size_t models = 0;
+    ModelAccuracyUtility built(
+        [&models] {
+          ++models;
+          return std::make_unique<KnnClassifier>(3);
+        },
+        scenario.train, scenario.valid);
+    Status prepared = built.PreparePrefixScan(4);
+    if (!prepared.ok()) return "build failed: " + prepared.ToString();
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<size_t> coalition =
+          rng.SampleWithoutReplacement(n, 1 + rng.NextBounded(n));
+      std::sort(coalition.begin(), coalition.end());
+      const size_t models_before = models;
+      double served = built.Evaluate(coalition);
+      double retrained = cold.Evaluate(coalition);
+      if (served != retrained) {
+        return StrFormat("coalition of %zu: %.17g != cold retrain %.17g",
+                         coalition.size(), served, retrained);
       }
-      for (int trial = 0; trial < 6; ++trial) {
-        std::vector<size_t> coalition =
-            rng.SampleWithoutReplacement(n, 1 + rng.NextBounded(n));
-        std::sort(coalition.begin(), coalition.end());
-        const size_t models_before = models;
-        double served = built.Evaluate(coalition);
-        double retrained = cold.Evaluate(coalition);
-        if (served != retrained) {
-          return StrFormat("%s: coalition of %zu: %.17g != cold retrain %.17g",
-                           variant.name, coalition.size(), served, retrained);
-        }
-        size_t trained = models - models_before;
-        if (trained != (variant.serves ? 0u : 1u)) {
-          return StrFormat("%s: Evaluate trained %zu models", variant.name,
-                           trained);
-        }
+      size_t trained = models - models_before;
+      if (trained != 0) {
+        return StrFormat("Evaluate trained %zu models", trained);
       }
     }
     return "";
@@ -725,7 +732,7 @@ TEST(MetamorphicPropertyTest, InjectedErrorsDropImportance) {
     // LOO under the KNN utility: accuracy is quantized by the validation
     // size, so ties are legal — the corrupted mean just must not exceed the
     // clean mean.
-    ModelAccuracyUtility utility(KnnFactory(3), c.train, c.valid, {});
+    ModelAccuracyUtility utility(KnnFactory(3), c.train, c.valid);
     EstimatorOptions options;
     options.num_threads = 2;
     Result<std::vector<double>> loo = LeaveOneOutValues(utility, options);

@@ -146,6 +146,22 @@ TEST(RegistryTest, UnknownOptionIsNotFound) {
   EXPECT_TRUE(knn->HasOption("k"));
 }
 
+TEST(RegistryTest, RetiredFastPathSwitchesAreUnknownOptions) {
+  // The subset cache, float32 and the benchmark-only kernel switches are
+  // gone: naming one is an unknown option on every game algorithm.
+  for (const char* algorithm : {"loo", "tmc_shapley", "banzhaf",
+                                "beta_shapley"}) {
+    std::unique_ptr<AlgorithmInstance> instance = Make(algorithm);
+    for (const char* retired :
+         {"utility_cache", "soa_kernels", "float32", "arena"}) {
+      EXPECT_FALSE(instance->HasOption(retired)) << algorithm << " " << retired;
+      EXPECT_EQ(instance->Configure(retired, "true").code(),
+                StatusCode::kNotFound)
+          << algorithm << " " << retired;
+    }
+  }
+}
+
 TEST(RegistryTest, ConfigureAllStopsAtFirstError) {
   std::unique_ptr<AlgorithmInstance> banzhaf = Make("banzhaf");
   Status applied = banzhaf->ConfigureAll(

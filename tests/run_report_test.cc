@@ -101,7 +101,7 @@ TEST(RunReportTest, ToJsonIsWellFormedAndFinishIsIdempotent) {
   for (const char* key :
        {"\"name\":\"shape\"", "\"config\":", "\"timing\":", "\"wall_ms\":",
         "\"cpu_ms\":", "\"convergence_curve\":", "\"metrics\":",
-        "\"utility_cache\":", "\"profile\":", "\"trace\":"}) {
+        "\"profile\":", "\"trace\":"}) {
     EXPECT_NE(first.find(key), std::string::npos) << key << "\n" << first;
   }
 }

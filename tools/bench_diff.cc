@@ -8,9 +8,10 @@
 // stamp ("git_rev", "date", "cpus", "telemetry"). The tool compares a fixed
 // set of key counters — the ones the perf roadmap actually watches:
 //
-//   BM_TmcUtilityFastPath/fast:1   utility_evals_per_sec   higher is better
-//   BM_BanzhafSubsetCache/warm:1   cache_hit_rate          higher is better
-//   BM_TmcWaveLatency              wave_p99_ms             lower is better
+//   BM_TmcUtilityFastPath/fast:1     utility_evals_per_sec  higher is better
+//   BM_TmcWaveLatency                wave_p99_ms            lower is better
+//   BM_KnnKernel                     utility_evals_per_sec  higher is better
+//   BM_GaussianNbPrefixScan/scan:1   utility_evals_per_sec  higher is better
 //
 // For each watched benchmark the LAST matching record in each file wins, so
 // an append-only results file naturally compares its freshest run against the
@@ -43,9 +44,8 @@ struct WatchedCounter {
 
 const WatchedCounter kWatched[] = {
     {"BM_TmcUtilityFastPath/fast:1", "utility_evals_per_sec", true},
-    {"BM_BanzhafSubsetCache/warm:1", "cache_hit_rate", true},
     {"BM_TmcWaveLatency", "wave_p99_ms", false},
-    {"BM_KnnKernel/soa:1", "utility_evals_per_sec", true},
+    {"BM_KnnKernel", "utility_evals_per_sec", true},
     {"BM_GaussianNbPrefixScan/scan:1", "utility_evals_per_sec", true},
 };
 

@@ -25,15 +25,6 @@
 #                                      # self-tests the gate with an injected
 #                                      # regression
 #                                      # (default build dir: build-bench)
-#   tools/check.sh --kernel-smoke [build-dir]
-#                                      # ASan+UBSan build of nde_cli; runs one
-#                                      # KNN and one Gaussian-NB importance
-#                                      # job with the prefix-scan kernels on
-#                                      # vs off (and SoA/arena off) and
-#                                      # requires identical rankings — the
-#                                      # end-to-end bit-identity cross-check,
-#                                      # sanitizer-clean
-#                                      # (default build dir: build-kernel)
 #   tools/check.sh --serve-smoke [build-dir]
 #                                      # Release build; scrapes a live
 #                                      # `nde_cli --serve` endpoint (/healthz,
@@ -100,9 +91,6 @@ elif [ "${1:-}" = "--bench-smoke" ]; then
 elif [ "${1:-}" = "--bench-diff" ]; then
   MODE=benchdiff
   shift
-elif [ "${1:-}" = "--kernel-smoke" ]; then
-  MODE=kernel
-  shift
 elif [ "${1:-}" = "--serve-smoke" ]; then
   MODE=serve
   shift
@@ -122,8 +110,6 @@ if [ "$MODE" = "tsan" ]; then
   SANITIZE="thread"
 elif [ "$MODE" = "bench" ] || [ "$MODE" = "benchdiff" ]; then
   BUILD_DIR="${1:-build-bench}"
-elif [ "$MODE" = "kernel" ]; then
-  BUILD_DIR="${1:-build-kernel}"
 elif [ "$MODE" = "serve" ]; then
   BUILD_DIR="${1:-build-serve}"
 elif [ "$MODE" = "trace" ]; then
@@ -148,7 +134,7 @@ if [ "$MODE" = "bench" ] || [ "$MODE" = "benchdiff" ]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target scalability bench_diff
 
-  WATCHED='BM_TmcUtilityFastPath|BM_BanzhafSubsetCache|BM_TmcWaveLatency|BM_KnnKernel|BM_GaussianNbPrefixScan'
+  WATCHED='BM_TmcUtilityFastPath|BM_TmcWaveLatency|BM_KnnKernel|BM_GaussianNbPrefixScan'
   # The git revision is compiled into the binary at build time
   # (cmake/git_rev.cmake), so no NDE_GIT_REV export here: an env value frozen
   # by an old shell could stamp results with a commit the binary was never
@@ -180,8 +166,7 @@ if [ "$MODE" = "bench" ] || [ "$MODE" = "benchdiff" ]; then
     trap 'rm -f "$BROKEN"' EXIT
     python3 - bench/BENCH_baseline.json "$BROKEN" <<'EOF'
 import json, sys
-worse = {"utility_evals_per_sec": 0.8, "cache_hit_rate": 0.8,
-         "wave_p99_ms": 1.2}
+worse = {"utility_evals_per_sec": 0.8, "wave_p99_ms": 1.2}
 with open(sys.argv[1]) as src, open(sys.argv[2], "w") as dst:
     for line in src:
         if not line.strip():
@@ -201,61 +186,6 @@ EOF
   else
     echo "check.sh: bench smoke passed (bit-identity checks + baseline diff)"
   fi
-  exit 0
-fi
-
-if [ "$MODE" = "kernel" ]; then
-  # End-to-end kernel cross-check under ASan+UBSan: the prefix-scan kernels
-  # (SoA + arena for KNN, the incremental scorer for Gaussian NB) must yield
-  # the identical ranking as retraining from scratch on every prefix, and
-  # every variant must be sanitizer-clean. This complements the in-process
-  # determinism tests by going through the full CLI pipeline path.
-  cmake -B "$BUILD_DIR" -S . \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target nde_cli
-  export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
-
-  WORKDIR="$(mktemp -d)"
-  trap 'rm -rf "$WORKDIR"' EXIT
-  python3 - "$WORKDIR/train.csv" <<'EOF'
-import random, sys
-random.seed(11)
-centers = [(-1.5, 0.0), (1.5, 1.0), (0.0, -1.5)]
-with open(sys.argv[1], "w") as f:
-    f.write("x0,x1,x2,label\n")
-    for i in range(90):
-        label = i % 3
-        mx, my = centers[label]
-        f.write(f"{random.gauss(mx, 1):.4f},{random.gauss(my, 1):.4f},"
-                f"{random.gauss(0, 1):.4f},{label}\n")
-EOF
-
-  # Runs one importance job and keeps only the ranking block (the timing
-  # lines above it legitimately differ run to run).
-  run_ranking() {
-    local out="$1"
-    shift
-    "$BUILD_DIR/tools/nde_cli" importance "$WORKDIR/train.csv" --label label \
-      --method tmc_shapley --permutations 6 --top 30 --seed 5 "$@" \
-      | sed -n '/cleaning candidates/,$p' > "$out"
-    [ -s "$out" ] || { echo "check.sh: no ranking output for $out" >&2; exit 1; }
-  }
-
-  run_ranking "$WORKDIR/knn_kernel.txt"
-  run_ranking "$WORKDIR/knn_slow.txt" --set use_prefix_scan=false
-  diff -u "$WORKDIR/knn_slow.txt" "$WORKDIR/knn_kernel.txt" \
-    || { echo "check.sh: KNN kernel ranking differs from slow path" >&2; exit 1; }
-  run_ranking "$WORKDIR/knn_rowwise.txt" --set soa_kernels=false --set arena=false
-  diff -u "$WORKDIR/knn_kernel.txt" "$WORKDIR/knn_rowwise.txt" \
-    || { echo "check.sh: SoA/arena kernel ranking differs from row-wise" >&2; exit 1; }
-  run_ranking "$WORKDIR/nb_kernel.txt" --model gaussian_nb
-  run_ranking "$WORKDIR/nb_slow.txt" --model gaussian_nb --set use_prefix_scan=false
-  diff -u "$WORKDIR/nb_slow.txt" "$WORKDIR/nb_kernel.txt" \
-    || { echo "check.sh: NB kernel ranking differs from slow path" >&2; exit 1; }
-
-  echo "check.sh: kernel smoke passed (KNN SoA/arena and NB scan rankings match the slow path under ASan+UBSan)"
   exit 0
 fi
 
@@ -708,9 +638,9 @@ export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 export TSAN_OPTIONS="halt_on_error=1"
 
 if [ "$MODE" = "tsan" ]; then
-  # The thread-heavy suites: pool lifecycle, ParallelFor (including the
-  # SubsetCache concurrency hammer), the estimators' cross-thread
-  # determinism contract over the cached/warm-started utilities, the
+  # The thread-heavy suites: pool lifecycle, ParallelFor, the estimators'
+  # cross-thread determinism contract over the exact and warm-started
+  # utilities, the
   # registry/job-API serving layer (worker pool + HTTP cancellation), and
   # the generative property suites (thread-sweep and fast-path-config
   # invariants fan work across pools) on a small case budget — TSan costs

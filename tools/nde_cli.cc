@@ -66,21 +66,12 @@
 //
 // Importance (pipeline mode) fast-path flags:
 //
-//   --utility-cache      memoize utility values in the sharded subset cache
-//                        (bit-identical results; hit/miss/eviction counters
-//                        show up under --metrics as utility_cache.*)
 //   --warm-start         allow approximate warm-started prefix training for
 //                        models without an exact incremental scorer (changes
 //                        values slightly, like truncation; deterministic)
 //   --model <name>       proxy model for the game estimators: knn (default) |
 //                        gaussian_nb | logreg (knn and gaussian_nb scan
 //                        prefixes exactly; logreg pairs with --warm-start)
-//   --float32            float32 distance storage on the KNN prefix-scan
-//                        kernel: faster, approximate (changes bits;
-//                        deterministic for any thread count). The SoA kernel
-//                        and arena knobs stay on by default and are exact —
-//                        flip them off via --set soa_kernels=false /
-//                        --set arena=false only to benchmark.
 //   --retries <N>        retry budget per utility evaluation for transient
 //                        (unavailable/resource_exhausted) failures (default 2)
 //   --retry-backoff-ms <ms>  base retry backoff, doubled per attempt and
@@ -120,8 +111,8 @@ struct Args {
 /// Flags that never take a value (so a following positional is not eaten).
 const std::set<std::string>& BooleanFlags() {
   static const std::set<std::string>* flags =
-      new std::set<std::string>{"metrics", "prometheus", "utility-cache",
-                                "warm-start", "float32", "log-json"};
+      new std::set<std::string>{"metrics", "prometheus", "warm-start",
+                                "log-json"};
   return *flags;
 }
 
@@ -338,9 +329,7 @@ int RunImportancePipeline(const Args& args) {
   size_t permutations =
       static_cast<size_t>(std::stoul(FlagOr(args, "permutations", "8")));
   uint64_t seed = std::stoull(FlagOr(args, "seed", "42"));
-  bool use_cache = args.flags.count("utility-cache") > 0;
   bool warm_start = args.flags.count("warm-start") > 0;
-  bool float32 = args.flags.count("float32") > 0;
   std::string model = FlagOr(args, "model", "knn");
   size_t retries =
       static_cast<size_t>(std::stoul(FlagOr(args, "retries", "2")));
@@ -352,9 +341,7 @@ int RunImportancePipeline(const Args& args) {
     g_report->SetConfig("threads",
                         static_cast<int64_t>(DefaultNumThreads()));
     g_report->SetConfig("permutations", static_cast<int64_t>(permutations));
-    g_report->SetConfig("utility_cache", use_cache);
     g_report->SetConfig("warm_start", warm_start);
-    g_report->SetConfig("float32", float32);
     g_report->SetConfig("model", model);
     g_report->SetConfig("retries", static_cast<int64_t>(retries));
     g_report->SetConfig("retry_backoff_ms",
@@ -383,9 +370,7 @@ int RunImportancePipeline(const Args& args) {
   merge(configure("num_samples", StrFormat("%zu", permutations * 8)));
   merge(configure("samples_per_unit",
                   StrFormat("%zu", std::max<size_t>(permutations, 2))));
-  merge(configure("utility_cache", use_cache ? "true" : "false"));
   merge(configure("warm_start", warm_start ? "true" : "false"));
-  merge(configure("float32", float32 ? "true" : "false"));
   merge(configure("model", model));
   merge(configure("max_retries", FlagOr(args, "retries", "2")));
   merge(configure("retry_backoff_ms", FlagOr(args, "retry-backoff-ms", "25")));
@@ -446,9 +431,8 @@ int RunImportancePipeline(const Args& args) {
 int RunImportance(const Args& args) {
   Status flags_ok =
       CheckFlags(args, "importance",
-                 {"label", "method", "top", "permutations", "utility-cache",
-                  "warm-start", "float32", "model", "seed", "retries",
-                  "retry-backoff-ms", "set"});
+                 {"label", "method", "top", "permutations", "warm-start",
+                  "model", "seed", "retries", "retry-backoff-ms", "set"});
   if (!flags_ok.ok()) return Fail(flags_ok.ToString());
   if (args.positional.size() == 1) return RunImportancePipeline(args);
   if (args.positional.size() != 2) {
@@ -623,9 +607,8 @@ int Usage() {
                "  importance <table.csv> --label <col>  (pipeline mode)\n"
                "             [--method tmc_shapley|banzhaf|beta_shapley|"
                "knn_shapley]\n"
-               "             [--top 25] [--permutations 8] [--utility-cache] "
-               "[--warm-start]\n"
-               "             [--model knn|gaussian_nb|logreg] [--float32]\n"
+               "             [--top 25] [--permutations 8] [--warm-start]\n"
+               "             [--model knn|gaussian_nb|logreg]\n"
                "             [--retries 2] [--retry-backoff-ms 25]\n"
                "  impute <table.csv> --column <col>\n"
                "         [--strategy mean|median|most_frequent] "
