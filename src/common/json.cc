@@ -297,4 +297,26 @@ Result<Value> Parse(const std::string& text) {
 }
 
 }  // namespace json
+
+std::string JsonEscape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", c);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace nde

@@ -77,6 +77,12 @@ class Value {
 Result<Value> Parse(const std::string& text);
 
 }  // namespace json
+
+/// Escapes a string for embedding in a JSON string literal (no quotes
+/// added): quote, backslash and control characters; every other byte is
+/// copied as is. Every JSON emitter in the library uses this one escaper.
+std::string JsonEscape(const std::string& text);
+
 }  // namespace nde
 
 #endif  // NDE_COMMON_JSON_H_

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <ctime>
 
+#include "common/json.h"
 #include "common/string_util.h"
 #include "common/trace_context.h"
 
@@ -80,29 +81,6 @@ void StampTraceContext(LogRecord* record) {
   record->job_id = context.job_id;
 }
 
-/// Escapes for a JSON string literal; local twin of telemetry::JsonEscape
-/// (same no-upward-dependency constraint as the thread id above).
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 }  // namespace internal
 
@@ -163,18 +141,18 @@ std::string FormatJson(const LogRecord& record) {
       "{\"ts_us\":%lld,\"level\":\"%s\",\"file\":\"%s\",\"line\":%d,"
       "\"tid\":%u",
       static_cast<long long>(record.wall_micros), LevelName(record.level),
-      internal::EscapeJson(record.file).c_str(), record.line, record.tid);
+      JsonEscape(record.file).c_str(), record.line, record.tid);
   if (record.occurrence > 1) {
     json += StrFormat(",\"occurrence\":%llu",
                       static_cast<unsigned long long>(record.occurrence));
   }
   if (!record.trace_id.empty()) {
-    json += ",\"trace_id\":\"" + internal::EscapeJson(record.trace_id) + "\"";
+    json += ",\"trace_id\":\"" + JsonEscape(record.trace_id) + "\"";
   }
   if (!record.job_id.empty()) {
-    json += ",\"job_id\":\"" + internal::EscapeJson(record.job_id) + "\"";
+    json += ",\"job_id\":\"" + JsonEscape(record.job_id) + "\"";
   }
-  json += ",\"msg\":\"" + internal::EscapeJson(record.message) + "\"}";
+  json += ",\"msg\":\"" + JsonEscape(record.message) + "\"}";
   return json;
 }
 

@@ -113,24 +113,21 @@ void ThreadPool::WorkerLoop() {
       ++active_tasks_;
       NDE_METRIC_GAUGE_SET("parallel.queue_depth", queue_.size());
     }
-    {
-      NDE_TRACE_SPAN("pool_task", "parallel");
-      try {
-        // Chaos hook: an armed `threadpool.task` failpoint kills this task
-        // before it runs. The throw lands in the pool's normal error latch,
-        // so injection exercises exactly the propagation path a real task
-        // exception takes (rethrown by the next WaitIdle).
-        if (failpoint::AnyArmed()) {
-          failpoint::Outcome fp = failpoint::Fire("threadpool.task");
-          if (fp.fired()) throw failpoint::InjectedFault(fp.status);
-        }
-        task();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (first_error_ == nullptr) first_error_ = std::current_exception();
+    try {
+      // Chaos hook: an armed `threadpool.task` failpoint kills this task
+      // before it runs. The throw lands in the pool's normal error latch, so
+      // injection exercises exactly the propagation path a real task
+      // exception takes (rethrown by the next WaitIdle).
+      if (failpoint::AnyArmed()) {
+        failpoint::Outcome fp = failpoint::Fire("threadpool.task");
+        if (fp.fired()) throw failpoint::InjectedFault(fp.status);
       }
-      NDE_METRIC_COUNT("parallel.tasks_executed", 1);
+      task();
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (first_error_ == nullptr) first_error_ = std::current_exception();
     }
+    NDE_METRIC_COUNT("parallel.tasks_executed", 1);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_tasks_;

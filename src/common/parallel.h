@@ -50,10 +50,11 @@ size_t PlannedNumThreads(size_t range, size_t num_threads);
 /// first exception is captured and re-thrown by the next WaitIdle() call
 /// (an exception still pending at destruction is dropped).
 ///
-/// Telemetry: submissions and pops update the `parallel.queue_depth` gauge,
-/// each executed task bumps `parallel.tasks_executed` and records a
-/// "pool_task" trace span on its worker thread, so `--trace` output shows
-/// per-worker occupancy.
+/// Telemetry: submissions and pops update the `parallel.queue_depth` gauge
+/// and each executed task bumps `parallel.tasks_executed`. The pool records
+/// no span of its own: a task opens spans under the submitter's trace
+/// context (below), so ParallelFor's per-worker span shows worker occupancy
+/// in `--trace` and counts once in the span profile.
 ///
 /// Trace-context propagation: Submit captures the submitting thread's
 /// TraceContext (common/trace_context.h) and installs it around the task on

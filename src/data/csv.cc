@@ -8,6 +8,7 @@
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
+#include "telemetry/telemetry.h"
 
 namespace nde {
 
@@ -141,6 +142,8 @@ std::string QuoteField(const std::string& field) {
 
 Result<Table> ReadCsvString(const std::string& text,
                             const CsvReadOptions& options) {
+  NDE_TRACE_SPAN_VAR(span, "csv.parse", "data");
+  NDE_SPAN_ARG(span, "bytes", static_cast<int64_t>(text.size()));
   std::vector<RawRecord> raw_records;
   NDE_RETURN_IF_ERROR(
       SplitCsvRecords(text, options.delimiter, &raw_records));
@@ -251,6 +254,7 @@ Result<Table> ReadCsvString(const std::string& text,
     }
     NDE_RETURN_IF_ERROR(table.AppendRow(std::move(row)));
   }
+  NDE_SPAN_ARG(span, "rows", static_cast<int64_t>(table.num_rows()));
   return table;
 }
 

@@ -6,6 +6,7 @@
 #include "pipeline/encoders.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/plan.h"
+#include "telemetry/telemetry.h"
 
 namespace nde {
 
@@ -43,16 +44,21 @@ Result<TableRunResult> RunAlgorithmOnTable(const AlgorithmInstance& algorithm,
   if (annotated_plan != nullptr) *annotated_plan = result.annotated_plan;
 
   // Internal split: every 5th output row validates, the rest train.
-  MlDataset all = output.ToDataset();
   std::vector<size_t> train_rows, valid_rows;
-  for (size_t r = 0; r < all.size(); ++r) {
-    (r % 5 == 4 ? valid_rows : train_rows).push_back(r);
+  MlDataset train, valid;
+  {
+    NDE_TRACE_SPAN("ToDataset", "engine");
+    MlDataset all = output.ToDataset();
+    for (size_t r = 0; r < all.size(); ++r) {
+      (r % 5 == 4 ? valid_rows : train_rows).push_back(r);
+    }
+    if (train_rows.empty() || valid_rows.empty()) {
+      return Status::InvalidArgument(
+          "not enough rows for an importance split");
+    }
+    train = all.Subset(train_rows);
+    valid = all.Subset(valid_rows);
   }
-  if (train_rows.empty() || valid_rows.empty()) {
-    return Status::InvalidArgument("not enough rows for an importance split");
-  }
-  MlDataset train = all.Subset(train_rows);
-  MlDataset valid = all.Subset(valid_rows);
   result.train_rows = train_rows.size();
   result.valid_rows = valid_rows.size();
 
@@ -67,6 +73,7 @@ Result<TableRunResult> RunAlgorithmOnTable(const AlgorithmInstance& algorithm,
   // Most suspect first = lowest value. Train-split algorithms score the
   // training rows, so map each back to its source row through provenance;
   // source-row algorithms (datascope) already index the source table.
+  NDE_TRACE_SPAN("rank", "engine");
   std::vector<size_t> ranking = AscendingOrder(result.estimate.values);
   result.ranked_rows.reserve(ranking.size());
   for (size_t index : ranking) {

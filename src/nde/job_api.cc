@@ -37,7 +37,6 @@ const char* JobStateName(JobState state) {
 namespace {
 
 using telemetry::HttpRequest;
-using telemetry::JsonEscape;
 using telemetry::MakeHttpResponse;
 
 std::string ErrorJson(const Status& status) {
@@ -516,8 +515,10 @@ std::string JobManager::HandleHttp(const HttpRequest& request) {
         if (request.query.find("folded=1") != std::string::npos) {
           return MakeHttpResponse(
               200, "OK", "text/plain",
-              telemetry::TraceBuffer::Global().FoldedForTrace(
-                  snapshot->trace.trace_id_hi, snapshot->trace.trace_id_lo));
+              telemetry::TraceBuffer::Global()
+                  .Profile(snapshot->trace.trace_id_hi,
+                           snapshot->trace.trace_id_lo)
+                  .Folded());
         }
         return MakeHttpResponse(200, "OK", "application/json",
                                 JobTracezJson(*snapshot) + "\n");

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
 #include "common/string_util.h"
 #include "datascope/datascope.h"
 #include "importance/influence.h"
@@ -15,7 +16,6 @@
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
-#include "telemetry/trace.h"
 
 namespace nde {
 
@@ -625,7 +625,6 @@ std::vector<std::string> AlgorithmRegistry::Names() const {
 }
 
 std::string AlgorithmRegistry::DescribeJson() const {
-  using telemetry::JsonEscape;
   std::ostringstream os;
   os << "{\"algorithms\":[";
   bool first_algorithm = true;

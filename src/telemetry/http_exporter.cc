@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "common/string_util.h"
 #include "common/trace_context.h"
@@ -300,14 +301,13 @@ std::string HttpExporter::Route(const HttpRequest& request,
                             TracezJson() + "\n");
   }
   if (request.target == "/profilez") {
-    // Default: human-readable flat table + allocation accounting.
-    // ?folded=1 downloads the raw folded stacks for flamegraph.pl/speedscope.
+    // Default: the per-name table + allocation accounting. ?folded=1
+    // downloads the folded stacks for flamegraph.pl/speedscope.
+    SpanProfile profile = TraceBuffer::Global().Profile();
     if (request.query.find("folded=1") != std::string::npos) {
-      return MakeHttpResponse(200, "OK", "text/plain",
-                              Profiler::Global().FoldedStacks());
+      return MakeHttpResponse(200, "OK", "text/plain", profile.Folded());
     }
-    return MakeHttpResponse(200, "OK", "text/plain",
-                            Profiler::Global().ToText());
+    return MakeHttpResponse(200, "OK", "text/plain", ProfileText(profile));
   }
   if (handled) {
     return MakeHttpResponse(404, "Not Found", "text/plain",

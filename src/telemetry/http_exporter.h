@@ -44,9 +44,10 @@ std::string MakeHttpResponse(int status, const char* reason,
 ///   /metrics  -> Prometheus text exposition of the global MetricsRegistry
 ///   /varz     -> the same registry as JSON (MetricsRegistry::ToJson)
 ///   /tracez   -> recent trace spans as JSON (most recent ~100)
-///   /profilez -> sampling-profiler flat table + allocation accounting;
-///                /profilez?folded=1 downloads raw folded stacks
-///                (flamegraph.pl / speedscope input)
+///   /profilez -> the exact profile of every buffered span (per-name
+///                self/total/max table) + allocation accounting;
+///                /profilez?folded=1 downloads its folded stacks
+///                (flamegraph.pl / speedscope input, self microseconds)
 ///
 /// Serving-layer routes: a handler installed via SetHandler receives every
 /// request (any method, with its body) whose target is /jobs, /jobs/<id>, or

@@ -8,9 +8,9 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
+#include "common/json.h"
 #include "common/string_util.h"
 #include "common/trace_context.h"
-#include "telemetry/trace.h"
 
 namespace nde {
 namespace telemetry {

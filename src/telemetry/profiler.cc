@@ -1,14 +1,13 @@
 #include "telemetry/profiler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <deque>
+#include <map>
+#include <mutex>
 #include <new>
-#include <set>
 #include <sstream>
-#include <unordered_map>
 
+#include "common/json.h"
 #include "common/string_util.h"
 #include "telemetry/telemetry.h"
 
@@ -42,383 +41,6 @@ namespace telemetry {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Span-name interning
-//
-// The sampler reads worker stacks asynchronously, so it can never touch the
-// std::string a span owns (the span may be gone by the time the sample is
-// resolved). Frames therefore carry small interned ids; the table's strings
-// live for the process lifetime, making id resolution race-free by
-// construction. Ids are 1-based so 0 can mean "empty slot".
-// ---------------------------------------------------------------------------
-
-std::mutex& InternMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::deque<std::string>& InternNames() {
-  static std::deque<std::string>* names = new std::deque<std::string>();
-  return *names;
-}
-
-std::unordered_map<std::string, uint32_t>& InternIndex() {
-  static std::unordered_map<std::string, uint32_t>* index =
-      new std::unordered_map<std::string, uint32_t>();
-  return *index;
-}
-
-uint32_t InternName(const std::string& name) {
-  std::lock_guard<std::mutex> lock(InternMu());
-  auto [it, inserted] = InternIndex().emplace(name, 0);
-  if (inserted) {
-    InternNames().push_back(name);
-    it->second = static_cast<uint32_t>(InternNames().size());
-  }
-  return it->second;
-}
-
-std::string NameForId(uint32_t id) {
-  std::lock_guard<std::mutex> lock(InternMu());
-  if (id == 0 || id > InternNames().size()) return "?";
-  return InternNames()[id - 1];
-}
-
-// ---------------------------------------------------------------------------
-// Per-thread frame stacks
-//
-// Each thread that opens a span while sampling is active owns a fixed-depth
-// stack of atomic frame ids guarded by a seqlock generation counter: the
-// writer (the thread itself, in ScopedSpan's ctor/dtor) bumps the counter to
-// odd, mutates, bumps back to even; the sampler discards any observation
-// whose generation was odd or changed mid-read. Everything is atomic, so a
-// torn read costs one discarded sample, never undefined behavior.
-// ---------------------------------------------------------------------------
-
-constexpr uint32_t kMaxDepth = 64;
-
-struct ThreadStack {
-  std::atomic<uint32_t> generation{0};
-  std::atomic<uint32_t> depth{0};
-  std::atomic<uint32_t> frames[kMaxDepth];
-  ThreadStack() {
-    for (auto& frame : frames) frame.store(0, std::memory_order_relaxed);
-  }
-};
-
-std::mutex& StackRegistryMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::vector<ThreadStack*>& StackRegistry() {
-  static std::vector<ThreadStack*>* registry = new std::vector<ThreadStack*>();
-  return *registry;
-}
-
-// Registers on first use, unregisters at thread exit. The sampler holds
-// StackRegistryMu() for its whole pass, so a stack is never freed while
-// being read.
-struct ThreadStackHandle {
-  ThreadStack* stack = new ThreadStack();
-  ThreadStackHandle() {
-    std::lock_guard<std::mutex> lock(StackRegistryMu());
-    StackRegistry().push_back(stack);
-  }
-  ~ThreadStackHandle() {
-    {
-      std::lock_guard<std::mutex> lock(StackRegistryMu());
-      auto& registry = StackRegistry();
-      registry.erase(std::remove(registry.begin(), registry.end(), stack),
-                     registry.end());
-    }
-    delete stack;
-  }
-};
-
-ThreadStack& LocalStack() {
-  thread_local ThreadStackHandle handle;
-  return *handle.stack;
-}
-
-std::atomic<bool> g_sampling_active{false};
-
-// Sampler-assist bookkeeping: steady-clock nanosecond stamp of the most
-// recent sampling pass plus the configured interval (0 while stopped).
-std::atomic<int64_t> g_last_pass_ns{0};
-std::atomic<int64_t> g_assist_interval_ns{0};
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// On a saturated host (one core, CPU-bound estimator) the background sampler
-// thread can be starved for the whole of a short run, yielding an empty
-// profile. Exiting spans therefore assist it: when a full interval has gone
-// by with no sampling pass, the popping thread — whose own stack is stable
-// and still includes the finished span — takes one pass inline. The CAS
-// elects a single assistant per overdue interval.
-void MaybeAssistSampler() {
-  if (!g_sampling_active.load(std::memory_order_relaxed)) return;
-  int64_t interval = g_assist_interval_ns.load(std::memory_order_relaxed);
-  if (interval <= 0) return;
-  int64_t now = NowNs();
-  int64_t last = g_last_pass_ns.load(std::memory_order_relaxed);
-  if (now - last < interval) return;
-  if (!g_last_pass_ns.compare_exchange_strong(last, now,
-                                              std::memory_order_relaxed)) {
-    return;
-  }
-  Profiler::Global().SampleOnce();
-}
-
-}  // namespace
-
-namespace prof {
-
-bool SamplingActive() {
-  return g_sampling_active.load(std::memory_order_relaxed);
-}
-
-void PushFrame(const std::string& name) {
-  ThreadStack& stack = LocalStack();
-  uint32_t depth = stack.depth.load(std::memory_order_relaxed);
-  uint32_t id = depth < kMaxDepth ? InternName(name) : 0;
-  uint32_t seq = stack.generation.load(std::memory_order_relaxed);
-  stack.generation.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  if (depth < kMaxDepth) {
-    stack.frames[depth].store(id, std::memory_order_relaxed);
-  }
-  // Depth keeps counting past kMaxDepth (frames are just not recorded) so
-  // pops stay balanced on pathological nesting.
-  stack.depth.store(depth + 1, std::memory_order_relaxed);
-  stack.generation.store(seq + 2, std::memory_order_release);
-}
-
-void PopFrame() {
-  MaybeAssistSampler();
-  ThreadStack& stack = LocalStack();
-  uint32_t depth = stack.depth.load(std::memory_order_relaxed);
-  if (depth == 0) return;
-  uint32_t seq = stack.generation.load(std::memory_order_relaxed);
-  stack.generation.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  if (depth <= kMaxDepth) {
-    stack.frames[depth - 1].store(0, std::memory_order_relaxed);
-  }
-  stack.depth.store(depth - 1, std::memory_order_relaxed);
-  stack.generation.store(seq + 2, std::memory_order_release);
-}
-
-uint32_t LocalDepthForTesting() {
-  return LocalStack().depth.load(std::memory_order_relaxed);
-}
-
-}  // namespace prof
-
-// ---------------------------------------------------------------------------
-// Profiler
-// ---------------------------------------------------------------------------
-
-Profiler& Profiler::Global() {
-  // A real static (not a leaked pointer) so the destructor joins the sampler
-  // thread at process exit even if a caller forgets Stop(). The sampler only
-  // touches process-lifetime state, so the late join is safe.
-  static Profiler profiler;
-  return profiler;
-}
-
-Profiler::~Profiler() { Stop(); }
-
-Status Profiler::Start(const ProfilerOptions& options) {
-  if (options.sampling_interval_us <= 0) {
-    return Status::InvalidArgument("sampling_interval_us must be positive");
-  }
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true,
-                                        std::memory_order_acq_rel)) {
-    return Status::FailedPrecondition("profiler already running");
-  }
-  options_ = options;
-  g_last_pass_ns.store(NowNs(), std::memory_order_relaxed);
-  g_assist_interval_ns.store(options.sampling_interval_us * int64_t{1000},
-                             std::memory_order_relaxed);
-  g_sampling_active.store(true, std::memory_order_relaxed);
-  thread_ = std::thread(&Profiler::Run, this);
-  return Status::OK();
-}
-
-void Profiler::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(cv_mu_);
-    running_.store(false, std::memory_order_release);
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  g_sampling_active.store(false, std::memory_order_relaxed);
-  g_assist_interval_ns.store(0, std::memory_order_relaxed);
-}
-
-void Profiler::Run() {
-  std::unique_lock<std::mutex> lock(cv_mu_);
-  while (running_.load(std::memory_order_acquire)) {
-    cv_.wait_for(lock,
-                 std::chrono::microseconds(options_.sampling_interval_us));
-    if (!running_.load(std::memory_order_acquire)) break;
-    lock.unlock();
-    SampleOnce();
-    lock.lock();
-  }
-}
-
-void Profiler::SampleOnce() {
-  std::vector<std::vector<uint32_t>> observed;
-  {
-    std::lock_guard<std::mutex> lock(StackRegistryMu());
-    observed.reserve(StackRegistry().size());
-    for (ThreadStack* stack : StackRegistry()) {
-      uint32_t seq_before = stack->generation.load(std::memory_order_acquire);
-      if (seq_before & 1u) {
-        torn_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      uint32_t depth = stack->depth.load(std::memory_order_relaxed);
-      if (depth == 0) continue;  // idle thread: nothing on the span stack
-      depth = std::min(depth, kMaxDepth);
-      std::vector<uint32_t> key(depth);
-      for (uint32_t i = 0; i < depth; ++i) {
-        key[i] = stack->frames[i].load(std::memory_order_relaxed);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (stack->generation.load(std::memory_order_relaxed) != seq_before ||
-          std::find(key.begin(), key.end(), 0u) != key.end()) {
-        torn_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      observed.push_back(std::move(key));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(agg_mu_);
-    for (auto& key : observed) ++stacks_[std::move(key)];
-  }
-  samples_.fetch_add(observed.size(), std::memory_order_relaxed);
-  passes_.fetch_add(1, std::memory_order_relaxed);
-  g_last_pass_ns.store(NowNs(), std::memory_order_relaxed);
-}
-
-uint64_t Profiler::samples() const {
-  return samples_.load(std::memory_order_relaxed);
-}
-
-uint64_t Profiler::sample_passes() const {
-  return passes_.load(std::memory_order_relaxed);
-}
-
-uint64_t Profiler::torn_samples() const {
-  return torn_.load(std::memory_order_relaxed);
-}
-
-void Profiler::Reset() {
-  std::lock_guard<std::mutex> lock(agg_mu_);
-  stacks_.clear();
-  samples_.store(0, std::memory_order_relaxed);
-  passes_.store(0, std::memory_order_relaxed);
-  torn_.store(0, std::memory_order_relaxed);
-}
-
-std::vector<FoldedStack> Profiler::Folded() const {
-  std::map<std::vector<uint32_t>, uint64_t> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(agg_mu_);
-    snapshot = stacks_;
-  }
-  std::map<std::string, uint64_t> resolved;
-  for (const auto& [ids, count] : snapshot) {
-    std::string line;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (i) line += ';';
-      // Folded-stack lines are ";"-joined frames followed by a space and the
-      // count; span names like "fit numeric(score)" would corrupt that
-      // grammar, so delimiter characters become underscores here.
-      for (char c : NameForId(ids[i])) {
-        line += (c == ' ' || c == ';' || c == '\t' || c == '\n') ? '_' : c;
-      }
-    }
-    resolved[line] += count;
-  }
-  std::vector<FoldedStack> out;
-  out.reserve(resolved.size());
-  for (auto& [stack, count] : resolved) out.push_back({stack, count});
-  return out;
-}
-
-std::string Profiler::FoldedStacks() const {
-  std::string out;
-  for (const FoldedStack& folded : Folded()) {
-    out += folded.stack;
-    out += ' ';
-    out += StrFormat("%llu", static_cast<unsigned long long>(folded.count));
-    out += '\n';
-  }
-  return out;
-}
-
-std::vector<FlatFrame> Profiler::Flat() const {
-  std::map<std::vector<uint32_t>, uint64_t> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(agg_mu_);
-    snapshot = stacks_;
-  }
-  std::map<std::string, FlatFrame> frames;
-  for (const auto& [ids, count] : snapshot) {
-    std::set<std::string> on_stack;
-    for (uint32_t id : ids) on_stack.insert(NameForId(id));
-    for (const std::string& name : on_stack) {
-      FlatFrame& frame = frames[name];
-      frame.name = name;
-      frame.total += count;
-    }
-    if (!ids.empty()) frames[NameForId(ids.back())].self += count;
-  }
-  std::vector<FlatFrame> out;
-  out.reserve(frames.size());
-  for (auto& [name, frame] : frames) out.push_back(frame);
-  std::sort(out.begin(), out.end(), [](const FlatFrame& a, const FlatFrame& b) {
-    if (a.self != b.self) return a.self > b.self;
-    return a.name < b.name;
-  });
-  return out;
-}
-
-std::string Profiler::ToText() const {
-  std::ostringstream os;
-  os << "profiler: " << samples() << " samples over " << sample_passes()
-     << " passes (" << torn_samples() << " torn), interval "
-     << options_.sampling_interval_us << " us, "
-     << (running() ? "running" : "stopped") << "\n";
-  std::vector<FlatFrame> flat = Flat();
-  if (flat.empty()) {
-    os << "(no samples; is telemetry enabled and the profiler started?)\n";
-  } else {
-    os << StrFormat("%10s %10s  %s\n", "self", "total", "span");
-    for (const FlatFrame& frame : flat) {
-      os << StrFormat("%10llu %10llu  %s\n",
-                      static_cast<unsigned long long>(frame.self),
-                      static_cast<unsigned long long>(frame.total),
-                      frame.name.c_str());
-    }
-    os << "unique stacks: " << Folded().size() << "\n";
-  }
-  os << "\n" << AllocStatsTable();
-  return os.str();
-}
-
-namespace {
-
 void AppendAllocStatsJson(std::ostringstream& os, const AllocStats& stats) {
   os << "{\"alloc_count\":" << stats.alloc_count
      << ",\"alloc_bytes\":" << stats.alloc_bytes
@@ -430,43 +52,62 @@ void AppendAllocStatsJson(std::ostringstream& os, const AllocStats& stats) {
 
 }  // namespace
 
-std::string Profiler::ToJson(size_t max_stacks) const {
-  std::vector<FoldedStack> folded = Folded();
+std::string ProfileText(const SpanProfile& profile) {
+  std::ostringstream os;
+  os << "profile: " << profile.spans << " spans, " << profile.dropped
+     << " dropped, " << profile.stacks.size() << " stacks\n";
+  if (profile.names.empty()) {
+    os << "(no spans recorded; is telemetry enabled?)\n";
+  } else {
+    os << StrFormat("%12s %12s %12s %8s  %s\n", "self_us", "total_us",
+                    "max_us", "count", "span");
+    for (const SpanProfile::Name& name : profile.names) {
+      os << StrFormat("%12lld %12lld %12lld %8llu  %s\n",
+                      static_cast<long long>(name.self_us),
+                      static_cast<long long>(name.total_us),
+                      static_cast<long long>(name.max_us),
+                      static_cast<unsigned long long>(name.count),
+                      name.name.c_str());
+    }
+  }
+  os << "\n" << AllocStatsTable();
+  return os.str();
+}
+
+std::string ProfileJson(const SpanProfile& profile, size_t max_stacks) {
   // Keep the heaviest stacks; re-sort the survivors by stack for stable diffs.
+  std::vector<SpanProfile::Stack> folded = profile.stacks;
   std::sort(folded.begin(), folded.end(),
-            [](const FoldedStack& a, const FoldedStack& b) {
-              if (a.count != b.count) return a.count > b.count;
+            [](const SpanProfile::Stack& a, const SpanProfile::Stack& b) {
+              if (a.self_us != b.self_us) return a.self_us > b.self_us;
               return a.stack < b.stack;
             });
-  size_t total_stacks = folded.size();
   if (folded.size() > max_stacks) folded.resize(max_stacks);
   std::sort(folded.begin(), folded.end(),
-            [](const FoldedStack& a, const FoldedStack& b) {
+            [](const SpanProfile::Stack& a, const SpanProfile::Stack& b) {
               return a.stack < b.stack;
             });
 
   std::ostringstream os;
-  os << "{\"enabled\":"
-     << ((running() || samples() > 0) ? "true" : "false")
-     << ",\"running\":" << (running() ? "true" : "false")
-     << ",\"sampling_interval_us\":" << options_.sampling_interval_us
-     << ",\"samples\":" << samples() << ",\"sample_passes\":"
-     << sample_passes() << ",\"torn_samples\":" << torn_samples()
-     << ",\"unique_stacks\":" << total_stacks << ",\"folded\":[";
+  os << "{\"spans\":" << profile.spans
+     << ",\"dropped_spans\":" << profile.dropped
+     << ",\"unique_stacks\":" << profile.stacks.size() << ",\"folded\":[";
   bool first = true;
-  for (const FoldedStack& stack : folded) {
+  for (const SpanProfile::Stack& stack : folded) {
     if (!first) os << ",";
     first = false;
     os << "{\"stack\":\"" << JsonEscape(stack.stack)
-       << "\",\"count\":" << stack.count << "}";
+       << "\",\"self_us\":" << stack.self_us << "}";
   }
   os << "],\"flat\":[";
   first = true;
-  for (const FlatFrame& frame : Flat()) {
+  for (const SpanProfile::Name& name : profile.names) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << JsonEscape(frame.name)
-       << "\",\"self\":" << frame.self << ",\"total\":" << frame.total << "}";
+    os << "{\"name\":\"" << JsonEscape(name.name)
+       << "\",\"count\":" << name.count << ",\"self_us\":" << name.self_us
+       << ",\"total_us\":" << name.total_us << ",\"max_us\":" << name.max_us
+       << "}";
   }
   os << "],\"alloc\":{\"compiled_in\":"
      << (AllocAccountingCompiledIn() ? "true" : "false") << ",\"enabled\":"

@@ -1,150 +1,36 @@
 #ifndef NDE_TELEMETRY_PROFILER_H_
 #define NDE_TELEMETRY_PROFILER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
+#include "telemetry/trace.h"
 
 namespace nde {
 namespace telemetry {
 
-/// In-process sampling profiler + allocation accounting.
-///
-/// Sampling mode: a background thread periodically snapshots every worker's
-/// thread-local stack of open trace spans (fed by the NDE_TRACE_SPAN macros)
-/// and aggregates the observations into folded stacks ("a;b;c count" lines,
-/// directly consumable by flamegraph.pl / speedscope) plus a flat
-/// self/total-time table. Sampling is purely observational: it reads
-/// atomics published by the span RAII objects and never feeds anything back,
-/// so estimates are bit-identical with the profiler on or off.
-///
-/// Zero-cost-when-off contract, matching the rest of telemetry/:
-///   - compiled out (NDE_TELEMETRY=OFF): no spans open, so no frames are ever
-///     pushed; the classes remain so call sites compile.
-///   - compiled in, profiler stopped: each span open/close pays one relaxed
-///     atomic load on top of the existing telemetry gate.
-///   - running: span open/close additionally interns the span name and
-///     updates the thread's lock-free frame stack.
-struct ProfilerOptions {
-  /// Wall-clock gap between sampling passes. 1 ms (~1 kHz) resolves spans of
-  /// a few ms and costs well under 1% of one core.
-  int64_t sampling_interval_us = 1000;
-};
+// Rendering of the exact span profile (TraceBuffer::Profile) plus
+// allocation accounting.
+//
+// The profile folds the spans the trace buffer already holds, so every
+// number in it is a recorded duration. Spans only exist while
+// `telemetry::SetEnabled(true)`; the CLI's --profile turns telemetry and
+// allocation accounting on together.
 
-/// One aggregated folded stack: root-to-leaf span names joined with ';'.
-struct FoldedStack {
-  std::string stack;
-  uint64_t count = 0;
-};
+/// The /profilez text: a "profile: <n> spans, <d> dropped, <m> stacks"
+/// header, the per-name table (self, total and max microseconds, count;
+/// heaviest self time first), then AllocStatsTable().
+std::string ProfileText(const SpanProfile& profile);
 
-/// Per-frame flat aggregation over every sample.
-struct FlatFrame {
-  std::string name;
-  uint64_t self = 0;   ///< samples where this frame was the leaf
-  uint64_t total = 0;  ///< samples where this frame was anywhere on the stack
-};
-
-class Profiler {
- public:
-  static Profiler& Global();
-
-  Profiler() = default;
-  Profiler(const Profiler&) = delete;
-  Profiler& operator=(const Profiler&) = delete;
-  ~Profiler();
-
-  /// Starts the background sampler. Fails if already running. Spans only
-  /// exist while `telemetry::SetEnabled(true)`, so callers normally enable
-  /// telemetry first (the CLI's --profile does both).
-  Status Start(const ProfilerOptions& options = {});
-
-  /// Stops the sampler thread; aggregated samples are kept for readout.
-  /// Safe to call twice or when never started.
-  void Stop();
-
-  bool running() const { return running_.load(std::memory_order_acquire); }
-
-  /// Runs one synchronous sampling pass on the caller's thread. Used by
-  /// tests for deterministic coverage and usable while stopped.
-  void SampleOnce();
-
-  /// Total stack observations aggregated so far (one per thread with at
-  /// least one open span, per sampling pass).
-  uint64_t samples() const;
-  /// Number of sampling passes (clock ticks) so far.
-  uint64_t sample_passes() const;
-  /// Samples discarded because a stack mutated mid-read (seqlock retry).
-  uint64_t torn_samples() const;
-
-  /// Drops all aggregated samples (the interval and running state are kept).
-  void Reset();
-
-  int64_t sampling_interval_us() const {
-    return options_.sampling_interval_us;
-  }
-
-  /// Folded-stack lines "name;name;name count\n", sorted by stack so two
-  /// dumps diff cleanly. Feed straight into flamegraph.pl or speedscope.
-  std::string FoldedStacks() const;
-
-  /// The same aggregation as structured data (sorted by stack).
-  std::vector<FoldedStack> Folded() const;
-
-  /// Per-frame self/total sample counts, sorted by self descending (ties by
-  /// name) — the "where does the time actually go" table.
-  std::vector<FlatFrame> Flat() const;
-
-  /// Human-readable flat table plus allocation-accounting summary; the
-  /// /profilez endpoint and `nde_cli --profile` stderr summary both use it.
-  std::string ToText() const;
-
-  /// JSON object for RunReport's "profile" block:
-  /// {"enabled":...,"samples":...,"sampling_interval_us":...,
-  ///  "folded":[{"stack":...,"count":...}],"flat":[...],"alloc":{...}}.
-  /// Folded stacks are capped to the top `max_stacks` by count.
-  std::string ToJson(size_t max_stacks = 25) const;
-
- private:
-  void Run();
-
-  ProfilerOptions options_;
-  std::atomic<bool> running_{false};
-  std::thread thread_;
-  mutable std::mutex cv_mu_;
-  std::condition_variable cv_;
-
-  mutable std::mutex agg_mu_;
-  /// Aggregated samples: interned-frame-id stack (root first) -> count.
-  std::map<std::vector<uint32_t>, uint64_t> stacks_;
-  std::atomic<uint64_t> samples_{0};
-  std::atomic<uint64_t> passes_{0};
-  std::atomic<uint64_t> torn_{0};
-};
-
-namespace prof {
-
-/// True while any Profiler instance is sampling (one relaxed atomic load);
-/// ScopedSpan consults this before paying the frame-stack cost.
-bool SamplingActive();
-
-/// Pushes/pops one frame on the calling thread's span stack. Called by
-/// ScopedSpan when SamplingActive(); PopFrame must pair a successful
-/// PushFrame (ScopedSpan tracks this so sampling can toggle mid-span).
-void PushFrame(const std::string& name);
-void PopFrame();
-
-/// Current span-stack depth of the calling thread (test hook).
-uint32_t LocalDepthForTesting();
-
-}  // namespace prof
+/// The RunReport "profile" block:
+/// {"spans":..,"dropped_spans":..,"unique_stacks":..,
+///  "folded":[{"stack":..,"self_us":..}],
+///  "flat":[{"name":..,"count":..,"self_us":..,"total_us":..,"max_us":..}],
+///  "alloc":{"compiled_in":..,"enabled":..,"global":{..},"phases":{..}}}.
+/// "folded" keeps the `max_stacks` heaviest stacks, sorted by stack.
+std::string ProfileJson(const SpanProfile& profile, size_t max_stacks = 25);
 
 // ---------------------------------------------------------------------------
 // Allocation accounting
@@ -214,8 +100,8 @@ class AllocationScope {
   bool active_ = false;
 };
 
-/// Text table of global + per-phase allocation counters (part of
-/// Profiler::ToText and /profilez).
+/// Text table of global + per-phase allocation counters (the tail of
+/// ProfileText and /profilez).
 std::string AllocStatsTable();
 
 }  // namespace telemetry

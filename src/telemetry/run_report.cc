@@ -4,11 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
-#include <map>
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
 #include "common/string_util.h"
+#include "common/trace_context.h"
 #include "telemetry/profiler.h"
 #include "telemetry/trace.h"
 
@@ -23,56 +24,14 @@ int64_t SteadyMicros() {
       .count();
 }
 
-/// Aggregated span stats for the "top_spans" trace summary.
-struct SpanAgg {
-  uint64_t count = 0;
-  int64_t total_us = 0;
-  int64_t max_us = 0;
-};
-
-std::string RenderTraceSummary() {
-  TraceBuffer& buffer = TraceBuffer::Global();
-  std::vector<TraceEvent> events = buffer.Snapshot();
-  std::map<std::string, SpanAgg> by_name;
-  for (const TraceEvent& event : events) {
-    SpanAgg& agg = by_name[event.name];
-    ++agg.count;
-    agg.total_us += event.dur_us;
-    agg.max_us = std::max(agg.max_us, event.dur_us);
-  }
-  // Top spans by total time: where did the run actually go?
-  std::vector<std::pair<std::string, SpanAgg>> ranked(by_name.begin(),
-                                                      by_name.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.second.total_us != b.second.total_us)
-      return a.second.total_us > b.second.total_us;
-    return a.first < b.first;  // deterministic tie-break
-  });
-  constexpr size_t kTopSpans = 10;
-  if (ranked.size() > kTopSpans) ranked.resize(kTopSpans);
-
-  std::ostringstream os;
-  os << "{\"buffered_spans\":" << events.size()
-     << ",\"dropped_spans\":" << buffer.dropped()
-     << ",\"buffer_capacity\":" << buffer.capacity() << ",\"top_spans\":[";
-  bool first = true;
-  for (const auto& [name, agg] : ranked) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << JsonEscape(name) << "\",\"count\":" << agg.count
-       << ",\"total_ms\":" << FormatDouble(agg.total_us / 1000.0)
-       << ",\"max_ms\":" << FormatDouble(agg.max_us / 1000.0) << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
 }  // namespace
 
 RunReport::RunReport(std::string name)
     : name_(std::move(name)),
       start_steady_us_(SteadyMicros()),
-      start_cpu_clock_(static_cast<int64_t>(std::clock())) {}
+      start_cpu_clock_(static_cast<int64_t>(std::clock())),
+      trace_id_hi_(CurrentTraceContext().trace_id_hi),
+      trace_id_lo_(CurrentTraceContext().trace_id_lo) {}
 
 void RunReport::SetConfig(const std::string& key, const std::string& value) {
   config_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
@@ -131,8 +90,14 @@ void RunReport::Finish() {
              static_cast<double>(start_cpu_clock_)) *
             1000.0 / CLOCKS_PER_SEC;
   metrics_ = MetricsRegistry::Global().Snapshot();
-  trace_json_ = RenderTraceSummary();
-  profile_json_ = Profiler::Global().ToJson();
+  TraceBuffer& buffer = TraceBuffer::Global();
+  trace_json_ = StrFormat(
+      "{\"buffered_spans\":%zu,\"dropped_spans\":%zu,"
+      "\"buffer_capacity\":%zu}",
+      buffer.size(), buffer.dropped(), buffer.capacity());
+  profile_json_ = ProfileJson((trace_id_hi_ | trace_id_lo_) != 0
+                                  ? buffer.Profile(trace_id_hi_, trace_id_lo_)
+                                  : buffer.Profile());
 }
 
 std::string RunReport::ToJson() {

@@ -30,8 +30,8 @@ struct ConvergencePoint {
 };
 
 /// Per-run JSON artifact: invocation config, timing, the convergence curve
-/// collected through a ProgressCallback, a metrics snapshot, and a trace
-/// summary. Typical use:
+/// collected through a ProgressCallback, a metrics snapshot, the run's exact
+/// span profile, and the trace buffer's fill. Typical use:
 ///
 ///   RunReport report("tmc_shapley");
 ///   report.SetConfig("seed", int64_t{42});
@@ -48,7 +48,8 @@ struct ConvergencePoint {
 class RunReport {
  public:
   /// `name` identifies the run (usually the CLI command or estimator phase).
-  /// Wall-clock and CPU timers start here.
+  /// Wall-clock and CPU timers start here, and the report records the trace
+  /// current on this thread (common/trace_context.h) as the run's own.
   explicit RunReport(std::string name);
 
   /// Records one invocation-config entry, preserving JSON types. Later calls
@@ -73,18 +74,19 @@ class RunReport {
   /// CLI will return.
   void SetError(const Status& status, int exit_code);
 
-  /// Stops the timers and snapshots metrics + the global trace buffer.
-  /// Idempotent: the first call wins, so the report describes the run, not
-  /// the time spent serializing it.
+  /// Stops the timers, snapshots metrics and folds the run's spans: those of
+  /// the trace recorded at construction, or every buffered span when the
+  /// report was built outside any trace. Idempotent: the first call wins, so
+  /// the report describes the run, not the time spent serializing it.
   void Finish();
 
   /// Serializes the report (calls Finish() if the caller has not). Shape:
   /// {"name":...,"config":{...},"timing":{"wall_ms":...,"cpu_ms":...},
   ///  "convergence_curve":[{...}],"metrics":{...},
   ///  "profile":{...},"trace":{...}}
-  /// The "profile" block is Profiler::ToJson() captured at Finish() time; its
-  /// "enabled" field is false (and its aggregates empty) when the sampling
-  /// profiler never ran.
+  /// The "profile" block is ProfileJson() of the fold taken at Finish() time
+  /// (empty aggregates when telemetry recorded no spans); "trace" holds
+  /// {"buffered_spans","dropped_spans","buffer_capacity"}.
   std::string ToJson();
 
   /// Writes ToJson() plus a trailing newline to `path`.
@@ -100,6 +102,9 @@ class RunReport {
   double wall_ms_ = 0.0;
   double cpu_ms_ = 0.0;
   bool finished_ = false;
+  /// The run's trace id (0 when the report was built outside any trace).
+  uint64_t trace_id_hi_ = 0;
+  uint64_t trace_id_lo_ = 0;
   /// Insertion-ordered config entries; `value` is pre-rendered JSON.
   std::vector<std::pair<std::string, std::string>> config_;
   std::vector<ConvergencePoint> curve_;

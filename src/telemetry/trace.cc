@@ -7,10 +7,10 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/json.h"
 #include "common/string_util.h"
 #include "common/trace_context.h"
 #include "telemetry/metrics.h"
-#include "telemetry/profiler.h"
 
 namespace nde {
 namespace telemetry {
@@ -188,57 +188,115 @@ std::string TraceBuffer::ToChromeJson() const {
   return os.str();
 }
 
-std::string TraceBuffer::FoldedForTrace(uint64_t trace_id_hi,
-                                        uint64_t trace_id_lo) const {
-  std::vector<TraceEvent> events = Snapshot();
+namespace {
+
+/// Appends one frame to a folded stack. Folded lines are ';'-joined frames,
+/// a space and the self time, so span names like "fit numeric(score)" have
+/// their delimiter characters turned into '_'.
+void AppendFrame(const std::string& name, std::string* stack) {
+  if (!stack->empty()) stack->push_back(';');
+  for (char c : name) {
+    bool delimiter = c == ' ' || c == ';' || c == '\t' || c == '\n';
+    stack->push_back(delimiter ? '_' : c);
+  }
+}
+
+SpanProfile FoldSpans(const std::vector<TraceEvent>& events, size_t dropped) {
   std::unordered_map<uint64_t, const TraceEvent*> by_span;
-  std::vector<const TraceEvent*> in_trace;
   for (const TraceEvent& event : events) {
-    if (event.trace_id_hi != trace_id_hi || event.trace_id_lo != trace_id_lo) {
-      continue;
-    }
-    in_trace.push_back(&event);
     if (event.span_id != 0) by_span.emplace(event.span_id, &event);
   }
-  // Self time = duration minus the children recorded in the buffer, clamped
-  // at zero (children can outlive a dropped parent record, never vice versa).
   std::unordered_map<uint64_t, int64_t> children_us;
-  for (const TraceEvent* event : in_trace) {
-    if (event->parent_span_id != 0 &&
-        by_span.count(event->parent_span_id) != 0) {
-      children_us[event->parent_span_id] += event->dur_us;
+  for (const TraceEvent& event : events) {
+    if (event.parent_span_id != 0 &&
+        by_span.count(event.parent_span_id) != 0) {
+      children_us[event.parent_span_id] += event.dur_us;
     }
   }
-  std::map<std::string, int64_t> folded;  // sorted -> deterministic output
-  for (const TraceEvent* event : in_trace) {
-    // Walk parent pointers to the root; spans whose parent fell outside the
-    // buffer (or outside the trace) become roots of their own stacks.
-    std::vector<const TraceEvent*> chain{event};
-    const TraceEvent* cursor = event;
+  std::map<std::string, int64_t> stacks;  // sorted -> deterministic output
+  std::map<std::string, SpanProfile::Name> names;
+  std::vector<const TraceEvent*> chain;
+  for (const TraceEvent& event : events) {
+    // Walk parent pointers to the root; a span whose parent fell outside the
+    // folded set becomes the root of its own stack.
+    chain.assign(1, &event);
+    const TraceEvent* cursor = &event;
     while (cursor->parent_span_id != 0) {
       auto it = by_span.find(cursor->parent_span_id);
-      if (it == by_span.end() || it->second == event) break;
+      if (it == by_span.end() || it->second == &event) break;
       cursor = it->second;
       chain.push_back(cursor);
       if (chain.size() > events.size()) break;  // malformed linkage guard
     }
     std::string stack;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      if (!stack.empty()) stack += ";";
-      stack += (*it)->name;
+      AppendFrame((*it)->name, &stack);
     }
-    int64_t self_us = event->dur_us;
-    auto consumed = children_us.find(event->span_id);
+    int64_t self_us = event.dur_us;
+    auto consumed = children_us.find(event.span_id);
     if (consumed != children_us.end()) {
       self_us = std::max<int64_t>(0, self_us - consumed->second);
     }
-    folded[stack] += self_us;
+    stacks[stack] += self_us;
+    SpanProfile::Name& name = names[event.name];
+    ++name.count;
+    name.self_us += self_us;
+    name.total_us += event.dur_us;
+    name.max_us = std::max(name.max_us, event.dur_us);
   }
-  std::ostringstream os;
-  for (const auto& [stack, self_us] : folded) {
-    os << stack << " " << self_us << "\n";
+
+  SpanProfile profile;
+  profile.spans = events.size();
+  profile.dropped = dropped;
+  profile.stacks.reserve(stacks.size());
+  for (const auto& [stack, self_us] : stacks) {
+    profile.stacks.push_back({stack, self_us});
   }
-  return os.str();
+  profile.names.reserve(names.size());
+  for (auto& [key, name] : names) {
+    name.name = key;
+    profile.names.push_back(std::move(name));
+  }
+  std::sort(profile.names.begin(), profile.names.end(),
+            [](const SpanProfile::Name& a, const SpanProfile::Name& b) {
+              if (a.self_us != b.self_us) return a.self_us > b.self_us;
+              return a.name < b.name;
+            });
+  return profile;
+}
+
+}  // namespace
+
+std::string SpanProfile::Folded() const {
+  std::string out;
+  for (const Stack& entry : stacks) {
+    out += entry.stack;
+    out += ' ';
+    out += std::to_string(entry.self_us);
+    out += '\n';
+  }
+  return out;
+}
+
+SpanProfile TraceBuffer::Profile() const {
+  return FoldSpans(Snapshot(), dropped());
+}
+
+SpanProfile TraceBuffer::Profile(uint64_t trace_id_hi,
+                                 uint64_t trace_id_lo) const {
+  // Copy only the trace's spans, not the whole buffer: a job's view and its
+  // report fold one trace out of up to 65,536 buffered spans.
+  std::vector<TraceEvent> events;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const TraceEvent& event : events_) {
+      if (event.trace_id_hi == trace_id_hi &&
+          event.trace_id_lo == trace_id_lo) {
+        events.push_back(event);
+      }
+    }
+  }
+  return FoldSpans(events, dropped());
 }
 
 ScopedSpan::ScopedSpan(std::string name, std::string category)
@@ -260,19 +318,12 @@ ScopedSpan::ScopedSpan(std::string name, std::string category)
   event_.span_id = MintSpanId();
   saved_span_id_ = context->span_id;
   context->span_id = event_.span_id;
-  // Publish the frame to the sampling profiler before reading the clock, so
-  // a sample taken during the span sees the full stack.
-  if (prof::SamplingActive()) {
-    prof::PushFrame(event_.name);
-    pushed_ = true;
-  }
   event_.ts_us = NowMicros();
 }
 
 ScopedSpan::~ScopedSpan() {
   if (!active_) return;
   event_.dur_us = NowMicros() - event_.ts_us;
-  if (pushed_) prof::PopFrame();
   nde::internal::MutableCurrentTraceContext()->span_id = saved_span_id_;
   --t_span_depth;
   TraceBuffer::Global().Record(std::move(event_));
@@ -296,27 +347,6 @@ void ScopedSpan::AddArg(const std::string& key, const std::string& value) {
 double ScopedSpan::ElapsedMs() const {
   if (!active_) return 0.0;
   return static_cast<double>(NowMicros() - event_.ts_us) / 1000.0;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace telemetry

@@ -47,6 +47,38 @@ struct TraceEvent {
   uint64_t parent_span_id = 0;
 };
 
+/// An exact profile folded from recorded spans (TraceBuffer::Profile). A
+/// span's stack is its chain of parents, followed across threads by span id;
+/// a span whose parent is not among the folded spans is a root. Its self
+/// time is its duration minus that of its recorded children, clamped at 0
+/// (parallel children can sum to more than their parent's wall time).
+struct SpanProfile {
+  /// One root-to-leaf stack of span names joined with ';'. Space, ';', tab
+  /// and newline in a name become '_', so every stack is one folded frame
+  /// list whatever the span names hold.
+  struct Stack {
+    std::string stack;
+    int64_t self_us = 0;
+  };
+  /// Totals over every folded span of one name.
+  struct Name {
+    std::string name;
+    uint64_t count = 0;
+    int64_t self_us = 0;
+    int64_t total_us = 0;
+    int64_t max_us = 0;
+  };
+
+  std::vector<Stack> stacks;  ///< identical stacks merged; sorted by stack
+  std::vector<Name> names;    ///< sorted by self_us descending, then name
+  size_t spans = 0;           ///< spans folded
+  size_t dropped = 0;         ///< spans the buffer dropped when full
+
+  /// Flamegraph input (flamegraph.pl, speedscope): one "stack self_us" line
+  /// per stack, in `stacks` order. Empty when no span was folded.
+  std::string Folded() const;
+};
+
 /// Bounded in-memory store of completed spans. When full, new events are
 /// dropped (and counted) so a long run keeps its earliest — structurally most
 /// interesting — spans and memory stays bounded.
@@ -77,12 +109,12 @@ class TraceBuffer {
   /// instead of as flat unparented boxes.
   std::string ToChromeJson() const;
 
-  /// Flamegraph-compatible folded stacks for one trace: each line is
-  /// "root;child;...;leaf <self_us>" built from span parent linkage, with
-  /// identical stacks merged and lines sorted (deterministic output).
-  /// Feed to flamegraph.pl or speedscope. Empty string when the buffer has
-  /// no spans for the trace.
-  std::string FoldedForTrace(uint64_t trace_id_hi, uint64_t trace_id_lo) const;
+  /// Folds every buffered span into one exact profile: /profilez and
+  /// `nde_cli --profile` render this.
+  SpanProfile Profile() const;
+  /// Folds the spans of one trace only: a job's /jobs/<id>/tracez?folded=1
+  /// and a run report's "profile" block.
+  SpanProfile Profile(uint64_t trace_id_hi, uint64_t trace_id_lo) const;
 
   TraceBuffer(const TraceBuffer&) = delete;
   TraceBuffer& operator=(const TraceBuffer&) = delete;
@@ -122,17 +154,10 @@ class ScopedSpan {
 
  private:
   bool active_;
-  /// Whether this span pushed a frame onto the profiler's per-thread stack
-  /// (sampling can start or stop mid-span, so the pop must match the push,
-  /// not the state at destruction time).
-  bool pushed_ = false;
   /// The thread's previous current-span id, restored at destruction.
   uint64_t saved_span_id_ = 0;
   TraceEvent event_;
 };
-
-/// Escapes a string for embedding in a JSON string literal (no quotes added).
-std::string JsonEscape(const std::string& text);
 
 }  // namespace telemetry
 }  // namespace nde

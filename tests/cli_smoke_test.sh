@@ -199,29 +199,58 @@ grep -q -- "--serve" err.txt || fail "--serve error does not name the flag"
 "$CLI" importance train.csv --label label --report > /dev/null 2>&1
 [ $? -eq 2 ] || fail "value-less --report should exit 2"
 
+# serve never finishes a command, so the flags that write a command's outputs
+# would be silently ignored: it exits 2 on each, naming it, before binding a
+# port. (The timeout keeps a server that accepts one from hanging the test.)
+for flag in "--profile p.folded" "--trace t.json" "--report r.json" \
+            --metrics --prometheus "--serve 0" \
+            "--trace-parent 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"; do
+  name="${flag%% *}"
+  timeout 10 "$CLI" serve --port 0 $flag > /dev/null 2> err.txt
+  [ $? -eq 2 ] || fail "serve should reject $name with exit 2"
+  grep -q -- "'$name'" err.txt || fail "serve's rejection does not name $name"
+  grep -q "serving on" err.txt && fail "serve bound a port before rejecting $name"
+done
+# ...while the flags that shape the server itself still work.
+: > serve_ok_err.txt
+"$CLI" serve --port 0 --threads 2 --log-level info --log-json \
+    > /dev/null 2> serve_ok_err.txt &
+serve_pid=$!
+for _ in $(seq 1 200); do
+  grep -q "serving on" serve_ok_err.txt && break
+  sleep 0.05
+done
+grep -q "serving on" serve_ok_err.txt \
+    || { kill "$serve_pid"; fail "serve refused --threads/--log-level/--log-json"; }
+kill -TERM "$serve_pid"
+wait "$serve_pid" || fail "serve did not exit 0 on SIGTERM"
+
 # --- --profile: folded stacks, report block, bit-identical ranking -----------
-# 256 permutations keep the estimator busy for tens of milliseconds, so the
-# fast CLI sampler is guaranteed observations.
-"$CLI" importance train.csv --label label --top 5 --permutations 256 \
+"$CLI" importance train.csv --label label --top 5 \
     --profile prof.folded --report prof_report.json \
     > prof_out.txt 2> prof_err.txt || fail "--profile importance failed"
-grep -q "wrote .* profile samples" prof_err.txt \
-    || fail "--profile did not announce the profile file"
-grep -q '"profile":{' prof_report.json \
+grep -q "^wrote profile of [0-9]* spans ([0-9]* stacks, 0 dropped) to prof.folded$" \
+    prof_err.txt || fail "--profile did not announce the profile file"
+grep -q '"profile":{"spans":' prof_report.json \
     || fail "report lacks the profile block under --profile"
 if grep -q "telemetry compiled out" prof_err.txt; then
   : # NDE_TELEMETRY=OFF build: no spans exist, so folded stacks stay empty.
 else
   [ -s prof.folded ] || fail "folded-stack file missing or empty"
-  # Folded lines are "frame(;frame)* count" and the run's wave spans show up.
-  awk '{ if (NF != 2 || $2 !~ /^[0-9]+$/) exit 1 }' prof.folded \
-      || fail "prof.folded is not in folded-stack format"
-  grep -q "tmc" prof.folded || fail "folded stacks lack tmc wave frames"
-  grep -q '"profile":{"enabled":true' prof_report.json \
-      || fail "report profile block not enabled under --profile"
+  # Folded lines are "frame(;frame)* self_us" and the run's wave spans show.
+  grep -qv '^[^ ;]\+\(;[^ ;]\+\)* [0-9]\+$' prof.folded \
+      && fail "prof.folded is not in folded-stack format"
+  grep -q "tmc_permutation" prof.folded \
+      || fail "folded stacks lack tmc wave frames"
+  # Parsing, dataset extraction and ranking each root a stack of their own.
+  for root in csv.parse ToDataset rank; do
+    grep -q "^$root[ ;]" prof.folded || fail "folded stacks lack $root"
+  done
+  grep -q '"profile":{"spans":[1-9]' prof_report.json \
+      || fail "report profile block folded no spans under --profile"
 fi
 # Profiling must not change the ranking: compare against the plain run.
-"$CLI" importance train.csv --label label --top 5 --permutations 256 \
+"$CLI" importance train.csv --label label --top 5 \
     > noprof_out.txt || fail "plain importance failed"
 grep '^[0-9]\+$' prof_out.txt > prof_ids.txt
 grep '^[0-9]\+$' noprof_out.txt > noprof_ids.txt

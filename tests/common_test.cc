@@ -496,6 +496,16 @@ TEST(JsonParseTest, DepthIsCapped) {
   EXPECT_FALSE(json::Parse(deep).ok());
 }
 
+TEST(JsonTest, JsonEscapeHandlesControlCharacters) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(JsonEscape("a\r\tb"), "a\\r\\tb");
+  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9"), "caf\xc3\xa9");  // UTF-8 passes through
+}
+
 TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
   Arena arena(64);  // Tiny first chunk to force growth.
   std::vector<std::pair<char*, size_t>> blocks;

@@ -21,8 +21,8 @@
 #include "importance/utility.h"
 #include "json_checker.h"
 #include "telemetry/metrics.h"
-#include "telemetry/profiler.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 
 namespace nde {
 namespace {
@@ -140,26 +140,36 @@ TEST(HttpExporterRoutingTest, VarzMergesFailpointCounters) {
 }
 
 TEST(HttpExporterRoutingTest, ProfilezServesTextAndFoldedStacks) {
-  telemetry::Profiler& profiler = telemetry::Profiler::Global();
-  profiler.Reset();
-  telemetry::prof::PushFrame("profilez_frame");
-  profiler.SampleOnce();
-  telemetry::prof::PopFrame();
+  telemetry::TraceBuffer& buffer = telemetry::TraceBuffer::Global();
+  buffer.Clear();
+  telemetry::TraceEvent parent;
+  parent.name = "profilez frame";
+  parent.span_id = 1;
+  parent.dur_us = 40;
+  telemetry::TraceEvent child = parent;
+  child.name = "child";
+  child.span_id = 2;
+  child.parent_span_id = 1;
+  child.dur_us = 15;
+  buffer.Record(parent);
+  buffer.Record(child);
 
   std::string response =
       telemetry::HttpExporter::HandleRequest("GET /profilez HTTP/1.1");
   EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
   EXPECT_NE(response.find("text/plain"), std::string::npos);
-  EXPECT_NE(Body(response).find("profilez_frame"), std::string::npos)
+  EXPECT_EQ(Body(response).rfind("profile: 2 spans, 0 dropped, 2 stacks\n", 0),
+            0u)
+      << Body(response);
+  EXPECT_NE(Body(response).find("profilez frame"), std::string::npos)
       << Body(response);
 
-  // ?folded=1 downloads raw folded stacks: exactly the "stack count" lines.
+  // ?folded=1 downloads the folded stacks: exactly the "stack self_us" lines.
   std::string folded = telemetry::HttpExporter::HandleRequest(
       "GET /profilez?folded=1 HTTP/1.1");
   EXPECT_EQ(folded.rfind("HTTP/1.1 200", 0), 0u) << folded;
-  EXPECT_NE(Body(folded).find("profilez_frame 1"), std::string::npos)
-      << Body(folded);
-  profiler.Reset();
+  EXPECT_EQ(Body(folded), "profilez_frame 25\nprofilez_frame;child 15\n");
+  buffer.Clear();
 }
 
 TEST(HttpExporterRoutingTest, UnknownPathIs404AndNonGetIs405) {
@@ -193,13 +203,9 @@ TEST(HttpExporterTest, ServesScrapesWhileAnEstimatorRuns) {
   uint16_t port = exporter.port();
   ASSERT_NE(port, 0);
 
-  // Profile the run too: spans only exist with telemetry on, and the sampler
-  // must be live for ScopedSpan to push frames.
+  // Profile the run too: spans only exist with telemetry on.
   telemetry::SetEnabled(true);
-  telemetry::Profiler::Global().Reset();
-  telemetry::ProfilerOptions prof_options;
-  prof_options.sampling_interval_us = 100;  // Fast: the run lasts ~tens of ms.
-  ASSERT_TRUE(telemetry::Profiler::Global().Start(prof_options).ok());
+  telemetry::TraceBuffer::Global().Clear();
 
   // A deliberately slow game keeps the estimator busy on another thread
   // while we scrape.
@@ -208,8 +214,8 @@ TEST(HttpExporterTest, ServesScrapesWhileAnEstimatorRuns) {
     double Evaluate(const std::vector<size_t>& subset) const override {
       double sum = 0.0;
       for (size_t i : subset) sum += static_cast<double>(i + 1);
-      // Slow enough that the whole estimate spans tens of milliseconds: the
-      // scrapes below land mid-run and the 100 us sampler sees the waves.
+      // Slow enough that the whole estimate spans tens of milliseconds, so
+      // the scrapes below land mid-run.
       for (int spin = 0; spin < 2000; ++spin) {
         sum = std::sqrt(sum * sum + 1e-9);
       }
@@ -234,27 +240,28 @@ TEST(HttpExporterTest, ServesScrapesWhileAnEstimatorRuns) {
   EXPECT_EQ(metrics.rfind("HTTP/1.1 200", 0), 0u);
   EXPECT_NE(Body(metrics).find("# TYPE"), std::string::npos);
 
-  // /profilez answers mid-run; with a live estimator it may or may not have
-  // caught a wave yet, so only the transport and shape are asserted here.
+  // /profilez answers mid-run, folding the spans closed so far.
   std::string profilez = HttpGet(port, "/profilez");
   EXPECT_EQ(profilez.rfind("HTTP/1.1 200", 0), 0u) << profilez;
-  EXPECT_EQ(Body(profilez).rfind("profiler:", 0), 0u) << Body(profilez);
+  EXPECT_EQ(Body(profilez).rfind("profile: ", 0), 0u) << Body(profilez);
 
   std::string missing = HttpGet(port, "/definitely-not-here");
   EXPECT_EQ(missing.rfind("HTTP/1.1 404", 0), 0u);
 
   estimator.join();
   EXPECT_EQ(estimate.values.size(), 12u);
-  telemetry::Profiler::Global().Stop();
 #if NDE_TELEMETRY_ENABLED
-  // 96 sequential waves of a deliberately slow game run long enough that the
-  // 1 ms sampler observes at least one tmc wave span. (Without telemetry
-  // compiled in there are no spans to observe.)
-  EXPECT_NE(telemetry::Profiler::Global().FoldedStacks().find("tmc"),
-            std::string::npos)
-      << telemetry::Profiler::Global().FoldedStacks();
+  // Once the run is over every one of its spans is in the fold. (Without
+  // telemetry compiled in there are no spans to fold.)
+  std::string folded = "\n" + Body(HttpGet(port, "/profilez?folded=1"));
+  EXPECT_NE(folded.find("\nTmcShapleyValues "), std::string::npos) << folded;
+  size_t permutation = folded.find(";tmc_permutation ");
+  ASSERT_NE(permutation, std::string::npos) << folded;
+  EXPECT_EQ(folded.rfind("\nTmcShapleyValues;", permutation),
+            folded.rfind('\n', permutation))
+      << folded;
 #endif
-  telemetry::Profiler::Global().Reset();
+  telemetry::TraceBuffer::Global().Clear();
   telemetry::SetEnabled(false);
 
   exporter.Stop();

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -574,6 +576,48 @@ TEST(JobApiHttpTest, ExternalTraceparentRoundTripsThroughEveryJobView) {
       manager.HandleHttp(Request("GET", "/jobs/" + id + "/nope"));
   EXPECT_NE(StatusLine(unknown).find("404"), std::string::npos);
 
+  telemetry::SetEnabled(false);
+  telemetry::TraceBuffer::Global().Clear();
+}
+
+TEST(JobApiHttpTest, FoldedViewIsWellFormedAndIsTheServersWholeProfile) {
+  telemetry::SetEnabled(true);
+  telemetry::TraceBuffer::Global().Clear();
+  JobManager manager;
+  JobRequest request;
+  request.algorithm = "tmc_shapley";
+  request.label = "label";
+  // A column name holding both folded-stack delimiters.
+  request.csv_data = "a;ge x,b,label\n";
+  for (int i = 0; i < 40; ++i) {
+    request.csv_data += StrFormat("%d,%d,%d\n", 20 + i % 17, i % 5, i % 2);
+  }
+  request.options = {{"num_permutations", "8"}};
+  std::string id = manager.Submit(request).value();
+  JobSnapshot done = AwaitDone(manager, id);
+  ASSERT_EQ(done.state, JobState::kDone) << done.error.ToString();
+
+  std::string folded = Body(
+      manager.HandleHttp(Request("GET", "/jobs/" + id + "/tracez?folded=1")));
+  const std::regex kFoldedLine("^[^ ;]+(;[^ ;]+)* [0-9]+$");
+  std::istringstream lines(folded);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_TRUE(std::regex_match(line, kFoldedLine)) << line;
+  }
+  // The buffer was cleared first, so the job's spans are all it holds: the
+  // server-wide profile is byte for byte the job's.
+  EXPECT_EQ(Body(telemetry::HttpExporter::HandleRequest(
+                "GET /profilez?folded=1 HTTP/1.1")),
+            folded);
+#if NDE_TELEMETRY_ENABLED
+  // Parsing, dataset extraction and ranking are roots of their own stacks.
+  for (const char* root : {"csv.parse ", "ToDataset ", "rank "}) {
+    EXPECT_NE(("\n" + folded).find(std::string("\n") + root),
+              std::string::npos)
+        << root << "\n" << folded;
+  }
+  EXPECT_NE(folded.find("(a_ge_x)"), std::string::npos) << folded;
+#endif
   telemetry::SetEnabled(false);
   telemetry::TraceBuffer::Global().Clear();
 }

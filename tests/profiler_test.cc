@@ -1,13 +1,11 @@
 #include "telemetry/profiler.h"
 
-#include <chrono>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "json_checker.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -16,177 +14,148 @@ namespace nde {
 namespace {
 
 using telemetry::AllocationScope;
-using telemetry::FlatFrame;
-using telemetry::FoldedStack;
-using telemetry::Profiler;
+using telemetry::SpanProfile;
+using telemetry::TraceBuffer;
+using telemetry::TraceEvent;
 
-/// Restores global telemetry + profiler + alloc-accounting state on exit so
-/// these tests compose with the rest of the suite in any order.
+/// Restores global telemetry + trace buffer + alloc-accounting state on exit
+/// so these tests compose with the rest of the suite in any order.
 class ProfilerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    Profiler::Global().Stop();
-    Profiler::Global().Reset();
+    TraceBuffer::Global().Clear();
     telemetry::ResetAllocStats();
   }
   void TearDown() override {
-    Profiler::Global().Stop();
-    Profiler::Global().Reset();
+    TraceBuffer::Global().Clear();
     telemetry::SetAllocAccountingEnabled(false);
     telemetry::ResetAllocStats();
     telemetry::SetEnabled(false);
   }
 };
 
-TEST_F(ProfilerTest, PushPopTracksLocalDepth) {
-  EXPECT_EQ(telemetry::prof::LocalDepthForTesting(), 0u);
-  telemetry::prof::PushFrame("outer");
-  telemetry::prof::PushFrame("inner");
-  EXPECT_EQ(telemetry::prof::LocalDepthForTesting(), 2u);
-  telemetry::prof::PopFrame();
-  EXPECT_EQ(telemetry::prof::LocalDepthForTesting(), 1u);
-  telemetry::prof::PopFrame();
-  EXPECT_EQ(telemetry::prof::LocalDepthForTesting(), 0u);
+TraceEvent Span(const char* name, uint32_t tid, uint64_t span, uint64_t parent,
+                int64_t dur_us, uint64_t trace_lo = 9) {
+  TraceEvent event;
+  event.name = name;
+  event.tid = tid;
+  event.trace_id_hi = 7;
+  event.trace_id_lo = trace_lo;
+  event.span_id = span;
+  event.parent_span_id = parent;
+  event.dur_us = dur_us;
+  return event;
 }
 
-TEST_F(ProfilerTest, SampleOnceAggregatesTheCallersStack) {
-  Profiler& profiler = Profiler::Global();
-  telemetry::prof::PushFrame("alpha");
-  telemetry::prof::PushFrame("beta");
-  profiler.SampleOnce();
-  profiler.SampleOnce();
-  telemetry::prof::PopFrame();
-  profiler.SampleOnce();
-  telemetry::prof::PopFrame();
+// --- The fold ----------------------------------------------------------------
 
-  EXPECT_EQ(profiler.samples(), 3u);
-  EXPECT_EQ(profiler.sample_passes(), 3u);
-  EXPECT_EQ(profiler.torn_samples(), 0u);
+TEST_F(ProfilerTest, FoldFollowsParentsAcrossThreadsAndClampsSelfTime) {
+  TraceBuffer buffer(16);
+  // Two workers on other threads run under one 100 us root; together they
+  // take 130 us of (parallel) time, so the root's self time clamps at 0.
+  buffer.Record(Span("root", 1, 1, 0, 100));
+  buffer.Record(Span("worker", 2, 2, 1, 60));
+  buffer.Record(Span("worker", 3, 3, 1, 70));
+  buffer.Record(Span("odd;name x", 2, 4, 2, 10));
 
-  std::vector<FoldedStack> folded = profiler.Folded();
-  ASSERT_EQ(folded.size(), 2u);
-  // Sorted by stack text: "alpha" < "alpha;beta".
-  EXPECT_EQ(folded[0].stack, "alpha");
-  EXPECT_EQ(folded[0].count, 1u);
-  EXPECT_EQ(folded[1].stack, "alpha;beta");
-  EXPECT_EQ(folded[1].count, 2u);
-  EXPECT_EQ(profiler.FoldedStacks(), "alpha 1\nalpha;beta 2\n");
+  SpanProfile profile = buffer.Profile();
+  EXPECT_EQ(profile.spans, 4u);
+  EXPECT_EQ(profile.dropped, 0u);
+  EXPECT_EQ(profile.Folded(),
+            "root 0\nroot;worker 120\nroot;worker;odd_name_x 10\n");
 
-  // Flat view: beta was the leaf twice; alpha was on-stack for all three
-  // samples but the leaf only once.
-  std::vector<FlatFrame> flat = profiler.Flat();
-  ASSERT_EQ(flat.size(), 2u);
-  EXPECT_EQ(flat[0].name, "beta");
-  EXPECT_EQ(flat[0].self, 2u);
-  EXPECT_EQ(flat[0].total, 2u);
-  EXPECT_EQ(flat[1].name, "alpha");
-  EXPECT_EQ(flat[1].self, 1u);
-  EXPECT_EQ(flat[1].total, 3u);
+  // Per-name totals, heaviest self time first.
+  ASSERT_EQ(profile.names.size(), 3u);
+  const SpanProfile::Name& worker = profile.names[0];
+  EXPECT_EQ(worker.name, "worker");
+  EXPECT_EQ(worker.count, 2u);
+  EXPECT_EQ(worker.self_us, 120);
+  EXPECT_EQ(worker.total_us, 130);
+  EXPECT_EQ(worker.max_us, 70);
+  EXPECT_EQ(profile.names[1].name, "odd;name x");  // raw name in the table
+  EXPECT_EQ(profile.names[1].self_us, 10);
+  EXPECT_EQ(profile.names[2].name, "root");
+  EXPECT_EQ(profile.names[2].self_us, 0);
+  EXPECT_EQ(profile.names[2].total_us, 100);
 }
 
-TEST_F(ProfilerTest, ResetDropsAggregates) {
-  Profiler& profiler = Profiler::Global();
-  telemetry::prof::PushFrame("gone");
-  profiler.SampleOnce();
-  telemetry::prof::PopFrame();
-  ASSERT_GT(profiler.samples(), 0u);
-  profiler.Reset();
-  EXPECT_EQ(profiler.samples(), 0u);
-  EXPECT_EQ(profiler.sample_passes(), 0u);
-  EXPECT_TRUE(profiler.Folded().empty());
-  EXPECT_EQ(profiler.FoldedStacks(), "");
+TEST_F(ProfilerTest, TraceFilterFoldsOneTraceAndReportsTheBuffersDrops) {
+  TraceBuffer buffer(3);
+  buffer.Record(Span("job", 1, 1, 0, 50));
+  buffer.Record(Span("step", 1, 2, 1, 20));
+  // Another trace's child of "job": outside the filter it is a root.
+  buffer.Record(Span("other", 1, 3, 1, 5, /*trace_lo=*/8));
+  buffer.Record(Span("late", 1, 4, 0, 1));  // over capacity: dropped
+
+  SpanProfile job = buffer.Profile(7, 9);
+  EXPECT_EQ(job.spans, 2u);
+  EXPECT_EQ(job.dropped, 1u);
+  EXPECT_EQ(job.Folded(), "job 30\njob;step 20\n");
+
+  SpanProfile other = buffer.Profile(7, 8);
+  EXPECT_EQ(other.Folded(), "other 5\n");
+
+  // Across the whole buffer the cross-trace child nests under its parent.
+  SpanProfile all = buffer.Profile();
+  EXPECT_EQ(all.spans, 3u);
+  EXPECT_EQ(all.dropped, 1u);
+  EXPECT_EQ(all.Folded(), "job 25\njob;other 5\njob;step 20\n");
+
+  SpanProfile none = buffer.Profile(1, 2);
+  EXPECT_EQ(none.spans, 0u);
+  EXPECT_EQ(none.Folded(), "");
 }
 
-TEST_F(ProfilerTest, FoldedOutputSanitizesDelimiterCharacters) {
-  // Span names may carry spaces ("fit numeric(score)"); the folded-stack
-  // grammar reserves space and semicolon, so they must come out as "_".
-  Profiler& profiler = Profiler::Global();
-  telemetry::prof::PushFrame("fit numeric(score)");
-  telemetry::prof::PushFrame("odd;name");
-  profiler.SampleOnce();
-  telemetry::prof::PopFrame();
-  profiler.SampleOnce();
-  telemetry::prof::PopFrame();
-  EXPECT_EQ(profiler.FoldedStacks(),
-            "fit_numeric(score) 1\nfit_numeric(score);odd_name 1\n");
-}
+TEST_F(ProfilerTest, TextAndJsonRenderTheFold) {
+  TraceBuffer buffer(8);
+  buffer.Record(Span("outer", 1, 1, 0, 40));
+  buffer.Record(Span("inner \"quoted\"", 1, 2, 1, 15));
+  SpanProfile profile = buffer.Profile();
 
-TEST_F(ProfilerTest, ToJsonIsValidAndCarriesTheAggregates) {
-  Profiler& profiler = Profiler::Global();
-  telemetry::prof::PushFrame("json_frame");
-  profiler.SampleOnce();
-  telemetry::prof::PopFrame();
+  std::string text = telemetry::ProfileText(profile);
+  EXPECT_EQ(text.rfind("profile: 2 spans, 0 dropped, 2 stacks\n", 0), 0u)
+      << text;
+  EXPECT_NE(text.find("outer"), std::string::npos) << text;
+  EXPECT_NE(text.find("alloc accounting:"), std::string::npos) << text;
 
-  std::string json = profiler.ToJson();
+  std::string json = telemetry::ProfileJson(profile);
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  EXPECT_NE(json.find("\"folded\""), std::string::npos);
-  EXPECT_NE(json.find("\"flat\""), std::string::npos);
-  EXPECT_NE(json.find("\"alloc\""), std::string::npos);
-  EXPECT_NE(json.find("json_frame"), std::string::npos);
+  EXPECT_EQ(json.rfind("{\"spans\":2,\"dropped_spans\":0,\"unique_stacks\":2,"
+                       "\"folded\":[{\"stack\":\"outer\",\"self_us\":25},"
+                       "{\"stack\":\"outer;inner_" +
+                           JsonEscape("\"quoted\"") + "\",\"self_us\":15}],"
+                       "\"flat\":[{\"name\":\"outer\",\"count\":1,"
+                       "\"self_us\":25,\"total_us\":40,\"max_us\":40},",
+                       0),
+            0u)
+      << json;
+  EXPECT_NE(json.find("\"alloc\":{\"compiled_in\""), std::string::npos);
 
-  std::string text = profiler.ToText();
-  EXPECT_NE(text.find("json_frame"), std::string::npos) << text;
+  // The folded block keeps the heaviest stacks, still sorted by stack.
+  std::string capped = telemetry::ProfileJson(profile, 1);
+  EXPECT_NE(capped.find("\"unique_stacks\":2,\"folded\":[{\"stack\":\"outer\","
+                        "\"self_us\":25}],"),
+            std::string::npos)
+      << capped;
+
+  std::string empty = telemetry::ProfileText(SpanProfile{});
+  EXPECT_EQ(empty.rfind("profile: 0 spans, 0 dropped, 0 stacks\n", 0), 0u);
 }
 
-TEST_F(ProfilerTest, StartStopLifecycle) {
-  Profiler& profiler = Profiler::Global();
-  EXPECT_FALSE(profiler.running());
-  ASSERT_TRUE(profiler.Start({}).ok());
-  EXPECT_TRUE(profiler.running());
-  EXPECT_FALSE(profiler.Start({}).ok()) << "double Start must fail";
-  profiler.Stop();
-  EXPECT_FALSE(profiler.running());
-  profiler.Stop();  // Idempotent.
-  ASSERT_TRUE(profiler.Start({}).ok()) << "restart after Stop must work";
-  profiler.Stop();
-}
-
-TEST_F(ProfilerTest, BackgroundSamplerTicks) {
-  Profiler& profiler = Profiler::Global();
-  telemetry::ProfilerOptions options;
-  options.sampling_interval_us = 200;
-  ASSERT_TRUE(profiler.Start(options).ok());
-  // Passes tick whether or not any thread has spans open, so this cannot
-  // flake on an idle machine; bound the wait to keep a loaded one honest.
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (profiler.sample_passes() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  profiler.Stop();
-  EXPECT_GT(profiler.sample_passes(), 0u);
-}
-
-TEST_F(ProfilerTest, ScopedSpansFeedTheSamplerWhileRunning) {
+TEST_F(ProfilerTest, RecordedSpansFoldIntoTheGlobalProfile) {
 #if !NDE_TELEMETRY_ENABLED
   GTEST_SKIP() << "NDE_TRACE_SPAN compiles to nothing in this build";
 #endif
   telemetry::SetEnabled(true);
-  Profiler& profiler = Profiler::Global();
-  telemetry::ProfilerOptions options;
-  // Effectively never fires on its own: the test drives SampleOnce so the
-  // observation is deterministic.
-  options.sampling_interval_us = 60 * 1000 * 1000;
-  ASSERT_TRUE(profiler.Start(options).ok());
   {
     NDE_TRACE_SPAN("profiled_section", "test");
-    EXPECT_EQ(telemetry::prof::LocalDepthForTesting(), 1u);
-    profiler.SampleOnce();
+    NDE_TRACE_SPAN("nested section", "test");
   }
-  EXPECT_EQ(telemetry::prof::LocalDepthForTesting(), 0u);
-  profiler.Stop();
-  EXPECT_NE(profiler.FoldedStacks().find("profiled_section"),
-            std::string::npos)
-      << profiler.FoldedStacks();
-}
-
-TEST_F(ProfilerTest, SpansDoNotPushFramesWhileStopped) {
-  telemetry::SetEnabled(true);
-  {
-    NDE_TRACE_SPAN("unprofiled_section", "test");
-    EXPECT_EQ(telemetry::prof::LocalDepthForTesting(), 0u)
-        << "spans must not pay the frame-stack cost when no profiler runs";
-  }
+  telemetry::SetEnabled(false);
+  SpanProfile profile = TraceBuffer::Global().Profile();
+  ASSERT_EQ(profile.stacks.size(), 2u);
+  EXPECT_EQ(profile.stacks[0].stack, "profiled_section");
+  EXPECT_EQ(profile.stacks[1].stack, "profiled_section;nested_section");
 }
 
 // --- Allocation accounting --------------------------------------------------
@@ -274,7 +243,7 @@ TEST_F(ProfilerTest, AllocStatsTableAndJsonStayWellFormed) {
   // Works in every build mode, including compiled-out interposition.
   std::string table = telemetry::AllocStatsTable();
   EXPECT_FALSE(table.empty());
-  std::string json = Profiler::Global().ToJson();
+  std::string json = telemetry::ProfileJson(SpanProfile{});
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"compiled_in\""), std::string::npos);
 }

@@ -9,10 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "common/progress.h"
+#include "common/trace_context.h"
 #include "importance/game_values.h"
 #include "importance/utility.h"
 #include "json_checker.h"
-#include "telemetry/profiler.h"
+#include "telemetry/trace.h"
 
 namespace nde {
 namespace {
@@ -106,30 +107,59 @@ TEST(RunReportTest, ToJsonIsWellFormedAndFinishIsIdempotent) {
   }
 }
 
-TEST(RunReportTest, ProfileBlockReflectsTheSamplingProfiler) {
-  // Without a profiler run the block is present but disabled…
+TEST(RunReportTest, ProfileBlockFoldsTheReportsOwnTrace) {
+  telemetry::TraceBuffer& buffer = telemetry::TraceBuffer::Global();
+  buffer.Clear();
+  auto record = [&buffer](const char* name, uint64_t trace_lo,
+                          uint64_t span, uint64_t parent, int64_t dur_us) {
+    telemetry::TraceEvent event;
+    event.name = name;
+    event.trace_id_hi = 3;
+    event.trace_id_lo = trace_lo;
+    event.span_id = span;
+    event.parent_span_id = parent;
+    event.dur_us = dur_us;
+    buffer.Record(event);
+  };
+  record("run_root", 4, 1, 0, 90);
+  record("run_leaf", 4, 2, 1, 30);
+  record("other_trace", 5, 3, 0, 10);
+
+  // Built inside a trace, the report folds that trace only.
   {
-    telemetry::Profiler::Global().Reset();
-    telemetry::RunReport report("no_profile");
+    TraceContext context;
+    context.trace_id_hi = 3;
+    context.trace_id_lo = 4;
+    ScopedTraceContext scope(std::move(context));
+    telemetry::RunReport report("in_trace");
     std::string json = report.ToJson();
     EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-    EXPECT_NE(json.find("\"profile\":{\"enabled\":false"), std::string::npos)
+    EXPECT_NE(json.find("\"profile\":{\"spans\":2,\"dropped_spans\":0,"
+                        "\"unique_stacks\":2,\"folded\":[{\"stack\":"
+                        "\"run_root\",\"self_us\":60},{\"stack\":"
+                        "\"run_root;run_leaf\",\"self_us\":30}],"),
+              std::string::npos)
         << json;
-  }
-  // …and with samples aggregated it carries them, inside valid JSON.
-  {
-    telemetry::prof::PushFrame("report_frame");
-    telemetry::Profiler::Global().SampleOnce();
-    telemetry::prof::PopFrame();
-    telemetry::RunReport report("with_profile");
-    std::string json = report.ToJson();
-    EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-    EXPECT_NE(json.find("\"profile\":{\"enabled\":true"), std::string::npos)
-        << json;
-    EXPECT_NE(json.find("report_frame"), std::string::npos) << json;
+    EXPECT_EQ(json.find("other_trace"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"max_us\":90}"), std::string::npos) << json;
     EXPECT_NE(json.find("\"alloc\":"), std::string::npos) << json;
-    telemetry::Profiler::Global().Reset();
+    EXPECT_NE(json.find("\"trace\":{\"buffered_spans\":3,"
+                        "\"dropped_spans\":0,\"buffer_capacity\":"),
+              std::string::npos)
+        << json;
   }
+  // Built outside any trace, it folds every buffered span.
+  {
+    telemetry::RunReport report("no_trace");
+    std::string json = report.ToJson();
+    EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+    EXPECT_NE(json.find("\"profile\":{\"spans\":3,"), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("{\"stack\":\"other_trace\",\"self_us\":10}"),
+              std::string::npos)
+        << json;
+  }
+  buffer.Clear();
 }
 
 TEST(RunReportTest, WriteFileRoundTripsAndReportsIOErrors) {

@@ -610,23 +610,16 @@ TEST_F(TelemetryTest, FoldedStacksMergeByParentChainWithSelfTime) {
   buffer.Record(make_event("leaf", 3, 2, 10));
   buffer.Record(make_event("child", 2, 1, 60));
   buffer.Record(make_event("root", 1, 0, 100));
+  // Frame names are sanitized: delimiters in a span name become '_'.
+  buffer.Record(make_event("odd;name x", 5, 1, 5));
   // A span from another trace must be filtered out entirely.
   TraceEvent other = make_event("other", 4, 0, 50);
   other.trace_id_lo = 8;
   buffer.Record(other);
 
-  EXPECT_EQ(buffer.FoldedForTrace(7, 9),
-            "root 40\nroot;child 50\nroot;child;leaf 10\n");
-  EXPECT_EQ(buffer.FoldedForTrace(1, 2), "");
-}
-
-TEST_F(TelemetryTest, JsonEscapeHandlesControlCharacters) {
-  EXPECT_EQ(telemetry::JsonEscape("plain"), "plain");
-  EXPECT_EQ(telemetry::JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(telemetry::JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(telemetry::JsonEscape("a\nb"), "a\\nb");
-  std::string escaped = telemetry::JsonEscape(std::string(1, '\x01'));
-  EXPECT_EQ(escaped, "\\u0001");
+  EXPECT_EQ(buffer.Profile(7, 9).Folded(),
+            "root 35\nroot;child 50\nroot;child;leaf 10\nroot;odd_name_x 5\n");
+  EXPECT_EQ(buffer.Profile(1, 2).Folded(), "");
 }
 
 // --- PlanProfiler -----------------------------------------------------------

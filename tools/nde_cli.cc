@@ -25,6 +25,11 @@
 //       cancels, GET /algorithmz lists every algorithm with its typed
 //       options. The observability endpoints (/healthz /metrics /varz
 //       /tracez /profilez) are served on the same port. Ctrl-C stops.
+//       Of the global flags, serve takes only --threads, --log-level and
+//       --log-json; the flags that write a command's outputs (--metrics
+//       --prometheus --trace --trace-parent --serve --report --profile)
+//       exit 2, as the server's live equivalents are /metrics, /tracez,
+//       /profilez and --artifact-dir.
 //
 //   nde_cli --list-algorithms
 //       Prints the algorithm registry: every estimator name with its
@@ -52,14 +57,14 @@
 //                        127.0.0.1:<port> while the command runs (0 picks an
 //                        ephemeral port, announced on stderr)
 //   --report <out.json>  write a JSON run report (invocation config, timing,
-//                        convergence curve, metrics, top trace spans)
-//   --profile <out.folded>  run the sampling profiler + allocation accounting
-//                        for the whole command and write folded stacks
-//                        (flamegraph input: one "frame;frame count" line per
-//                        unique stack) to the file; a profile summary also
-//                        lands in --report and on /profilez under --serve.
-//                        Purely observational: results are bit-identical with
-//                        or without it.
+//                        convergence curve, metrics, the run's span profile)
+//   --profile <out.folded>  record spans and allocation accounting for the
+//                        whole command and write its exact profile as folded
+//                        stacks (flamegraph input: one "frame;frame self_us"
+//                        line per unique stack, self time in microseconds);
+//                        the same fold lands in --report and on /profilez
+//                        under --serve. Purely observational: results are
+//                        bit-identical with or without it.
 //   --log-level <level>  debug|info|warning|error (default warning); info
 //                        enables live progress/ETA lines for estimators
 //   --log-json           emit log lines as JSON objects instead of text
@@ -214,8 +219,17 @@ ProgressCallback MakeCliProgress() {
   };
 }
 
-/// Rejects flags outside `allowed` (plus the global telemetry flags) so a
-/// typo like --labell fails loudly instead of silently using the default.
+/// Global flags that write a command's outputs after it finishes. `serve`
+/// never finishes a command, so it rejects them rather than ignore them.
+const std::set<std::string>& OutputFlags() {
+  static const std::set<std::string>* flags = new std::set<std::string>{
+      "metrics", "prometheus", "trace", "trace-parent", "serve", "report",
+      "profile"};
+  return *flags;
+}
+
+/// Rejects flags outside `allowed` (plus the global flags) so a typo like
+/// --labell fails loudly instead of silently using the default.
 Status CheckFlags(const Args& args, const std::string& command,
                   const std::set<std::string>& allowed) {
   if (!args.sets.empty() && allowed.count("set") == 0) {
@@ -223,10 +237,8 @@ Status CheckFlags(const Args& args, const std::string& command,
         StrFormat("unknown flag '--set' for '%s'", command.c_str()));
   }
   for (const auto& [key, value] : args.flags) {
-    if (allowed.count(key) > 0 || key == "metrics" || key == "prometheus" ||
-        key == "trace" || key == "trace-parent" || key == "threads" ||
-        key == "serve" || key == "report" || key == "profile" ||
-        key == "log-level" || key == "log-json") {
+    if (allowed.count(key) > 0 || OutputFlags().count(key) > 0 ||
+        key == "threads" || key == "log-level" || key == "log-json") {
       continue;
     }
     return Status::InvalidArgument(StrFormat(
@@ -530,6 +542,14 @@ void HandleServeSignal(int) { g_serve_stop = 1; }
 /// until SIGINT/SIGTERM. Jobs run on a shared worker pool with a bounded
 /// queue; an overflowing queue answers 429 so callers can back off.
 int RunServe(const Args& args) {
+  for (const auto& [key, value] : args.flags) {
+    if (OutputFlags().count(key) > 0) {
+      return Fail(StrFormat(
+          "flag '--%s' is not supported by 'serve'; the server's live "
+          "outputs are /metrics, /tracez, /profilez and --artifact-dir",
+          key.c_str()));
+    }
+  }
   Status flags_ok = CheckFlags(
       args, "serve", {"port", "job-workers", "max-queue", "artifact-dir"});
   if (!flags_ok.ok()) return Fail(flags_ok.ToString());
@@ -616,7 +636,8 @@ int Usage() {
                "  serve [--port 0] [--job-workers 1] [--max-queue 8] "
                "[--artifact-dir <dir>]\n"
                "        (async job API: POST /jobs, GET /jobs/<id>, "
-               "GET /algorithmz)\n"
+               "GET /algorithmz; of the global flags\n"
+               "        only --threads, --log-level and --log-json)\n"
                "  --list-algorithms    print every registry algorithm and "
                "its options\n"
                "importance flags: --set <option>=<value> (repeatable; see "
@@ -630,21 +651,19 @@ int Usage() {
   return 2;
 }
 
-/// Stops the sampling profiler and writes its folded stacks (flamegraph
-/// input) to `path`. A short summary goes to stderr so the user can tell an
-/// empty profile (run too short to sample) from a failed write.
+/// Writes the run's exact profile, every recorded span folded into
+/// flamegraph stacks, to `path`. The stderr summary tells an empty profile
+/// (telemetry compiled out) from a failed write.
 int WriteProfile(const std::string& path) {
-  telemetry::Profiler& profiler = telemetry::Profiler::Global();
-  profiler.Stop();
-  std::string folded = profiler.FoldedStacks();
+  telemetry::SpanProfile profile = telemetry::TraceBuffer::Global().Profile();
+  std::string folded = profile.Folded();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return Fail("cannot write profile file '" + path + "'");
   std::fwrite(folded.data(), 1, folded.size(), f);
   std::fclose(f);
-  std::fprintf(stderr,
-               "wrote %llu profile samples (%zu unique stacks) to %s\n",
-               static_cast<unsigned long long>(profiler.samples()),
-               profiler.Folded().size(), path.c_str());
+  std::fprintf(stderr, "wrote profile of %zu spans (%zu stacks, %zu dropped) "
+               "to %s\n", profile.spans, profile.stacks.size(),
+               profile.dropped, path.c_str());
   return 0;
 }
 
@@ -702,6 +721,11 @@ int Main(int argc, char** argv) {
     SetDefaultNumThreads(static_cast<size_t>(parsed));
   }
 
+  // `serve` runs its own exporter with the job API mounted; the output flags
+  // handled below (the sidecar --serve among them) belong to the other
+  // commands.
+  if (command == "serve") return RunServe(args);
+
   bool want_metrics = args.flags.count("metrics") > 0;
   bool want_prometheus = args.flags.count("prometheus") > 0;
   std::string trace_path = FlagOr(args, "trace", "");
@@ -737,20 +761,8 @@ int Main(int argc, char** argv) {
     trace_scope.emplace(TraceContext(root_context));
   }
 
-  if (!profile_path.empty()) {
-    // Profiling needs span events, so it implies telemetry (enabled above).
-    telemetry::SetAllocAccountingEnabled(true);
-    telemetry::ProfilerOptions prof_options;
-    // CLI invocations are often short (milliseconds); sample fast enough
-    // that even a small run yields a usable profile.
-    prof_options.sampling_interval_us = 250;
-    Status prof = telemetry::Profiler::Global().Start(prof_options);
-    if (!prof.ok()) return Fail(prof.ToString());
-  }
-
-  // `serve` runs its own exporter with the job API mounted; everything below
-  // is the sidecar --serve used while another command runs.
-  if (command == "serve") return RunServe(args);
+  // The profile folds span events, so it implies telemetry (enabled above).
+  if (!profile_path.empty()) telemetry::SetAllocAccountingEnabled(true);
 
   // Declared before the exporter so the exporter (and its request thread)
   // stops before the manager's workers drain.
@@ -815,8 +827,6 @@ int Main(int argc, char** argv) {
   }
 
   if (!profile_path.empty()) {
-    // Stopped (inside WriteProfile) before the report finishes so the
-    // report's "profile" block sees the final sample aggregates.
     int profile_code = WriteProfile(profile_path);
     if (code == 0) code = profile_code;
   }
