@@ -1,7 +1,11 @@
 #include "common/json.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <unordered_set>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -296,27 +300,105 @@ Result<Value> Parse(const std::string& text) {
   return Parser(text).ParseDocument();
 }
 
-}  // namespace json
+namespace {
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
+/// Length of the well-formed UTF-8 sequence that starts at text[i], a byte
+/// of 0x80 or above, or 0 when none does. RFC 3629's second-byte ranges rule
+/// out overlong forms (E0, F0), surrogates (ED) and code points past U+10FFFF.
+size_t Utf8SequenceLength(std::string_view text, size_t i) {
+  unsigned char lead = static_cast<unsigned char>(text[i]);
+  size_t length = lead >= 0xF0 ? 4 : lead >= 0xE0 ? 3 : 2;
+  if (lead < 0xC2 || lead > 0xF4 || text.size() - i < length) return 0;
+  unsigned char lo = lead == 0xE0 ? 0xA0 : lead == 0xF0 ? 0x90 : 0x80;
+  unsigned char hi = lead == 0xED ? 0x9F : lead == 0xF4 ? 0x8F : 0xBF;
+  for (size_t k = 1; k < length; ++k, lo = 0x80, hi = 0xBF) {
+    unsigned char c = static_cast<unsigned char>(text[i + k]);
+    if (c < lo || c > hi) return 0;
   }
-  return out;
+  return length;
 }
 
+/// Appends `text` as a JSON string literal (see Writer).
+void AppendQuoted(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  for (size_t i = 0; i < text.size();) {
+    unsigned char c = static_cast<unsigned char>(text[i]);
+    size_t length = c < 0x80 ? 1 : Utf8SequenceLength(text, i);
+    if (length == 0) {
+      out->append("\\ufffd");
+      length = 1;
+    } else if (c == '"' || c == '\\') {
+      out->append({'\\', static_cast<char>(c)});
+    } else if (c == '\n' || c == '\r' || c == '\t') {
+      out->append({'\\', c == '\n' ? 'n' : c == '\r' ? 'r' : 't'});
+    } else if (c < 0x20) {
+      out->append({'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]});
+    } else {
+      out->append(text.substr(i, length));
+    }
+    i += length;
+  }
+  out->push_back('"');
+}
+
+}  // namespace
+
+void Writer::Separate() {
+  if (comma_) out_.push_back(',');
+  comma_ = true;
+}
+
+Writer& Writer::Open(char bracket) {
+  Separate();
+  out_.push_back(bracket);
+  comma_ = false;
+  return *this;
+}
+
+Writer& Writer::Close(char bracket) {
+  out_.push_back(bracket);
+  comma_ = true;
+  return *this;
+}
+
+Writer& Writer::Key(std::string_view key) {
+  String(key);
+  out_.push_back(':');
+  comma_ = false;
+  return *this;
+}
+
+Writer& Writer::String(std::string_view value) {
+  Separate();
+  AppendQuoted(value, &out_);
+  return *this;
+}
+
+Writer& Writer::Int(int64_t value) {
+  char buffer[24];
+  return Raw({buffer, std::to_chars(buffer, std::end(buffer), value).ptr});
+}
+
+Writer& Writer::Uint(uint64_t value) {
+  char buffer[24];
+  return Raw({buffer, std::to_chars(buffer, std::end(buffer), value).ptr});
+}
+
+Writer& Writer::Double(double value) {
+  return Raw(std::isfinite(value) ? FormatDouble(value) : "null");
+}
+
+Writer& Writer::Raw(std::string_view json) {
+  Separate();
+  out_.append(json);
+  return *this;
+}
+
+std::string Writer::Take() {
+  comma_ = false;
+  return std::exchange(out_, {});
+}
+
+}  // namespace json
 }  // namespace nde

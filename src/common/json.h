@@ -1,7 +1,9 @@
 #ifndef NDE_COMMON_JSON_H_
 #define NDE_COMMON_JSON_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -11,12 +13,11 @@
 namespace nde {
 namespace json {
 
-/// Minimal JSON document model. The library *produces* JSON in several places
-/// (metrics, run reports, Describe), but the serving layer is the first
-/// consumer: `POST /jobs` bodies arrive as JSON, and tests parse responses.
-/// Scope is exactly what that needs — objects, arrays, strings with the
-/// standard escapes, numbers, booleans, null — with strict errors instead of
-/// lenient recovery.
+/// Minimal JSON document model. The library *produces* JSON through Writer
+/// below; the serving layer is the consumer of this model: `POST /jobs`
+/// bodies arrive as JSON, and tests parse responses. Scope is exactly what
+/// that needs — objects, arrays, strings with the standard escapes, numbers,
+/// booleans, null — with strict errors instead of lenient recovery.
 class Value {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kObject, kArray };
@@ -76,13 +77,45 @@ class Value {
 /// byte offset of the problem.
 Result<Value> Parse(const std::string& text);
 
+/// Streaming JSON writer behind every JSON document the library emits, so
+/// commas, string escapes and number spelling are decided here only. Calls
+/// chain: `json.BeginObject().Key("n").Uint(n).EndObject().Take()`. It tracks
+/// commas, not nesting: callers balance Begin/End and put a Key before each
+/// member. The text is valid JSON whatever the values hold:
+///   - Key and String escape quote, backslash and control characters (`\n`,
+///     `\r`, `\t`, else `\u00XX`) and copy well-formed UTF-8. Every other
+///     byte (RFC 3629: overlong forms, surrogates, code points above
+///     U+10FFFF, truncated sequences) becomes `\ufffd`.
+///   - Double writes FormatDouble's bytes, or `null` for NaN and ±inf.
+class Writer {
+ public:
+  Writer& BeginObject() { return Open('{'); }
+  Writer& EndObject() { return Close('}'); }
+  Writer& BeginArray() { return Open('['); }
+  Writer& EndArray() { return Close(']'); }
+  Writer& Key(std::string_view key);
+  Writer& String(std::string_view value);
+  Writer& Int(int64_t value);
+  Writer& Uint(uint64_t value);
+  Writer& Double(double value);
+  Writer& Bool(bool value) { return Raw(value ? "true" : "false"); }
+  /// Splices one complete value that another Writer produced.
+  Writer& Raw(std::string_view json);
+
+  /// Moves the text out, leaving the writer empty.
+  std::string Take();
+
+ private:
+  /// Emits the comma owed before a value or key and marks one owed next.
+  void Separate();
+  Writer& Open(char bracket);
+  Writer& Close(char bracket);
+
+  std::string out_;
+  bool comma_ = false;
+};
+
 }  // namespace json
-
-/// Escapes a string for embedding in a JSON string literal (no quotes
-/// added): quote, backslash and control characters; every other byte is
-/// copied as is. Every JSON emitter in the library uses this one escaper.
-std::string JsonEscape(const std::string& text);
-
 }  // namespace nde
 
 #endif  // NDE_COMMON_JSON_H_

@@ -137,23 +137,15 @@ std::string FormatText(const LogRecord& record) {
 }
 
 std::string FormatJson(const LogRecord& record) {
-  std::string json = StrFormat(
-      "{\"ts_us\":%lld,\"level\":\"%s\",\"file\":\"%s\",\"line\":%d,"
-      "\"tid\":%u",
-      static_cast<long long>(record.wall_micros), LevelName(record.level),
-      JsonEscape(record.file).c_str(), record.line, record.tid);
-  if (record.occurrence > 1) {
-    json += StrFormat(",\"occurrence\":%llu",
-                      static_cast<unsigned long long>(record.occurrence));
-  }
-  if (!record.trace_id.empty()) {
-    json += ",\"trace_id\":\"" + JsonEscape(record.trace_id) + "\"";
-  }
-  if (!record.job_id.empty()) {
-    json += ",\"job_id\":\"" + JsonEscape(record.job_id) + "\"";
-  }
-  json += ",\"msg\":\"" + JsonEscape(record.message) + "\"}";
-  return json;
+  json::Writer json;
+  json.BeginObject().Key("ts_us").Int(record.wall_micros)
+      .Key("level").String(LevelName(record.level))
+      .Key("file").String(record.file).Key("line").Int(record.line)
+      .Key("tid").Uint(record.tid);
+  if (record.occurrence > 1) json.Key("occurrence").Uint(record.occurrence);
+  if (!record.trace_id.empty()) json.Key("trace_id").String(record.trace_id);
+  if (!record.job_id.empty()) json.Key("job_id").String(record.job_id);
+  return json.Key("msg").String(record.message).EndObject().Take();
 }
 
 Logger& Logger::Global() {

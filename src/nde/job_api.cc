@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/json.h"
@@ -39,24 +38,24 @@ namespace {
 using telemetry::HttpRequest;
 using telemetry::MakeHttpResponse;
 
-std::string ErrorJson(const Status& status) {
-  return std::string("{\"error\":{\"code\":\"") +
-         StatusCodeToString(status.code()) + "\",\"message\":\"" +
-         JsonEscape(status.message()) + "\"}}\n";
+/// Appends {"code":...,"message":...} for a failed status.
+void WriteError(json::Writer& json, const Status& status) {
+  json.BeginObject().Key("code").String(StatusCodeToString(status.code()))
+      .Key("message").String(status.message()).EndObject();
 }
 
-/// Maps a submit/parse failure to its HTTP status.
+/// Maps a submit/parse failure to its HTTP status and {"error":{...}} body.
 std::string ErrorResponse(const Status& status) {
+  json::Writer json;
+  WriteError(json.BeginObject().Key("error"), status);
+  std::string body = json.EndObject().Take() + "\n";
   if (status.code() == StatusCode::kResourceExhausted) {
-    return MakeHttpResponse(429, "Too Many Requests", "application/json",
-                            ErrorJson(status));
+    return MakeHttpResponse(429, "Too Many Requests", "application/json", body);
   }
   if (status.code() == StatusCode::kNotFound) {
-    return MakeHttpResponse(404, "Not Found", "application/json",
-                            ErrorJson(status));
+    return MakeHttpResponse(404, "Not Found", "application/json", body);
   }
-  return MakeHttpResponse(400, "Bad Request", "application/json",
-                          ErrorJson(status));
+  return MakeHttpResponse(400, "Bad Request", "application/json", body);
 }
 
 std::string MethodNotAllowed(const std::string& allowed) {
@@ -109,106 +108,64 @@ Result<JobRequest> ParseJobRequest(const std::string& body) {
   return request;
 }
 
-void AppendDoubles(std::ostringstream& os, const std::vector<double>& values) {
-  os << "[";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) os << ",";
-    os << FormatDouble(values[i]);
-  }
-  os << "]";
-}
-
-std::string SnapshotJson(const JobSnapshot& snapshot, bool summary_only) {
-  std::ostringstream os;
-  os << "{\"id\":\"" << JsonEscape(snapshot.id) << "\",\"algorithm\":\""
-     << JsonEscape(snapshot.algorithm) << "\",\"state\":\""
-     << JobStateName(snapshot.state) << "\",\"progress\":{\"completed\":"
-     << snapshot.progress_completed << ",\"total\":"
-     << snapshot.progress_total << "}";
+/// Appends one job's JSON object; `summary_only` leaves out the result.
+void WriteSnapshot(json::Writer& json, const JobSnapshot& snapshot,
+                   bool summary_only) {
+  json.BeginObject().Key("id").String(snapshot.id)
+      .Key("algorithm").String(snapshot.algorithm)
+      .Key("state").String(JobStateName(snapshot.state))
+      .Key("progress").BeginObject()
+      .Key("completed").Uint(snapshot.progress_completed)
+      .Key("total").Uint(snapshot.progress_total).EndObject();
   if (!summary_only && snapshot.state == JobState::kDone) {
-    os << ",\"result\":{\"values\":";
-    AppendDoubles(os, snapshot.estimate.values);
-    os << ",\"std_errors\":";
-    AppendDoubles(os, snapshot.estimate.std_errors);
-    os << ",\"ranked_rows\":[";
-    for (size_t i = 0; i < snapshot.ranked_rows.size(); ++i) {
-      if (i > 0) os << ",";
-      os << snapshot.ranked_rows[i];
-    }
-    os << "],\"utility_evaluations\":" << snapshot.estimate.utility_evaluations
-       << ",\"num_threads_used\":" << snapshot.estimate.num_threads_used
-       << ",\"train_rows\":" << snapshot.train_rows
-       << ",\"valid_rows\":" << snapshot.valid_rows << "}";
+    json.Key("result").BeginObject().Key("values").BeginArray();
+    for (double value : snapshot.estimate.values) json.Double(value);
+    json.EndArray().Key("std_errors").BeginArray();
+    for (double value : snapshot.estimate.std_errors) json.Double(value);
+    json.EndArray().Key("ranked_rows").BeginArray();
+    for (uint32_t row : snapshot.ranked_rows) json.Uint(row);
+    json.EndArray()
+        .Key("utility_evaluations").Uint(snapshot.estimate.utility_evaluations)
+        .Key("num_threads_used").Uint(snapshot.estimate.num_threads_used)
+        .Key("train_rows").Uint(snapshot.train_rows)
+        .Key("valid_rows").Uint(snapshot.valid_rows).EndObject();
   }
-  if (!snapshot.error.ok()) {
-    os << ",\"error\":{\"code\":\"" << StatusCodeToString(snapshot.error.code())
-       << "\",\"message\":\"" << JsonEscape(snapshot.error.message()) << "\"}";
-  }
+  if (!snapshot.error.ok()) WriteError(json.Key("error"), snapshot.error);
   if (!snapshot.artifact_path.empty()) {
-    os << ",\"artifact\":\"" << JsonEscape(snapshot.artifact_path) << "\"";
+    json.Key("artifact").String(snapshot.artifact_path);
   }
-  if (snapshot.trace.has_trace()) {
-    os << ",\"trace_id\":\"" << TraceIdHex(snapshot.trace) << "\"";
-  }
-  os << "}";
-  return os.str();
+  json.Key("trace_id").String(TraceIdHex(snapshot.trace)).EndObject();
 }
 
 /// GET /jobs/<id>/eventz body (also the `<id>.events.json` artifact): the
 /// job's wave-boundary timeline.
 std::string EventsJson(const JobSnapshot& snapshot) {
-  std::ostringstream os;
-  os << "{\"job_id\":\"" << JsonEscape(snapshot.id) << "\",\"algorithm\":\""
-     << JsonEscape(snapshot.algorithm) << "\",\"trace_id\":\""
-     << (snapshot.trace.has_trace() ? TraceIdHex(snapshot.trace)
-                                    : std::string())
-     << "\",\"waves\":[";
-  bool first = true;
+  json::Writer json;
+  json.BeginObject().Key("job_id").String(snapshot.id)
+      .Key("algorithm").String(snapshot.algorithm)
+      .Key("trace_id").String(TraceIdHex(snapshot.trace))
+      .Key("waves").BeginArray();
   for (const JobWaveEvent& event : snapshot.events) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"wave\":" << event.wave << ",\"phase\":\""
-       << JsonEscape(event.phase) << "\",\"ts_us\":" << event.ts_us
-       << ",\"dur_us\":" << event.dur_us
-       << ",\"completed\":" << event.completed << ",\"total\":" << event.total
-       << ",\"utility_evaluations\":" << event.utility_evaluations
-       << ",\"max_std_error\":" << FormatDouble(event.max_std_error) << "}";
+    json.BeginObject().Key("wave").Uint(event.wave)
+        .Key("phase").String(event.phase)
+        .Key("ts_us").Int(event.ts_us).Key("dur_us").Int(event.dur_us)
+        .Key("completed").Uint(event.completed).Key("total").Uint(event.total)
+        .Key("utility_evaluations").Uint(event.utility_evaluations)
+        .Key("max_std_error").Double(event.max_std_error).EndObject();
   }
-  os << "]}";
-  return os.str();
+  return json.EndArray().EndObject().Take() + "\n";
 }
 
-/// GET /jobs/<id>/tracez body: the job's spans, filtered from the global
-/// trace buffer by the job's trace id, with parent linkage so clients can
-/// rebuild the span tree.
+/// GET /jobs/<id>/tracez body: the spans of the job's trace, in /tracez's
+/// span form, with parent linkage so clients can rebuild the span tree.
 std::string JobTracezJson(const JobSnapshot& snapshot) {
-  std::vector<telemetry::TraceEvent> events =
-      telemetry::TraceBuffer::Global().Snapshot();
-  std::ostringstream os;
-  os << "{\"job_id\":\"" << JsonEscape(snapshot.id) << "\",\"trace_id\":\""
-     << (snapshot.trace.has_trace() ? TraceIdHex(snapshot.trace)
-                                    : std::string())
-     << "\",\"spans\":[";
-  bool first = true;
-  for (const telemetry::TraceEvent& event : events) {
-    if (event.trace_id_hi != snapshot.trace.trace_id_hi ||
-        event.trace_id_lo != snapshot.trace.trace_id_lo ||
-        !snapshot.trace.has_trace()) {
-      continue;
-    }
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << JsonEscape(event.name) << "\",\"category\":\""
-       << JsonEscape(event.category) << "\",\"ts_us\":" << event.ts_us
-       << ",\"dur_us\":" << event.dur_us << ",\"tid\":" << event.tid
-       << ",\"span_id\":\"" << SpanIdHex(event.span_id)
-       << "\",\"parent_span_id\":\""
-       << (event.parent_span_id != 0 ? SpanIdHex(event.parent_span_id)
-                                     : std::string())
-       << "\"}";
-  }
-  os << "]}";
-  return os.str();
+  json::Writer json;
+  json.BeginObject().Key("job_id").String(snapshot.id)
+      .Key("trace_id").String(TraceIdHex(snapshot.trace)).Key("spans");
+  telemetry::WriteSpans(json, telemetry::TraceBuffer::Global().TraceSpans(
+                                  snapshot.trace.trace_id_hi,
+                                  snapshot.trace.trace_id_lo));
+  return json.EndObject().Take() + "\n";
 }
 
 }  // namespace
@@ -413,7 +370,7 @@ Status JobManager::RunJob(Job* job) {
     if (snapshot.ok()) {
       std::ofstream events_out(options_.artifact_dir + "/" + job->id +
                                ".events.json");
-      if (events_out) events_out << EventsJson(*snapshot) << "\n";
+      if (events_out) events_out << EventsJson(*snapshot);
     }
   }
   return status;
@@ -481,21 +438,19 @@ std::string JobManager::HandleHttp(const HttpRequest& request) {
       if (!parsed.ok()) return ErrorResponse(parsed.status());
       Result<std::string> id = Submit(*parsed);
       if (!id.ok()) return ErrorResponse(id.status());
+      json::Writer json;
+      json.BeginObject().Key("id").String(*id).Key("state").String("queued");
       return MakeHttpResponse(202, "Accepted", "application/json",
-                              "{\"id\":\"" + *id +
-                                  "\",\"state\":\"queued\"}\n");
+                              json.EndObject().Take() + "\n");
     }
     if (request.method == "GET") {
-      std::ostringstream os;
-      os << "{\"jobs\":[";
-      bool first = true;
+      json::Writer json;
+      json.BeginObject().Key("jobs").BeginArray();
       for (const JobSnapshot& snapshot : List()) {
-        if (!first) os << ",";
-        first = false;
-        os << SnapshotJson(snapshot, /*summary_only=*/true);
+        WriteSnapshot(json, snapshot, /*summary_only=*/true);
       }
-      os << "]}\n";
-      return MakeHttpResponse(200, "OK", "application/json", os.str());
+      return MakeHttpResponse(200, "OK", "application/json",
+                              json.EndArray().EndObject().Take() + "\n");
     }
     return MethodNotAllowed("GET or POST");
   }
@@ -521,11 +476,11 @@ std::string JobManager::HandleHttp(const HttpRequest& request) {
                   .Folded());
         }
         return MakeHttpResponse(200, "OK", "application/json",
-                                JobTracezJson(*snapshot) + "\n");
+                                JobTracezJson(*snapshot));
       }
       if (view == "eventz") {
         return MakeHttpResponse(200, "OK", "application/json",
-                                EventsJson(*snapshot) + "\n");
+                                EventsJson(*snapshot));
       }
       return MakeHttpResponse(404, "Not Found", "text/plain",
                               "unknown job view; try tracez or eventz\n");
@@ -533,18 +488,20 @@ std::string JobManager::HandleHttp(const HttpRequest& request) {
     if (request.method == "GET") {
       Result<JobSnapshot> snapshot = Get(id);
       if (!snapshot.ok()) return ErrorResponse(snapshot.status());
-      return MakeHttpResponse(
-          200, "OK", "application/json",
-          SnapshotJson(*snapshot, /*summary_only=*/false) + "\n");
+      json::Writer json;
+      WriteSnapshot(json, *snapshot, /*summary_only=*/false);
+      return MakeHttpResponse(200, "OK", "application/json",
+                              json.Take() + "\n");
     }
     if (request.method == "DELETE") {
       Status cancelled = Cancel(id);
       if (!cancelled.ok()) return ErrorResponse(cancelled);
       Result<JobSnapshot> snapshot = Get(id);
       if (!snapshot.ok()) return ErrorResponse(snapshot.status());
-      return MakeHttpResponse(
-          200, "OK", "application/json",
-          SnapshotJson(*snapshot, /*summary_only=*/true) + "\n");
+      json::Writer json;
+      WriteSnapshot(json, *snapshot, /*summary_only=*/true);
+      return MakeHttpResponse(200, "OK", "application/json",
+                              json.Take() + "\n");
     }
     return MethodNotAllowed("GET or DELETE");
   }

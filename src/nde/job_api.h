@@ -30,13 +30,16 @@ namespace nde {
 ///                      the estimate (values, std_errors, ranked rows)
 ///   DELETE /jobs/<id>  -> cooperative cancellation (completed waves are
 ///                      kept; see EstimatorOptions::cancel)
-///   GET    /jobs/<id>/tracez -> the job's span tree, filtered from the
-///                      global trace buffer by the job's trace id;
+///   GET    /jobs/<id>/tracez -> the job's span tree: the spans of its trace
+///                      in /tracez's span form (telemetry::WriteSpans);
 ///                      ?folded=1 downloads flamegraph-compatible folded
 ///                      stacks instead
 ///   GET    /jobs/<id>/eventz -> per-wave event timeline (wave index,
 ///                      evals, max_std_error, duration)
 ///   GET    /algorithmz -> AlgorithmRegistry::DescribeJson()
+///
+/// json::Writer writes every body: NaN and ±inf results read null, and CSV
+/// bytes that are not UTF-8 read \ufffd, so each body is valid JSON.
 ///
 /// Jobs run on a private fixed-size ThreadPool. Each job writes a RunReport
 /// artifact (config, convergence curve, error) under `artifact_dir` when one

@@ -625,30 +625,24 @@ std::vector<std::string> AlgorithmRegistry::Names() const {
 }
 
 std::string AlgorithmRegistry::DescribeJson() const {
-  std::ostringstream os;
-  os << "{\"algorithms\":[";
-  bool first_algorithm = true;
+  json::Writer json;
+  json.BeginObject().Key("algorithms").BeginArray();
   for (const std::string& name : Names()) {
     std::unique_ptr<AlgorithmInstance> instance = factories_.at(name)();
-    if (!first_algorithm) os << ",";
-    first_algorithm = false;
-    os << "{\"name\":\"" << JsonEscape(instance->name()) << "\",\"summary\":\""
-       << JsonEscape(instance->summary()) << "\",\"values\":\""
-       << (instance->values_are_source_rows() ? "source_rows" : "train_rows")
-       << "\",\"options\":[";
-    bool first_option = true;
+    json.BeginObject().Key("name").String(instance->name())
+        .Key("summary").String(instance->summary()).Key("values")
+        .String(instance->values_are_source_rows() ? "source_rows"
+                                                   : "train_rows")
+        .Key("options").BeginArray();
     for (const OptionSpec& spec : instance->OptionSpecs()) {
-      if (!first_option) os << ",";
-      first_option = false;
-      os << "{\"name\":\"" << JsonEscape(spec.name) << "\",\"type\":\""
-         << OptionTypeName(spec.type) << "\",\"default\":\""
-         << JsonEscape(spec.default_value) << "\",\"doc\":\""
-         << JsonEscape(spec.doc) << "\"}";
+      json.BeginObject().Key("name").String(spec.name)
+          .Key("type").String(OptionTypeName(spec.type))
+          .Key("default").String(spec.default_value)
+          .Key("doc").String(spec.doc).EndObject();
     }
-    os << "]}";
+    json.EndArray().EndObject();
   }
-  os << "]}";
-  return os.str();
+  return json.EndArray().EndObject().Take();
 }
 
 std::string AlgorithmRegistry::DescribeText() const {

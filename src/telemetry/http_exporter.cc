@@ -66,41 +66,6 @@ bool ReadSome(int fd, Clock::time_point deadline, std::string* out) {
   return true;
 }
 
-std::string TracezJson() {
-  std::vector<TraceEvent> events = TraceBuffer::Global().Snapshot();
-  constexpr size_t kMaxSpans = 100;
-  size_t begin = events.size() > kMaxSpans ? events.size() - kMaxSpans : 0;
-  std::ostringstream os;
-  os << "{\"buffered_spans\":" << events.size()
-     << ",\"dropped_spans\":" << TraceBuffer::Global().dropped()
-     << ",\"spans\":[";
-  bool first = true;
-  for (size_t i = begin; i < events.size(); ++i) {
-    const TraceEvent& event = events[i];
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << JsonEscape(event.name) << "\",\"category\":\""
-       << JsonEscape(event.category) << "\",\"ts_us\":" << event.ts_us
-       << ",\"dur_us\":" << event.dur_us << ",\"tid\":" << event.tid;
-    if ((event.trace_id_hi | event.trace_id_lo) != 0) {
-      TraceContext id_only;
-      id_only.trace_id_hi = event.trace_id_hi;
-      id_only.trace_id_lo = event.trace_id_lo;
-      os << ",\"trace_id\":\"" << TraceIdHex(id_only) << "\"";
-    }
-    if (event.span_id != 0) {
-      os << ",\"span_id\":\"" << SpanIdHex(event.span_id) << "\"";
-    }
-    if (event.parent_span_id != 0) {
-      os << ",\"parent_span_id\":\"" << SpanIdHex(event.parent_span_id)
-         << "\"";
-    }
-    os << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
 /// Splits a request line ("POST /jobs?x=1 HTTP/1.1") into method + target +
 /// query. Malformed lines leave fields empty, which Route answers with 405.
 void ParseRequestLine(const std::string& line, HttpRequest* out) {
@@ -294,11 +259,20 @@ std::string HttpExporter::Route(const HttpRequest& request,
   }
   if (request.target == "/varz") {
     return MakeHttpResponse(200, "OK", "application/json",
-                            MetricsRegistry::Global().ToJson() + "\n");
+                            MetricsRegistry::Global().Snapshot().ToJson() +
+                                "\n");
   }
   if (request.target == "/tracez") {
+    std::vector<TraceEvent> events = TraceBuffer::Global().Snapshot();
+    constexpr size_t kMaxSpans = 100;
+    size_t begin = events.size() > kMaxSpans ? events.size() - kMaxSpans : 0;
+    json::Writer json;
+    json.BeginObject().Key("buffered_spans").Uint(events.size())
+        .Key("dropped_spans").Uint(TraceBuffer::Global().dropped())
+        .Key("spans");
+    WriteSpans(json, std::span<const TraceEvent>(events).subspan(begin));
     return MakeHttpResponse(200, "OK", "application/json",
-                            TracezJson() + "\n");
+                            json.EndObject().Take() + "\n");
   }
   if (request.target == "/profilez") {
     // Default: the per-name table + allocation accounting. ?folded=1

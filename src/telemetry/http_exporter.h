@@ -42,8 +42,8 @@ std::string MakeHttpResponse(int status, const char* reason,
 /// Built-in endpoints (GET only; anything else is 404/405):
 ///   /healthz  -> 200 "ok\n" liveness probe
 ///   /metrics  -> Prometheus text exposition of the global MetricsRegistry
-///   /varz     -> the same registry as JSON (MetricsRegistry::ToJson)
-///   /tracez   -> recent trace spans as JSON (most recent ~100)
+///   /varz     -> the same registry as JSON (MetricsSnapshot::ToJson)
+///   /tracez   -> the buffer's fill and its newest 100 spans (WriteSpans)
 ///   /profilez -> the exact profile of every buffered span (per-name
 ///                self/total/max table) + allocation accounting;
 ///                /profilez?folded=1 downloads its folded stacks

@@ -31,8 +31,8 @@ std::string PrometheusName(const std::string& name) {
 }
 
 /// Escapes a label value for the `name{key="value"}` series key. The same
-/// escapes are valid in Prometheus label values and (after JsonEscape at
-/// export time) in JSON object keys.
+/// escapes are valid in Prometheus label values and (after json::Writer's
+/// own escaping at export time) in JSON object keys.
 std::string EscapeLabelValue(const std::string& value) {
   std::string out;
   out.reserve(value.size());
@@ -443,36 +443,19 @@ std::string MetricsRegistry::ToPrometheusText() const {
   return os.str();
 }
 
-std::string MetricsRegistry::ToJson() const {
-  MetricsSnapshot snapshot = Snapshot();
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":" << value;
+std::string MetricsSnapshot::ToJson() const {
+  json::Writer json;
+  json.BeginObject().Key("counters").BeginObject();
+  for (const auto& [name, value] : counters) json.Key(name).Uint(value);
+  json.EndObject().Key("gauges").BeginObject();
+  for (const auto& [name, value] : gauges) json.Key(name).Double(value);
+  json.EndObject().Key("histograms").BeginObject();
+  for (const auto& [name, h] : histograms) {
+    json.Key(name).BeginObject().Key("count").Uint(h.count)
+        .Key("sum").Double(h.sum).Key("p50").Double(h.p50)
+        .Key("p95").Double(h.p95).Key("p99").Double(h.p99).EndObject();
   }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":" << StrFormat("%.9g", value);
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : snapshot.histograms) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":"
-       << StrFormat("{\"count\":%llu,\"sum\":%.9g,\"p50\":%.9g,"
-                    "\"p95\":%.9g,\"p99\":%.9g}",
-                    static_cast<unsigned long long>(h.count), h.sum, h.p50,
-                    h.p95, h.p99);
-  }
-  os << "}}";
-  return os.str();
+  return json.EndObject().EndObject().Take();
 }
 
 void MetricsRegistry::Reset() {

@@ -139,6 +139,10 @@ struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSummary> histograms;
+
+  /// {"counters":{...},"gauges":{...},"histograms":{name:{"count","sum",
+  /// "p50","p95","p99"}}}, keys sorted: /varz and a run report's "metrics".
+  std::string ToJson() const;
 };
 
 /// Process-wide named-metric registry. Getters create on first use and
@@ -188,11 +192,6 @@ class MetricsRegistry {
   /// with cumulative `_bucket{le=...}` series), sorted by metric name across
   /// kinds for diffable scrapes.
   std::string ToPrometheusText() const;
-
-  /// JSON object {"counters":{...},"gauges":{...},"histograms":{name:
-  /// {"count":...,"sum":...,"p50":...,"p95":...,"p99":...}}}; keys sorted.
-  /// The /varz endpoint and RunReport metric snapshots both use this shape.
-  std::string ToJson() const;
 
   /// Zeroes every registered metric (the metrics stay registered).
   void Reset();

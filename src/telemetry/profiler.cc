@@ -39,19 +39,6 @@
 namespace nde {
 namespace telemetry {
 
-namespace {
-
-void AppendAllocStatsJson(std::ostringstream& os, const AllocStats& stats) {
-  os << "{\"alloc_count\":" << stats.alloc_count
-     << ",\"alloc_bytes\":" << stats.alloc_bytes
-     << ",\"free_count\":" << stats.free_count
-     << ",\"free_bytes\":" << stats.free_bytes
-     << ",\"live_bytes\":" << stats.live_bytes
-     << ",\"peak_live_bytes\":" << stats.peak_live_bytes << "}";
-}
-
-}  // namespace
-
 std::string ProfileText(const SpanProfile& profile) {
   std::ostringstream os;
   os << "profile: " << profile.spans << " spans, " << profile.dropped
@@ -88,41 +75,37 @@ std::string ProfileJson(const SpanProfile& profile, size_t max_stacks) {
               return a.stack < b.stack;
             });
 
-  std::ostringstream os;
-  os << "{\"spans\":" << profile.spans
-     << ",\"dropped_spans\":" << profile.dropped
-     << ",\"unique_stacks\":" << profile.stacks.size() << ",\"folded\":[";
-  bool first = true;
+  json::Writer json;
+  json.BeginObject().Key("spans").Uint(profile.spans)
+      .Key("dropped_spans").Uint(profile.dropped)
+      .Key("unique_stacks").Uint(profile.stacks.size())
+      .Key("folded").BeginArray();
   for (const SpanProfile::Stack& stack : folded) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"stack\":\"" << JsonEscape(stack.stack)
-       << "\",\"self_us\":" << stack.self_us << "}";
+    json.BeginObject().Key("stack").String(stack.stack)
+        .Key("self_us").Int(stack.self_us).EndObject();
   }
-  os << "],\"flat\":[";
-  first = true;
+  json.EndArray().Key("flat").BeginArray();
   for (const SpanProfile::Name& name : profile.names) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << JsonEscape(name.name)
-       << "\",\"count\":" << name.count << ",\"self_us\":" << name.self_us
-       << ",\"total_us\":" << name.total_us << ",\"max_us\":" << name.max_us
-       << "}";
+    json.BeginObject().Key("name").String(name.name)
+        .Key("count").Uint(name.count).Key("self_us").Int(name.self_us)
+        .Key("total_us").Int(name.total_us).Key("max_us").Int(name.max_us)
+        .EndObject();
   }
-  os << "],\"alloc\":{\"compiled_in\":"
-     << (AllocAccountingCompiledIn() ? "true" : "false") << ",\"enabled\":"
-     << (AllocAccountingEnabled() ? "true" : "false") << ",\"global\":";
-  AppendAllocStatsJson(os, GlobalAllocStats());
-  os << ",\"phases\":{";
-  first = true;
-  for (const auto& [phase, stats] : AllocPhaseStats()) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(phase) << "\":";
-    AppendAllocStatsJson(os, stats);
-  }
-  os << "}}}";
-  return os.str();
+  auto alloc = [&json](const std::string& key, const AllocStats& stats) {
+    json.Key(key).BeginObject().Key("alloc_count").Uint(stats.alloc_count)
+        .Key("alloc_bytes").Uint(stats.alloc_bytes)
+        .Key("free_count").Uint(stats.free_count)
+        .Key("free_bytes").Uint(stats.free_bytes)
+        .Key("live_bytes").Int(stats.live_bytes)
+        .Key("peak_live_bytes").Int(stats.peak_live_bytes).EndObject();
+  };
+  json.EndArray().Key("alloc").BeginObject()
+      .Key("compiled_in").Bool(AllocAccountingCompiledIn())
+      .Key("enabled").Bool(AllocAccountingEnabled());
+  alloc("global", GlobalAllocStats());
+  json.Key("phases").BeginObject();
+  for (const auto& [phase, stats] : AllocPhaseStats()) alloc(phase, stats);
+  return json.EndObject().EndObject().EndObject().Take();
 }
 
 // ---------------------------------------------------------------------------

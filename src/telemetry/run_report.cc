@@ -4,11 +4,9 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
-#include <sstream>
 #include <utility>
 
 #include "common/json.h"
-#include "common/string_util.h"
 #include "common/trace_context.h"
 #include "telemetry/profiler.h"
 #include "telemetry/trace.h"
@@ -34,7 +32,7 @@ RunReport::RunReport(std::string name)
       trace_id_lo_(CurrentTraceContext().trace_id_lo) {}
 
 void RunReport::SetConfig(const std::string& key, const std::string& value) {
-  config_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  config_.emplace_back(key, json::Writer().String(value).Take());
 }
 
 void RunReport::SetConfig(const std::string& key, const char* value) {
@@ -42,16 +40,15 @@ void RunReport::SetConfig(const std::string& key, const char* value) {
 }
 
 void RunReport::SetConfig(const std::string& key, int64_t value) {
-  config_.emplace_back(key,
-                       StrFormat("%lld", static_cast<long long>(value)));
+  config_.emplace_back(key, json::Writer().Int(value).Take());
 }
 
 void RunReport::SetConfig(const std::string& key, double value) {
-  config_.emplace_back(key, FormatDouble(value));
+  config_.emplace_back(key, json::Writer().Double(value).Take());
 }
 
 void RunReport::SetConfig(const std::string& key, bool value) {
-  config_.emplace_back(key, value ? "true" : "false");
+  config_.emplace_back(key, json::Writer().Bool(value).Take());
 }
 
 void RunReport::RecordProgress(const ProgressUpdate& update) {
@@ -91,10 +88,10 @@ void RunReport::Finish() {
             1000.0 / CLOCKS_PER_SEC;
   metrics_ = MetricsRegistry::Global().Snapshot();
   TraceBuffer& buffer = TraceBuffer::Global();
-  trace_json_ = StrFormat(
-      "{\"buffered_spans\":%zu,\"dropped_spans\":%zu,"
-      "\"buffer_capacity\":%zu}",
-      buffer.size(), buffer.dropped(), buffer.capacity());
+  trace_json_ = json::Writer().BeginObject()
+      .Key("buffered_spans").Uint(buffer.size())
+      .Key("dropped_spans").Uint(buffer.dropped())
+      .Key("buffer_capacity").Uint(buffer.capacity()).EndObject().Take();
   profile_json_ = ProfileJson((trace_id_hi_ | trace_id_lo_) != 0
                                   ? buffer.Profile(trace_id_hi_, trace_id_lo_)
                                   : buffer.Profile());
@@ -102,8 +99,8 @@ void RunReport::Finish() {
 
 std::string RunReport::ToJson() {
   Finish();
-  std::ostringstream os;
-  os << "{\"name\":\"" << JsonEscape(name_) << "\",\"config\":{";
+  json::Writer json;
+  json.BeginObject().Key("name").String(name_).Key("config").BeginObject();
   // Last write wins per key, preserving first-seen order (the CLI records
   // flags in parse order, which is what a human wants to read back).
   std::vector<std::pair<std::string, std::string>> config;
@@ -116,63 +113,28 @@ std::string RunReport::ToJson() {
       it->second = value;
     }
   }
-  bool first = true;
-  for (const auto& [key, value] : config) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(key) << "\":" << value;
-  }
-  os << "},\"timing\":{\"wall_ms\":" << FormatDouble(wall_ms_)
-     << ",\"cpu_ms\":" << FormatDouble(cpu_ms_) << "},\"convergence_curve\":[";
-  first = true;
+  for (const auto& [key, value] : config) json.Key(key).Raw(value);
+  json.EndObject().Key("timing").BeginObject().Key("wall_ms").Double(wall_ms_)
+      .Key("cpu_ms").Double(cpu_ms_).EndObject()
+      .Key("convergence_curve").BeginArray();
   for (const ConvergencePoint& point : curve_) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"completed\":" << point.completed << ",\"total\":" << point.total
-       << ",\"utility_evaluations\":" << point.utility_evaluations
-       << ",\"max_std_error\":" << FormatDouble(point.max_std_error)
-       << ",\"envelope\":" << FormatDouble(point.envelope) << "}";
+    json.BeginObject().Key("completed").Uint(point.completed)
+        .Key("total").Uint(point.total)
+        .Key("utility_evaluations").Uint(point.utility_evaluations)
+        .Key("max_std_error").Double(point.max_std_error)
+        .Key("envelope").Double(point.envelope).EndObject();
   }
-  os << "],\"metrics\":";
-  // Re-render the snapshot taken at Finish() time (not the live registry, so
+  // The snapshot taken at Finish() time (not the live registry, so
   // serializing later does not smuggle in post-run metric churn).
-  std::ostringstream metrics;
-  metrics << "{\"counters\":{";
-  first = true;
-  for (const auto& [name, value] : metrics_.counters) {
-    if (!first) metrics << ",";
-    first = false;
-    metrics << "\"" << JsonEscape(name) << "\":" << value;
-  }
-  metrics << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : metrics_.gauges) {
-    if (!first) metrics << ",";
-    first = false;
-    metrics << "\"" << JsonEscape(name) << "\":" << FormatDouble(value);
-  }
-  metrics << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : metrics_.histograms) {
-    if (!first) metrics << ",";
-    first = false;
-    metrics << "\"" << JsonEscape(name) << "\":"
-            << StrFormat("{\"count\":%llu,\"sum\":%.9g,\"p50\":%.9g,"
-                         "\"p95\":%.9g,\"p99\":%.9g}",
-                         static_cast<unsigned long long>(h.count), h.sum,
-                         h.p50, h.p95, h.p99);
-  }
-  metrics << "}}";
-  os << metrics.str();
+  json.EndArray().Key("metrics").Raw(metrics_.ToJson());
   if (has_error_) {
-    os << ",\"error\":{\"code\":\""
-       << JsonEscape(StatusCodeToString(error_.code())) << "\",\"message\":\""
-       << JsonEscape(error_.message())
-       << "\",\"exit_code\":" << error_exit_code_ << "}";
+    json.Key("error").BeginObject()
+        .Key("code").String(StatusCodeToString(error_.code()))
+        .Key("message").String(error_.message())
+        .Key("exit_code").Int(error_exit_code_).EndObject();
   }
-  os << ",\"profile\":" << profile_json_;
-  os << ",\"trace\":" << trace_json_ << "}";
-  return os.str();
+  return json.Key("profile").Raw(profile_json_).Key("trace").Raw(trace_json_)
+      .EndObject().Take();
 }
 
 Status RunReport::WriteFile(const std::string& path) {

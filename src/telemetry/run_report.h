@@ -84,8 +84,9 @@ class RunReport {
   /// {"name":...,"config":{...},"timing":{"wall_ms":...,"cpu_ms":...},
   ///  "convergence_curve":[{...}],"metrics":{...},
   ///  "profile":{...},"trace":{...}}
-  /// The "profile" block is ProfileJson() of the fold taken at Finish() time
-  /// (empty aggregates when telemetry recorded no spans); "trace" holds
+  /// "metrics" (MetricsSnapshot::ToJson) and "profile" (ProfileJson) render
+  /// the snapshot and fold taken at Finish() time (empty aggregates when
+  /// telemetry recorded no spans); "trace" holds
   /// {"buffered_spans","dropped_spans","buffer_capacity"}.
   std::string ToJson();
 
@@ -105,7 +106,7 @@ class RunReport {
   /// The run's trace id (0 when the report was built outside any trace).
   uint64_t trace_id_hi_ = 0;
   uint64_t trace_id_lo_ = 0;
-  /// Insertion-ordered config entries; `value` is pre-rendered JSON.
+  /// Insertion-ordered config entries; `value` is json::Writer output.
   std::vector<std::pair<std::string, std::string>> config_;
   std::vector<ConvergencePoint> curve_;
   MetricsSnapshot metrics_;

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <sstream>
 #include <unordered_map>
 
 #include "common/json.h"
-#include "common/string_util.h"
 #include "common/trace_context.h"
 #include "telemetry/metrics.h"
 
@@ -89,6 +87,18 @@ std::vector<TraceEvent> TraceBuffer::Snapshot() const {
   return {events_.begin(), events_.end()};
 }
 
+std::vector<TraceEvent> TraceBuffer::TraceSpans(uint64_t trace_id_hi,
+                                                uint64_t trace_id_lo) const {
+  std::vector<TraceEvent> events;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const TraceEvent& event : events_) {
+    if (event.trace_id_hi == trace_id_hi && event.trace_id_lo == trace_id_lo) {
+      events.push_back(event);
+    }
+  }
+  return events;
+}
+
 size_t TraceBuffer::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return events_.size();
@@ -125,6 +135,38 @@ void TraceBuffer::SetCapacity(size_t capacity) {
   }
 }
 
+namespace {
+
+std::string TraceIdHexOf(const TraceEvent& event) {
+  TraceContext id_only;
+  id_only.trace_id_hi = event.trace_id_hi;
+  id_only.trace_id_lo = event.trace_id_lo;
+  return TraceIdHex(id_only);
+}
+
+}  // namespace
+
+void WriteSpans(json::Writer& json, std::span<const TraceEvent> spans) {
+  json.BeginArray();
+  for (const TraceEvent& event : spans) {
+    json.BeginObject().Key("name").String(event.name)
+        .Key("category").String(event.category)
+        .Key("ts_us").Int(event.ts_us).Key("dur_us").Int(event.dur_us)
+        .Key("tid").Uint(event.tid);
+    if ((event.trace_id_hi | event.trace_id_lo) != 0) {
+      json.Key("trace_id").String(TraceIdHexOf(event));
+    }
+    if (event.span_id != 0) {
+      json.Key("span_id").String(SpanIdHex(event.span_id));
+    }
+    if (event.parent_span_id != 0) {
+      json.Key("parent_span_id").String(SpanIdHex(event.parent_span_id));
+    }
+    json.EndObject();
+  }
+  json.EndArray();
+}
+
 std::string TraceBuffer::ToChromeJson() const {
   std::vector<TraceEvent> events = Snapshot();
   // Remap raw thread ids to small dense ones in first-appearance order:
@@ -141,33 +183,24 @@ std::string TraceBuffer::ToChromeJson() const {
   for (const TraceEvent& event : events) {
     if (event.span_id != 0) span_tid.emplace(event.span_id, event.tid);
   }
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
+  json::Writer json;
+  json.BeginObject().Key("displayTimeUnit").String("ms")
+      .Key("traceEvents").BeginArray();
   for (const TraceEvent& event : events) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << JsonEscape(event.name) << "\",\"cat\":\""
-       << JsonEscape(event.category) << "\",\"ph\":\"X\",\"ts\":"
-       << event.ts_us << ",\"dur\":" << event.dur_us
-       << ",\"pid\":1,\"tid\":" << dense_tid(event.tid)
-       << ",\"args\":{\"depth\":" << event.depth;
-    if (event.span_id != 0) {
-      os << ",\"id\":\"" << SpanIdHex(event.span_id) << "\"";
-    }
+    json.BeginObject().Key("name").String(event.name)
+        .Key("cat").String(event.category).Key("ph").String("X")
+        .Key("ts").Int(event.ts_us).Key("dur").Int(event.dur_us)
+        .Key("pid").Int(1).Key("tid").Uint(dense_tid(event.tid))
+        .Key("args").BeginObject().Key("depth").Uint(event.depth);
+    if (event.span_id != 0) json.Key("id").String(SpanIdHex(event.span_id));
     if (event.parent_span_id != 0) {
-      os << ",\"parent\":\"" << SpanIdHex(event.parent_span_id) << "\"";
+      json.Key("parent").String(SpanIdHex(event.parent_span_id));
     }
     if ((event.trace_id_hi | event.trace_id_lo) != 0) {
-      TraceContext id_only;
-      id_only.trace_id_hi = event.trace_id_hi;
-      id_only.trace_id_lo = event.trace_id_lo;
-      os << ",\"trace_id\":\"" << TraceIdHex(id_only) << "\"";
+      json.Key("trace_id").String(TraceIdHexOf(event));
     }
-    for (const auto& [key, value] : event.args) {
-      os << ",\"" << JsonEscape(key) << "\":" << value;
-    }
-    os << "}}";
+    for (const auto& [key, value] : event.args) json.Key(key).Raw(value);
+    json.EndObject().EndObject();
   }
   // Flow events stitch parent/child edges that cross threads (a pool task
   // parented to the submitting span): an "s" at the parent's recorded tid
@@ -176,16 +209,17 @@ std::string TraceBuffer::ToChromeJson() const {
     if (event.parent_span_id == 0 || event.span_id == 0) continue;
     auto parent = span_tid.find(event.parent_span_id);
     if (parent == span_tid.end() || parent->second == event.tid) continue;
-    std::string id = "\"" + SpanIdHex(event.span_id) + "\"";
-    os << ",{\"name\":\"submit\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":" << id
-       << ",\"ts\":" << event.ts_us << ",\"pid\":1,\"tid\":"
-       << dense_tid(parent->second) << "}"
-       << ",{\"name\":\"submit\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
-       << "\"id\":" << id << ",\"ts\":" << event.ts_us
-       << ",\"pid\":1,\"tid\":" << dense_tid(event.tid) << "}";
+    std::string id = SpanIdHex(event.span_id);
+    json.BeginObject().Key("name").String("submit").Key("cat").String("flow")
+        .Key("ph").String("s").Key("id").String(id).Key("ts").Int(event.ts_us)
+        .Key("pid").Int(1).Key("tid").Uint(dense_tid(parent->second))
+        .EndObject();
+    json.BeginObject().Key("name").String("submit").Key("cat").String("flow")
+        .Key("ph").String("f").Key("bp").String("e").Key("id").String(id)
+        .Key("ts").Int(event.ts_us).Key("pid").Int(1)
+        .Key("tid").Uint(dense_tid(event.tid)).EndObject();
   }
-  os << "]}";
-  return os.str();
+  return json.EndArray().EndObject().Take();
 }
 
 namespace {
@@ -284,19 +318,7 @@ SpanProfile TraceBuffer::Profile() const {
 
 SpanProfile TraceBuffer::Profile(uint64_t trace_id_hi,
                                  uint64_t trace_id_lo) const {
-  // Copy only the trace's spans, not the whole buffer: a job's view and its
-  // report fold one trace out of up to 65,536 buffered spans.
-  std::vector<TraceEvent> events;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const TraceEvent& event : events_) {
-      if (event.trace_id_hi == trace_id_hi &&
-          event.trace_id_lo == trace_id_lo) {
-        events.push_back(event);
-      }
-    }
-  }
-  return FoldSpans(events, dropped());
+  return FoldSpans(TraceSpans(trace_id_hi, trace_id_lo), dropped());
 }
 
 ScopedSpan::ScopedSpan(std::string name, std::string category)
@@ -331,17 +353,17 @@ ScopedSpan::~ScopedSpan() {
 
 void ScopedSpan::AddArg(const std::string& key, int64_t value) {
   if (!active_) return;
-  event_.args.emplace_back(key, StrFormat("%lld", static_cast<long long>(value)));
+  event_.args.emplace_back(key, json::Writer().Int(value).Take());
 }
 
 void ScopedSpan::AddArg(const std::string& key, double value) {
   if (!active_) return;
-  event_.args.emplace_back(key, StrFormat("%.6g", value));
+  event_.args.emplace_back(key, json::Writer().Double(value).Take());
 }
 
 void ScopedSpan::AddArg(const std::string& key, const std::string& value) {
   if (!active_) return;
-  event_.args.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  event_.args.emplace_back(key, json::Writer().String(value).Take());
 }
 
 double ScopedSpan::ElapsedMs() const {

@@ -4,9 +4,12 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/json.h"
 
 namespace nde {
 namespace telemetry {
@@ -30,7 +33,8 @@ int64_t NowMicros();
 struct TraceEvent {
   std::string name;
   std::string category;
-  /// Extra args as (key, already-JSON-encoded value) pairs.
+  /// Extra args as (key, value) pairs; each value is one JSON value that
+  /// json::Writer rendered (ScopedSpan::AddArg), spliced into exports as is.
   std::vector<std::pair<std::string, std::string>> args;
   int64_t ts_us = 0;   ///< span start, relative to the trace epoch
   int64_t dur_us = 0;  ///< span duration
@@ -46,6 +50,11 @@ struct TraceEvent {
   uint64_t span_id = 0;
   uint64_t parent_span_id = 0;
 };
+
+/// Appends `spans` as the JSON array /tracez and /jobs/<id>/tracez serve:
+/// name, category, ts_us, dur_us and tid, then trace_id, span_id and
+/// parent_span_id when nonzero (a root span has no parent_span_id).
+void WriteSpans(json::Writer& json, std::span<const TraceEvent> spans);
 
 /// An exact profile folded from recorded spans (TraceBuffer::Profile). A
 /// span's stack is its chain of parents, followed across threads by span id;
@@ -91,6 +100,10 @@ class TraceBuffer {
   void Record(TraceEvent event);
 
   std::vector<TraceEvent> Snapshot() const;
+  /// Copies only the spans of one trace, for a job's /jobs/<id>/tracez view
+  /// and its fold (one trace out of up to 65,536 buffered spans).
+  std::vector<TraceEvent> TraceSpans(uint64_t trace_id_hi,
+                                     uint64_t trace_id_lo) const;
   size_t size() const;
   size_t dropped() const;
   size_t capacity() const;

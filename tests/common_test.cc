@@ -496,14 +496,58 @@ TEST(JsonParseTest, DepthIsCapped) {
   EXPECT_FALSE(json::Parse(deep).ok());
 }
 
-TEST(JsonTest, JsonEscapeHandlesControlCharacters) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
-  EXPECT_EQ(JsonEscape("a\r\tb"), "a\\r\\tb");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(JsonEscape("caf\xc3\xa9"), "caf\xc3\xa9");  // UTF-8 passes through
+TEST(JsonWriterTest, EscapesStringsSpellsNumbersAndPlacesCommas) {
+  auto quoted = [](const std::string& text) {
+    return json::Writer().String(text).Take();
+  };
+  EXPECT_EQ(quoted("plain"), "\"plain\"");
+  EXPECT_EQ(quoted("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(quoted("a\nb"), "\"a\\nb\"");
+  EXPECT_EQ(quoted("a\r\tb"), "\"a\\r\\tb\"");
+  EXPECT_EQ(quoted(std::string(1, '\x01')), "\"\\u0001\"");
+  EXPECT_EQ(quoted("caf\xc3\xa9"), "\"caf\xc3\xa9\"");  // UTF-8 passes through
+  EXPECT_EQ(quoted("\xf0\x9f\x98\x80"), "\"\xf0\x9f\x98\x80\"");  // U+1F600
+  // Every byte outside well-formed UTF-8 becomes U+FFFD.
+  EXPECT_EQ(quoted("sc\xe9re"), "\"sc\\ufffdre\"");  // Latin-1 e-acute
+  EXPECT_EQ(quoted("\xc0\xaf"), "\"\\ufffd\\ufffd\"");  // overlong '/'
+  EXPECT_EQ(quoted("\xe0\x80\xaf"), "\"\\ufffd\\ufffd\\ufffd\"");  // overlong
+  EXPECT_EQ(quoted("\xf0\x80\x80\xaf"),
+            "\"\\ufffd\\ufffd\\ufffd\\ufffd\"");  // overlong
+  EXPECT_EQ(quoted("\xed\xa0\x80"), "\"\\ufffd\\ufffd\\ufffd\"");  // surrogate
+  EXPECT_EQ(quoted("\xf4\x90\x80\x80"),
+            "\"\\ufffd\\ufffd\\ufffd\\ufffd\"");  // above U+10FFFF
+  EXPECT_EQ(quoted("\xe2\x82x"), "\"\\ufffd\\ufffdx\"");  // truncated
+
+  auto number = [](double value) {
+    return json::Writer().Double(value).Take();
+  };
+  EXPECT_EQ(number(0.1 + 0.2), FormatDouble(0.1 + 0.2));
+  EXPECT_EQ(number(-0.0), "-0");
+  for (double value : {std::numeric_limits<double>::quiet_NaN(),
+                       -std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(number(value), "null") << value;
+  }
+
+  json::Writer json;
+  json.BeginObject()
+      .Key("a").BeginArray()
+      .Int(-1).Uint(18446744073709551615u)
+      .BeginObject().EndObject()
+      .BeginArray().EndArray()
+      .EndArray()
+      .Key("b").BeginObject()
+      .Key("c").Bool(true)
+      .Key("d").Raw(json::Writer().BeginArray().Int(1).EndArray().Take())
+      .EndObject()
+      .Key("e").Double(0.5)
+      .EndObject();
+  EXPECT_EQ(json.Take(),
+            "{\"a\":[-1,18446744073709551615,{},[]],"
+            "\"b\":{\"c\":true,\"d\":[1]},\"e\":0.5}");
+  EXPECT_EQ(json.Int(7).Take(), "7");  // Take leaves the writer empty
 }
 
 TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {

@@ -16,10 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/json.h"
 #include "common/trace_context.h"
 #include "importance/game_values.h"
 #include "importance/utility.h"
-#include "json_checker.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -98,7 +98,7 @@ TEST(HttpExporterRoutingTest, VarzIsValidJson) {
   std::string body = Body(response);
   ASSERT_FALSE(body.empty());
   if (body.back() == '\n') body.pop_back();
-  EXPECT_TRUE(JsonChecker(body).Valid()) << body;
+  EXPECT_TRUE(json::Parse(body).ok()) << body;
 }
 
 TEST(HttpExporterRoutingTest, TracezIsValidJson) {
@@ -108,7 +108,7 @@ TEST(HttpExporterRoutingTest, TracezIsValidJson) {
   std::string body = Body(response);
   ASSERT_FALSE(body.empty());
   if (body.back() == '\n') body.pop_back();
-  EXPECT_TRUE(JsonChecker(body).Valid()) << body;
+  EXPECT_TRUE(json::Parse(body).ok()) << body;
 }
 
 TEST(HttpExporterRoutingTest, QueryStringsAreStripped) {

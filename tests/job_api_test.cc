@@ -29,7 +29,6 @@
 #include "telemetry/http_exporter.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
-#include "json_checker.h"
 
 namespace nde {
 namespace {
@@ -305,8 +304,7 @@ TEST(JobApiTest, WritesRunReportArtifact) {
     contents.append(buffer, n);
   }
   std::fclose(f);
-  JsonChecker checker(contents);
-  EXPECT_TRUE(checker.Valid());
+  EXPECT_TRUE(json::Parse(contents).ok());
   EXPECT_NE(contents.find("knn_shapley"), std::string::npos);
 }
 
@@ -342,8 +340,7 @@ TEST(JobApiHttpTest, AlgorithmzServesTheCatalog) {
   std::string response = manager.HandleHttp(Request("GET", "/algorithmz"));
   EXPECT_NE(StatusLine(response).find("200"), std::string::npos);
   std::string body = Body(response);
-  JsonChecker checker(body);
-  EXPECT_TRUE(checker.Valid());
+  EXPECT_TRUE(json::Parse(body).ok());
   EXPECT_NE(body.find("\"tmc_shapley\""), std::string::npos);
   EXPECT_NE(body.find("\"num_permutations\""), std::string::npos);
 
@@ -529,7 +526,7 @@ TEST(JobApiHttpTest, ExternalTraceparentRoundTripsThroughEveryJobView) {
       manager.HandleHttp(Request("GET", "/jobs/" + id + "/tracez"));
   EXPECT_NE(StatusLine(tracez).find("200"), std::string::npos);
   std::string tracez_body = Body(tracez);
-  EXPECT_TRUE(JsonChecker(tracez_body).Valid()) << tracez_body;
+  EXPECT_TRUE(json::Parse(tracez_body).ok()) << tracez_body;
   EXPECT_NE(tracez_body.find("\"trace_id\":\"" + kTraceId + "\""),
             std::string::npos)
       << tracez_body;
@@ -552,7 +549,7 @@ TEST(JobApiHttpTest, ExternalTraceparentRoundTripsThroughEveryJobView) {
       manager.HandleHttp(Request("GET", "/jobs/" + id + "/eventz"));
   EXPECT_NE(StatusLine(eventz).find("200"), std::string::npos);
   std::string eventz_body = Body(eventz);
-  EXPECT_TRUE(JsonChecker(eventz_body).Valid()) << eventz_body;
+  EXPECT_TRUE(json::Parse(eventz_body).ok()) << eventz_body;
   EXPECT_NE(eventz_body.find("\"trace_id\":\"" + kTraceId + "\""),
             std::string::npos)
       << eventz_body;
@@ -567,7 +564,7 @@ TEST(JobApiHttpTest, ExternalTraceparentRoundTripsThroughEveryJobView) {
       << done.artifact_path;
   std::string events_file =
       ReadWholeFile(options.artifact_dir + "/" + id + ".events.json");
-  EXPECT_TRUE(JsonChecker(events_file).Valid()) << events_file;
+  EXPECT_TRUE(json::Parse(events_file).ok()) << events_file;
   EXPECT_NE(events_file.find("\"trace_id\":\"" + kTraceId + "\""),
             std::string::npos);
 
@@ -617,6 +614,60 @@ TEST(JobApiHttpTest, FoldedViewIsWellFormedAndIsTheServersWholeProfile) {
         << root << "\n" << folded;
   }
   EXPECT_NE(folded.find("(a_ge_x)"), std::string::npos) << folded;
+#endif
+  telemetry::SetEnabled(false);
+  telemetry::TraceBuffer::Global().Clear();
+}
+
+TEST(JobApiHttpTest, NonFiniteResultValuesAnswerNull) {
+  // One inf cell makes every aum value non-finite. The result body must
+  // still be JSON, with each of those values null.
+  JobManager manager;
+  std::string body =
+      "{\"algorithm\":\"aum\",\"label\":\"label\",\"csv\":\"x,label\\n"
+      "1,0\\ninf,1\\n2,0\\n3,1\\n4,0\\n5,1\\n"
+      "6,0\\n7,1\\n8,0\\n9,1\\n10,0\\n\"}";
+  std::string posted = manager.HandleHttp(Request("POST", "/jobs", body));
+  ASSERT_NE(StatusLine(posted).find("202"), std::string::npos) << posted;
+  std::string id = json::Parse(Body(posted)).value().Find("id")->as_string();
+  JobSnapshot done = AwaitDone(manager, id);
+  ASSERT_EQ(done.state, JobState::kDone) << done.error.ToString();
+
+  std::string result = Body(manager.HandleHttp(Request("GET", "/jobs/" + id)));
+  Result<json::Value> parsed = json::Parse(result);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << result;
+  const json::Value* values = parsed.value().Find("result")->Find("values");
+  ASSERT_NE(values, nullptr) << result;
+  ASSERT_FALSE(values->items().empty()) << result;
+  for (const json::Value& value : values->items()) {
+    EXPECT_TRUE(value.is_null()) << result;
+  }
+}
+
+TEST(JobApiHttpTest, NonUtf8ColumnNamesStayValidUtf8InTraces) {
+  // A Latin-1 header byte (0xE9) reaches span names such as
+  // "fit numeric(sc\xe9re)". json::Parse does not validate UTF-8, so the
+  // check is on the bytes: the writer must spell the byte as \ufffd.
+  telemetry::SetEnabled(true);
+  telemetry::TraceBuffer::Global().Clear();
+  JobManager manager;
+  JobRequest request = QuickRequest();
+  request.csv_data = "x,sc\xe9re,label\n";
+  for (int i = 0; i < 11; ++i) {
+    request.csv_data += StrFormat("%d,%d,%d\n", i, (i * 7) % 5, i % 2);
+  }
+  std::string id = manager.Submit(request).value();
+  JobSnapshot done = AwaitDone(manager, id);
+  ASSERT_EQ(done.state, JobState::kDone) << done.error.ToString();
+
+  std::string tracez =
+      Body(manager.HandleHttp(Request("GET", "/jobs/" + id + "/tracez")));
+  EXPECT_TRUE(json::Parse(tracez).ok()) << tracez;
+  EXPECT_EQ(tracez.find('\xe9'), std::string::npos) << tracez;
+  std::string chrome = telemetry::TraceBuffer::Global().ToChromeJson();
+  EXPECT_EQ(chrome.find('\xe9'), std::string::npos);
+#if NDE_TELEMETRY_ENABLED
+  EXPECT_NE(tracez.find("sc\\ufffdre"), std::string::npos) << tracez;
 #endif
   telemetry::SetEnabled(false);
   telemetry::TraceBuffer::Global().Clear();

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/trace_context.h"
-#include "json_checker.h"
 
 namespace nde {
 namespace {
@@ -91,13 +91,13 @@ TEST_F(LogTest, FormatJsonIsValidJsonAndEscapes) {
   record.tid = 1;
   record.message = "quote \" backslash \\ newline \n done";
   std::string json = log::FormatJson(record);
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_TRUE(json::Parse(json).ok()) << json;
   EXPECT_NE(json.find("\"level\":\"ERROR\""), std::string::npos) << json;
   // occurrence is elided when 1, present when > 1.
   EXPECT_EQ(json.find("occurrence"), std::string::npos) << json;
   record.occurrence = 5;
   json = log::FormatJson(record);
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_TRUE(json::Parse(json).ok()) << json;
   EXPECT_NE(json.find("\"occurrence\":5"), std::string::npos) << json;
 }
 
@@ -121,7 +121,7 @@ TEST_F(LogTest, FormattersCarryTraceAndJobOnlyWhenStamped) {
             std::string::npos)
       << text;
   std::string json = log::FormatJson(record);
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_TRUE(json::Parse(json).ok()) << json;
   EXPECT_NE(
       json.find("\"trace_id\":\"0123456789abcdeffedcba9876543210\""),
       std::string::npos)

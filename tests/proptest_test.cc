@@ -13,6 +13,7 @@
 // NDE_PROP_CASES (tools/check.sh sets a reduced budget under sanitizers).
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -38,7 +39,6 @@
 #include "importance/utility.h"
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
-#include "json_checker.h"
 #include "ml/naive_bayes.h"
 #include "nde/job_api.h"
 #include "nde/registry.h"
@@ -286,6 +286,139 @@ TEST(JsonPropertyTest, ParserIsTotal) {
   EXPECT_TRUE(report.empty()) << report;
 }
 
+/// UTF-8 encoding of `code_points` (each a scalar value, not a surrogate).
+std::string EncodeUtf8(const std::vector<int64_t>& code_points) {
+  std::string out;
+  for (int64_t c : code_points) {
+    if (c < 0x80) {
+      out.push_back(static_cast<char>(c));
+    } else if (c < 0x800) {
+      out.push_back(static_cast<char>(0xC0 | (c >> 6)));
+      out.push_back(static_cast<char>(0x80 | (c & 0x3F)));
+    } else if (c < 0x10000) {
+      out.push_back(static_cast<char>(0xE0 | (c >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((c >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (c & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xF0 | (c >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((c >> 12) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | ((c >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (c & 0x3F)));
+    }
+  }
+  return out;
+}
+
+/// Reference check for the writer's UTF-8 rule: every sequence decodes to a
+/// scalar value (no surrogate, at most U+10FFFF) that EncodeUtf8 spells with
+/// the same bytes, which also rules out overlong forms.
+bool IsWellFormedUtf8(const std::string& text) {
+  std::vector<int64_t> code_points;
+  for (size_t i = 0; i < text.size();) {
+    unsigned char lead = static_cast<unsigned char>(text[i]);
+    size_t length = lead < 0x80 ? 1 : lead >= 0xF0 ? 4 : lead >= 0xE0 ? 3
+                                     : lead >= 0xC0 ? 2 : 0;
+    if (length == 0 || text.size() - i < length) return false;
+    int64_t c = length == 1 ? lead : lead & (0x7F >> length);
+    for (size_t k = 1; k < length; ++k) {
+      unsigned char next = static_cast<unsigned char>(text[i + k]);
+      if ((next & 0xC0) != 0x80) return false;
+      c = (c << 6) | (next & 0x3F);
+    }
+    if ((c >= 0xD800 && c <= 0xDFFF) || c > 0x10FFFF) return false;
+    code_points.push_back(c);
+    i += length;
+  }
+  return EncodeUtf8(code_points) == text;
+}
+
+TEST(JsonPropertyTest, WriterOutputReadsBackExactly) {
+  // Strings of code points from every UTF-8 length (ASCII with its quotes,
+  // backslashes and control characters, up to U+10FFFF) read back as the
+  // same bytes.
+  Gen<int64_t> code_point =
+      Gen<int64_t>(
+          [](Rng* rng) {
+            static const int64_t kRanges[][2] = {
+                {0, 0x7F}, {0x80, 0x7FF}, {0x800, 0xFFFF}, {0x10000, 0x10FFFF}};
+            const int64_t* range = kRanges[rng->NextBounded(4)];
+            return rng->NextInt(range[0], range[1]);
+          },
+          [](const int64_t& c) { return ShrinkIntegerToward<int64_t>('a', c); })
+          .Filter([](const int64_t& c) { return c < 0xD800 || c > 0xDFFF; });
+  std::function<std::string(const std::vector<int64_t>&)> code_points =
+      [](const std::vector<int64_t>& points) -> std::string {
+    std::string text = EncodeUtf8(points);
+    std::string written = json::Writer().String(text).Take();
+    Result<json::Value> parsed = json::Parse(written);
+    if (!parsed.ok()) return written + ": " + parsed.status().ToString();
+    if (parsed.value().as_string() != text) return written + " changed";
+    return "";
+  };
+  std::string report = CheckProperty<std::vector<int64_t>>(
+      "json-writer-code-points", VectorOf(SizeInRange(0, 24), code_point),
+      code_points, nullptr, HereConfig(500));
+  EXPECT_TRUE(report.empty()) << report;
+
+  // Any bytes write parseable text whose string is well-formed UTF-8 (the
+  // input itself when it already was), and writing that string again reads
+  // back the same bytes.
+  std::function<std::string(const std::vector<int64_t>&)> any_bytes =
+      [](const std::vector<int64_t>& values) -> std::string {
+    std::string bytes;
+    for (int64_t value : values) bytes.push_back(static_cast<char>(value));
+    std::string written = json::Writer().String(bytes).Take();
+    Result<json::Value> parsed = json::Parse(written);
+    if (!parsed.ok()) return written + ": " + parsed.status().ToString();
+    const std::string& text = parsed.value().as_string();
+    if (!IsWellFormedUtf8(text)) return written + " is not UTF-8";
+    if (IsWellFormedUtf8(bytes) && text != bytes) return written + " changed";
+    Result<json::Value> again =
+        json::Parse(json::Writer().String(text).Take());
+    if (!again.ok() || again.value().as_string() != text) {
+      return written + " does not write back the same";
+    }
+    return "";
+  };
+  report = CheckProperty<std::vector<int64_t>>(
+      "json-writer-any-bytes", VectorOf(SizeInRange(0, 24), IntInRange(0, 255)),
+      any_bytes, nullptr, HereConfig(500));
+  EXPECT_TRUE(report.empty()) << report;
+
+  // Doubles from random 64-bit patterns: finite values read back bit for
+  // bit, NaN and ±inf as null. One pattern in four gets the all-ones
+  // exponent (NaN), one in eight a cleared mantissa (±0, powers of two, ±inf
+  // when both apply).
+  Gen<uint64_t> double_bits = Gen<uint64_t>(
+      [](Rng* rng) {
+        uint64_t bits = rng->NextUint64();
+        if (rng->NextBounded(4) == 0) bits |= 0x7FF0000000000000u;
+        if (rng->NextBounded(8) == 0) bits &= 0xFFF0000000000000u;
+        return bits;
+      },
+      [](const uint64_t& bits) {
+        return ShrinkIntegerToward<uint64_t>(0, bits);
+      });
+  std::function<std::string(const uint64_t&)> doubles =
+      [](const uint64_t& bits) -> std::string {
+    double value = std::bit_cast<double>(bits);
+    std::string written = json::Writer().Double(value).Take();
+    Result<json::Value> parsed = json::Parse(written);
+    if (!parsed.ok()) return written + ": " + parsed.status().ToString();
+    if (!std::isfinite(value)) {
+      return parsed.value().is_null() ? "" : written + " is not null";
+    }
+    if (!parsed.value().is_number() ||
+        std::bit_cast<uint64_t>(parsed.value().as_number()) != bits) {
+      return written + " reads back as another double";
+    }
+    return "";
+  };
+  report = CheckProperty<uint64_t>("json-writer-doubles", double_bits,
+                                   doubles, nullptr, HereConfig(2000));
+  EXPECT_TRUE(report.empty()) << report;
+}
+
 /// POST /jobs bodies: an object over the job fields (algorithm, label, csv,
 /// csv_path, options) and a stray unknown one, each present or absent, and
 /// each a plausible value or one of another JSON type; options name known
@@ -367,7 +500,7 @@ TEST(JobApiPropertyTest, PostJobsAnswers2xxOr4xxWithJsonBody) {
     std::string payload =
         split == std::string::npos ? "" : response.substr(split + 4);
     if (!payload.empty() && payload.back() == '\n') payload.pop_back();
-    if (!JsonChecker(payload).Valid()) {
+    if (!json::Parse(payload).ok()) {
       return StrFormat("%d with a body that is not JSON: %s", status,
                        payload.c_str());
     }

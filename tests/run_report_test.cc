@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/progress.h"
 #include "common/trace_context.h"
 #include "importance/game_values.h"
 #include "importance/utility.h"
-#include "json_checker.h"
 #include "telemetry/trace.h"
 
 namespace nde {
@@ -68,7 +68,7 @@ TEST(RunReportTest, ConfigKeepsTypesAndLastWriteWins) {
   report.SetConfig("cache", true);
   report.SetConfig("seed", int64_t{7});  // Overwrite.
   std::string json = report.ToJson();
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_TRUE(json::Parse(json).ok()) << json;
   EXPECT_NE(json.find("\"method\":\"tmc_shapley\""), std::string::npos);
   EXPECT_NE(json.find("\"seed\":7"), std::string::npos);
   EXPECT_EQ(json.find("\"seed\":42"), std::string::npos);
@@ -98,7 +98,7 @@ TEST(RunReportTest, ToJsonIsWellFormedAndFinishIsIdempotent) {
   std::string first = report.ToJson();
   report.Finish();  // Second call must not move the timers.
   EXPECT_EQ(report.ToJson(), first);
-  EXPECT_TRUE(JsonChecker(first).Valid()) << first;
+  EXPECT_TRUE(json::Parse(first).ok()) << first;
   for (const char* key :
        {"\"name\":\"shape\"", "\"config\":", "\"timing\":", "\"wall_ms\":",
         "\"cpu_ms\":", "\"convergence_curve\":", "\"metrics\":",
@@ -133,7 +133,7 @@ TEST(RunReportTest, ProfileBlockFoldsTheReportsOwnTrace) {
     ScopedTraceContext scope(std::move(context));
     telemetry::RunReport report("in_trace");
     std::string json = report.ToJson();
-    EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+    EXPECT_TRUE(json::Parse(json).ok()) << json;
     EXPECT_NE(json.find("\"profile\":{\"spans\":2,\"dropped_spans\":0,"
                         "\"unique_stacks\":2,\"folded\":[{\"stack\":"
                         "\"run_root\",\"self_us\":60},{\"stack\":"
@@ -152,7 +152,7 @@ TEST(RunReportTest, ProfileBlockFoldsTheReportsOwnTrace) {
   {
     telemetry::RunReport report("no_trace");
     std::string json = report.ToJson();
-    EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+    EXPECT_TRUE(json::Parse(json).ok()) << json;
     EXPECT_NE(json.find("\"profile\":{\"spans\":3,"), std::string::npos)
         << json;
     EXPECT_NE(json.find("{\"stack\":\"other_trace\",\"self_us\":10}"),
@@ -184,7 +184,7 @@ TEST(RunReportTest, WriteFileRoundTripsAndReportsIOErrors) {
   EXPECT_EQ(contents.back(), '\n');
   contents.pop_back();
   EXPECT_EQ(contents, report.ToJson());
-  EXPECT_TRUE(JsonChecker(contents).Valid());
+  EXPECT_TRUE(json::Parse(contents).ok());
 
   Status bad = report.WriteFile("/nonexistent-dir-zzz/report.json");
   EXPECT_FALSE(bad.ok());
@@ -220,7 +220,7 @@ TEST(RunReportTest, CurveAgreesWithARealTmcRun) {
   EXPECT_EQ(curve.back().utility_evaluations, estimate.utility_evaluations);
   EXPECT_GT(curve.back().max_std_error, 0.0);
   EXPECT_LE(curve.back().envelope, curve.front().envelope);
-  EXPECT_TRUE(JsonChecker(report.ToJson()).Valid());
+  EXPECT_TRUE(json::Parse(report.ToJson()).ok());
 }
 
 }  // namespace
