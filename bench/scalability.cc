@@ -198,9 +198,10 @@ void BM_TmcUtilityFastPath(benchmark::State& state) {
   state.counters["utility_evals_per_sec"] = benchmark::Counter(
       static_cast<double>(evaluations), benchmark::Counter::kIsRate);
   // Steady-state allocation rate of the fast path, measured outside the
-  // timed loop: one run to warm the scorer context and arena pool, then one
-  // accounted run on the same utility. Only meaningful when the allocation
-  // interposer is compiled in (telemetry on, no sanitizer).
+  // timed loop: one run to build the scorer context, then one accounted run
+  // on the same utility, where each permutation's scorer allocates its
+  // arrays once. Only meaningful when the allocation interposer is compiled
+  // in (telemetry on, no sanitizer).
   if (fast && telemetry::AllocAccountingCompiledIn()) {
     ModelAccuracyUtility utility(factory, train, validation);
     benchmark::DoNotOptimize(TmcShapleyValues(utility, options).value());

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <system_error>
 
 #include "common/check.h"
@@ -92,6 +95,36 @@ std::string StrFormat(const char* format, ...) {
   std::vsnprintf(out.data(), out.size() + 1, format, args_copy);
   va_end(args_copy);
   return out;
+}
+
+Result<uint64_t> ParseUnsigned(const std::string& text) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return Status::InvalidArgument("expects a non-negative integer, got '" +
+                                   text + "'");
+  }
+  errno = 0;
+  unsigned long long parsed = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("integer out of range: '" + text + "'");
+  }
+  return static_cast<uint64_t>(parsed);
+}
+
+Result<double> ParseDouble(const std::string& text) {
+  if (text.empty()) {
+    return Status::InvalidArgument("expects a number, got ''");
+  }
+  char* end = nullptr;
+  double parsed = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) {
+    return Status::InvalidArgument("expects a number, got '" + text + "'");
+  }
+  if (!std::isfinite(parsed)) {
+    return Status::InvalidArgument("expects a finite number, got '" + text +
+                                   "'");
+  }
+  return parsed;
 }
 
 std::string FormatDouble(double value) {

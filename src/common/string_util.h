@@ -1,9 +1,12 @@
 #ifndef NDE_COMMON_STRING_UTIL_H_
 #define NDE_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/result.h"
 
 namespace nde {
 
@@ -31,6 +34,14 @@ size_t EditDistance(std::string_view a, std::string_view b);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Parses a decimal non-negative integer: digits only (no sign, no
+/// whitespace) that fit in 64 bits, else InvalidArgument quoting `text`.
+Result<uint64_t> ParseUnsigned(const std::string& text);
+
+/// Parses a finite number as strtod spells one, consuming all of `text`,
+/// else InvalidArgument quoting `text`.
+Result<double> ParseDouble(const std::string& text);
 
 /// Shortest decimal spelling that strtod parses back to exactly `value`, so
 /// every serialized double (registry options, job results, run reports)

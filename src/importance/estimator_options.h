@@ -9,10 +9,15 @@
 
 namespace nde {
 
-/// Knobs shared by every importance estimator. Method-specific option structs
+/// Knobs shared by the importance estimators. Method-specific option structs
 /// (TmcShapleyOptions, BanzhafOptions, BetaShapleyOptions) embed this by
 /// inheritance, so `options.seed = ...` keeps working at every call site and
-/// any estimator can be handed a plain EstimatorOptions.
+/// any estimator can be handed a plain EstimatorOptions. Not every estimator
+/// reads every field: LOO draws no randomness and has no convergence test, so
+/// it ignores seed and convergence_tolerance; the closed-form KNN-Shapley
+/// also evaluates no utility, so of the tunable fields it reads only
+/// num_threads. The algorithm registry lists for each estimator only the
+/// fields it reads.
 struct EstimatorOptions {
   /// Base seed for the estimator's SeedSequence. Fixing the seed fixes the
   /// result bit-for-bit regardless of num_threads (see DESIGN.md §8).
@@ -28,20 +33,6 @@ struct EstimatorOptions {
   /// fixed wave boundaries, so stopping is thread-count invariant). 0 disables
   /// early stopping and runs the full sampling budget.
   double convergence_tolerance = 0.0;
-
-  /// Use the utility's incremental prefix-scan fast path for permutation
-  /// scans (TMC-Shapley) when the utility offers one. Exact scans (e.g. the
-  /// KNN coalition scorer) are bit-identical to per-prefix Evaluate calls, so
-  /// this is on by default; turn off only to benchmark the slow path.
-  bool use_prefix_scan = true;
-
-  /// Opt into *approximate* warm-started prefix training: when the utility
-  /// has no exact scan, permutation scans may reuse one model per permutation
-  /// via Classifier::FitIncremental (reduced iteration budget for gradient
-  /// models). Like truncation_tolerance this trades a little bias for a big
-  /// speedup, so it is off by default; results stay deterministic for any
-  /// thread count either way.
-  bool warm_start = false;
 
   /// Bounded retry budget for *retryable* utility failures (status codes
   /// unavailable / resource_exhausted, the ones a transient backend emits).

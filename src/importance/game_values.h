@@ -62,6 +62,21 @@ struct TmcShapleyOptions : EstimatorOptions {
   /// remaining marginal contributions of the permutation are taken as zero.
   /// Set to 0 to disable truncation.
   double truncation_tolerance = 0.01;
+
+  /// Scan each permutation through the utility's incremental prefix scan
+  /// (UtilityFunction::NewPrefixScan) when it offers one. Exact scans (the
+  /// KNN and Gaussian-NB coalition scorers) are bit-identical to per-prefix
+  /// Evaluate calls, so this is on by default; off runs the per-prefix
+  /// reference path the scan is tested against.
+  bool use_prefix_scan = true;
+
+  /// Opt into *approximate* warm-started prefix training: when the utility
+  /// has no exact scan, permutation scans may reuse one model per permutation
+  /// via Classifier::FitIncremental (reduced iteration budget for gradient
+  /// models). Like truncation_tolerance this trades a little bias for a big
+  /// speedup, so it is off by default; results stay deterministic for any
+  /// thread count either way. Read only with use_prefix_scan.
+  bool warm_start = false;
 };
 
 /// Permutation-sampling Shapley estimator with truncation. Unbiased for

@@ -72,20 +72,9 @@ double ModelAccuracyUtility::MajorityAccuracy(
 /// the CoalitionScorer contract.
 class ModelAccuracyUtility::ExactScan : public UtilityFunction::PrefixScan {
  public:
-  /// Carves the scorer's buffers from a pooled arena, which returns to the
-  /// owner's pool — bump pointer reset, chunks retained — when the scan
-  /// dies, so steady-state permutation scans reuse warm memory instead of
-  /// allocating.
   ExactScan(const ModelAccuracyUtility* owner,
             const CoalitionScorerContext& context)
-      : owner_(owner),
-        arena_(owner->arena_pool_.Acquire()),
-        scorer_(context.NewScorer(*arena_)) {}
-
-  ~ExactScan() override {
-    scorer_.reset();  // The scorer's buffers live in the arena; it dies first.
-    owner_->arena_pool_.Release(std::move(arena_));
-  }
+      : owner_(owner), scorer_(context.NewScorer()) {}
 
   double Push(size_t unit) override {
     owner_->evaluations_.fetch_add(1, std::memory_order_relaxed);
@@ -103,13 +92,12 @@ class ModelAccuracyUtility::ExactScan : public UtilityFunction::PrefixScan {
 
  private:
   const ModelAccuracyUtility* owner_;
-  std::unique_ptr<Arena> arena_;
   std::unique_ptr<CoalitionScorer> scorer_;
 };
 
 /// Approximate warm-started scan: one persistent model re-fitted via
 /// FitIncremental as the coalition grows. Only handed out when the caller
-/// opted in (EstimatorOptions::warm_start) because values differ from cold
+/// opted in (TmcShapleyOptions::warm_start) because values differ from cold
 /// retraining; they remain deterministic for any thread count since each
 /// permutation owns one scan.
 class ModelAccuracyUtility::WarmStartScan

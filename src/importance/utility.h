@@ -6,7 +6,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/result.h"
 #include "ml/dataset.h"
 #include "ml/metrics.h"
@@ -72,8 +71,8 @@ class UtilityFunction {
   /// An *exact* scan returns bit-identical values to Evaluate and may always
   /// be used. When no exact scan exists and `allow_warm_start` is true, the
   /// utility may return an approximate warm-started scan (model reuse across
-  /// prefixes) — estimators only pass true when the caller opted in via
-  /// EstimatorOptions::warm_start. Thread-safe; called once per permutation.
+  /// prefixes) — TMC-Shapley only passes true when the caller opted in via
+  /// TmcShapleyOptions::warm_start. Thread-safe; called once per permutation.
   virtual std::unique_ptr<PrefixScan> NewPrefixScan(
       bool allow_warm_start) const {
     (void)allow_warm_start;
@@ -102,8 +101,8 @@ class UtilityFunction {
 ///     set.
 ///
 /// Coalitions train through zero-copy index views (Classifier::FitView,
-/// bit-identical to materializing them by the FitView contract), and prefix
-/// scans carve their scorer state from pooled arenas.
+/// bit-identical to materializing them by the FitView contract), and each
+/// exact prefix scan owns one CoalitionScorer for its whole permutation.
 class ModelAccuracyUtility : public UtilityFunction {
  public:
   ModelAccuracyUtility(ClassifierFactory factory, MlDataset train,
@@ -151,10 +150,6 @@ class ModelAccuracyUtility : public UtilityFunction {
   MlDataset train_;
   MlDataset validation_;
   int num_classes_;
-  /// Recycles scorer arenas across permutation scans (one arena per live
-  /// scan). Mutable: NewPrefixScan is const and runs concurrently; the pool
-  /// is internally synchronized.
-  mutable ArenaPool arena_pool_;
   /// Shared exact-scorer precomputation, built by PreparePrefixScan or the
   /// first NewPrefixScan (it is useless — and not free — for plain Evaluate
   /// users). Written once under the mutex, then published by the release

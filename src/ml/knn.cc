@@ -7,7 +7,6 @@
 #include <memory>
 #include <numeric>
 
-#include "common/arena.h"
 #include "common/string_util.h"
 
 namespace nde {
@@ -136,7 +135,7 @@ class KnnSoaContext;
 
 class KnnSoaScorer final : public CoalitionScorer {
  public:
-  KnnSoaScorer(const KnnSoaContext* context, Arena& arena);
+  explicit KnnSoaScorer(const KnnSoaContext* context);
 
   void Add(size_t train_index) override;
   const std::vector<int>& Predict() override { return predictions_; }
@@ -148,14 +147,14 @@ class KnnSoaScorer final : public CoalitionScorer {
   size_t num_eval_;
   size_t k_;
   int num_classes_;
-  // Flat SoA state, carved out of one arena block:
-  double* cutoff_;         ///< num_eval; +inf while the window is underfull.
-  double* window_dist_;    ///< num_eval x k, row-major.
-  uint32_t* window_idx_;   ///< num_eval x k parent indices.
-  uint32_t* counts_;       ///< Occupied slots per eval point.
-  uint32_t* class_counts_; ///< num_eval x num_classes.
-  uint8_t* mask_;          ///< Per-Add candidate mask scratch.
-  std::vector<int> predictions_;  ///< Maintained incrementally on Insert.
+  // Flat SoA state:
+  std::vector<double> cutoff_;          ///< num_eval; +inf while underfull.
+  std::vector<double> window_dist_;     ///< num_eval x k, row-major.
+  std::vector<uint32_t> window_idx_;    ///< num_eval x k parent indices.
+  std::vector<uint32_t> counts_;        ///< Occupied slots per eval point.
+  std::vector<uint32_t> class_counts_;  ///< num_eval x num_classes.
+  std::vector<uint8_t> mask_;           ///< Per-Add candidate mask scratch.
+  std::vector<int> predictions_;        ///< Maintained incrementally on Insert.
 };
 
 class KnnSoaContext final : public CoalitionScorerContext {
@@ -207,8 +206,8 @@ class KnnSoaContext final : public CoalitionScorerContext {
     }
   }
 
-  std::unique_ptr<CoalitionScorer> NewScorer(Arena& arena) const override {
-    return std::make_unique<KnnSoaScorer>(this, arena);
+  std::unique_ptr<CoalitionScorer> NewScorer() const override {
+    return std::make_unique<KnnSoaScorer>(this);
   }
 
   bool ReplacesColdFit() const override { return true; }
@@ -231,41 +230,23 @@ class KnnSoaContext final : public CoalitionScorerContext {
   std::unique_ptr<double[]> distances_;  ///< n x num_eval, train-major.
 };
 
-KnnSoaScorer::KnnSoaScorer(const KnnSoaContext* context, Arena& arena)
+KnnSoaScorer::KnnSoaScorer(const KnnSoaContext* context)
     : context_(context),
       num_eval_(context->num_eval()),
       k_(context->k()),
       num_classes_(context->num_classes()),
-      predictions_(num_eval_, 0) {
-  const size_t classes = static_cast<size_t>(num_classes_);
-  // One block for all SoA arrays, widest-aligned field first.
-  const size_t cutoff_bytes = num_eval_ * sizeof(double);
-  const size_t window_dist_bytes = num_eval_ * k_ * sizeof(double);
-  const size_t window_idx_bytes = num_eval_ * k_ * sizeof(uint32_t);
-  const size_t counts_bytes = num_eval_ * sizeof(uint32_t);
-  const size_t class_counts_bytes = num_eval_ * classes * sizeof(uint32_t);
-  const size_t mask_bytes = num_eval_ * sizeof(uint8_t);
-  const size_t total = cutoff_bytes + window_dist_bytes + window_idx_bytes +
-                       counts_bytes + class_counts_bytes + mask_bytes;
-  char* block = static_cast<char*>(arena.Allocate(total, alignof(double)));
-  cutoff_ = reinterpret_cast<double*>(block);
-  window_dist_ = reinterpret_cast<double*>(block + cutoff_bytes);
-  window_idx_ =
-      reinterpret_cast<uint32_t*>(block + cutoff_bytes + window_dist_bytes);
-  counts_ = reinterpret_cast<uint32_t*>(block + cutoff_bytes +
-                                        window_dist_bytes + window_idx_bytes);
-  class_counts_ = counts_ + num_eval_;
-  mask_ = reinterpret_cast<uint8_t*>(block + total - mask_bytes);
-  std::fill(cutoff_, cutoff_ + num_eval_,
-            std::numeric_limits<double>::infinity());
-  std::fill(counts_, counts_ + num_eval_, uint32_t{0});
-  std::fill(class_counts_, class_counts_ + num_eval_ * classes, uint32_t{0});
-}
+      cutoff_(num_eval_, std::numeric_limits<double>::infinity()),
+      window_dist_(num_eval_ * k_),
+      window_idx_(num_eval_ * k_),
+      counts_(num_eval_),
+      class_counts_(num_eval_ * static_cast<size_t>(num_classes_)),
+      mask_(num_eval_),
+      predictions_(num_eval_, 0) {}
 
 void KnnSoaScorer::Add(size_t train_index) {
   const double* dist_row = context_->DistanceRow(train_index);
-  const double* cutoff = cutoff_;
-  uint8_t* mask = mask_;
+  const double* cutoff = cutoff_.data();
+  uint8_t* mask = mask_.data();
   const size_t m = num_eval_;
   // Pass 1, branch-light and auto-vectorizable: a row entering the window
   // must satisfy dist <= cutoff (underfull windows keep cutoff at +inf, and
@@ -293,8 +274,8 @@ void KnnSoaScorer::Add(size_t train_index) {
 }
 
 void KnnSoaScorer::Insert(size_t e, uint32_t train_index, double dist) {
-  double* wd = window_dist_ + e * k_;
-  uint32_t* wi = window_idx_ + e * k_;
+  double* wd = window_dist_.data() + e * k_;
+  uint32_t* wi = window_idx_.data() + e * k_;
   const size_t count = counts_[e];
   // Insertion position under the (distance, parent index) order. Parent
   // indices are unique, so the key is a strict total order.
@@ -305,7 +286,8 @@ void KnnSoaScorer::Insert(size_t e, uint32_t train_index, double dist) {
   }
   if (pos >= k_) return;  // Equal-distance, larger-index: not admitted.
   const size_t new_count = std::min(count + 1, k_);
-  uint32_t* class_counts = class_counts_ + e * static_cast<size_t>(num_classes_);
+  uint32_t* class_counts =
+      class_counts_.data() + e * static_cast<size_t>(num_classes_);
   if (count == k_) {
     // Window full: the (distance, index)-largest entry falls out.
     --class_counts[static_cast<size_t>(context_->label(wi[k_ - 1]))];

@@ -12,8 +12,6 @@
 
 namespace nde {
 
-class Arena;
-
 /// Runs body(i) for every i in [0, count), possibly concurrently and in any
 /// order, and returns the first failure (such as a lost pool task). Callers
 /// lend one to a scorer-context build so its one-time precomputation can fan
@@ -54,11 +52,10 @@ class CoalitionScorerContext {
  public:
   virtual ~CoalitionScorerContext() = default;
 
-  /// A fresh scorer over the empty coalition that carves its window/statistics
-  /// buffers from `arena`. The arena must outlive the scorer and belongs to it
-  /// exclusively until the scorer is destroyed (scorers are single-threaded,
-  /// so one arena per permutation scan suffices).
-  virtual std::unique_ptr<CoalitionScorer> NewScorer(Arena& arena) const = 0;
+  /// A fresh scorer over the empty coalition. It owns its window/statistics
+  /// arrays, allocated once here, so one scorer serves a whole permutation
+  /// scan without allocating again.
+  virtual std::unique_ptr<CoalitionScorer> NewScorer() const = 0;
 
   /// True when a fresh scorer fed a whole coalition (Add every row, Predict
   /// once) can stand in for the cold fit: exact, and cheaper. A utility may

@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/arena.h"
 #include "ml/logistic_regression.h"  // SoftmaxRowsInPlace
 
 namespace nde {
@@ -194,7 +193,7 @@ class NbCoalitionContext;
 
 class NbCoalitionScorer final : public CoalitionScorer {
  public:
-  NbCoalitionScorer(const NbCoalitionContext* context, Arena& arena);
+  explicit NbCoalitionScorer(const NbCoalitionContext* context);
 
   void Add(size_t train_index) override;
   const std::vector<int>& Predict() override;
@@ -206,18 +205,17 @@ class NbCoalitionScorer final : public CoalitionScorer {
   size_t d_;
   int num_classes_;
   size_t capacity_;  ///< Training-set size; bounds every member list.
-  // Flat buffers carved from one arena block, doubles first:
-  double* means_;           ///< C x d, valid rows only where counts_ > 0.
-  double* vars_;            ///< C x d, unfloored.
-  double* global_mean_;     ///< d, maintained only while a class is absent.
-  double* global_var_;      ///< d, unfloored.
-  double* log_priors_;      ///< C.
-  double* var_cache_;       ///< C x d, floored (absent classes resolved).
-  double* log_var_cache_;   ///< C x d, log of var_cache_.
-  double* mean_cache_;      ///< C x d, absent classes resolved.
-  uint32_t* members_;       ///< Sorted coalition, num_members_ entries.
-  uint32_t* class_members_; ///< C x capacity, sorted per class.
-  uint32_t* counts_;        ///< C.
+  std::vector<double> means_;        ///< C x d; rows valid where counts_ > 0.
+  std::vector<double> vars_;         ///< C x d, unfloored.
+  std::vector<double> global_mean_;  ///< d; kept only while a class is absent.
+  std::vector<double> global_var_;   ///< d, unfloored.
+  std::vector<double> log_priors_;   ///< C.
+  std::vector<double> var_cache_;    ///< C x d, floored; absent ones resolved.
+  std::vector<double> log_var_cache_;  ///< C x d, log of var_cache_.
+  std::vector<double> mean_cache_;     ///< C x d; absent classes resolved.
+  std::vector<uint32_t> members_;      ///< Sorted coalition so far.
+  std::vector<uint32_t> class_members_;  ///< C x capacity, sorted per class.
+  std::vector<uint32_t> counts_;         ///< C.
   size_t num_members_ = 0;
   int present_classes_ = 0;
   bool derived_dirty_ = false;
@@ -237,8 +235,8 @@ class NbCoalitionContext final : public CoalitionScorerContext {
     NDE_CHECK_EQ(train.features.cols(), eval_features.cols());
   }
 
-  std::unique_ptr<CoalitionScorer> NewScorer(Arena& arena) const override {
-    return std::make_unique<NbCoalitionScorer>(this, arena);
+  std::unique_ptr<CoalitionScorer> NewScorer() const override {
+    return std::make_unique<NbCoalitionScorer>(this);
   }
 
   // ReplacesColdFit stays false: every Add recomputes the pushed class's
@@ -260,8 +258,7 @@ class NbCoalitionContext final : public CoalitionScorerContext {
   double var_smoothing_;
 };
 
-NbCoalitionScorer::NbCoalitionScorer(const NbCoalitionContext* context,
-                                     Arena& arena)
+NbCoalitionScorer::NbCoalitionScorer(const NbCoalitionContext* context)
     : context_(context),
       d_(context->train_features().cols()),
       num_classes_(context->num_classes()),
@@ -269,42 +266,35 @@ NbCoalitionScorer::NbCoalitionScorer(const NbCoalitionContext* context,
       predictions_(context->eval_features().rows(), 0) {
   const size_t classes = static_cast<size_t>(num_classes_);
   const size_t stats = classes * d_;
-  const size_t doubles = 5 * stats + 2 * d_ + classes;
-  const size_t uints = capacity_ + classes * capacity_ + classes;
-  const size_t total = doubles * sizeof(double) + uints * sizeof(uint32_t);
-  char* block = static_cast<char*>(arena.Allocate(total, alignof(double)));
-  double* dbl = reinterpret_cast<double*>(block);
-  means_ = dbl;
-  vars_ = means_ + stats;
-  global_mean_ = vars_ + stats;
-  global_var_ = global_mean_ + d_;
-  log_priors_ = global_var_ + d_;
-  var_cache_ = log_priors_ + classes;
-  log_var_cache_ = var_cache_ + stats;
-  mean_cache_ = log_var_cache_ + stats;
-  uint32_t* u32 = reinterpret_cast<uint32_t*>(mean_cache_ + stats);
-  members_ = u32;
-  class_members_ = members_ + capacity_;
-  counts_ = class_members_ + classes * capacity_;
-  std::fill(counts_, counts_ + classes, uint32_t{0});
+  means_.resize(stats);
+  vars_.resize(stats);
+  global_mean_.resize(d_);
+  global_var_.resize(d_);
+  log_priors_.resize(classes);
+  var_cache_.resize(stats);
+  log_var_cache_.resize(stats);
+  mean_cache_.resize(stats);
+  members_.resize(capacity_);
+  class_members_.resize(classes * capacity_);
+  counts_.resize(classes);
 }
 
 void NbCoalitionScorer::Add(size_t train_index) {
   const uint32_t index32 = static_cast<uint32_t>(train_index);
   const size_t c = static_cast<size_t>(context_->label(train_index));
-  InsertSorted(members_, num_members_, index32);
+  InsertSorted(members_.data(), num_members_, index32);
   ++num_members_;
-  InsertSorted(class_members_ + c * capacity_, counts_[c], index32);
+  InsertSorted(class_members_.data() + c * capacity_, counts_[c], index32);
   if (++counts_[c] == 1) ++present_classes_;
 
   // Recompute the pushed class's moments over its sorted member list: the
   // same two passes, in the same order, as the cold fit restricted to this
   // class.
   const Matrix& train = context_->train_features();
-  const uint32_t* members = class_members_ + c * capacity_;
+  const uint32_t* members = class_members_.data() + c * capacity_;
   const size_t count = counts_[c];
-  double* mean = means_ + c * d_;
-  double* var = vars_ + c * d_;
+  double* mean = means_.data() + c * d_;
+  double* var = vars_.data() + c * d_;
   std::fill(mean, mean + d_, 0.0);
   std::fill(var, var + d_, 0.0);
   for (size_t k = 0; k < count; ++k) {
@@ -324,8 +314,8 @@ void NbCoalitionScorer::Add(size_t train_index) {
   // Global fallback moments: only read by the cold fit while some class is
   // absent, so they are only maintained while some class is absent.
   if (present_classes_ < num_classes_) {
-    std::fill(global_mean_, global_mean_ + d_, 0.0);
-    std::fill(global_var_, global_var_ + d_, 0.0);
+    std::fill(global_mean_.begin(), global_mean_.end(), 0.0);
+    std::fill(global_var_.begin(), global_var_.end(), 0.0);
     for (size_t k = 0; k < num_members_; ++k) {
       const double* row = train.RowPtr(members_[k]);
       for (size_t j = 0; j < d_; ++j) global_mean_[j] += row[j];
@@ -353,7 +343,8 @@ void NbCoalitionScorer::RefreshDerived() {
   // yields the cold fit's value.
   double max_feature_var = 0.0;
   for (size_t c = 0; c < classes; ++c) {
-    const double* var = counts_[c] > 0 ? vars_ + c * d_ : global_var_;
+    const double* var =
+        counts_[c] > 0 ? vars_.data() + c * d_ : global_var_.data();
     for (size_t j = 0; j < d_; ++j) {
       max_feature_var = std::max(max_feature_var, var[j]);
     }
@@ -365,8 +356,9 @@ void NbCoalitionScorer::RefreshDerived() {
   // the exact values the cold LogJoint computes inline.
   for (size_t c = 0; c < classes; ++c) {
     const bool present = counts_[c] > 0;
-    const double* var = present ? vars_ + c * d_ : global_var_;
-    const double* mean = present ? means_ + c * d_ : global_mean_;
+    const double* var = present ? vars_.data() + c * d_ : global_var_.data();
+    const double* mean =
+        present ? means_.data() + c * d_ : global_mean_.data();
     for (size_t j = 0; j < d_; ++j) {
       const double floored = var[j] + floor;
       var_cache_[c * d_ + j] = floored;
@@ -395,9 +387,9 @@ const std::vector<int>& NbCoalitionScorer::Predict() {
     for (size_t c = 0; c < classes; ++c) {
       // The cold LogJoint chain, operation for operation.
       double acc = log_priors_[c];
-      const double* mean = mean_cache_ + c * d_;
-      const double* var = var_cache_ + c * d_;
-      const double* log_var = log_var_cache_ + c * d_;
+      const double* mean = mean_cache_.data() + c * d_;
+      const double* var = var_cache_.data() + c * d_;
+      const double* log_var = log_var_cache_.data() + c * d_;
       for (size_t j = 0; j < d_; ++j) {
         double diff = row[j] - mean[j];
         acc -= 0.5 * (kLogTwoPi + log_var[j] + diff * diff / var[j]);

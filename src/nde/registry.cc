@@ -1,8 +1,6 @@
 #include "nde/registry.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -40,36 +38,6 @@ Result<bool> ParseBool(const std::string& value) {
   if (value == "false" || value == "0") return false;
   return Status::InvalidArgument("expects true|false|1|0, got '" + value +
                                  "'");
-}
-
-Result<uint64_t> ParseUnsigned(const std::string& value) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::InvalidArgument("expects a non-negative integer, got '" +
-                                   value + "'");
-  }
-  errno = 0;
-  unsigned long long parsed = std::strtoull(value.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    return Status::InvalidArgument("integer out of range: '" + value + "'");
-  }
-  return static_cast<uint64_t>(parsed);
-}
-
-Result<double> ParseDouble(const std::string& value) {
-  if (value.empty()) {
-    return Status::InvalidArgument("expects a number, got ''");
-  }
-  char* end = nullptr;
-  double parsed = std::strtod(value.c_str(), &end);
-  if (end != value.c_str() + value.size()) {
-    return Status::InvalidArgument("expects a number, got '" + value + "'");
-  }
-  if (!std::isfinite(parsed)) {
-    return Status::InvalidArgument("expects a finite number, got '" + value +
-                                   "'");
-  }
-  return parsed;
 }
 
 }  // namespace
@@ -212,27 +180,9 @@ void AlgorithmInstance::BindDouble(const std::string& name,
       [target]() -> std::string { return FormatDouble(*target); });
 }
 
-void AlgorithmInstance::BindEstimatorOptions(EstimatorOptions* options) {
-  BindUint64("seed", "base RNG seed; a fixed seed fixes the result "
-             "bit-for-bit at any thread count", &options->seed);
-  BindSize("num_threads", "worker threads for the utility fan-out "
+void AlgorithmInstance::BindNumThreads(EstimatorOptions* options) {
+  BindSize("num_threads", "worker threads for the estimator's fan-out "
            "(0 = process default)", &options->num_threads);
-  BindDouble("convergence_tolerance",
-             "stop sampling once every std error is at or below this "
-             "(0 disables early stopping)",
-             &options->convergence_tolerance, 0.0, false);
-  BindBool("use_prefix_scan",
-           "use the utility's incremental prefix-scan fast path",
-           &options->use_prefix_scan);
-  BindBool("warm_start",
-           "allow approximate warm-started prefix training for models "
-           "without an exact scan", &options->warm_start);
-  BindSize("max_retries",
-           "retry budget per utility evaluation for transient failures",
-           &options->max_retries);
-  BindUint32("retry_backoff_ms",
-             "base retry backoff in ms, doubled per attempt",
-             &options->retry_backoff_ms);
 }
 
 namespace {
@@ -253,20 +203,20 @@ Status CheckTrainValidation(const AlgorithmInstance& algorithm,
 /// Shared base for the estimators driven by the retrain-and-score proxy
 /// utility (loo, tmc_shapley, banzhaf, beta_shapley). The proxy model is
 /// selectable: KNN and Gaussian NB have exact prefix-scan scorers, logistic
-/// regression rides the approximate warm-start scan when enabled.
+/// regression rides TMC's approximate warm-start scan when enabled.
 class GameAlgorithm : public AlgorithmInstance {
  protected:
   GameAlgorithm(std::string name, std::string summary)
       : AlgorithmInstance(std::move(name), std::move(summary)) {}
 
-  /// Call from the subclass constructor after its option struct holds its
+  /// Binds what every estimator over the proxy utility reads: the model, its
+  /// k, the worker count and the retry policy for failed evaluations. Call
+  /// from the subclass constructor after its option struct holds its
   /// defaults (binders snapshot defaults at bind time).
   void BindGameOptions(EstimatorOptions* options) {
     BindOption(
         "model", OptionType::kString,
-        "proxy model retrained per coalition: knn | gaussian_nb | logreg "
-        "(knn and gaussian_nb have exact prefix scans; logreg needs "
-        "warm_start for a fast path)",
+        "proxy model retrained per coalition: knn | gaussian_nb | logreg",
         [this](const std::string& value) -> Status {
           if (value != "knn" && value != "gaussian_nb" && value != "logreg") {
             return Status::InvalidArgument(
@@ -277,7 +227,24 @@ class GameAlgorithm : public AlgorithmInstance {
         },
         [this]() -> std::string { return model_; });
     BindSize("k", "neighbors of the KNN proxy model", &k_, 1);
-    BindEstimatorOptions(options);
+    BindNumThreads(options);
+    BindSize("max_retries",
+             "retry budget per utility evaluation for transient failures",
+             &options->max_retries);
+    BindUint32("retry_backoff_ms",
+               "base retry backoff in ms, doubled per attempt",
+               &options->retry_backoff_ms);
+  }
+
+  /// Binds what the Monte-Carlo estimators (tmc_shapley, banzhaf,
+  /// beta_shapley) read on top: the sampling seed and the early stop.
+  void BindSamplingOptions(EstimatorOptions* options) {
+    BindUint64("seed", "base RNG seed; a fixed seed fixes the result "
+               "bit-for-bit at any thread count", &options->seed);
+    BindDouble("convergence_tolerance",
+               "stop sampling once every std error is at or below this "
+               "(0 disables early stopping)",
+               &options->convergence_tolerance, 0.0, false);
   }
 
   Result<std::unique_ptr<ModelAccuracyUtility>> MakeUtility(
@@ -337,12 +304,20 @@ class TmcShapleyAlgorithm final : public GameAlgorithm {
                       "truncated Monte-Carlo permutation-sampling Shapley "
                       "values (Ghorbani & Zou 2019)") {
     BindGameOptions(&options_);
+    BindSamplingOptions(&options_);
     BindSize("num_permutations", "sampled permutations",
              &options_.num_permutations, 1);
     BindDouble("truncation_tolerance",
                "take remaining marginals as zero once |v(prefix) - v(N)| "
                "falls below this (0 disables truncation)",
                &options_.truncation_tolerance, 0.0, false);
+    BindBool("use_prefix_scan",
+             "scan each permutation incrementally (exact for knn and "
+             "gaussian_nb; false retrains on every prefix)",
+             &options_.use_prefix_scan);
+    BindBool("warm_start",
+             "allow approximate warm-started prefix training for models "
+             "without an exact scan (logreg)", &options_.warm_start);
   }
 
   Result<ImportanceEstimate> Run(const RunInput& input) const override {
@@ -364,6 +339,7 @@ class BanzhafAlgorithm final : public GameAlgorithm {
                       "maximum-sample-reuse Banzhaf values (Wang & Jia "
                       "2023)") {
     BindGameOptions(&options_);
+    BindSamplingOptions(&options_);
     BindSize("num_samples", "random subsets drawn", &options_.num_samples, 1);
   }
 
@@ -386,6 +362,7 @@ class BetaShapleyAlgorithm final : public GameAlgorithm {
                       "Beta(alpha, beta)-weighted semivalues by stratified "
                       "cardinality sampling (Kwon & Zou 2022)") {
     BindGameOptions(&options_);
+    BindSamplingOptions(&options_);
     BindDouble("alpha", "Beta distribution alpha; (1,1) recovers Shapley",
                &options_.alpha, 0.0, true);
     BindDouble("beta", "Beta distribution beta", &options_.beta, 0.0, true);
@@ -413,7 +390,7 @@ class KnnShapleyAlgorithm final : public AlgorithmInstance {
                           "O(n log n) per validation point (Jia et al. "
                           "2019)") {
     BindSize("k", "neighbors of the KNN utility", &k_, 1);
-    BindEstimatorOptions(&options_);
+    BindNumThreads(&options_);
   }
 
   Result<ImportanceEstimate> Run(const RunInput& input) const override {
@@ -441,7 +418,7 @@ class DatascopeAlgorithm final : public AlgorithmInstance {
             "the pipeline output attributed to source rows via provenance "
             "(Karlas et al. 2023)") {
     BindSize("k", "neighbors of the KNN proxy game", &k_, 1);
-    BindEstimatorOptions(&options_);
+    BindNumThreads(&options_);
   }
 
   bool values_are_source_rows() const override { return true; }

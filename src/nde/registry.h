@@ -143,10 +143,10 @@ class AlgorithmInstance {
   void BindDouble(const std::string& name, const std::string& doc,
                   double* target, double min_value, bool exclusive_min);
 
-  /// Binds the knobs shared by every estimator (seed, num_threads,
-  /// convergence_tolerance, use_prefix_scan, warm_start, max_retries,
-  /// retry_backoff_ms) against an embedded EstimatorOptions.
-  void BindEstimatorOptions(EstimatorOptions* options);
+  /// Binds `num_threads`, the one EstimatorOptions knob every estimator
+  /// reads. Each algorithm binds the other fields only if its estimator
+  /// reads them, so no listed option is inert.
+  void BindNumThreads(EstimatorOptions* options);
 
   /// Copies the runtime-only fields (cancel flag, progress callback) into
   /// the options struct an estimator is about to receive. Call at the top

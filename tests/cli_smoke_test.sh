@@ -106,6 +106,26 @@ grep -q -- "--threads" err.txt || fail "--threads error does not name the flag"
 "$CLI" importance train.csv --label label --threads -3 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "negative --threads should exit 2"
 
+# --- numeric flags: a malformed value is a usage error naming the flag ---------
+for flag in "--top abc" "--top -1" "--permutations x" \
+            "--permutations 2305843009213693952" "--seed x" "--retries x" \
+            "--retry-backoff-ms x" "--retry-backoff-ms 4294967296"; do
+  name="${flag%% *}"
+  "$CLI" importance train.csv --label label $flag > /dev/null 2> err.txt
+  [ $? -eq 2 ] || fail "importance $flag should exit 2"
+  grep -q -- "'$name'" err.txt || fail "importance $flag error does not name $name"
+done
+"$CLI" screen train.csv --label label --max-null x > /dev/null 2> err.txt
+[ $? -eq 2 ] || fail "screen --max-null x should exit 2"
+grep -q -- "'--max-null'" err.txt || fail "--max-null error does not name the flag"
+for flag in "--port x" "--port 65536" "--job-workers 0" "--max-queue -1"; do
+  name="${flag%% *}"
+  timeout 10 "$CLI" serve $flag > /dev/null 2> err.txt
+  [ $? -eq 2 ] || fail "serve $flag should exit 2"
+  grep -q -- "'$name'" err.txt || fail "serve $flag error does not name $name"
+  grep -q "serving on" err.txt && fail "serve bound a port before rejecting $flag"
+done
+
 # --- prefix-scan kernels: rankings match retraining on every prefix ----------
 # The exact coalition scorers (the SoA KNN kernel, the incremental Gaussian-NB
 # scorer) must rank exactly as retraining per prefix does, end to end through
@@ -396,6 +416,17 @@ grep -q "num_permutations" algorithms.txt \
 diff <(grep '^[0-9]\+$' set_flag_out.txt) <(grep '^[0-9]\+$' set_set_out.txt) \
     > /dev/null || fail "--set num_permutations=4 ranked differently than --permutations 4"
 
+# Two-CSV mode maps the legacy flags exactly as pipeline mode does.
+for pair in "--permutations 2|--set num_permutations=2" \
+            "--model gaussian_nb|--set model=gaussian_nb"; do
+  "$CLI" importance train.csv valid.csv --label label --method tmc_shapley \
+      --top 100 ${pair%%|*} > pair_flag_out.txt || fail "two-CSV ${pair%%|*} failed"
+  "$CLI" importance train.csv valid.csv --label label --method tmc_shapley \
+      --top 100 ${pair##*|} > pair_set_out.txt || fail "two-CSV ${pair##*|} failed"
+  cmp -s pair_flag_out.txt pair_set_out.txt \
+      || fail "two-CSV ${pair%%|*} ranked differently than ${pair##*|}"
+done
+
 "$CLI" importance train.csv --label label --set bogus=1 > /dev/null 2> err.txt
 [ $? -eq 2 ] || fail "unknown --set option should exit 2"
 grep -q "no option 'bogus'" err.txt \
@@ -413,6 +444,13 @@ grep -q "no option 'bogus'" err.txt \
 [ $? -eq 2 ] || fail "--set float32=true should exit 2"
 grep -q "no option 'float32'" err.txt \
     || fail "retired --set option error should name the option"
+# Each algorithm lists only the options its estimator reads: the closed-form
+# KNN-Shapley draws no randomness, so it has no seed to set.
+"$CLI" importance train.csv --label label --method knn_shapley --set seed=3 \
+    > /dev/null 2> err.txt
+[ $? -eq 2 ] || fail "--set seed=3 on knn_shapley should exit 2"
+grep -q "algorithm 'knn_shapley' has no option 'seed'" err.txt \
+    || fail "unread --set option error should name the option"
 for flag in --utility-cache --float32; do
   "$CLI" importance train.csv --label label "$flag" > /dev/null 2> err.txt
   [ $? -eq 2 ] || fail "retired flag $flag should exit 2"

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -16,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.h"
 #include "common/json.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -548,81 +546,6 @@ TEST(JsonWriterTest, EscapesStringsSpellsNumbersAndPlacesCommas) {
             "{\"a\":[-1,18446744073709551615,{},[]],"
             "\"b\":{\"c\":true,\"d\":[1]},\"e\":0.5}");
   EXPECT_EQ(json.Int(7).Take(), "7");  // Take leaves the writer empty
-}
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(64);  // Tiny first chunk to force growth.
-  std::vector<std::pair<char*, size_t>> blocks;
-  for (size_t i = 0; i < 100; ++i) {
-    size_t bytes = 1 + (i * 7) % 96;
-    size_t alignment = size_t{1} << (i % 7);  // 1..64.
-    char* p = static_cast<char*>(arena.Allocate(bytes, alignment));
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % alignment, 0u)
-        << "allocation " << i;
-    // Writing the full block must not corrupt any earlier block.
-    std::memset(p, static_cast<int>(i), bytes);
-    blocks.emplace_back(p, bytes);
-  }
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    for (size_t b = 0; b < blocks[i].second; ++b) {
-      ASSERT_EQ(static_cast<unsigned char>(blocks[i].first[b]),
-                static_cast<unsigned char>(i))
-          << "block " << i << " byte " << b;
-    }
-  }
-  EXPECT_GE(arena.bytes_allocated(), 100u);
-}
-
-TEST(ArenaTest, ResetReachesSteadyStateWithoutNewChunks) {
-  Arena arena(128);
-  for (int i = 0; i < 32; ++i) arena.AllocateArray<double>(16);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  size_t reserved = arena.bytes_reserved();
-  EXPECT_GT(reserved, 0u);
-  // The retained chunk covers the whole workload, so replaying it must not
-  // grow the reservation again.
-  for (int round = 0; round < 4; ++round) {
-    for (int i = 0; i < 32; ++i) arena.AllocateArray<double>(16);
-    EXPECT_EQ(arena.bytes_reserved(), reserved) << "round " << round;
-    arena.Reset();
-  }
-}
-
-TEST(ArenaTest, TypedArraysAreElementAligned) {
-  Arena arena;
-  arena.Allocate(1, 1);  // Knock the bump pointer off natural alignment.
-  double* d = arena.AllocateArray<double>(3);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(d) % alignof(double), 0u);
-  uint32_t* u = arena.AllocateArray<uint32_t>(5);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(u) % alignof(uint32_t), 0u);
-}
-
-TEST(ArenaPoolTest, RecyclesReleasedArenas) {
-  ArenaPool pool(256);
-  std::unique_ptr<Arena> a = pool.Acquire();
-  a->AllocateArray<double>(64);
-  Arena* raw = a.get();
-  size_t reserved = a->bytes_reserved();
-  pool.Release(std::move(a));
-  EXPECT_EQ(pool.idle(), 1u);
-
-  // The same pre-grown arena comes back, already reset.
-  std::unique_ptr<Arena> b = pool.Acquire();
-  EXPECT_EQ(b.get(), raw);
-  EXPECT_EQ(b->bytes_allocated(), 0u);
-  EXPECT_EQ(b->bytes_reserved(), reserved);
-  EXPECT_EQ(pool.idle(), 0u);
-
-  // An empty pool constructs fresh arenas rather than blocking.
-  std::unique_ptr<Arena> c = pool.Acquire();
-  EXPECT_NE(c.get(), nullptr);
-  EXPECT_NE(c.get(), raw);
-  pool.Release(std::move(b));
-  pool.Release(std::move(c));
-  pool.Release(nullptr);  // Ignored.
-  EXPECT_EQ(pool.idle(), 2u);
 }
 
 }  // namespace

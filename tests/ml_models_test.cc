@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.h"
 #include "datagen/synthetic.h"
 #include "ml/decision_tree.h"
 #include "ml/knn.h"
@@ -548,8 +547,7 @@ void CheckScorerMatchesColdFit(const Model& model, const MlDataset& train,
       model.NewCoalitionScorerContext(train, eval_features, num_classes)
           .value();
   ASSERT_NE(context, nullptr);
-  Arena arena;
-  std::unique_ptr<CoalitionScorer> scorer = context->NewScorer(arena);
+  std::unique_ptr<CoalitionScorer> scorer = context->NewScorer();
   std::vector<size_t> coalition;
   for (size_t index : AdversarialOrder(train)) {
     scorer->Add(index);

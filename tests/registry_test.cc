@@ -11,6 +11,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -86,6 +87,43 @@ TEST(RegistryTest, DescribeTextMentionsEveryAlgorithm) {
   }
 }
 
+TEST(RegistryTest, EachAlgorithmListsOnlyTheOptionsItsEstimatorReads) {
+  // The catalog, pinned in registration order: every listed option changes
+  // what its estimator computes or how it runs, so a tuning loop over the
+  // catalog never searches an inert knob.
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      expected = {
+          {"loo",
+           {"model", "k", "num_threads", "max_retries", "retry_backoff_ms"}},
+          {"tmc_shapley",
+           {"model", "k", "num_threads", "max_retries", "retry_backoff_ms",
+            "seed", "convergence_tolerance", "num_permutations",
+            "truncation_tolerance", "use_prefix_scan", "warm_start"}},
+          {"banzhaf",
+           {"model", "k", "num_threads", "max_retries", "retry_backoff_ms",
+            "seed", "convergence_tolerance", "num_samples"}},
+          {"beta_shapley",
+           {"model", "k", "num_threads", "max_retries", "retry_backoff_ms",
+            "seed", "convergence_tolerance", "alpha", "beta",
+            "samples_per_unit"}},
+          {"knn_shapley", {"k", "num_threads"}},
+          {"datascope", {"k", "num_threads"}},
+          {"influence", {"l2", "newton_iterations", "standardize"}},
+          {"aum", {"learning_rate", "epochs", "l2"}},
+          {"self_confidence", {"num_folds", "seed", "k"}},
+      };
+  size_t total = 0;
+  for (const auto& [algorithm, options] : expected) {
+    std::vector<std::string> names;
+    for (const OptionSpec& spec : Make(algorithm)->OptionSpecs()) {
+      names.push_back(spec.name);
+    }
+    EXPECT_EQ(names, options) << algorithm;
+    total += names.size();
+  }
+  EXPECT_EQ(total, 47u);
+}
+
 TEST(RegistryTest, ConfigureRoundTripsThroughGetOption) {
   std::unique_ptr<AlgorithmInstance> tmc = Make("tmc_shapley");
   ASSERT_TRUE(tmc->Configure("num_permutations", "64").ok());
@@ -159,6 +197,40 @@ TEST(RegistryTest, RetiredFastPathSwitchesAreUnknownOptions) {
           << algorithm << " " << retired;
     }
   }
+}
+
+TEST(RegistryTest, OptionsNoEstimatorReadsAreUnknown) {
+  // Options an estimator never reads are not listed for it, so naming one
+  // fails like any unknown option instead of being accepted and ignored.
+  // KNN-Shapley (and datascope on top of it) is a closed form; LOO draws no
+  // randomness and has no convergence test; only TMC scans prefixes.
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      dropped = {
+          {"knn_shapley",
+           {"seed", "convergence_tolerance", "use_prefix_scan", "warm_start",
+            "max_retries", "retry_backoff_ms"}},
+          {"datascope",
+           {"seed", "convergence_tolerance", "use_prefix_scan", "warm_start",
+            "max_retries", "retry_backoff_ms"}},
+          {"loo",
+           {"seed", "convergence_tolerance", "use_prefix_scan",
+            "warm_start"}},
+          {"banzhaf", {"use_prefix_scan", "warm_start"}},
+          {"beta_shapley", {"use_prefix_scan", "warm_start"}},
+      };
+  size_t pairs = 0;
+  for (const auto& [algorithm, options] : dropped) {
+    std::unique_ptr<AlgorithmInstance> instance = Make(algorithm);
+    for (const std::string& option : options) {
+      Status status = instance->Configure(option, "1");
+      EXPECT_EQ(status.code(), StatusCode::kNotFound)
+          << algorithm << " " << option;
+      EXPECT_EQ(status.message(), "algorithm '" + algorithm +
+                                      "' has no option '" + option + "'");
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(pairs, 20u);
 }
 
 TEST(RegistryTest, ConfigureAllStopsAtFirstError) {

@@ -69,7 +69,8 @@
 //                        enables live progress/ETA lines for estimators
 //   --log-json           emit log lines as JSON objects instead of text
 //
-// Importance (pipeline mode) fast-path flags:
+// Importance fast-path flags (both modes; each lands only on algorithms that
+// list the matching option):
 //
 //   --warm-start         allow approximate warm-started prefix training for
 //                        models without an exact incremental scorer (changes
@@ -93,6 +94,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -152,6 +154,49 @@ std::string FlagOr(const Args& args, const std::string& key,
                    const std::string& fallback) {
   auto it = args.flags.find(key);
   return it == args.flags.end() ? fallback : it->second;
+}
+
+/// The value of the integer flag `--<key>`, or `fallback` when it is absent.
+/// A malformed or out-of-range value is InvalidArgument naming the flag, so
+/// the command exits 2 instead of aborting.
+Result<uint64_t> UnsignedFlag(
+    const Args& args, const std::string& key, uint64_t fallback,
+    uint64_t min_value = 0,
+    uint64_t max_value = std::numeric_limits<uint64_t>::max()) {
+  auto it = args.flags.find(key);
+  if (it == args.flags.end()) return fallback;
+  Result<uint64_t> parsed = ParseUnsigned(it->second);
+  Status status = parsed.status();
+  if (status.ok() && *parsed < min_value) {
+    status = Status::InvalidArgument(
+        StrFormat("must be at least %llu, got '%s'",
+                  static_cast<unsigned long long>(min_value),
+                  it->second.c_str()));
+  } else if (status.ok() && *parsed > max_value) {
+    status = Status::InvalidArgument(
+        StrFormat("must be at most %llu, got '%s'",
+                  static_cast<unsigned long long>(max_value),
+                  it->second.c_str()));
+  }
+  if (!status.ok()) {
+    return Status::InvalidArgument(StrFormat(
+        "flag '--%s': %s", key.c_str(), status.message().c_str()));
+  }
+  return *parsed;
+}
+
+/// The value of the number flag `--<key>`, or `fallback` when it is absent;
+/// a malformed value is InvalidArgument naming the flag.
+Result<double> DoubleFlag(const Args& args, const std::string& key,
+                          double fallback) {
+  auto it = args.flags.find(key);
+  if (it == args.flags.end()) return fallback;
+  Result<double> parsed = ParseDouble(it->second);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument(StrFormat(
+        "flag '--%s': %s", key.c_str(), parsed.status().message().c_str()));
+  }
+  return *parsed;
 }
 
 int Fail(const std::string& message) {
@@ -295,11 +340,12 @@ int RunScreen(const Args& args) {
   if (args.positional.size() != 1) {
     return Fail("usage: nde_cli screen <table.csv> --label <col>");
   }
+  Result<double> max_null = DoubleFlag(args, "max-null", 0.2);
+  if (!max_null.ok()) return Fail(max_null.status().ToString());
   Result<Table> table = ReadCsvFile(args.positional[0]);
   if (!table.ok()) return FailStatus(table.status());
-  double max_null = std::stod(FlagOr(args, "max-null", "0.2"));
 
-  std::vector<PipelineIssue> issues = CheckNullFractions(*table, max_null);
+  std::vector<PipelineIssue> issues = CheckNullFractions(*table, *max_null);
   std::string label = FlagOr(args, "label", "");
   if (!label.empty()) {
     ColumnTransformer transformer;
@@ -325,6 +371,80 @@ int RunScreen(const Args& args) {
   return has_error ? 1 : 0;
 }
 
+/// The importance command's flags, parsed up front whatever the method, so
+/// a malformed number is always a usage error (exit 2) naming its flag.
+struct ImportanceFlags {
+  size_t top = 25;
+  /// Sizes every sampling budget; unset keeps the registry's budgets.
+  std::optional<size_t> permutations;
+  uint64_t seed = 42;
+  bool warm_start = false;
+  std::string model = "knn";
+  size_t retries = 2;
+  uint32_t retry_backoff_ms = 25;
+};
+
+/// Parses the importance flags. `default_permutations` stands in for an
+/// absent --permutations: pipeline mode samples 8 permutations by default,
+/// two-CSV mode keeps the registry's budgets.
+Result<ImportanceFlags> ParseImportanceFlags(
+    const Args& args, std::optional<size_t> default_permutations) {
+  ImportanceFlags flags;
+  NDE_ASSIGN_OR_RETURN(flags.top, UnsignedFlag(args, "top", flags.top));
+  flags.permutations = default_permutations;
+  if (args.flags.count("permutations") > 0) {
+    // Capped so that num_samples, 8x the flag, cannot wrap.
+    NDE_ASSIGN_OR_RETURN(
+        flags.permutations,
+        UnsignedFlag(args, "permutations", 0, 0,
+                     std::numeric_limits<size_t>::max() / 8));
+  }
+  NDE_ASSIGN_OR_RETURN(flags.seed, UnsignedFlag(args, "seed", flags.seed));
+  flags.warm_start = args.flags.count("warm-start") > 0;
+  flags.model = FlagOr(args, "model", flags.model);
+  NDE_ASSIGN_OR_RETURN(flags.retries,
+                       UnsignedFlag(args, "retries", flags.retries));
+  NDE_ASSIGN_OR_RETURN(
+      uint64_t backoff,
+      UnsignedFlag(args, "retry-backoff-ms", flags.retry_backoff_ms, 0,
+                   std::numeric_limits<uint32_t>::max()));
+  flags.retry_backoff_ms = static_cast<uint32_t>(backoff);
+  return flags;
+}
+
+/// Maps the parsed flags onto registry options, then applies --set. Each
+/// flag lands only on algorithms declaring the matching option, so one
+/// command line serves every method (knn_shapley ignores --permutations and
+/// --seed); only --set assignments are strict.
+Status ConfigureFromFlags(const Args& args, const ImportanceFlags& flags,
+                          AlgorithmInstance* algorithm) {
+  auto configure = [algorithm](const std::string& option,
+                               const std::string& value) -> Status {
+    if (!algorithm->HasOption(option)) return Status::OK();
+    return algorithm->Configure(option, value);
+  };
+  NDE_RETURN_IF_ERROR(configure(
+      "seed", StrFormat("%llu", static_cast<unsigned long long>(flags.seed))));
+  if (flags.permutations.has_value()) {
+    size_t permutations = *flags.permutations;
+    NDE_RETURN_IF_ERROR(
+        configure("num_permutations", StrFormat("%zu", permutations)));
+    NDE_RETURN_IF_ERROR(
+        configure("num_samples", StrFormat("%zu", permutations * 8)));
+    NDE_RETURN_IF_ERROR(
+        configure("samples_per_unit",
+                  StrFormat("%zu", std::max<size_t>(permutations, 2))));
+  }
+  NDE_RETURN_IF_ERROR(
+      configure("warm_start", flags.warm_start ? "true" : "false"));
+  NDE_RETURN_IF_ERROR(configure("model", flags.model));
+  NDE_RETURN_IF_ERROR(
+      configure("max_retries", StrFormat("%zu", flags.retries)));
+  NDE_RETURN_IF_ERROR(configure(
+      "retry_backoff_ms", StrFormat("%u", flags.retry_backoff_ms)));
+  return ApplySetFlags(args, algorithm);
+}
+
 /// Single-CSV importance: runs the file through a real MlPipeline (source ->
 /// filter -> project -> encode) under a PlanProfiler, prints the annotated
 /// plan with per-operator timings, then ranks the training rows with a
@@ -337,58 +457,27 @@ int RunImportancePipeline(const Args& args) {
   std::string label = FlagOr(args, "label", "");
   if (label.empty()) return Fail("--label is required");
   std::string method = FlagOr(args, "method", "tmc_shapley");
-  size_t top = static_cast<size_t>(std::stoul(FlagOr(args, "top", "25")));
-  size_t permutations =
-      static_cast<size_t>(std::stoul(FlagOr(args, "permutations", "8")));
-  uint64_t seed = std::stoull(FlagOr(args, "seed", "42"));
-  bool warm_start = args.flags.count("warm-start") > 0;
-  std::string model = FlagOr(args, "model", "knn");
-  size_t retries =
-      static_cast<size_t>(std::stoul(FlagOr(args, "retries", "2")));
-  uint32_t retry_backoff_ms = static_cast<uint32_t>(
-      std::stoul(FlagOr(args, "retry-backoff-ms", "25")));
+  Result<ImportanceFlags> flags = ParseImportanceFlags(args, size_t{8});
+  if (!flags.ok()) return Fail(flags.status().ToString());
   if (g_report != nullptr) {
     g_report->SetConfig("method", method);
-    g_report->SetConfig("seed", static_cast<int64_t>(seed));
+    g_report->SetConfig("seed", static_cast<int64_t>(flags->seed));
     g_report->SetConfig("threads",
                         static_cast<int64_t>(DefaultNumThreads()));
-    g_report->SetConfig("permutations", static_cast<int64_t>(permutations));
-    g_report->SetConfig("warm_start", warm_start);
-    g_report->SetConfig("model", model);
-    g_report->SetConfig("retries", static_cast<int64_t>(retries));
+    g_report->SetConfig("permutations",
+                        static_cast<int64_t>(*flags->permutations));
+    g_report->SetConfig("warm_start", flags->warm_start);
+    g_report->SetConfig("model", flags->model);
+    g_report->SetConfig("retries", static_cast<int64_t>(flags->retries));
     g_report->SetConfig("retry_backoff_ms",
-                        static_cast<int64_t>(retry_backoff_ms));
+                        static_cast<int64_t>(flags->retry_backoff_ms));
   }
 
   Result<std::unique_ptr<AlgorithmInstance>> algorithm =
       AlgorithmRegistry::Global().Create(method);
   if (!algorithm.ok()) return Fail(algorithm.status().ToString());
-
-  // Map the legacy flags onto registry options. Each lands only on
-  // algorithms declaring the matching option, preserving the pre-registry
-  // behavior where e.g. knn_shapley silently ignored --permutations; only
-  // --set assignments are strict.
-  auto configure = [&](const std::string& option,
-                       const std::string& value) -> Status {
-    if (!(*algorithm)->HasOption(option)) return Status::OK();
-    return (*algorithm)->Configure(option, value);
-  };
-  Status configured = Status::OK();
-  auto merge = [&configured](const Status& status) {
-    if (configured.ok()) configured = status;
-  };
-  merge(configure("seed", FlagOr(args, "seed", "42")));
-  merge(configure("num_permutations", StrFormat("%zu", permutations)));
-  merge(configure("num_samples", StrFormat("%zu", permutations * 8)));
-  merge(configure("samples_per_unit",
-                  StrFormat("%zu", std::max<size_t>(permutations, 2))));
-  merge(configure("warm_start", warm_start ? "true" : "false"));
-  merge(configure("model", model));
-  merge(configure("max_retries", FlagOr(args, "retries", "2")));
-  merge(configure("retry_backoff_ms", FlagOr(args, "retry-backoff-ms", "25")));
+  Status configured = ConfigureFromFlags(args, *flags, algorithm->get());
   if (!configured.ok()) return Fail(configured.ToString());
-  Status sets_ok = ApplySetFlags(args, algorithm->get());
-  if (!sets_ok.ok()) return Fail(sets_ok.ToString());
   (*algorithm)->SetProgress(MakeCliProgress());
 
   Result<Table> table = ReadCsvFile(args.positional[0]);
@@ -432,9 +521,10 @@ int RunImportancePipeline(const Args& args) {
 
   // Most suspect first = lowest importance value; the engine already mapped
   // values back to source row ids through the pipeline's provenance.
+  size_t top = std::min(flags->top, run->ranked_rows.size());
   std::printf("top %zu cleaning candidates by %s (most suspect first):\n",
-              std::min(top, run->ranked_rows.size()), method.c_str());
-  for (size_t i = 0; i < std::min(top, run->ranked_rows.size()); ++i) {
+              top, method.c_str());
+  for (size_t i = 0; i < top; ++i) {
     std::printf("%u\n", run->ranked_rows[i]);
   }
   return exit_code;
@@ -454,7 +544,8 @@ int RunImportance(const Args& args) {
   std::string label = FlagOr(args, "label", "");
   if (label.empty()) return Fail("--label is required");
   std::string method = FlagOr(args, "method", "knn_shapley");
-  size_t top = static_cast<size_t>(std::stoul(FlagOr(args, "top", "25")));
+  Result<ImportanceFlags> flags = ParseImportanceFlags(args, std::nullopt);
+  if (!flags.ok()) return Fail(flags.status().ToString());
 
   ColumnTransformer transformer;
   Result<MlDataset> train =
@@ -473,14 +564,8 @@ int RunImportance(const Args& args) {
   Result<std::unique_ptr<AlgorithmInstance>> algorithm =
       AlgorithmRegistry::Global().Create(method);
   if (!algorithm.ok()) return Fail(algorithm.status().ToString());
-  // The pre-registry strategies seeded from the dispatcher (always 42 here);
-  // registry defaults already match their other knobs exactly.
-  if ((*algorithm)->HasOption("seed")) {
-    Status seeded = (*algorithm)->Configure("seed", "42");
-    if (!seeded.ok()) return Fail(seeded.ToString());
-  }
-  Status sets_ok = ApplySetFlags(args, algorithm->get());
-  if (!sets_ok.ok()) return Fail(sets_ok.ToString());
+  Status configured = ConfigureFromFlags(args, *flags, algorithm->get());
+  if (!configured.ok()) return Fail(configured.ToString());
   (*algorithm)->SetProgress(MakeCliProgress());
 
   RunInput input;
@@ -490,9 +575,9 @@ int RunImportance(const Args& args) {
   if (!estimate.ok()) return FailStatus(estimate.status());
   std::vector<size_t> ranking = AscendingOrder(estimate->values);
 
-  std::printf("top %zu cleaning candidates by %s (most suspect first):\n", top,
-              method.c_str());
-  for (size_t i = 0; i < std::min(top, ranking.size()); ++i) {
+  std::printf("top %zu cleaning candidates by %s (most suspect first):\n",
+              flags->top, method.c_str());
+  for (size_t i = 0; i < std::min(flags->top, ranking.size()); ++i) {
     std::printf("%zu\n", ranking[i]);
   }
   return 0;
@@ -557,36 +642,19 @@ int RunServe(const Args& args) {
     return Fail("usage: nde_cli serve [--port 0] [--job-workers 1] "
                 "[--max-queue 8] [--artifact-dir <dir>]");
   }
-  auto parse_count = [&](const std::string& flag, const std::string& fallback,
-                         unsigned long long max_value,
-                         unsigned long long* out) -> Status {
-    std::string text = FlagOr(args, flag, fallback);
-    bool all_digits = !text.empty() &&
-                      text.find_first_not_of("0123456789") ==
-                          std::string::npos;
-    unsigned long long parsed =
-        all_digits ? std::strtoull(text.c_str(), nullptr, 10) : max_value + 1;
-    if (!all_digits || parsed > max_value) {
-      return Status::InvalidArgument(StrFormat(
-          "--%s requires an integer in 0..%llu, got '%s'", flag.c_str(),
-          max_value, text.c_str()));
-    }
-    *out = parsed;
-    return Status::OK();
-  };
-  unsigned long long port = 0, workers = 1, max_queue = 8;
-  Status parsed = parse_count("port", "0", 65535ULL, &port);
-  if (parsed.ok()) parsed = parse_count("job-workers", "1", 1024ULL, &workers);
-  if (parsed.ok()) parsed = parse_count("max-queue", "8", 65536ULL, &max_queue);
-  if (!parsed.ok()) return Fail(parsed.ToString());
-  if (workers == 0) return Fail("--job-workers requires at least 1 worker");
+  Result<uint64_t> port = UnsignedFlag(args, "port", 0, 0, 65535);
+  if (!port.ok()) return Fail(port.status().ToString());
+  Result<uint64_t> workers = UnsignedFlag(args, "job-workers", 1, 1, 1024);
+  if (!workers.ok()) return Fail(workers.status().ToString());
+  Result<uint64_t> max_queue = UnsignedFlag(args, "max-queue", 8, 0, 65536);
+  if (!max_queue.ok()) return Fail(max_queue.status().ToString());
 
   // A long-lived server should always expose live metrics and traces.
   telemetry::SetEnabled(true);
 
   JobApiOptions job_options;
-  job_options.num_workers = static_cast<size_t>(workers);
-  job_options.max_queued = static_cast<size_t>(max_queue);
+  job_options.num_workers = static_cast<size_t>(*workers);
+  job_options.max_queued = static_cast<size_t>(*max_queue);
   job_options.artifact_dir = FlagOr(args, "artifact-dir", "");
   // Destruction order matters: the exporter (declared second) stops first,
   // so no HTTP thread can reach the manager while it drains its workers.
@@ -595,7 +663,7 @@ int RunServe(const Args& args) {
   exporter.SetHandler([&manager](const telemetry::HttpRequest& request) {
     return manager.HandleHttp(request);
   });
-  Status started = exporter.Start(static_cast<uint16_t>(port));
+  Status started = exporter.Start(static_cast<uint16_t>(*port));
   if (!started.ok()) return Fail(started.ToString());
   std::fprintf(stderr, "serving on http://127.0.0.1:%u\n",
                static_cast<unsigned>(exporter.port()));
@@ -705,20 +773,10 @@ int Main(int argc, char** argv) {
     log::Logger::Global().SetJson(true);
   }
 
-  std::string threads_flag = FlagOr(args, "threads", "");
-  if (!threads_flag.empty()) {
-    char* end = nullptr;
-    // strtoull silently wraps negative input, so reject any non-digit upfront.
-    bool all_digits = !threads_flag.empty() &&
-                      threads_flag.find_first_not_of("0123456789") ==
-                          std::string::npos;
-    unsigned long long parsed = std::strtoull(threads_flag.c_str(), &end, 10);
-    if (!all_digits || end == threads_flag.c_str() || *end != '\0' ||
-        parsed == 0) {
-      return Fail("--threads requires a positive integer, got '" +
-                  threads_flag + "'");
-    }
-    SetDefaultNumThreads(static_cast<size_t>(parsed));
+  if (args.flags.count("threads") > 0) {
+    Result<uint64_t> threads = UnsignedFlag(args, "threads", 0, 1);
+    if (!threads.ok()) return Fail(threads.status().ToString());
+    SetDefaultNumThreads(static_cast<size_t>(*threads));
   }
 
   // `serve` runs its own exporter with the job API mounted; the output flags
@@ -769,16 +827,8 @@ int Main(int argc, char** argv) {
   std::unique_ptr<JobManager> serve_jobs;
   telemetry::HttpExporter exporter;
   if (!serve_flag.empty()) {
-    bool all_digits =
-        serve_flag.find_first_not_of("0123456789") == std::string::npos;
-    unsigned long long port = all_digits
-                                  ? std::strtoull(serve_flag.c_str(),
-                                                  nullptr, 10)
-                                  : 65536ULL;
-    if (!all_digits || port > 65535ULL) {
-      return Fail("--serve requires a port in 0..65535, got '" + serve_flag +
-                  "'");
-    }
+    Result<uint64_t> port = UnsignedFlag(args, "serve", 0, 0, 65535);
+    if (!port.ok()) return Fail(port.status().ToString());
     // The sidecar also exposes the job API so an observing client can submit
     // follow-up importance runs against the same process.
     serve_jobs = std::make_unique<JobManager>(JobApiOptions{});
@@ -786,7 +836,7 @@ int Main(int argc, char** argv) {
         [manager = serve_jobs.get()](const telemetry::HttpRequest& request) {
           return manager->HandleHttp(request);
         });
-    Status started = exporter.Start(static_cast<uint16_t>(port));
+    Status started = exporter.Start(static_cast<uint16_t>(*port));
     if (!started.ok()) return Fail(started.ToString());
     // Announced on stderr so scripts backgrounding the CLI can scrape the
     // bound port (meaningful with --serve 0).
