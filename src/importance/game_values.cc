@@ -113,10 +113,10 @@ Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
   }
   NDE_TRACE_SPAN_VAR(span, "TmcShapleyValues", "importance");
   if (options.use_prefix_scan) {
-    // The prelude: build the utility's shared scan state (KNN: the
-    // train-to-eval distance matrix) on this estimator's threads, instead of
-    // lazily inside the first permutation while the other workers wait. v(N)
-    // below is then scored from it instead of retrained.
+    // The prelude: build the utility's shared scan state (KNN: every
+    // validation point's ranking of the training rows) on this estimator's
+    // threads, instead of lazily inside the first permutation while the other
+    // workers wait. v(N) below is then scored from it instead of retrained.
     NDE_TRACE_SPAN("scorer_context", "importance");
     telemetry::AllocationScope context_alloc("scorer_context");
     Status prepared = utility.PreparePrefixScan(options.num_threads);

@@ -7,30 +7,26 @@
 
 #include "common/check.h"
 #include "importance/waves.h"
+#include "ml/knn.h"
 
 namespace nde {
 
 namespace {
 
-/// Training indices sorted by squared distance to `query` (ties by index).
+/// Training indices sorted by squared distance to `query`, in NearerThan
+/// order.
 std::vector<size_t> DistanceOrder(const Matrix& train_features,
                                   std::span<const double> query) {
   size_t n = train_features.rows();
   std::vector<double> dist(n);
   for (size_t i = 0; i < n; ++i) {
-    const double* row = train_features.RowPtr(i);
-    double acc = 0.0;
-    for (size_t c = 0; c < train_features.cols(); ++c) {
-      double diff = row[c] - query[c];
-      acc += diff * diff;
-    }
-    dist[i] = acc;
+    dist[i] = SquaredDistance(train_features.RowPtr(i), query.data(),
+                              train_features.cols());
   }
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&dist](size_t a, size_t b) {
-    if (dist[a] != dist[b]) return dist[a] < dist[b];
-    return a < b;
+    return NearerThan(dist[a], a, dist[b], b);
   });
   return order;
 }

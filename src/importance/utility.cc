@@ -69,7 +69,8 @@ double ModelAccuracyUtility::MajorityAccuracy(
 
 /// Exact prefix scan over a model's CoalitionScorer: every Push admits one
 /// row and rescores the validation set, bit-identical to a cold retrain by
-/// the CoalitionScorer contract.
+/// the CoalitionScorer contract. The score is NumCorrect() / m, the same
+/// double Accuracy() computes on Predict().
 class ModelAccuracyUtility::ExactScan : public UtilityFunction::PrefixScan {
  public:
   ExactScan(const ModelAccuracyUtility* owner,
@@ -78,19 +79,23 @@ class ModelAccuracyUtility::ExactScan : public UtilityFunction::PrefixScan {
 
   double Push(size_t unit) override {
     owner_->evaluations_.fetch_add(1, std::memory_order_relaxed);
-    NDE_METRIC_COUNT("utility.prefix_scan_evals", 1);
     scorer_->Add(unit);
-    return Accuracy(owner_->validation_.labels, scorer_->Predict());
+    return ScoreCurrent();
   }
 
-  /// Admits a whole coalition, then predicts once: Evaluate's path, which
+  /// Admits a whole coalition, then scores once: Evaluate's path, which
   /// counts its query itself.
   double Score(const std::vector<size_t>& coalition) {
     for (size_t unit : coalition) scorer_->Add(unit);
-    return Accuracy(owner_->validation_.labels, scorer_->Predict());
+    return ScoreCurrent();
   }
 
  private:
+  double ScoreCurrent() {
+    return static_cast<double>(scorer_->NumCorrect()) /
+           static_cast<double>(owner_->validation_.labels.size());
+  }
+
   const ModelAccuracyUtility* owner_;
   std::unique_ptr<CoalitionScorer> scorer_;
 };
@@ -116,7 +121,6 @@ class ModelAccuracyUtility::WarmStartScan
 
   double Push(size_t unit) override {
     owner_->evaluations_.fetch_add(1, std::memory_order_relaxed);
-    NDE_METRIC_COUNT("utility.warm_start_evals", 1);
     const double* src = owner_->train_.features.RowPtr(unit);
     std::copy(src, src + row_.cols(), row_.RowPtr(0));
     coalition_.features.AppendRows(row_);
@@ -153,8 +157,8 @@ double ModelAccuracyUtility::Evaluate(const std::vector<size_t>& subset) const {
   double result;
   if (context != nullptr && context->ReplacesColdFit()) {
     // Bit-identical to the retrain below by the CoalitionScorer contract,
-    // but reads the context's precomputed distances instead of recomputing
-    // |subset| x |validation| of them. TMC builds the context before its
+    // but reads the context's precomputed ranks instead of recomputing
+    // |subset| x |validation| distances. TMC builds the context before its
     // first wave, so this is how its v(N) is scored.
     result = ExactScan(this, *context).Score(subset);
   } else {
@@ -183,8 +187,7 @@ Status ModelAccuracyUtility::BuildScorerContext(
   }
   NDE_ASSIGN_OR_RETURN(scorer_context_,
                        factory_()->NewCoalitionScorerContext(
-                           train_, validation_.features, num_classes_,
-                           parallel));
+                           train_, validation_, num_classes_, parallel));
   scorer_context_built_.store(true, std::memory_order_release);
   return Status::OK();
 }

@@ -118,10 +118,11 @@ class ModelAccuracyUtility : public UtilityFunction {
   std::unique_ptr<PrefixScan> NewPrefixScan(
       bool allow_warm_start) const override;
 
-  /// Builds the model's CoalitionScorerContext; KNN fills its train-to-eval
-  /// distance matrix in row blocks over TryParallelFor. Once a built context
-  /// ReplacesColdFit, Evaluate scores coalitions from it instead of
-  /// retraining, bit-identically by the CoalitionScorer contract.
+  /// Builds the model's CoalitionScorerContext; KNN ranks the training rows
+  /// for every validation point, in blocks of validation points over
+  /// TryParallelFor. Once a built context ReplacesColdFit, Evaluate scores
+  /// coalitions from it instead of retraining, bit-identically by the
+  /// CoalitionScorer contract.
   Status PreparePrefixScan(size_t num_threads) const override;
 
   const MlDataset& train() const { return train_; }

@@ -1,6 +1,8 @@
 #include "ml/knn.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -55,21 +57,14 @@ std::vector<size_t> KnnClassifier::Neighbors(std::span<const double> query,
   size_t d = TrainCols();
   std::vector<double> dist(n);
   for (size_t i = 0; i < n; ++i) {
-    const double* row = TrainRowPtr(i);
-    double acc = 0.0;
-    for (size_t c = 0; c < d; ++c) {
-      double diff = row[c] - query[c];
-      acc += diff * diff;
-    }
-    dist[i] = acc;
+    dist[i] = SquaredDistance(TrainRowPtr(i), query.data(), d);
   }
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   size_t take = std::min(k, n);
   std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(take),
                     order.end(), [&dist](size_t a, size_t b) {
-                      if (dist[a] != dist[b]) return dist[a] < dist[b];
-                      return a < b;  // Stable tie-break for determinism.
+                      return NearerThan(dist[a], a, dist[b], b);
                     });
   order.resize(take);
   return order;
@@ -111,148 +106,261 @@ namespace {
 // The exact coalition-scoring kernel, laid out as flat structure-of-arrays
 // buffers so the hot loops stay contiguous and branch-light.
 //
-//   - Distances live in one train-major array; Add(i) streams exactly one
-//     cache-resident row.
-//   - A per-eval-point cutoff array (the current k-th distance, +inf while
-//     the window is underfull) turns the common no-op case into a
-//     vectorizable compare over the distance row; only evaluation points
-//     whose window actually changes take the scalar insertion path.
-//   - Class counts and the argmax prediction are maintained incrementally on
-//     insertion instead of being recounted for every window on every
-//     Predict(), so Predict() is a pointer return.
+//   - The context ranks every training row for every evaluation point and
+//     stores the ranks train-major, 2 bytes an entry up to 65,535 training
+//     rows: Add(i) streams exactly one contiguous row of ranks.
+//   - A per-eval-point cutoff array (the window's k-th rank, the rank type's
+//     maximum while the window is underfull) turns the common no-op case into
+//     a vectorizable compare over the rank row; only evaluation points whose
+//     window actually changes take the scalar insertion path.
+//   - Class counts, the argmax prediction and the number of correct
+//     predictions are maintained incrementally on insertion instead of being
+//     recounted for every window on every Push, so Predict() is a pointer
+//     return and NumCorrect() a field read.
 //
 // Each evaluation point keeps a sorted window of the (up to) k nearest
-// coalition rows keyed by (distance, parent index). Distances accumulate
-// diff*diff over features in index order, exactly as KnnClassifier::Neighbors
-// does, and inserting in any order yields the same window as the fitted
-// classifier's partial_sort over the sorted coalition. The class-count argmax
-// (strict `>` keeping the smaller class id) matches PredictProba's weighted
-// argmax under a constant positive weight — so Predict() is bit-identical to
-// the cold path, as CoalitionScorer requires.
+// coalition rows keyed by rank. Ranks are unique per evaluation point and
+// follow NearerThan over SquaredDistance, exactly as KnnClassifier::Neighbors
+// orders its rows, so inserting in any order yields the same window as the
+// fitted classifier's partial_sort over the sorted coalition. The class-count
+// argmax (strict `>` keeping the smaller class id) matches PredictProba's
+// weighted argmax under a constant positive weight — so Predict() is
+// bit-identical to the cold path, as CoalitionScorer requires.
 // ---------------------------------------------------------------------------
 
+/// Radix key of a distance: the bits of its float rounding. Rounding is
+/// monotone and a distance is a sum of squares (never negative, never -0.0),
+/// so keys never invert two distances, though distinct distances may share
+/// one. Every NaN gets the key one above +inf's.
+constexpr uint32_t kNanKey = 0x7F800001u;
+
+uint32_t RadixKey(double dist) {
+  if (std::isnan(dist)) return kNanKey;
+  return std::bit_cast<uint32_t>(static_cast<float>(dist));
+}
+
+/// Evaluation points whose ranks the build writes out together: one
+/// contiguous write of 32 bytes per matrix row at 16-bit ranks, instead of
+/// one scattered write per point.
+constexpr size_t kGroupPoints = 16;
+
+/// Per-task scratch of the rank build: O(n), reused for every evaluation
+/// point of a block (RankPoints adds up to kGroupPoints x n ranks).
+struct RankScratch {
+  /// Radix digits have 11 bits from 2,048 training rows up; below that,
+  /// clearing and summing 2,048 buckets a pass would cost more than moving
+  /// the rows, so they have 8.
+  explicit RankScratch(size_t n)
+      : digit_bits(n < 2048 ? 8 : 11),
+        dist(n),
+        entries(n),
+        spare(n),
+        counts(size_t{2} << digit_bits) {}
+
+  int digit_bits;
+  std::vector<double> dist;       ///< One evaluation point's distances.
+  std::vector<uint64_t> entries;  ///< (sort key << 32) | training index.
+  std::vector<uint64_t> spare;    ///< The radix passes' other buffer.
+  std::vector<uint32_t> counts;   ///< Two digit histograms.
+};
+
+/// The training rows in NearerThan order of scratch.dist, as n entries
+/// whose low 32 bits are the row index, in scratch.entries or scratch.spare.
+/// The sort key is RadixKey minus this point's smallest RadixKey, shifted
+/// right until it fits two radix digits: still monotone in the distance. A
+/// stable two-pass LSD radix sort from index order orders the entries by
+/// (key, index); then each run of equal keys is sorted exactly.
+const uint64_t* ArgsortNearest(RankScratch& scratch) {
+  const int bits = scratch.digit_bits;
+  const size_t buckets = size_t{1} << bits;
+  const double* dist = scratch.dist.data();
+  const size_t n = scratch.dist.size();
+  uint64_t* src = scratch.entries.data();
+  uint32_t lo = std::numeric_limits<uint32_t>::max();
+  uint32_t hi = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t key = RadixKey(dist[i]);
+    lo = std::min(lo, key);
+    hi = std::max(hi, key);
+    src[i] = (uint64_t{key} << 32) | i;
+  }
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(hi - lo)) - 2 * bits);
+  uint32_t* counts = scratch.counts.data();
+  std::fill(scratch.counts.begin(), scratch.counts.end(), 0u);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t key =
+        (static_cast<uint32_t>(src[i] >> 32) - lo) >> shift;
+    src[i] = (uint64_t{key} << 32) | static_cast<uint32_t>(src[i]);
+    ++counts[key & (buckets - 1)];
+    ++counts[buckets + (key >> bits)];
+  }
+  uint64_t* dst = scratch.spare.data();
+  for (int d = 0; d < 2; ++d) {
+    uint32_t* offsets = counts + static_cast<size_t>(d) * buckets;
+    const int digit_shift = 32 + d * bits;
+    // A digit every key shares would leave the order as it is.
+    if (offsets[(src[0] >> digit_shift) & (buckets - 1)] == n) continue;
+    uint32_t sum = 0;
+    for (size_t b = 0; b < buckets; ++b) {
+      const uint32_t count = offsets[b];
+      offsets[b] = sum;
+      sum += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[offsets[(src[i] >> digit_shift) & (buckets - 1)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  // Equal keys hold distances the key cannot tell apart (equal ones, ones
+  // closer than its resolution, NaNs): order each run by NearerThan itself.
+  auto nearer = [dist](uint64_t a, uint64_t b) {
+    const uint32_t ia = static_cast<uint32_t>(a);
+    const uint32_t ib = static_cast<uint32_t>(b);
+    return NearerThan(dist[ia], ia, dist[ib], ib);
+  };
+  for (size_t begin = 0; begin < n;) {
+    const uint64_t key = src[begin] >> 32;
+    size_t end = begin + 1;
+    while (end < n && (src[end] >> 32) == key) ++end;
+    if (end - begin > 1) std::sort(src + begin, src + end, nearer);
+    begin = end;
+  }
+  return src;
+}
+
+template <typename Rank>
 class KnnSoaContext;
 
+template <typename Rank>
 class KnnSoaScorer final : public CoalitionScorer {
  public:
-  explicit KnnSoaScorer(const KnnSoaContext* context);
+  explicit KnnSoaScorer(const KnnSoaContext<Rank>* context);
 
   void Add(size_t train_index) override;
   const std::vector<int>& Predict() override { return predictions_; }
+  size_t NumCorrect() override { return num_correct_; }
 
  private:
-  void Insert(size_t e, uint32_t train_index, double dist);
+  void Insert(size_t e, uint32_t train_index, Rank rank);
 
-  const KnnSoaContext* context_;
+  const KnnSoaContext<Rank>* context_;
   size_t num_eval_;
   size_t k_;
   int num_classes_;
   // Flat SoA state:
-  std::vector<double> cutoff_;          ///< num_eval; +inf while underfull.
-  std::vector<double> window_dist_;     ///< num_eval x k, row-major.
+  std::vector<Rank> cutoff_;            ///< num_eval; max() while underfull.
+  std::vector<Rank> window_rank_;       ///< num_eval x k, ascending.
   std::vector<uint32_t> window_idx_;    ///< num_eval x k parent indices.
   std::vector<uint32_t> counts_;        ///< Occupied slots per eval point.
   std::vector<uint32_t> class_counts_;  ///< num_eval x num_classes.
   std::vector<uint8_t> mask_;           ///< Per-Add candidate mask scratch.
   std::vector<int> predictions_;        ///< Maintained incrementally on Insert.
+  size_t num_correct_;                  ///< predictions_ matching the labels.
 };
 
+template <typename Rank>
 class KnnSoaContext final : public CoalitionScorerContext {
  public:
-  /// Transposes the evaluation features and allocates the distance matrix
-  /// uninitialized, so its pages are first touched by FillRows — on the
-  /// build's worker threads when it fans out.
-  KnnSoaContext(const MlDataset& train, const Matrix& eval_features, size_t k,
+  /// Allocates the rank matrix uninitialized, so its pages are first touched
+  /// by RankPoints — on the build's worker threads when it fans out.
+  KnnSoaContext(const MlDataset& train, const MlDataset& eval, size_t k,
                 int num_classes)
       : labels_(train.labels),
+        eval_labels_(eval.labels),
         k_(k),
         num_classes_(num_classes),
-        num_eval_(eval_features.rows()),
-        eval_t_(train.features.cols() * eval_features.rows()),
-        distances_(std::make_unique_for_overwrite<double[]>(
-            train.size() * eval_features.rows())) {
-    NDE_CHECK_LT(train.size(), std::numeric_limits<uint32_t>::max());
-    size_t m = num_eval_;
-    size_t d = train.features.cols();
-    // Transposed (feature-major) evaluation features: the accumulation loop
-    // in FillRows then runs contiguously over evaluation points.
-    // Interchanging the (e, c) loops does not touch any per-element
-    // accumulation chain — each distance still sums diff*diff over features
-    // in index order — so the matrix stays bit-identical to the distances
-    // KnnClassifier::Neighbors computes.
-    for (size_t e = 0; e < m; ++e) {
-      const double* query = eval_features.RowPtr(e);
-      for (size_t c = 0; c < d; ++c) eval_t_[c * m + e] = query[c];
-    }
+        num_eval_(eval.size()),
+        ranks_(std::make_unique_for_overwrite<Rank[]>(train.size() *
+                                                      eval.size())) {
+    // Every rank, n - 1 at most, stays below the underfull cutoff.
+    NDE_CHECK_LE(train.size(), size_t{std::numeric_limits<Rank>::max()});
   }
 
-  /// Computes distance rows [begin, end). Each row depends only on its own
-  /// training row, so any block split yields the same matrix.
-  void FillRows(const Matrix& train_features, size_t begin, size_t end) {
-    size_t m = num_eval_;
-    size_t d = train_features.cols();
-    for (size_t i = begin; i < end; ++i) {
-      const double* row = train_features.RowPtr(i);
-      double* out = distances_.get() + i * m;
-      std::fill(out, out + m, 0.0);
-      for (size_t c = 0; c < d; ++c) {
-        const double value = row[c];
-        const double* queries = eval_t_.data() + c * m;
-        for (size_t e = 0; e < m; ++e) {
-          double diff = value - queries[e];
-          out[e] += diff * diff;
+  /// Ranks every training row for evaluation points [begin, end) and writes
+  /// their entries of the matrix. Each point's ranks depend only on that
+  /// point, so any block split yields the same matrix.
+  void RankPoints(const Matrix& train_features, const Matrix& eval_features,
+                  size_t begin, size_t end) {
+    const size_t n = train_features.rows();
+    const size_t d = train_features.cols();
+    RankScratch scratch(n);
+    // Point-major: each point of a group ranks into its own n entries.
+    std::vector<Rank> group(std::min(kGroupPoints, end - begin) * n);
+    for (size_t first = begin; first < end; first += kGroupPoints) {
+      const size_t width = std::min(kGroupPoints, end - first);
+      for (size_t g = 0; g < width; ++g) {
+        const double* query = eval_features.RowPtr(first + g);
+        for (size_t i = 0; i < n; ++i) {
+          scratch.dist[i] =
+              SquaredDistance(train_features.RowPtr(i), query, d);
+        }
+        const uint64_t* sorted = ArgsortNearest(scratch);
+        Rank* point_ranks = group.data() + g * n;
+        for (size_t pos = 0; pos < n; ++pos) {
+          point_ranks[static_cast<uint32_t>(sorted[pos])] =
+              static_cast<Rank>(pos);
+        }
+      }
+      Rank* out = ranks_.get() + first;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t g = 0; g < width; ++g) {
+          out[i * num_eval_ + g] = group[g * n + i];
         }
       }
     }
   }
 
   std::unique_ptr<CoalitionScorer> NewScorer() const override {
-    return std::make_unique<KnnSoaScorer>(this);
+    return std::make_unique<KnnSoaScorer<Rank>>(this);
   }
 
   bool ReplacesColdFit() const override { return true; }
 
-  /// Contiguous distances from training row `i` to every evaluation row.
-  const double* DistanceRow(size_t i) const {
-    return distances_.get() + i * num_eval_;
-  }
+  /// Contiguous ranks of training row `i` for every evaluation point.
+  const Rank* RankRow(size_t i) const { return ranks_.get() + i * num_eval_; }
   int label(size_t i) const { return labels_[i]; }
+  const std::vector<int>& eval_labels() const { return eval_labels_; }
   size_t num_eval() const { return num_eval_; }
   size_t k() const { return k_; }
   int num_classes() const { return num_classes_; }
 
  private:
   std::vector<int> labels_;  ///< Owned copy: one indirection less in Insert.
+  std::vector<int> eval_labels_;  ///< What NumCorrect counts against.
   size_t k_;
   int num_classes_;
   size_t num_eval_;
-  std::vector<double> eval_t_;  ///< d x num_eval, feature-major; FillRows only.
-  std::unique_ptr<double[]> distances_;  ///< n x num_eval, train-major.
+  std::unique_ptr<Rank[]> ranks_;  ///< n x num_eval, train-major.
 };
 
-KnnSoaScorer::KnnSoaScorer(const KnnSoaContext* context)
+template <typename Rank>
+KnnSoaScorer<Rank>::KnnSoaScorer(const KnnSoaContext<Rank>* context)
     : context_(context),
       num_eval_(context->num_eval()),
       k_(context->k()),
       num_classes_(context->num_classes()),
-      cutoff_(num_eval_, std::numeric_limits<double>::infinity()),
-      window_dist_(num_eval_ * k_),
+      cutoff_(num_eval_, std::numeric_limits<Rank>::max()),
+      window_rank_(num_eval_ * k_),
       window_idx_(num_eval_ * k_),
       counts_(num_eval_),
       class_counts_(num_eval_ * static_cast<size_t>(num_classes_)),
       mask_(num_eval_),
-      predictions_(num_eval_, 0) {}
+      predictions_(num_eval_, 0),
+      num_correct_(static_cast<size_t>(std::count(
+          context->eval_labels().begin(), context->eval_labels().end(), 0))) {}
 
-void KnnSoaScorer::Add(size_t train_index) {
-  const double* dist_row = context_->DistanceRow(train_index);
-  const double* cutoff = cutoff_.data();
+template <typename Rank>
+void KnnSoaScorer<Rank>::Add(size_t train_index) {
+  const Rank* rank_row = context_->RankRow(train_index);
+  const Rank* cutoff = cutoff_.data();
   uint8_t* mask = mask_.data();
   const size_t m = num_eval_;
-  // Pass 1, branch-light and auto-vectorizable: a row entering the window
-  // must satisfy dist <= cutoff (underfull windows keep cutoff at +inf, and
-  // dist == cutoff can still displace a larger parent index). Once windows
-  // are warm this filters out nearly every evaluation point.
-  for (size_t e = 0; e < m; ++e) mask[e] = dist_row[e] <= cutoff[e];
+  // Pass 1, branch-light and auto-vectorizable: a row enters a window iff
+  // it ranks before the window's k-th row (every rank passes the underfull
+  // cutoff). Once windows are warm this filters out nearly every evaluation
+  // point.
+  for (size_t e = 0; e < m; ++e) mask[e] = rank_row[e] < cutoff[e];
   // Pass 2: scalar insertion only where the mask fired, in evaluation-point
   // order. Warm windows leave nearly every mask byte 0, so all-zero 8-byte
   // words are skipped with one test. A byte-per-branch loop here ran 10-20%
@@ -265,41 +373,38 @@ void KnnSoaScorer::Add(size_t train_index) {
     std::memcpy(&word, mask + e, sizeof(word));
     if (word == 0) continue;
     for (size_t j = e; j < e + 8; ++j) {
-      if (mask[j]) Insert(j, index32, dist_row[j]);
+      if (mask[j]) Insert(j, index32, rank_row[j]);
     }
   }
   for (; e < m; ++e) {
-    if (mask[e]) Insert(e, index32, dist_row[e]);
+    if (mask[e]) Insert(e, index32, rank_row[e]);
   }
 }
 
-void KnnSoaScorer::Insert(size_t e, uint32_t train_index, double dist) {
-  double* wd = window_dist_.data() + e * k_;
+template <typename Rank>
+void KnnSoaScorer<Rank>::Insert(size_t e, uint32_t train_index, Rank rank) {
+  Rank* wr = window_rank_.data() + e * k_;
   uint32_t* wi = window_idx_.data() + e * k_;
   const size_t count = counts_[e];
-  // Insertion position under the (distance, parent index) order. Parent
-  // indices are unique, so the key is a strict total order.
+  // Insertion position: ranks are unique per evaluation point, and `rank`
+  // passed the cutoff, so it lands inside the window.
   size_t pos = count;
-  while (pos > 0 && (dist < wd[pos - 1] ||
-                     (dist == wd[pos - 1] && train_index < wi[pos - 1]))) {
-    --pos;
-  }
-  if (pos >= k_) return;  // Equal-distance, larger-index: not admitted.
+  while (pos > 0 && rank < wr[pos - 1]) --pos;
   const size_t new_count = std::min(count + 1, k_);
   uint32_t* class_counts =
       class_counts_.data() + e * static_cast<size_t>(num_classes_);
   if (count == k_) {
-    // Window full: the (distance, index)-largest entry falls out.
+    // Window full: the highest-ranked entry falls out.
     --class_counts[static_cast<size_t>(context_->label(wi[k_ - 1]))];
   }
   for (size_t j = new_count; j-- > pos + 1;) {
-    wd[j] = wd[j - 1];
+    wr[j] = wr[j - 1];
     wi[j] = wi[j - 1];
   }
-  wd[pos] = dist;
+  wr[pos] = rank;
   wi[pos] = train_index;
   counts_[e] = static_cast<uint32_t>(new_count);
-  if (new_count == k_) cutoff_[e] = wd[k_ - 1];
+  if (new_count == k_) cutoff_[e] = wr[k_ - 1];
   ++class_counts[static_cast<size_t>(context_->label(train_index))];
   // Re-arg-max the counts — the same strict `>` keeping the smaller class id
   // as the cold PredictProba argmax.
@@ -310,41 +415,65 @@ void KnnSoaScorer::Insert(size_t e, uint32_t train_index, double dist) {
       best = c;
     }
   }
-  predictions_[e] = best;
+  const int before = predictions_[e];
+  if (best != before) {
+    const int truth = context_->eval_labels()[e];
+    if (before == truth) {
+      --num_correct_;
+    } else if (best == truth) {
+      ++num_correct_;
+    }
+    predictions_[e] = best;
+  }
 }
 
-/// The distance precompute fans out as this many row blocks (fewer when
-/// there are fewer training rows): enough to balance any realistic worker
-/// count, few enough that claiming a block costs nothing next to filling it.
-constexpr size_t kDistanceBlocks = 64;
+/// The rank build fans out as this many blocks of evaluation points (fewer
+/// when there are fewer points, down to one point a block): enough to balance
+/// any realistic worker count, few enough that claiming a block costs nothing
+/// next to ranking its points.
+constexpr size_t kRankBlocks = 64;
+
+template <typename Rank>
+Result<std::shared_ptr<const CoalitionScorerContext>> BuildRankContext(
+    const MlDataset& train, const MlDataset& eval, size_t k, int num_classes,
+    const ParallelRunner& parallel) {
+  auto context =
+      std::make_shared<KnnSoaContext<Rank>>(train, eval, k, num_classes);
+  // Rank the points block by block through `parallel` (inline when empty)
+  // and hand the context out once every entry is written.
+  const size_t points = eval.size();
+  const size_t blocks = std::min(points, kRankBlocks);
+  auto rank_block = [&](size_t b) {
+    context->RankPoints(train.features, eval.features, b * points / blocks,
+                        (b + 1) * points / blocks);
+  };
+  if (parallel) {
+    NDE_RETURN_IF_ERROR(parallel(blocks, rank_block));
+  } else {
+    for (size_t b = 0; b < blocks; ++b) rank_block(b);
+  }
+  return std::shared_ptr<const CoalitionScorerContext>(std::move(context));
+}
 
 }  // namespace
 
 Result<std::shared_ptr<const CoalitionScorerContext>>
 KnnClassifier::NewCoalitionScorerContext(const MlDataset& train,
-                                         const Matrix& eval_features,
+                                         const MlDataset& eval,
                                          int num_classes,
                                          const ParallelRunner& parallel) const {
-  if (train.size() == 0 || eval_features.rows() == 0) {
+  if (train.size() == 0 || eval.size() == 0) {
     return std::shared_ptr<const CoalitionScorerContext>();
   }
+  NDE_CHECK_EQ(eval.features.rows(), eval.size());
+  NDE_CHECK_EQ(eval.features.cols(), train.features.cols());
   if (num_classes < train.NumClasses()) num_classes = train.NumClasses();
-  auto context = std::make_shared<KnnSoaContext>(train, eval_features, k_,
-                                                 std::max(num_classes, 1));
-  // Fill the distance matrix in row blocks through `parallel` (inline when
-  // empty) and hand the context out once every row is written.
-  const size_t rows = train.size();
-  const size_t blocks = std::min(rows, kDistanceBlocks);
-  auto fill_block = [&](size_t b) {
-    context->FillRows(train.features, b * rows / blocks,
-                      (b + 1) * rows / blocks);
-  };
-  if (parallel) {
-    NDE_RETURN_IF_ERROR(parallel(blocks, fill_block));
-  } else {
-    for (size_t b = 0; b < blocks; ++b) fill_block(b);
+  num_classes = std::max(num_classes, 1);
+  // The narrowest rank type that holds every rank below its own maximum.
+  if (train.size() <= std::numeric_limits<uint16_t>::max()) {
+    return BuildRankContext<uint16_t>(train, eval, k_, num_classes, parallel);
   }
-  return std::shared_ptr<const CoalitionScorerContext>(std::move(context));
+  return BuildRankContext<uint32_t>(train, eval, k_, num_classes, parallel);
 }
 
 std::unique_ptr<Classifier> KnnClassifier::Clone() const {

@@ -1,6 +1,7 @@
 #ifndef NDE_ML_KNN_H_
 #define NDE_ML_KNN_H_
 
+#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
@@ -9,6 +10,30 @@
 #include "ml/model.h"
 
 namespace nde {
+
+/// The one total order every KNN component ranks training rows by: distance
+/// ascending, a NaN distance after +inf, ties (two NaNs included) by index.
+/// True when row `a` at `dist_a` comes before row `b` at `dist_b`. On finite
+/// distances this is the plain (distance, index) order.
+inline bool NearerThan(double dist_a, size_t a, double dist_b, size_t b) {
+  if (dist_a < dist_b) return true;
+  if (dist_a == dist_b) return a < b;
+  // dist_a > dist_b, or at least one side is NaN.
+  return std::isnan(dist_b) && (!std::isnan(dist_a) || a < b);
+}
+
+/// Squared Euclidean distance from training row `row` to `query` over `d`
+/// features: diff*diff summed in feature order. Every KNN component computes
+/// distances with this one chain, so their rankings agree bit for bit.
+inline double SquaredDistance(const double* row, const double* query,
+                              size_t d) {
+  double acc = 0.0;
+  for (size_t c = 0; c < d; ++c) {
+    const double diff = row[c] - query[c];
+    acc += diff * diff;
+  }
+  return acc;
+}
 
 /// K-nearest-neighbors classifier with Euclidean distance and majority vote
 /// (ties broken toward the smaller class id, which keeps behavior
@@ -31,15 +56,19 @@ class KnnClassifier : public Classifier {
   /// order). The parent dataset must outlive this model's use.
   Status FitView(const MlDatasetView& view, int num_classes) override;
 
-  /// KNN supports exact incremental coalition scoring: the context holds the
-  /// train-to-eval distance matrix, computed once (in row blocks through
-  /// `parallel` when given), and scorers maintain per-evaluation-point
-  /// k-nearest windows in flat structure-of-arrays buffers with a
-  /// vectorizable candidate-mask pass. Bit-identical to the cold
-  /// FitWithClasses + Predict path, so the context ReplacesColdFit.
+  /// KNN supports exact incremental coalition scoring. The context holds a
+  /// train-major matrix of ranks: entry (i, e) is training row i's position
+  /// in evaluation point e's NearerThan order, as `uint16_t` when there are
+  /// at most 65,535 training rows and `uint32_t` above. It is built once, in
+  /// blocks of evaluation points through `parallel` when given, by an exact
+  /// argsort of each point's distance column. Scorers keep per-evaluation-
+  /// point k-nearest windows keyed by rank in flat structure-of-arrays
+  /// buffers with a vectorizable candidate-mask pass, and count correct
+  /// predictions as they flip. Bit-identical to the cold FitWithClasses +
+  /// Predict path, so the context ReplacesColdFit.
   Result<std::shared_ptr<const CoalitionScorerContext>>
-  NewCoalitionScorerContext(const MlDataset& train,
-                            const Matrix& eval_features, int num_classes,
+  NewCoalitionScorerContext(const MlDataset& train, const MlDataset& eval,
+                            int num_classes,
                             const ParallelRunner& parallel = {}) const override;
 
   std::vector<int> Predict(const Matrix& features) const override;
@@ -50,8 +79,8 @@ class KnnClassifier : public Classifier {
 
   size_t k() const { return k_; }
 
-  /// Indices of the (up to) `k` nearest training rows to `query`, ordered by
-  /// increasing distance. Exposed for KNN-Shapley and certain-prediction
+  /// Indices of the (up to) `k` nearest training rows to `query`, in
+  /// NearerThan order. Exposed for KNN-Shapley and certain-prediction
   /// analyses. Precondition: fitted.
   std::vector<size_t> Neighbors(std::span<const double> query, size_t k) const;
   std::vector<size_t> Neighbors(const std::vector<double>& query,

@@ -22,7 +22,8 @@ using ParallelRunner = std::function<Status(
 /// Incrementally scores a growing coalition of training rows against a fixed
 /// evaluation set (see CoalitionScorerContext). Add() admits one parent-row
 /// index at a time; Predict() returns the evaluation-set predictions of the
-/// model trained on the current coalition.
+/// model trained on the current coalition, and NumCorrect() how many of them
+/// match the evaluation labels.
 ///
 /// Contract: Predict() after any sequence of Add() calls is bit-identical to
 /// a cold FitWithClasses on the same coalition followed by Predict on the
@@ -41,10 +42,16 @@ class CoalitionScorer {
   /// coalition. The reference stays valid until the next Add/Predict call.
   /// Precondition: at least one Add().
   virtual const std::vector<int>& Predict() = 0;
+
+  /// Number of evaluation rows whose Predict() entry equals their label, so
+  /// NumCorrect() / m is the double Accuracy() computes on Predict(). KNN
+  /// keeps the count as its windows flip predictions; Gaussian NB counts
+  /// after predicting. Precondition: at least one Add().
+  virtual size_t NumCorrect() = 0;
 };
 
 /// Immutable shared precomputation for coalition scorers over one fixed
-/// (train, eval) pair — e.g. the train-to-eval distance matrix for KNN.
+/// (train, eval) pair — e.g. KNN's train-major matrix of neighbor ranks.
 /// Built once per utility; NewScorer() is then cheap enough to call once per
 /// permutation. Thread-safe: NewScorer may be called concurrently, and the
 /// scorers it returns are independent.
@@ -104,19 +111,21 @@ class Classifier {
   }
 
   /// A scorer context for models that support exact incremental coalition
-  /// scoring over (`train`, `eval_features`); nullptr (the default) when the
-  /// model has no such fast path, and the runner's failure when the build
-  /// fanned out through `parallel` and lost a task. `parallel` spreads the
-  /// context's one-time precomputation (KNN: the train-to-eval distance
-  /// matrix, in row blocks); empty runs it inline on the calling thread.
-  /// Blocks write disjoint rows with unchanged arithmetic, so the runner never
-  /// changes bits. Both data arguments must outlive the context.
+  /// scoring of `train` coalitions against `eval` (features, and the labels
+  /// NumCorrect counts against); nullptr (the default) when the model has no
+  /// such fast path, and the runner's failure when the build fanned out
+  /// through `parallel` and lost a task. `parallel` spreads the context's
+  /// one-time precomputation (KNN: each evaluation point's ranking of the
+  /// training rows, in blocks of evaluation points); empty runs it inline on
+  /// the calling thread. Blocks own disjoint evaluation points and keep their
+  /// arithmetic, so the runner never changes bits. Both datasets must outlive
+  /// the context.
   virtual Result<std::shared_ptr<const CoalitionScorerContext>>
-  NewCoalitionScorerContext(const MlDataset& train, const Matrix& eval_features,
+  NewCoalitionScorerContext(const MlDataset& train, const MlDataset& eval,
                             int num_classes,
                             const ParallelRunner& parallel = {}) const {
     (void)train;
-    (void)eval_features;
+    (void)eval;
     (void)num_classes;
     (void)parallel;
     return std::shared_ptr<const CoalitionScorerContext>();

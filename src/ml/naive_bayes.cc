@@ -197,6 +197,7 @@ class NbCoalitionScorer final : public CoalitionScorer {
 
   void Add(size_t train_index) override;
   const std::vector<int>& Predict() override;
+  size_t NumCorrect() override;
 
  private:
   void RefreshDerived();
@@ -224,15 +225,16 @@ class NbCoalitionScorer final : public CoalitionScorer {
 
 class NbCoalitionContext final : public CoalitionScorerContext {
  public:
-  NbCoalitionContext(const MlDataset& train, const Matrix& eval_features,
+  NbCoalitionContext(const MlDataset& train, const MlDataset& eval,
                      int num_classes, double var_smoothing)
       : train_features_(&train.features),
-        eval_features_(&eval_features),
+        eval_(&eval),
         labels_(train.labels),
         num_classes_(num_classes),
         var_smoothing_(var_smoothing) {
     NDE_CHECK_LT(train.size(), std::numeric_limits<uint32_t>::max());
-    NDE_CHECK_EQ(train.features.cols(), eval_features.cols());
+    NDE_CHECK_EQ(train.features.cols(), eval.features.cols());
+    NDE_CHECK_EQ(eval.features.rows(), eval.size());
   }
 
   std::unique_ptr<CoalitionScorer> NewScorer() const override {
@@ -244,7 +246,8 @@ class NbCoalitionContext final : public CoalitionScorerContext {
   // scorer costs O(n^2 d) against the cold fit's O(n d).
 
   const Matrix& train_features() const { return *train_features_; }
-  const Matrix& eval_features() const { return *eval_features_; }
+  const Matrix& eval_features() const { return eval_->features; }
+  const std::vector<int>& eval_labels() const { return eval_->labels; }
   int label(size_t i) const { return labels_[i]; }
   size_t train_size() const { return labels_.size(); }
   int num_classes() const { return num_classes_; }
@@ -252,7 +255,7 @@ class NbCoalitionContext final : public CoalitionScorerContext {
 
  private:
   const Matrix* train_features_;  ///< Borrowed; caller keeps it alive.
-  const Matrix* eval_features_;   ///< Borrowed; caller keeps it alive.
+  const MlDataset* eval_;         ///< Borrowed; caller keeps it alive.
   std::vector<int> labels_;
   int num_classes_;
   double var_smoothing_;
@@ -404,20 +407,30 @@ const std::vector<int>& NbCoalitionScorer::Predict() {
   return predictions_;
 }
 
+size_t NbCoalitionScorer::NumCorrect() {
+  const std::vector<int>& predicted = Predict();
+  const std::vector<int>& truth = context_->eval_labels();
+  size_t correct = 0;
+  for (size_t r = 0; r < predicted.size(); ++r) {
+    if (predicted[r] == truth[r]) ++correct;
+  }
+  return correct;
+}
+
 }  // namespace
 
 Result<std::shared_ptr<const CoalitionScorerContext>>
 GaussianNaiveBayes::NewCoalitionScorerContext(
-    const MlDataset& train, const Matrix& eval_features, int num_classes,
+    const MlDataset& train, const MlDataset& eval, int num_classes,
     const ParallelRunner& parallel) const {
   (void)parallel;
-  if (train.size() == 0 || eval_features.rows() == 0) {
+  if (train.size() == 0 || eval.size() == 0) {
     return std::shared_ptr<const CoalitionScorerContext>();
   }
   if (num_classes < train.NumClasses()) num_classes = train.NumClasses();
   return std::shared_ptr<const CoalitionScorerContext>(
       std::make_shared<NbCoalitionContext>(
-          train, eval_features, std::max(num_classes, 1), var_smoothing_));
+          train, eval, std::max(num_classes, 1), var_smoothing_));
 }
 
 }  // namespace nde

@@ -25,11 +25,11 @@ class GaussianNaiveBayes : public Classifier {
   /// order — the same per-(class, feature) accumulation chains as a cold
   /// two-pass FitWithClasses on the sorted coalition — so Predict() is
   /// bit-identical to cold retraining, regardless of insertion order.
-  /// `train` and `eval_features` must outlive the context.
-  /// There is nothing to precompute, so `parallel` goes unused.
+  /// NumCorrect() predicts, then counts. `train` and `eval` must outlive the
+  /// context. There is nothing to precompute, so `parallel` goes unused.
   Result<std::shared_ptr<const CoalitionScorerContext>>
-  NewCoalitionScorerContext(const MlDataset& train,
-                            const Matrix& eval_features, int num_classes,
+  NewCoalitionScorerContext(const MlDataset& train, const MlDataset& eval,
+                            int num_classes,
                             const ParallelRunner& parallel = {}) const override;
 
   std::vector<int> Predict(const Matrix& features) const override;

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/string_util.h"
+#include "ml/knn.h"                  // NearerThan, SquaredDistance
 #include "ml/logistic_regression.h"  // SoftmaxRowsInPlace
 
 namespace nde {
@@ -234,21 +235,15 @@ Matrix DecrementalKnn::PredictProba(const Matrix& features) const {
     order.clear();
     for (size_t i = 0; i < n; ++i) {
       if (forgotten_[i]) continue;
-      const double* row = train_.features.RowPtr(i);
-      double acc = 0.0;
-      for (size_t j = 0; j < train_.features.cols(); ++j) {
-        double diff = row[j] - query[j];
-        acc += diff * diff;
-      }
-      dist[i] = acc;
+      dist[i] = SquaredDistance(train_.features.RowPtr(i), query,
+                                train_.features.cols());
       order.push_back(i);
     }
     size_t take = std::min(k_, order.size());
     std::partial_sort(order.begin(),
                       order.begin() + static_cast<ptrdiff_t>(take), order.end(),
                       [&dist](size_t a, size_t b) {
-                        if (dist[a] != dist[b]) return dist[a] < dist[b];
-                        return a < b;
+                        return NearerThan(dist[a], a, dist[b], b);
                       });
     double weight = 1.0 / static_cast<double>(take);
     for (size_t pos = 0; pos < take; ++pos) {

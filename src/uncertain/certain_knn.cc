@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "ml/knn.h"
+
 namespace nde {
 
 UncertainClassificationDataset UncertainClassificationDataset::FromConcrete(
@@ -78,8 +80,9 @@ double UncertainClassificationDataset::MaxSquaredDistance(
 
 namespace {
 
-/// Deterministic K-NN majority vote given per-point distances: smallest
-/// distances first (ties by index), then most votes (ties by class id).
+/// Deterministic K-NN majority vote given per-point distances: NearerThan
+/// order (smallest distances first, ties by index), then most votes (ties by
+/// class id).
 int VoteWithDistances(const std::vector<double>& distances,
                       const std::vector<int>& labels, size_t k) {
   size_t n = distances.size();
@@ -88,10 +91,7 @@ int VoteWithDistances(const std::vector<double>& distances,
   size_t take = std::min(k, n);
   std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(take),
                     order.end(), [&distances](size_t a, size_t b) {
-                      if (distances[a] != distances[b]) {
-                        return distances[a] < distances[b];
-                      }
-                      return a < b;
+                      return NearerThan(distances[a], a, distances[b], b);
                     });
   int max_label = 0;
   for (int label : labels) max_label = std::max(max_label, label);

@@ -373,9 +373,9 @@ TEST_F(ChaosTest, ExhaustedRetriesAbortWithCause) {
   EXPECT_FALSE(telemetry::IsHealthy());
 }
 
-/// On a real KNN utility, TMC's prelude fills the distance matrix over pool
-/// tasks — the first ones of the run — so the pool's failpoint can kill the
-/// build itself. No wave ran: the fault is the run's typed Status, and the
+/// On a real KNN utility, TMC's prelude ranks the training rows for blocks
+/// of validation points over pool tasks — the first ones of the run — so the
+/// pool's failpoint can kill the build itself. No wave ran: the fault is the run's typed Status, and the
 /// context stays unbuilt for the next call to build.
 TEST_F(ChaosTest, PoolFaultDuringScorerContextBuildIsTypedAndRetryable) {
   BlobsOptions blobs;

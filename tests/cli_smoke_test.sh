@@ -150,22 +150,39 @@ awk 'BEGIN {
   }
 }' > blobs.csv
 
+# One `inf` cell: scaling turns its whole column into NaN, so every distance
+# is NaN and only the order's NaN rule and index tie-break rank neighbors.
+awk 'BEGIN {
+  s = 7
+  print "a,b,label"
+  for (i = 0; i < 300; i++) {
+    s = (s * 16807) % 2147483647; u = s / 2147483647
+    s = (s * 16807) % 2147483647; v = s / 2147483647
+    a = sprintf("%.4f", u * 4 - 2)
+    if (i == 37) a = "inf"
+    printf "%s,%.4f,%d\n", a, v * 4 - 2, (u + v > 1.0) ? 1 : 0
+  }
+}' > inf.csv
+
 # Keeps only the ranking block: the timing lines above it legitimately differ
 # run to run.
 run_ranking() {
-  local out="$1"
-  shift
-  "$CLI" importance blobs.csv --label label --method tmc_shapley \
+  local csv="$1" out="$2"
+  shift 2
+  "$CLI" importance "$csv" --label label --method tmc_shapley \
       --permutations 6 --top 30 --seed 5 "$@" \
       | sed -n '/cleaning candidates/,$p' > "$out"
   [ -s "$out" ] || fail "no ranking output for $out"
 }
-run_ranking knn_kernel.txt
-run_ranking knn_slow.txt --set use_prefix_scan=false
-cmp -s knn_slow.txt knn_kernel.txt \
-    || fail "KNN kernel ranking differs from the slow path"
-run_ranking nb_kernel.txt --model gaussian_nb
-run_ranking nb_slow.txt --model gaussian_nb --set use_prefix_scan=false
+for csv in blobs.csv inf.csv; do
+  run_ranking "$csv" knn_kernel.txt
+  run_ranking "$csv" knn_slow.txt --set use_prefix_scan=false
+  cmp -s knn_slow.txt knn_kernel.txt \
+      || fail "KNN kernel ranking differs from the slow path on $csv"
+done
+run_ranking blobs.csv nb_kernel.txt --model gaussian_nb
+run_ranking blobs.csv nb_slow.txt --model gaussian_nb \
+    --set use_prefix_scan=false
 cmp -s nb_slow.txt nb_kernel.txt \
     || fail "Gaussian-NB kernel ranking differs from the slow path"
 

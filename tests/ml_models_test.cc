@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -110,6 +111,19 @@ TEST(KnnTest, NeighborsSortedByDistance) {
   ASSERT_TRUE(knn.Fit(data).ok());
   std::vector<size_t> neighbors = knn.Neighbors({1.9}, 3);
   EXPECT_EQ(neighbors, (std::vector<size_t>{2, 1, 0}));
+}
+
+TEST(KnnTest, NeighborsPutNanDistancesAfterInfinityTiesByIndex) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  MlDataset data;
+  data.features =
+      Matrix::FromRows({{nan}, {1e300}, {2.0}, {nan}, {0.0}, {2.0}});
+  data.labels = {0, 0, 1, 1, 0, 1};
+  KnnClassifier knn(1);
+  ASSERT_TRUE(knn.Fit(data).ok());
+  // Distances to 1.0: rows 2, 4 and 5 at 1, row 1 at +inf, rows 0 and 3 NaN.
+  EXPECT_EQ(knn.Neighbors({1.0}, 6), (std::vector<size_t>{2, 4, 5, 1, 0, 3}));
+  EXPECT_EQ(knn.Neighbors({1.0}, 1), (std::vector<size_t>{2}));
 }
 
 TEST(KnnTest, ProbaSumsToOne) {
@@ -540,39 +554,174 @@ std::vector<size_t> AdversarialOrder(const MlDataset& train) {
   return order;
 }
 
+/// How many of `predicted` equal `labels`: the count NumCorrect() keeps.
+size_t CountCorrect(const std::vector<int>& predicted,
+                    const std::vector<int>& labels) {
+  size_t correct = 0;
+  for (size_t r = 0; r < labels.size(); ++r) {
+    if (predicted[r] == labels[r]) ++correct;
+  }
+  return correct;
+}
+
+/// Adds `order` one row at a time and, after every Add, requires Predict()
+/// to equal a cold fit on the sorted coalition and NumCorrect() to equal a
+/// recount of Predict() against the evaluation labels.
 template <typename Model>
 void CheckScorerMatchesColdFit(const Model& model, const MlDataset& train,
-                               const Matrix& eval_features, int num_classes) {
+                               const MlDataset& eval, int num_classes,
+                               const std::vector<size_t>& order) {
   std::shared_ptr<const CoalitionScorerContext> context =
-      model.NewCoalitionScorerContext(train, eval_features, num_classes)
-          .value();
+      model.NewCoalitionScorerContext(train, eval, num_classes).value();
   ASSERT_NE(context, nullptr);
   std::unique_ptr<CoalitionScorer> scorer = context->NewScorer();
   std::vector<size_t> coalition;
-  for (size_t index : AdversarialOrder(train)) {
+  for (size_t index : order) {
     scorer->Add(index);
     coalition.push_back(index);
     std::vector<size_t> sorted = coalition;
     std::sort(sorted.begin(), sorted.end());
     std::unique_ptr<Classifier> cold = model.Clone();
     ASSERT_TRUE(cold->FitWithClasses(train.Subset(sorted), num_classes).ok());
-    EXPECT_EQ(scorer->Predict(), cold->Predict(eval_features))
+    const std::vector<int> predicted = scorer->Predict();
+    EXPECT_EQ(predicted, cold->Predict(eval.features))
+        << "after " << coalition.size() << " adds";
+    EXPECT_EQ(scorer->NumCorrect(), CountCorrect(predicted, eval.labels))
         << "after " << coalition.size() << " adds";
   }
+}
+
+template <typename Model>
+void CheckScorerMatchesColdFit(const Model& model, const MlDataset& train,
+                               const MlDataset& eval, int num_classes) {
+  CheckScorerMatchesColdFit(model, train, eval, num_classes,
+                            AdversarialOrder(train));
 }
 
 TEST(CoalitionScorerTest, KnnKernelMatchesColdFitUnderAdversarialOrder) {
   MlDataset train = ScorerBlobs(31, 24);
   MlDataset eval = ScorerBlobs(32, 10);
-  CheckScorerMatchesColdFit(KnnClassifier(3), train, eval.features,
-                            train.NumClasses());
+  CheckScorerMatchesColdFit(KnnClassifier(3), train, eval, train.NumClasses());
 }
 
 TEST(CoalitionScorerTest, GaussianNbScorerMatchesColdFitUnderAdversarialOrder) {
   MlDataset train = ScorerBlobs(33, 24);
   MlDataset eval = ScorerBlobs(34, 10);
-  CheckScorerMatchesColdFit(GaussianNaiveBayes(), train, eval.features,
+  CheckScorerMatchesColdFit(GaussianNaiveBayes(), train, eval,
                             train.NumClasses());
+}
+
+/// Appends copies of `rows` of `data` (features and labels), in that order.
+void AppendCopies(MlDataset& data, const std::vector<size_t>& rows) {
+  MlDataset copies = data.Subset(rows);
+  data.features.AppendRows(copies.features);
+  data.labels.insert(data.labels.end(), copies.labels.begin(),
+                     copies.labels.end());
+}
+
+TEST(CoalitionScorerTest, KnnKernelOrdersEqualDistancesByIndex) {
+  // Duplicated rows sit at equal distances from every evaluation point, so
+  // only the index tie-break decides which of them a full window keeps. The
+  // copies carry other labels, so a wrong tie-break changes predictions.
+  MlDataset train = ScorerBlobs(35, 18);
+  AppendCopies(train, {0, 1, 2, 3, 4, 5, 0, 1, 2});
+  for (size_t i = 18; i < train.size(); ++i) {
+    train.labels[i] = (train.labels[i] + 1 + static_cast<int>(i % 2)) % 3;
+  }
+  MlDataset eval = train.Subset({0, 1, 2, 3, 4, 5, 6, 7});
+  CheckScorerMatchesColdFit(KnnClassifier(3), train, eval, 3);
+  CheckScorerMatchesColdFit(KnnClassifier(1), train, eval, 3);
+}
+
+TEST(CoalitionScorerTest, KnnKernelOrdersFloatEqualDistancesExactly) {
+  // Rows 1e-9 apart: their distances to every evaluation point differ only
+  // below float precision, so they share one radix key and only the exact
+  // re-ordering of equal keys ranks them. The nearer a row, the higher its
+  // index, so index order (what the radix passes leave) is the wrong order;
+  // labels alternate, so every wrong window shows in Predict().
+  MlDataset train;
+  train.features = Matrix(12, 2);
+  for (size_t i = 0; i < 12; ++i) {
+    train.features(i, 0) = 1.0 - 1e-9 * static_cast<double>(i);
+    train.features(i, 1) = 0.5;
+    train.labels.push_back(static_cast<int>(i % 3 == 0 ? 0 : i % 2 + 1));
+  }
+  MlDataset eval;
+  eval.features = Matrix(3, 2);
+  eval.features(0, 0) = 0.0;
+  eval.features(1, 0) = -2.0;
+  eval.features(1, 1) = 3.0;
+  eval.features(2, 0) = 0.25;
+  eval.features(2, 1) = 0.5;
+  eval.labels = {0, 1, 2};
+  for (size_t k : {size_t{1}, size_t{2}, size_t{3}}) {
+    CheckScorerMatchesColdFit(KnnClassifier(k), train, eval, 3);
+  }
+}
+
+TEST(CoalitionScorerTest, KnnKernelPutsNanDistancesAfterInfinity) {
+  // A NaN feature makes that row's distance NaN for every evaluation point,
+  // and a huge one makes it +inf. The cold fit and the kernel must agree on
+  // one total order: finite, then +inf, then NaN, ties by index.
+  MlDataset train = ScorerBlobs(36, 15);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t i : {2u, 5u, 9u, 13u}) train.features(i, 1) = nan;
+  for (size_t i : {4u, 11u}) train.features(i, 0) = 1e300;
+  MlDataset eval = ScorerBlobs(37, 6);
+  CheckScorerMatchesColdFit(KnnClassifier(3), train, eval, 3);
+  CheckScorerMatchesColdFit(KnnClassifier(5), train, eval, 3);
+  // With every distance NaN, windows fill by index alone.
+  MlDataset all_nan = train;
+  for (size_t i = 0; i < all_nan.size(); ++i) all_nan.features(i, 0) = nan;
+  CheckScorerMatchesColdFit(KnnClassifier(3), all_nan, eval, 3);
+}
+
+/// Width boundary: up to 65,535 training rows the kernel stores 16-bit ranks
+/// and the largest rank sits one below the underfull cutoff; one row more
+/// switches it to 32-bit ranks. Rows lie on a line, nearest first, and the
+/// scan starts with the farthest, so the first Adds carry the largest ranks.
+void CheckRankWidthBoundary(size_t n) {
+  MlDataset train;
+  train.features = Matrix(n, 2);
+  train.labels.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    train.features(i, 0) = static_cast<double>(i);
+    train.labels[i] = static_cast<int>((i / 2) % 3);
+  }
+  MlDataset eval;
+  eval.features = Matrix(3, 2);
+  eval.features(1, 0) = static_cast<double>(n / 2);
+  eval.features(2, 0) = static_cast<double>(n);
+  eval.features(2, 1) = 1.0;
+  eval.labels = {0, 1, 2};
+  KnnClassifier model(3);
+  std::shared_ptr<const CoalitionScorerContext> context =
+      model.NewCoalitionScorerContext(train, eval, 3).value();
+  ASSERT_NE(context, nullptr);
+  std::unique_ptr<CoalitionScorer> scorer = context->NewScorer();
+  std::vector<size_t> coalition;
+  const std::vector<size_t> checkpoints = {1, 2, 3, 4, 7, 1000, n / 2 + 1, n};
+  size_t next = 0;
+  for (size_t step = 0; step < n; ++step) {
+    const size_t index = n - 1 - step;  // Farthest from evaluation row 0 first.
+    scorer->Add(index);
+    coalition.push_back(index);
+    if (coalition.size() != checkpoints[next]) continue;
+    ++next;
+    std::vector<size_t> sorted(coalition.rbegin(), coalition.rend());
+    KnnClassifier cold(3);
+    ASSERT_TRUE(cold.FitWithClasses(train.Subset(sorted), 3).ok());
+    const std::vector<int> predicted = scorer->Predict();
+    EXPECT_EQ(predicted, cold.Predict(eval.features))
+        << n << " rows, after " << coalition.size() << " adds";
+    EXPECT_EQ(scorer->NumCorrect(), CountCorrect(predicted, eval.labels));
+  }
+  EXPECT_EQ(next, checkpoints.size());
+}
+
+TEST(CoalitionScorerTest, KnnKernelMatchesColdFitAtTheRankWidthBoundary) {
+  CheckRankWidthBoundary(65535);  // uint16_t ranks, the largest 65,534.
+  CheckRankWidthBoundary(65536);  // uint32_t ranks.
 }
 
 }  // namespace

@@ -1,3 +1,4 @@
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -98,6 +99,20 @@ TEST(DecrementalKnnTest, FreshFitMatchesBatchKnn) {
   MlDataset probe = SmallBlobs(12);
   EXPECT_EQ(batch.Predict(probe.features),
             decremental.Predict(probe.features));
+}
+
+TEST(DecrementalKnnTest, NanDistancesComeAfterInfinity) {
+  // KnnClassifier's order: distance ascending, NaN after +inf.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  MlDataset data;
+  data.features = Matrix::FromRows({{nan}, {1e300}, {2.0}});
+  data.labels = {0, 1, 2};
+  DecrementalKnn model(1);
+  ASSERT_TRUE(model.Fit(data).ok());
+  const Matrix query = Matrix::FromRows({{1.0}});
+  EXPECT_EQ(model.Predict(query), std::vector<int>{2});
+  ASSERT_TRUE(model.Forget(2).ok());
+  EXPECT_EQ(model.Predict(query), std::vector<int>{1});
 }
 
 TEST(DecrementalKnnTest, ForgetEqualsRetrainFromScratch) {
