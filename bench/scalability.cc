@@ -123,7 +123,7 @@ void BM_LeaveOneOutRetraining(benchmark::State& state) {
   auto factory = []() { return std::make_unique<KnnClassifier>(5); };
   for (auto _ : state) {
     ModelAccuracyUtility utility(factory, train, validation);
-    std::vector<double> values = LeaveOneOutValues(utility).value();
+    std::vector<double> values = LeaveOneOutValues(utility).value().values;
     benchmark::DoNotOptimize(values);
   }
 }

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common/string_util.h"
+#include "ml/knn.h"
 
 namespace nde {
 
@@ -164,35 +165,32 @@ Result<std::vector<size_t>> KnnImputeColumn(
   bool is_int = table->schema().field(target).type == DataType::kInt64;
 
   std::vector<size_t> repaired;
+  std::vector<double> dist(n);  // Distance to each donor row.
+  std::vector<size_t> nearest;
   for (size_t r = 0; r < n; ++r) {
     if (!table->At(r, target).is_null()) continue;
-    // Distance over the observed features of this row.
-    std::vector<std::pair<double, size_t>> candidates;
-    for (size_t donor : donors) {
-      double dist = 0.0;
-      bool comparable = true;
-      for (size_t f : feature_idx) {
-        const Value& mine = table->At(r, f);
-        if (mine.is_null()) {
-          comparable = false;
-          break;
-        }
-        double diff = mine.AsNumeric() - table->At(donor, f).AsNumeric();
-        dist += diff * diff;
-      }
-      if (comparable) candidates.push_back({dist, donor});
-    }
+    // A row with a null feature has no distance to any donor: it takes the
+    // donor mean.
+    bool comparable = true;
+    for (size_t f : feature_idx) comparable &= !table->At(r, f).is_null();
     double fill = donor_mean;
-    if (!candidates.empty()) {
-      size_t take = std::min(k, candidates.size());
-      std::partial_sort(candidates.begin(),
-                        candidates.begin() + static_cast<ptrdiff_t>(take),
-                        candidates.end());
-      double total = 0.0;
-      for (size_t i = 0; i < take; ++i) {
-        total += table->At(candidates[i].second, target).AsNumeric();
+    if (comparable) {
+      for (size_t donor : donors) {
+        double acc = 0.0;
+        for (size_t f : feature_idx) {
+          double diff =
+              table->At(r, f).AsNumeric() - table->At(donor, f).AsNumeric();
+          acc += diff * diff;
+        }
+        dist[donor] = acc;
       }
-      fill = total / static_cast<double>(take);
+      nearest = donors;
+      KeepNearest(dist, k, &nearest);
+      double total = 0.0;
+      for (size_t donor : nearest) {
+        total += table->At(donor, target).AsNumeric();
+      }
+      fill = total / static_cast<double>(nearest.size());
     }
     Value cell = is_int ? Value(static_cast<int64_t>(std::llround(fill)))
                         : Value(fill);

@@ -80,7 +80,9 @@ Result<std::vector<size_t>> ImputeColumn(Table* table,
 
 /// KNN imputation for a numeric column: each null cell is filled with the
 /// mean of that column over the `k` nearest rows, where distance is computed
-/// over the given fully-observed numeric `feature_columns`. Falls back to
+/// over the given fully-observed numeric `feature_columns`. Neighbors are
+/// ranked by KeepNearest (ml/knn.h): a NaN distance, which a `nan` or `inf`
+/// cell can make, comes last, and ties go to the smaller row. Falls back to
 /// the column mean when no neighbors are usable. Returns repaired rows.
 Result<std::vector<size_t>> KnnImputeColumn(
     Table* table, const std::string& column,

@@ -56,9 +56,9 @@ CleaningStrategy LooStrategy(size_t k) {
         ModelAccuracyUtility utility(
             [k]() { return std::make_unique<KnnClassifier>(k); }, dirty,
             validation);
-        NDE_ASSIGN_OR_RETURN(std::vector<double> values,
+        NDE_ASSIGN_OR_RETURN(ImportanceEstimate loo,
                              LeaveOneOutValues(utility));
-        return AscendingOrder(values);
+        return AscendingOrder(loo.values);
       }};
 }
 

@@ -59,8 +59,8 @@ std::vector<double> EnumerateAllSubsets(const UtilityFunction& utility) {
 
 }  // namespace
 
-Result<std::vector<double>> LeaveOneOutValues(const UtilityFunction& utility,
-                                              const EstimatorOptions& options) {
+Result<ImportanceEstimate> LeaveOneOutValues(const UtilityFunction& utility,
+                                             const EstimatorOptions& options) {
   size_t n = utility.num_units();
   if (n == 0) {
     return Status::InvalidArgument("leave-one-out requires at least one unit");
@@ -98,7 +98,11 @@ Result<std::vector<double>> LeaveOneOutValues(const UtilityFunction& utility,
   // LOO has no sampling budget to shrink, so a failed or cancelled run has no
   // meaningful partial result: the cause is the call's Status.
   if (!run.abort_cause.ok()) return run.abort_cause;
-  return values;
+  ImportanceEstimate estimate;
+  estimate.values = std::move(values);
+  estimate.utility_evaluations = n + 1;
+  estimate.num_threads_used = run.threads_used;
+  return estimate;
 }
 
 Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,

@@ -46,12 +46,13 @@ struct ImportanceEstimate {
 /// --- Leave-one-out -----------------------------------------------------------
 
 /// LOO importance: phi_i = v(N) - v(N \ {i}). The simplest importance score;
-/// O(n) utility evaluations, one per unit, evaluated in parallel in 64-unit
-/// waves. LOO draws no randomness, so results are identical for any (seed,
-/// num_threads). Returns InvalidArgument when the utility has zero units, and
-/// the cause when a cancel or a failure stops the run: LOO has no budget to
-/// shrink, so there is no partial result.
-Result<std::vector<double>> LeaveOneOutValues(
+/// n + 1 utility evaluations, one per unit plus v(N), evaluated in parallel in
+/// 64-unit waves. LOO draws no randomness, so results are identical for any
+/// (seed, num_threads); the estimate has no std errors. Returns
+/// InvalidArgument when the utility has zero units, and the cause when a
+/// cancel or a failure stops the run: LOO has no budget to shrink, so there
+/// is no partial result.
+Result<ImportanceEstimate> LeaveOneOutValues(
     const UtilityFunction& utility, const EstimatorOptions& options = {});
 
 /// --- Truncated Monte-Carlo Shapley (Ghorbani & Zou 2019) --------------------

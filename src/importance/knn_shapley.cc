@@ -2,36 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
-#include <span>
 
 #include "common/check.h"
 #include "importance/waves.h"
 #include "ml/knn.h"
 
 namespace nde {
-
-namespace {
-
-/// Training indices sorted by squared distance to `query`, in NearerThan
-/// order.
-std::vector<size_t> DistanceOrder(const Matrix& train_features,
-                                  std::span<const double> query) {
-  size_t n = train_features.rows();
-  std::vector<double> dist(n);
-  for (size_t i = 0; i < n; ++i) {
-    dist[i] = SquaredDistance(train_features.RowPtr(i), query.data(),
-                              train_features.cols());
-  }
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&dist](size_t a, size_t b) {
-    return NearerThan(dist[a], a, dist[b], b);
-  });
-  return order;
-}
-
-}  // namespace
 
 Result<std::vector<double>> KnnShapleyValues(const MlDataset& train,
                                              const MlDataset& validation,
@@ -59,11 +35,12 @@ Result<std::vector<double>> KnnShapleyValues(const MlDataset& train,
     std::vector<double>& partial = wave[chunk % kWaveChunks];
     std::fill(partial.begin(), partial.end(), 0.0);
     std::vector<double> s(n, 0.0);
+    RankScratch scratch(n);
     size_t begin = chunk * kChunkPoints;
     size_t end = std::min(begin + kChunkPoints, validation.size());
     for (size_t v = begin; v < end; ++v) {
-      std::vector<size_t> order =
-          DistanceOrder(train.features, validation.features.RowSpan(v));
+      NearestRows order = NearestOrder(
+          train.features, validation.features.RowSpan(v), &scratch);
       int y = validation.labels[v];
       // Recurrence from Jia et al. (2019), Theorem 1. Positions are
       // 1-indexed in the paper; `pos` below is 0-indexed.
@@ -105,10 +82,15 @@ Result<std::vector<double>> KnnShapleyValues(const MlDataset& train,
 SoftKnnUtility::SoftKnnUtility(MlDataset train, MlDataset validation, size_t k)
     : train_(std::move(train)), validation_(std::move(validation)), k_(k) {
   NDE_CHECK_GE(k, 1u);
-  distance_order_.reserve(validation_.size());
+  RankScratch scratch(train_.size());
+  distance_order_.resize(validation_.size());
   for (size_t v = 0; v < validation_.size(); ++v) {
-    distance_order_.push_back(
-        DistanceOrder(train_.features, validation_.features.RowSpan(v)));
+    NearestRows order = NearestOrder(
+        train_.features, validation_.features.RowSpan(v), &scratch);
+    distance_order_[v].resize(order.size());
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      distance_order_[v][pos] = order[pos];
+    }
   }
 }
 

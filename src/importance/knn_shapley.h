@@ -22,8 +22,9 @@ namespace nde {
 /// with v(empty) = 0. The returned values satisfy the efficiency axiom:
 /// sum_i phi_i == v(full training set).
 ///
-/// Ties in distance are broken by training index, matching
-/// `KnnClassifier::Neighbors`.
+/// Each validation point ranks the training rows by `NearestOrder`
+/// (ml/knn.h), `KnnClassifier`'s order: ties by training index, NaN
+/// distances last.
 ///
 /// Validation points are scored in parallel (fixed 8-point chunks with
 /// per-chunk partial sums folded in chunk order), so for any
@@ -50,8 +51,8 @@ class SoftKnnUtility : public UtilityFunction {
   MlDataset train_;
   MlDataset validation_;
   size_t k_;
-  /// distance_order_[v] = training indices sorted by distance to validation
-  /// point v (precomputed once).
+  /// distance_order_[v] = training indices in validation point v's
+  /// NearestOrder (precomputed once).
   std::vector<std::vector<size_t>> distance_order_;
 };
 

@@ -13,6 +13,115 @@
 
 namespace nde {
 
+namespace {
+
+/// Radix key of a distance: the bits of its float rounding. Rounding is
+/// monotone and a distance is a sum of squares (never negative, never -0.0),
+/// so keys never invert two distances, though distinct distances may share
+/// one. Every NaN gets the key one above +inf's.
+constexpr uint32_t kNanKey = 0x7F800001u;
+
+uint32_t RadixKey(double dist) {
+  if (std::isnan(dist)) return kNanKey;
+  return std::bit_cast<uint32_t>(static_cast<float>(dist));
+}
+
+}  // namespace
+
+// Radix digits have 11 bits from 2,048 training rows up; below that, clearing
+// and summing 2,048 buckets a pass would cost more than moving the rows, so
+// they have 8. Entries keep the row index in their low 32 bits.
+RankScratch::RankScratch(size_t n)
+    : digit_bits(n < 2048 ? 8 : 11),
+      dist(n),
+      entries(n),
+      spare(n),
+      counts(size_t{2} << digit_bits) {
+  NDE_CHECK_LE(n, size_t{std::numeric_limits<uint32_t>::max()});
+}
+
+// The distance pass fills the scratch's column; then an exact argsort. The
+// sort key is RadixKey minus this query's smallest RadixKey, shifted right
+// until it fits two radix digits: still monotone in the distance. A stable
+// two-pass LSD radix sort from index order orders the entries by (key,
+// index); then each run of equal keys is sorted exactly.
+NearestRows NearestOrder(const Matrix& train, std::span<const double> query,
+                         RankScratch* scratch) {
+  const size_t n = train.rows();
+  const size_t d = train.cols();
+  NDE_CHECK_EQ(query.size(), d);
+  NDE_CHECK_EQ(scratch->dist.size(), n);
+  uint64_t* src = scratch->entries.data();
+  if (n == 0) return {src, 0};
+  double* dist = scratch->dist.data();
+  for (size_t i = 0; i < n; ++i) {
+    dist[i] = SquaredDistance(train.RowPtr(i), query.data(), d);
+  }
+  const int bits = scratch->digit_bits;
+  const size_t buckets = size_t{1} << bits;
+  uint32_t lo = std::numeric_limits<uint32_t>::max();
+  uint32_t hi = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t key = RadixKey(dist[i]);
+    lo = std::min(lo, key);
+    hi = std::max(hi, key);
+    src[i] = (uint64_t{key} << 32) | i;
+  }
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(hi - lo)) - 2 * bits);
+  uint32_t* counts = scratch->counts.data();
+  std::fill(scratch->counts.begin(), scratch->counts.end(), 0u);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t key =
+        (static_cast<uint32_t>(src[i] >> 32) - lo) >> shift;
+    src[i] = (uint64_t{key} << 32) | static_cast<uint32_t>(src[i]);
+    ++counts[key & (buckets - 1)];
+    ++counts[buckets + (key >> bits)];
+  }
+  uint64_t* dst = scratch->spare.data();
+  for (int pass = 0; pass < 2; ++pass) {
+    uint32_t* offsets = counts + static_cast<size_t>(pass) * buckets;
+    const int digit_shift = 32 + pass * bits;
+    // A digit every key shares would leave the order as it is.
+    if (offsets[(src[0] >> digit_shift) & (buckets - 1)] == n) continue;
+    uint32_t sum = 0;
+    for (size_t b = 0; b < buckets; ++b) {
+      const uint32_t count = offsets[b];
+      offsets[b] = sum;
+      sum += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[offsets[(src[i] >> digit_shift) & (buckets - 1)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  // Equal keys hold distances the key cannot tell apart (equal ones, ones
+  // closer than its resolution, NaNs): order each run by NearerThan itself.
+  auto nearer = [dist](uint64_t a, uint64_t b) {
+    const uint32_t ia = static_cast<uint32_t>(a);
+    const uint32_t ib = static_cast<uint32_t>(b);
+    return NearerThan(dist[ia], ia, dist[ib], ib);
+  };
+  for (size_t begin = 0; begin < n;) {
+    const uint64_t key = src[begin] >> 32;
+    size_t end = begin + 1;
+    while (end < n && (src[end] >> 32) == key) ++end;
+    if (end - begin > 1) std::sort(src + begin, src + end, nearer);
+    begin = end;
+  }
+  return {src, n};
+}
+
+void KeepNearest(std::span<const double> dist, size_t k,
+                 std::vector<size_t>* rows) {
+  const size_t take = std::min(k, rows->size());
+  std::partial_sort(rows->begin(), rows->begin() + static_cast<ptrdiff_t>(take),
+                    rows->end(), [dist](size_t a, size_t b) {
+                      return NearerThan(dist[a], a, dist[b], b);
+                    });
+  rows->resize(take);
+}
+
 KnnClassifier::KnnClassifier(size_t k) : k_(k) { NDE_CHECK_GE(k, 1u); }
 
 Status KnnClassifier::Fit(const MlDataset& data) {
@@ -55,19 +164,15 @@ std::vector<size_t> KnnClassifier::Neighbors(std::span<const double> query,
   NDE_CHECK(fitted_) << "KNN not fitted";
   size_t n = TrainSize();
   size_t d = TrainCols();
+  NDE_CHECK_EQ(query.size(), d);
   std::vector<double> dist(n);
   for (size_t i = 0; i < n; ++i) {
     dist[i] = SquaredDistance(TrainRowPtr(i), query.data(), d);
   }
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  size_t take = std::min(k, n);
-  std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(take),
-                    order.end(), [&dist](size_t a, size_t b) {
-                      return NearerThan(dist[a], a, dist[b], b);
-                    });
-  order.resize(take);
-  return order;
+  std::vector<size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  KeepNearest(dist, k, &rows);
+  return rows;
 }
 
 std::vector<int> KnnClassifier::Predict(const Matrix& features) const {
@@ -119,115 +224,19 @@ namespace {
 //     return and NumCorrect() a field read.
 //
 // Each evaluation point keeps a sorted window of the (up to) k nearest
-// coalition rows keyed by rank. Ranks are unique per evaluation point and
-// follow NearerThan over SquaredDistance, exactly as KnnClassifier::Neighbors
-// orders its rows, so inserting in any order yields the same window as the
-// fitted classifier's partial_sort over the sorted coalition. The class-count
+// coalition rows keyed by rank. Ranks are positions in NearestOrder, which
+// follows NearerThan over SquaredDistance exactly as KnnClassifier::Neighbors'
+// KeepNearest does, so inserting in any order yields the same window as the
+// fitted classifier's top-k order over the coalition. The class-count
 // argmax (strict `>` keeping the smaller class id) matches PredictProba's
 // weighted argmax under a constant positive weight — so Predict() is
 // bit-identical to the cold path, as CoalitionScorer requires.
 // ---------------------------------------------------------------------------
 
-/// Radix key of a distance: the bits of its float rounding. Rounding is
-/// monotone and a distance is a sum of squares (never negative, never -0.0),
-/// so keys never invert two distances, though distinct distances may share
-/// one. Every NaN gets the key one above +inf's.
-constexpr uint32_t kNanKey = 0x7F800001u;
-
-uint32_t RadixKey(double dist) {
-  if (std::isnan(dist)) return kNanKey;
-  return std::bit_cast<uint32_t>(static_cast<float>(dist));
-}
-
 /// Evaluation points whose ranks the build writes out together: one
 /// contiguous write of 32 bytes per matrix row at 16-bit ranks, instead of
 /// one scattered write per point.
 constexpr size_t kGroupPoints = 16;
-
-/// Per-task scratch of the rank build: O(n), reused for every evaluation
-/// point of a block (RankPoints adds up to kGroupPoints x n ranks).
-struct RankScratch {
-  /// Radix digits have 11 bits from 2,048 training rows up; below that,
-  /// clearing and summing 2,048 buckets a pass would cost more than moving
-  /// the rows, so they have 8.
-  explicit RankScratch(size_t n)
-      : digit_bits(n < 2048 ? 8 : 11),
-        dist(n),
-        entries(n),
-        spare(n),
-        counts(size_t{2} << digit_bits) {}
-
-  int digit_bits;
-  std::vector<double> dist;       ///< One evaluation point's distances.
-  std::vector<uint64_t> entries;  ///< (sort key << 32) | training index.
-  std::vector<uint64_t> spare;    ///< The radix passes' other buffer.
-  std::vector<uint32_t> counts;   ///< Two digit histograms.
-};
-
-/// The training rows in NearerThan order of scratch.dist, as n entries
-/// whose low 32 bits are the row index, in scratch.entries or scratch.spare.
-/// The sort key is RadixKey minus this point's smallest RadixKey, shifted
-/// right until it fits two radix digits: still monotone in the distance. A
-/// stable two-pass LSD radix sort from index order orders the entries by
-/// (key, index); then each run of equal keys is sorted exactly.
-const uint64_t* ArgsortNearest(RankScratch& scratch) {
-  const int bits = scratch.digit_bits;
-  const size_t buckets = size_t{1} << bits;
-  const double* dist = scratch.dist.data();
-  const size_t n = scratch.dist.size();
-  uint64_t* src = scratch.entries.data();
-  uint32_t lo = std::numeric_limits<uint32_t>::max();
-  uint32_t hi = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t key = RadixKey(dist[i]);
-    lo = std::min(lo, key);
-    hi = std::max(hi, key);
-    src[i] = (uint64_t{key} << 32) | i;
-  }
-  const int shift =
-      std::max(0, static_cast<int>(std::bit_width(hi - lo)) - 2 * bits);
-  uint32_t* counts = scratch.counts.data();
-  std::fill(scratch.counts.begin(), scratch.counts.end(), 0u);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t key =
-        (static_cast<uint32_t>(src[i] >> 32) - lo) >> shift;
-    src[i] = (uint64_t{key} << 32) | static_cast<uint32_t>(src[i]);
-    ++counts[key & (buckets - 1)];
-    ++counts[buckets + (key >> bits)];
-  }
-  uint64_t* dst = scratch.spare.data();
-  for (int d = 0; d < 2; ++d) {
-    uint32_t* offsets = counts + static_cast<size_t>(d) * buckets;
-    const int digit_shift = 32 + d * bits;
-    // A digit every key shares would leave the order as it is.
-    if (offsets[(src[0] >> digit_shift) & (buckets - 1)] == n) continue;
-    uint32_t sum = 0;
-    for (size_t b = 0; b < buckets; ++b) {
-      const uint32_t count = offsets[b];
-      offsets[b] = sum;
-      sum += count;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i] >> digit_shift) & (buckets - 1)]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  // Equal keys hold distances the key cannot tell apart (equal ones, ones
-  // closer than its resolution, NaNs): order each run by NearerThan itself.
-  auto nearer = [dist](uint64_t a, uint64_t b) {
-    const uint32_t ia = static_cast<uint32_t>(a);
-    const uint32_t ib = static_cast<uint32_t>(b);
-    return NearerThan(dist[ia], ia, dist[ib], ib);
-  };
-  for (size_t begin = 0; begin < n;) {
-    const uint64_t key = src[begin] >> 32;
-    size_t end = begin + 1;
-    while (end < n && (src[end] >> 32) == key) ++end;
-    if (end - begin > 1) std::sort(src + begin, src + end, nearer);
-    begin = end;
-  }
-  return src;
-}
 
 template <typename Rank>
 class KnnSoaContext;
@@ -283,23 +292,17 @@ class KnnSoaContext final : public CoalitionScorerContext {
   void RankPoints(const Matrix& train_features, const Matrix& eval_features,
                   size_t begin, size_t end) {
     const size_t n = train_features.rows();
-    const size_t d = train_features.cols();
     RankScratch scratch(n);
     // Point-major: each point of a group ranks into its own n entries.
     std::vector<Rank> group(std::min(kGroupPoints, end - begin) * n);
     for (size_t first = begin; first < end; first += kGroupPoints) {
       const size_t width = std::min(kGroupPoints, end - first);
       for (size_t g = 0; g < width; ++g) {
-        const double* query = eval_features.RowPtr(first + g);
-        for (size_t i = 0; i < n; ++i) {
-          scratch.dist[i] =
-              SquaredDistance(train_features.RowPtr(i), query, d);
-        }
-        const uint64_t* sorted = ArgsortNearest(scratch);
+        NearestRows sorted = NearestOrder(
+            train_features, eval_features.RowSpan(first + g), &scratch);
         Rank* point_ranks = group.data() + g * n;
         for (size_t pos = 0; pos < n; ++pos) {
-          point_ranks[static_cast<uint32_t>(sorted[pos])] =
-              static_cast<Rank>(pos);
+          point_ranks[sorted[pos]] = static_cast<Rank>(pos);
         }
       }
       Rank* out = ranks_.get() + first;

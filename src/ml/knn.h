@@ -2,6 +2,7 @@
 #define NDE_ML_KNN_H_
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -35,6 +36,46 @@ inline double SquaredDistance(const double* row, const double* query,
   return acc;
 }
 
+/// The O(n) buffers of NearestOrder over an n-row training set, allocated
+/// once and reused by every query a task orders. One per task.
+struct RankScratch {
+  explicit RankScratch(size_t n);
+
+  int digit_bits;
+  std::vector<double> dist;       ///< The query's distances.
+  std::vector<uint64_t> entries;  ///< (sort key << 32) | training index.
+  std::vector<uint64_t> spare;    ///< The radix passes' other buffer.
+  std::vector<uint32_t> counts;   ///< Two digit histograms.
+};
+
+/// One query's training rows, nearest first, as NearestOrder left them in
+/// its RankScratch: valid until that scratch orders the next query.
+struct NearestRows {
+  const uint64_t* entries;  ///< Training row index in the low 32 bits.
+  size_t count;
+
+  size_t size() const { return count; }
+  size_t operator[](size_t pos) const {
+    return static_cast<uint32_t>(entries[pos]);
+  }
+};
+
+/// The exact full order, one of the two orders every KNN consumer ranks
+/// training rows by: every row of `train` (the one `scratch` was sized for)
+/// in NearerThan order of its SquaredDistance to `query`, which must have
+/// one value per column. Equal to a std::sort under NearerThan, by an exact
+/// radix argsort. The rank build, KNN-Shapley, SoftKnnUtility and the
+/// poisoning radii call it.
+NearestRows NearestOrder(const Matrix& train, std::span<const double> query,
+                         RankScratch* scratch);
+
+/// The top-k order: reorders `rows`, distinct indices into `dist`, to their
+/// min(k, rows->size()) nearest in NearerThan order, nearest first, and
+/// drops the rest. KnnClassifier::Neighbors, DecrementalKnn, the certain-KNN
+/// vote and the KNN imputer call it on a distance column they filled.
+void KeepNearest(std::span<const double> dist, size_t k,
+                 std::vector<size_t>* rows);
+
 /// K-nearest-neighbors classifier with Euclidean distance and majority vote
 /// (ties broken toward the smaller class id, which keeps behavior
 /// deterministic).
@@ -60,8 +101,8 @@ class KnnClassifier : public Classifier {
   /// train-major matrix of ranks: entry (i, e) is training row i's position
   /// in evaluation point e's NearerThan order, as `uint16_t` when there are
   /// at most 65,535 training rows and `uint32_t` above. It is built once, in
-  /// blocks of evaluation points through `parallel` when given, by an exact
-  /// argsort of each point's distance column. Scorers keep per-evaluation-
+  /// blocks of evaluation points through `parallel` when given, from each
+  /// point's NearestOrder. Scorers keep per-evaluation-
   /// point k-nearest windows keyed by rank in flat structure-of-arrays
   /// buffers with a vectorizable candidate-mask pass, and count correct
   /// predictions as they flip. Bit-identical to the cold FitWithClasses +
@@ -80,8 +121,9 @@ class KnnClassifier : public Classifier {
   size_t k() const { return k_; }
 
   /// Indices of the (up to) `k` nearest training rows to `query`, in
-  /// NearerThan order. Exposed for KNN-Shapley and certain-prediction
-  /// analyses. Precondition: fitted.
+  /// NearerThan order (KeepNearest over every row). Predictions vote over
+  /// them, and CheckLabelErrors compares each row with its neighbors.
+  /// Precondition: fitted, and `query` has one value per feature.
   std::vector<size_t> Neighbors(std::span<const double> query, size_t k) const;
   std::vector<size_t> Neighbors(const std::vector<double>& query,
                                 size_t k) const {

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/string_util.h"
-#include "ml/knn.h"                  // NearerThan, SquaredDistance
+#include "ml/knn.h"                  // KeepNearest, SquaredDistance
 #include "ml/logistic_regression.h"  // SoftmaxRowsInPlace
 
 namespace nde {
@@ -229,25 +228,20 @@ Matrix DecrementalKnn::PredictProba(const Matrix& features) const {
   size_t n = train_.size();
   Matrix proba(features.rows(), static_cast<size_t>(num_classes_));
   std::vector<double> dist(n);
-  std::vector<size_t> order;
+  std::vector<size_t> nearest;
   for (size_t r = 0; r < features.rows(); ++r) {
     const double* query = features.RowPtr(r);
-    order.clear();
+    nearest.clear();
     for (size_t i = 0; i < n; ++i) {
       if (forgotten_[i]) continue;
       dist[i] = SquaredDistance(train_.features.RowPtr(i), query,
                                 train_.features.cols());
-      order.push_back(i);
+      nearest.push_back(i);
     }
-    size_t take = std::min(k_, order.size());
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<ptrdiff_t>(take), order.end(),
-                      [&dist](size_t a, size_t b) {
-                        return NearerThan(dist[a], a, dist[b], b);
-                      });
-    double weight = 1.0 / static_cast<double>(take);
-    for (size_t pos = 0; pos < take; ++pos) {
-      proba(r, static_cast<size_t>(train_.labels[order[pos]])) += weight;
+    KeepNearest(dist, k_, &nearest);
+    double weight = 1.0 / static_cast<double>(nearest.size());
+    for (size_t i : nearest) {
+      proba(r, static_cast<size_t>(train_.labels[i])) += weight;
     }
   }
   return proba;

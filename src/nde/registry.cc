@@ -285,12 +285,7 @@ class LooAlgorithm final : public GameAlgorithm {
                          MakeUtility(input));
     EstimatorOptions options = options_;
     ApplyRuntime(&options);
-    NDE_ASSIGN_OR_RETURN(std::vector<double> values,
-                         LeaveOneOutValues(*utility, options));
-    ImportanceEstimate estimate;
-    estimate.values = std::move(values);
-    estimate.utility_evaluations = utility->num_evaluations();
-    return estimate;
+    return LeaveOneOutValues(*utility, options);
   }
 
  private:

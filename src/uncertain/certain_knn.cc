@@ -80,25 +80,17 @@ double UncertainClassificationDataset::MaxSquaredDistance(
 
 namespace {
 
-/// Deterministic K-NN majority vote given per-point distances: NearerThan
-/// order (smallest distances first, ties by index), then most votes (ties by
-/// class id).
+/// Deterministic K-NN majority vote given per-point distances: the k nearest
+/// by KeepNearest over every row, then most votes (ties by class id).
 int VoteWithDistances(const std::vector<double>& distances,
                       const std::vector<int>& labels, size_t k) {
-  size_t n = distances.size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  size_t take = std::min(k, n);
-  std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(take),
-                    order.end(), [&distances](size_t a, size_t b) {
-                      return NearerThan(distances[a], a, distances[b], b);
-                    });
+  std::vector<size_t> nearest(distances.size());
+  std::iota(nearest.begin(), nearest.end(), size_t{0});
+  KeepNearest(distances, k, &nearest);
   int max_label = 0;
   for (int label : labels) max_label = std::max(max_label, label);
   std::vector<size_t> votes(static_cast<size_t>(max_label) + 1, 0);
-  for (size_t pos = 0; pos < take; ++pos) {
-    ++votes[static_cast<size_t>(labels[order[pos]])];
-  }
+  for (size_t i : nearest) ++votes[static_cast<size_t>(labels[i])];
   int best = 0;
   for (size_t c = 1; c < votes.size(); ++c) {
     if (votes[c] > votes[static_cast<size_t>(best)]) best = static_cast<int>(c);

@@ -1,34 +1,25 @@
 #include "uncertain/poisoning.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/check.h"
+#include "ml/knn.h"
 
 namespace nde {
 
 namespace {
 
-/// Deterministic K-NN vote over the non-deleted points: nearest K (distance
-/// ties by index), majority label (ties toward the smaller class id).
-int Vote(const std::vector<double>& distances, const std::vector<int>& labels,
+/// Deterministic K-NN vote over the rows not deleted: the first k of them in
+/// `order`, majority label (ties toward the smaller class id).
+int Vote(const NearestRows& order, const std::vector<int>& labels,
          const std::vector<bool>& deleted, size_t k, int num_classes) {
-  std::vector<size_t> order;
-  order.reserve(distances.size());
-  for (size_t i = 0; i < distances.size(); ++i) {
-    if (!deleted[i]) order.push_back(i);
-  }
-  size_t take = std::min(k, order.size());
-  std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(take),
-                    order.end(), [&distances](size_t a, size_t b) {
-                      if (distances[a] != distances[b]) {
-                        return distances[a] < distances[b];
-                      }
-                      return a < b;
-                    });
   std::vector<size_t> votes(static_cast<size_t>(num_classes), 0);
-  for (size_t pos = 0; pos < take; ++pos) {
-    ++votes[static_cast<size_t>(labels[order[pos]])];
+  size_t taken = 0;
+  for (size_t pos = 0; pos < order.size() && taken < k; ++pos) {
+    const size_t i = order[pos];
+    if (deleted[i]) continue;
+    ++votes[static_cast<size_t>(labels[i])];
+    ++taken;
   }
   int best = 0;
   for (int c = 1; c < num_classes; ++c) {
@@ -39,22 +30,6 @@ int Vote(const std::vector<double>& distances, const std::vector<int>& labels,
   return best;
 }
 
-std::vector<double> QueryDistances(const MlDataset& train,
-                                   const std::vector<double>& query) {
-  NDE_CHECK_EQ(query.size(), train.features.cols());
-  std::vector<double> distances(train.size());
-  for (size_t i = 0; i < train.size(); ++i) {
-    const double* row = train.features.RowPtr(i);
-    double acc = 0.0;
-    for (size_t j = 0; j < query.size(); ++j) {
-      double diff = row[j] - query[j];
-      acc += diff * diff;
-    }
-    distances[i] = acc;
-  }
-  return distances;
-}
-
 }  // namespace
 
 size_t CertifiedRemovalRadius(const MlDataset& train,
@@ -62,30 +37,21 @@ size_t CertifiedRemovalRadius(const MlDataset& train,
   NDE_CHECK_GE(k, 1u);
   NDE_CHECK_GT(train.size(), 0u);
   int num_classes = std::max(train.NumClasses(), 1);
-  std::vector<double> distances = QueryDistances(train, query);
+  RankScratch scratch(train.size());
+  NearestRows order = NearestOrder(train.features, query, &scratch);
   std::vector<bool> deleted(train.size(), false);
 
-  int winner = Vote(distances, train.labels, deleted, k, num_classes);
-  // Winner-class points in nearest-first order (the optimal deletion order:
-  // deleting non-winner points never reduces the winner's top-K votes, and
-  // among winner points the nearest ones occupy the top-K slots).
-  std::vector<size_t> winner_points;
-  for (size_t i = 0; i < train.size(); ++i) {
-    if (train.labels[i] == winner) winner_points.push_back(i);
-  }
-  std::sort(winner_points.begin(), winner_points.end(),
-            [&distances](size_t a, size_t b) {
-              if (distances[a] != distances[b]) {
-                return distances[a] < distances[b];
-              }
-              return a < b;
-            });
-
+  int winner = Vote(order, train.labels, deleted, k, num_classes);
+  // Delete winner-class points in nearest-first order (the optimal deletion
+  // order: deleting non-winner points never reduces the winner's top-K votes,
+  // and among winner points the nearest ones occupy the top-K slots).
   size_t radius = 0;
-  for (size_t i : winner_points) {
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    const size_t i = order[pos];
+    if (train.labels[i] != winner) continue;
     if (radius + 1 >= train.size()) break;  // Cannot delete everything.
     deleted[i] = true;
-    if (Vote(distances, train.labels, deleted, k, num_classes) != winner) {
+    if (Vote(order, train.labels, deleted, k, num_classes) != winner) {
       return radius;
     }
     ++radius;
@@ -101,17 +67,10 @@ size_t CertifiedInsertionRadius(const MlDataset& train,
   NDE_CHECK_GE(k, 1u);
   NDE_CHECK_GT(train.size(), 0u);
   int num_classes = std::max(train.NumClasses(), 2);
-  std::vector<double> distances = QueryDistances(train, query);
+  RankScratch scratch(train.size());
+  NearestRows order = NearestOrder(train.features, query, &scratch);
   std::vector<bool> deleted(train.size(), false);
-  int winner = Vote(distances, train.labels, deleted, k, num_classes);
-
-  // Nearest-first training order, reused below.
-  std::vector<size_t> order(train.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&distances](size_t a, size_t b) {
-    if (distances[a] != distances[b]) return distances[a] < distances[b];
-    return a < b;
-  });
+  int winner = Vote(order, train.labels, deleted, k, num_classes);
 
   // Optimal insertion adversary: m copies of one competitor label at
   // distance zero. They occupy the first m top-K slots; the remaining

@@ -22,8 +22,9 @@ namespace nde {
 
 /// Exact removal radius for one query. Returns the number of adversarial
 /// deletions the prediction provably survives (0 = a single deletion can
-/// already flip it; at most train.size() - 1). Ties in distance and votes
-/// follow KnnClassifier's deterministic rules.
+/// already flip it; at most train.size() - 1). Rows are ranked by
+/// NearestOrder (ml/knn.h), KnnClassifier's order with NaN distances last,
+/// and vote ties follow KnnClassifier's rule.
 size_t CertifiedRemovalRadius(const MlDataset& train,
                               const std::vector<double>& query, size_t k);
 

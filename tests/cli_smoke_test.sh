@@ -95,6 +95,10 @@ cmp -s threads1_ids.txt threads2_ids.txt \
     || fail "--threads 2 ranked different candidates than --threads 1"
 grep -q "threads)" threads2_out.txt \
     || fail "importance output does not report the thread count"
+"$CLI" importance train.csv --label label --method loo --threads 2 \
+    > loo_out.txt || fail "loo importance failed"
+grep -q "(2 threads)" loo_out.txt \
+    || fail "loo does not report the 2 threads it ran on"
 
 "$CLI" importance train.csv --label label --threads bogus > /dev/null 2> err.txt
 [ $? -eq 2 ] || fail "non-numeric --threads should exit 2"
@@ -179,6 +183,20 @@ for csv in blobs.csv inf.csv; do
   run_ranking "$csv" knn_slow.txt --set use_prefix_scan=false
   cmp -s knn_slow.txt knn_kernel.txt \
       || fail "KNN kernel ranking differs from the slow path on $csv"
+done
+# The closed forms rank through the full neighbor order; on inf.csv every
+# distance is NaN, so only its NaN rule and index tie-break order the rows,
+# and that order must not depend on the thread count.
+for method in knn_shapley datascope; do
+  for threads in 1 4; do
+    "$CLI" importance inf.csv --label label --method "$method" --top 300 \
+        --threads "$threads" | sed -n '/cleaning candidates/,$p' \
+        > "${method}_threads${threads}.txt"
+    [ -s "${method}_threads${threads}.txt" ] \
+        || fail "no $method ranking on inf.csv at --threads $threads"
+  done
+  cmp -s "${method}_threads1.txt" "${method}_threads4.txt" \
+      || fail "$method ranks inf.csv differently at --threads 4 than at 1"
 done
 run_ranking blobs.csv nb_kernel.txt --model gaussian_nb
 run_ranking blobs.csv nb_slow.txt --model gaussian_nb \

@@ -194,7 +194,7 @@ TEST(PipelineSourceUtilityTest, LooOverPipelineDetectsHarmfulSource) {
           .value();
   auto factory = []() { return std::make_unique<KnnClassifier>(3); };
   PipelineSourceUtility utility(&fixture.pipeline, 0, factory, validation);
-  std::vector<double> loo = LeaveOneOutValues(utility).value();
+  std::vector<double> loo = LeaveOneOutValues(utility).value().values;
   double corrupted_mean = 0.0;
   for (size_t i : corrupted) corrupted_mean += loo[i];
   corrupted_mean /= static_cast<double>(corrupted.size());

@@ -134,7 +134,7 @@ struct LooTraits {
   static constexpr bool kEvaluatesUtility = true;
 
   static Outcome Run(size_t budget, const EstimatorOptions& options) {
-    return FromValues(LeaveOneOutValues(SqrtGame(budget), options));
+    return FromEstimate(LeaveOneOutValues(SqrtGame(budget), options));
   }
   static std::vector<Status> InvalidInputs() {
     return {LeaveOneOutValues(SqrtGame(0)).status()};

@@ -66,7 +66,7 @@ double PearsonCorrelation(const std::vector<double>& a,
 
 TEST(LeaveOneOutTest, ExactOnAdditiveGame) {
   LambdaUtility game = AdditiveGame({1.0, -2.0, 0.5});
-  std::vector<double> values = LeaveOneOutValues(game).value();
+  std::vector<double> values = LeaveOneOutValues(game).value().values;
   EXPECT_NEAR(values[0], 1.0, 1e-12);
   EXPECT_NEAR(values[1], -2.0, 1e-12);
   EXPECT_NEAR(values[2], 0.5, 1e-12);
@@ -81,7 +81,7 @@ TEST(LeaveOneOutTest, ZeroForDummyPlayer) {
     }
     return v;
   });
-  std::vector<double> values = LeaveOneOutValues(game).value();
+  std::vector<double> values = LeaveOneOutValues(game).value().values;
   EXPECT_NEAR(values[2], 0.0, 1e-12);
 }
 

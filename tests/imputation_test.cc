@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -138,6 +139,35 @@ TEST(KnnImputeTest, BeatsMeanImputationOnStructuredData) {
     mean_error += std::fabs(mean_table.At(i, 1).as_double() - f[i]);
   }
   EXPECT_LT(knn_error, mean_error / 5.0);
+}
+
+TEST(KnnImputeTest, NanDistancesRankAfterEveryNumber) {
+  // `nan` cells parse as NaN, so rows 0 and 4 are at NaN distance from row 6:
+  // the two nearest donors are rows 2 and 3 (distances 1 and 4).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table t = TableBuilder()
+                .AddDoubleColumn("f", {nan, 5.0, 1.0, 2.0, nan, 3.0, 0.0})
+                .AddValueColumn("target", DataType::kDouble,
+                                DoubleColumn({100.0, 5.0, 1.0, 2.0, 100.0, 3.0,
+                                              0.0},
+                                             {6}))
+                .Build();
+  ASSERT_TRUE(KnnImputeColumn(&t, "target", {"f"}, 2).ok());
+  EXPECT_EQ(t.At(6, 1).as_double(), 1.5);
+}
+
+TEST(KnnImputeTest, InfinityMinusInfinityRanksLast) {
+  // Row 5's feature is inf: inf - inf is NaN for rows 0 and 3, and every
+  // other donor is at distance +inf, so ties by row pick rows 1 and 2.
+  const double inf = std::numeric_limits<double>::infinity();
+  Table t = TableBuilder()
+                .AddDoubleColumn("f", {inf, 5.0, 1.0, inf, 2.0, inf})
+                .AddValueColumn("target", DataType::kDouble,
+                                DoubleColumn({7.0, 5.0, 1.0, 9.0, 2.0, 0.0},
+                                             {5}))
+                .Build();
+  ASSERT_TRUE(KnnImputeColumn(&t, "target", {"f"}, 2).ok());
+  EXPECT_EQ(t.At(5, 1).as_double(), 3.0);
 }
 
 TEST(KnnImputeTest, Validation) {

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,22 +47,32 @@ size_t BruteForceRemovalRadius(const MlDataset& train,
 }
 
 TEST(PoisoningTest, RemovalRadiusMatchesBruteForce) {
-  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    BlobsOptions options;
-    options.num_examples = 9;
-    options.num_features = 2;
-    options.separation = 2.0;
-    options.noise = 1.2;
-    options.seed = seed;
-    MlDataset train = MakeBlobs(options);
-    Rng rng(seed * 7);
-    for (int trial = 0; trial < 4; ++trial) {
-      std::vector<double> query = {rng.NextGaussian(), rng.NextGaussian()};
-      for (size_t k : {1u, 3u}) {
-        size_t exact = CertifiedRemovalRadius(train, query, k);
-        size_t brute = BruteForceRemovalRadius(train, query, k, 4);
-        EXPECT_EQ(std::min(exact, size_t{4}), brute)
-            << "seed=" << seed << " trial=" << trial << " k=" << k;
+  // The second input gives one row a NaN feature: its distance is NaN for
+  // every query, so it ranks after every other row, as in the brute force's
+  // refitted KnnClassifier.
+  for (bool with_nan : {false, true}) {
+    for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+      BlobsOptions options;
+      options.num_examples = 9;
+      options.num_features = 2;
+      options.separation = 2.0;
+      options.noise = 1.2;
+      options.seed = seed;
+      MlDataset train = MakeBlobs(options);
+      if (with_nan) {
+        train.features(seed % train.size(), seed % 2) =
+            std::numeric_limits<double>::quiet_NaN();
+      }
+      Rng rng(seed * 7);
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<double> query = {rng.NextGaussian(), rng.NextGaussian()};
+        for (size_t k : {1u, 3u}) {
+          size_t exact = CertifiedRemovalRadius(train, query, k);
+          size_t brute = BruteForceRemovalRadius(train, query, k, 4);
+          EXPECT_EQ(std::min(exact, size_t{4}), brute)
+              << "nan=" << with_nan << " seed=" << seed << " trial=" << trial
+              << " k=" << k;
+        }
       }
     }
   }
@@ -103,6 +114,19 @@ TEST(PoisoningTest, InsertionTieBreakTowardSmallerClass) {
   // k=3: m=2 gives votes 2 vs 1 -> flip at m=2, radius 1? m=1: votes 1 vs 2
   // -> class 1 holds. So radius is 1... wait: m=2 -> class0=2, class1=1,
   // flip. Radius = 1.
+  EXPECT_EQ(CertifiedInsertionRadius(train, {0.0}, 3), 1u);
+}
+
+TEST(PoisoningTest, InsertionRadiusRanksNanDistancesLast) {
+  MlDataset train;
+  train.features = Matrix::FromRows(
+      {{std::numeric_limits<double>::quiet_NaN()}, {0.1}, {0.2}, {5.0}});
+  train.labels = {0, 1, 1, 0};
+  // Query at 0, k=3: rows 1, 2 and 3 are nearest (row 0's distance is NaN,
+  // which ranks last), votes 2-1 for class 1. m=1 inserted class-0 point
+  // leaves rows 1 and 2 in the window (1 vs 2); m=2 leaves row 1 (2 vs 1),
+  // so class 0 wins at m=2: radius 1. Had row 0 entered the window, one
+  // insertion would flip it (radius 0).
   EXPECT_EQ(CertifiedInsertionRadius(train, {0.0}, 3), 1u);
 }
 

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -785,6 +786,109 @@ TEST(EstimatorPropertyTest, BuiltContextServesEvaluateExactly) {
   EXPECT_TRUE(report.empty()) << report;
 }
 
+/// --- The shared neighbor orders (ml/knn.h) -----------------------------------
+
+/// One-feature training values. Against the queries 0 and 1 their squared
+/// distances mix ties (a small pool, x against -x or 2 - x), distinct
+/// doubles that share a float radix key (1 and 1 + 1e-9, 1 + 2e-9), 0, +inf
+/// (inf, and 1e200 whose square overflows) and NaN with uniform draws.
+/// Shrinks toward 0.
+Gen<double> AnyNeighborValue() {
+  return Gen<double>(
+      [](Rng* rng) {
+        const double pool[] = {0.0,
+                               0.5,
+                               1.0,
+                               1.0 + 1e-9,
+                               1.0 + 2e-9,
+                               1.5,
+                               2.0,
+                               -1.0,
+                               1e200,
+                               std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()};
+        if (rng->NextBernoulli(0.6)) {
+          return pool[rng->NextBounded(std::size(pool))];
+        }
+        return rng->NextUniform(-2.0, 3.0);
+      },
+      [](const double& value) {
+        return value == 0.0 ? std::vector<double>{} : std::vector<double>{0.0};
+      });
+}
+
+TEST(NeighborOrderPropertyTest, OrdersEqualStdSortUnderNearerThan) {
+  // Sizes up to 64, and one case in sixteen from 2,040 to 2,056 rows: both
+  // sides of the switch from 8- to 11-bit radix digits.
+  Gen<size_t> sizes = Gen<size_t>(
+      [](Rng* rng) {
+        return rng->NextBounded(16) == 0 ? 2040 + rng->NextBounded(17)
+                                         : rng->NextBounded(65);
+      },
+      [](const size_t& n) { return ShrinkIntegerToward<size_t>(0, n); });
+  std::function<std::string(const std::vector<double>&)> property =
+      [](const std::vector<double>& values) -> std::string {
+    const size_t n = values.size();
+    Matrix train(n, 1);
+    for (size_t i = 0; i < n; ++i) train(i, 0) = values[i];
+    std::vector<size_t> all(n);
+    std::iota(all.begin(), all.end(), size_t{0});
+    // One scratch orders both queries, as a task reuses it.
+    RankScratch scratch(n);
+    for (double q : {0.0, 1.0}) {
+      const std::vector<double> query = {q};
+      std::vector<double> dist(n);
+      for (size_t i = 0; i < n; ++i) {
+        dist[i] = SquaredDistance(train.RowPtr(i), query.data(), 1);
+      }
+      std::vector<size_t> expected = all;
+      std::sort(expected.begin(), expected.end(), [&dist](size_t a, size_t b) {
+        return NearerThan(dist[a], a, dist[b], b);
+      });
+      NearestRows order = NearestOrder(train, query, &scratch);
+      if (order.size() != n) {
+        return StrFormat("query %g: %zu of %zu rows ordered", q, order.size(),
+                         n);
+      }
+      for (size_t pos = 0; pos < n; ++pos) {
+        if (order[pos] != expected[pos]) {
+          return StrFormat(
+              "query %g: full order has row %zu at position %zu, std::sort "
+              "row %zu",
+              q, order[pos], pos, expected[pos]);
+        }
+      }
+      // Top-k needs no float keys: one query's ties, +inf and NaN suffice.
+      for (size_t k = 1; q == 0.0 && k <= n + 1; ++k) {
+        std::vector<size_t> rows = all;
+        KeepNearest(dist, k, &rows);
+        if (rows.size() != std::min(k, n) ||
+            !std::equal(rows.begin(), rows.end(), expected.begin())) {
+          return StrFormat("query %g: top-%zu order is not the prefix", q, k);
+        }
+      }
+    }
+    return "";
+  };
+  std::function<std::string(const std::vector<double>&)> describe =
+      [](const std::vector<double>& values) {
+        std::string out = StrFormat("%zu values:", values.size());
+        for (double value : values) out += StrFormat(" %.17g", value);
+        return out + "\n";
+      };
+  std::string report = CheckProperty<std::vector<double>>(
+      "neighbor-orders", VectorOf(sizes, AnyNeighborValue()), property,
+      describe, HereConfig(100));
+  EXPECT_TRUE(report.empty()) << report;
+}
+
+TEST(NeighborOrderDeathTest, ShortQueryFailsTheDistancePass) {
+  Matrix train = Matrix::FromRows({{0.0, 1.0}, {2.0, 3.0}});
+  RankScratch scratch(train.rows());
+  const std::vector<double> query = {0.0};
+  EXPECT_DEATH(NearestOrder(train, query, &scratch), "query\\.size\\(\\)");
+}
+
 /// --- Error-injection metamorphic property -------------------------------------
 
 /// Well-separated blobs plus a heavy label-flip mix: corrupting known rows
@@ -868,9 +972,9 @@ TEST(MetamorphicPropertyTest, InjectedErrorsDropImportance) {
     ModelAccuracyUtility utility(KnnFactory(3), c.train, c.valid);
     EstimatorOptions options;
     options.num_threads = 2;
-    Result<std::vector<double>> loo = LeaveOneOutValues(utility, options);
+    Result<ImportanceEstimate> loo = LeaveOneOutValues(utility, options);
     if (!loo.ok()) return "loo failed: " + loo.status().ToString();
-    return CompareGroupMeans(loo.value(), c.corrupted, /*strict=*/false,
+    return CompareGroupMeans(loo->values, c.corrupted, /*strict=*/false,
                              "loo");
   };
   std::string report = CheckProperty<CorruptionCase>(
