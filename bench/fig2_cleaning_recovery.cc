@@ -46,7 +46,7 @@ void Run() {
 
   // importances = nde.knn_shapley_values(train_df_err, validation=valid_df)
   std::vector<double> importances =
-      KnnShapleyValues(dirty, splits.valid, 5).value();
+      KnnShapleyValues(dirty, splits.valid, 5).value().values;
   std::vector<size_t> ranking = AscendingOrder(importances);
 
   std::printf("\nlowest-importance tuples (top 10 of 25 shown):\n");

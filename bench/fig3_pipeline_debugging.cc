@@ -107,7 +107,8 @@ void Run() {
   std::vector<double> importances =
       KnnShapleyOverPipeline(output, validation, /*table=*/0,
                              scenario.train.num_rows(), /*k=*/5)
-          .value();
+          .value()
+          .values;
   std::printf("computed %zu source-tuple importances in %.0f ms\n",
               importances.size(), importance_watch.ElapsedMs());
   std::vector<size_t> ranking = AscendingOrder(importances);

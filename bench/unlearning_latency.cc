@@ -86,7 +86,7 @@ void DebugThenForget() {
               dirty_accuracy, corrupted.size());
 
   std::vector<double> importance =
-      KnnShapleyValues(dirty, splits.valid, 5).value();
+      KnnShapleyValues(dirty, splits.valid, 5).value().values;
   std::vector<size_t> ranking = AscendingOrder(importance);
   std::printf("%16s %14s %16s\n", "tuples forgotten", "accuracy",
               "forget time (ms)");

@@ -85,7 +85,8 @@ int main() {
   std::vector<double> importances =
       KnnShapleyOverPipeline(output, validation, /*target_table_id=*/0,
                              scenario.train.num_rows(), /*k=*/5)
-          .value();
+          .value()
+          .values;
   std::vector<size_t> lowest = AscendingOrder(importances);
   lowest.resize(25);
   std::printf("precision@25 of source-tuple ranking vs injected errors: %.2f\n",

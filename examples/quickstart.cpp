@@ -39,7 +39,7 @@ int main() {
   // Compute KNN-Shapley importance of every training tuple against the
   // validation set; the most negative tuples are the prime suspects.
   std::vector<double> importances =
-      KnnShapleyValues(train_err, splits.valid, /*k=*/5).value();
+      KnnShapleyValues(train_err, splits.valid, /*k=*/5).value().values;
   std::vector<size_t> lowest = AscendingOrder(importances);
   lowest.resize(25);
 

@@ -96,7 +96,7 @@ int main() {
 
   // Value every corpus document against the validated queries.
   std::vector<double> importance =
-      KnnShapleyValues(corpus.encoded, queries.encoded, 5).value();
+      KnnShapleyValues(corpus.encoded, queries.encoded, 5).value().values;
   std::vector<size_t> ranking = AscendingOrder(importance);
   std::printf("precision@%zu of document valuation vs corrupted set: %.2f\n",
               corrupted.size(),

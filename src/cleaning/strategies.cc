@@ -41,9 +41,9 @@ CleaningStrategy KnnShapleyStrategy(size_t k) {
       [k](const MlDataset& dirty, const MlDataset& validation,
           uint64_t seed) -> Result<std::vector<size_t>> {
         (void)seed;
-        NDE_ASSIGN_OR_RETURN(std::vector<double> values,
+        NDE_ASSIGN_OR_RETURN(ImportanceEstimate knn,
                              KnnShapleyValues(dirty, validation, k));
-        return AscendingOrder(values);
+        return AscendingOrder(knn.values);
       }};
 }
 

@@ -34,7 +34,7 @@ Result<MlDataset> EncodeValidation(const PipelineOutput& output,
   return validation;
 }
 
-Result<std::vector<double>> KnnShapleyOverPipeline(
+Result<ImportanceEstimate> KnnShapleyOverPipeline(
     const PipelineOutput& output, const MlDataset& validation,
     int32_t target_table_id, size_t num_source_rows, size_t k,
     const EstimatorOptions& options) {
@@ -51,7 +51,7 @@ Result<std::vector<double>> KnnShapleyOverPipeline(
                 << " output rows, " << validation.size()
                 << " validation points, k=" << k;
   MlDataset train = output.ToDataset();
-  NDE_ASSIGN_OR_RETURN(std::vector<double> output_values,
+  NDE_ASSIGN_OR_RETURN(ImportanceEstimate estimate,
                        KnnShapleyValues(train, validation, k, options));
 
   std::vector<double> source_values(num_source_rows, 0.0);
@@ -63,10 +63,11 @@ Result<std::vector<double>> KnnShapleyOverPipeline(
             StrFormat("provenance row %u exceeds source table size %zu",
                       ref.row_id, num_source_rows));
       }
-      source_values[ref.row_id] += output_values[r];
+      source_values[ref.row_id] += estimate.values[r];
     }
   }
-  return source_values;
+  estimate.values = std::move(source_values);
+  return estimate;
 }
 
 PipelineSourceUtility::PipelineSourceUtility(const MlPipeline* pipeline,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "importance/estimator_options.h"
+#include "importance/game_values.h"
 #include "importance/utility.h"
 #include "ml/dataset.h"
 #include "ml/model.h"
@@ -34,8 +35,9 @@ Result<MlDataset> EncodeValidation(const PipelineOutput& output,
 /// Returns one value per row of the target source table (rows that reach no
 /// output get 0). `num_source_rows` is the target table's row count.
 /// `options.num_threads` fans the underlying KnnShapleyValues over validation
-/// points; results are bit-identical for any thread count.
-Result<std::vector<double>> KnnShapleyOverPipeline(
+/// points; results are bit-identical for any thread count, and the estimate
+/// reports the threads that run used.
+Result<ImportanceEstimate> KnnShapleyOverPipeline(
     const PipelineOutput& output, const MlDataset& validation,
     int32_t target_table_id, size_t num_source_rows, size_t k,
     const EstimatorOptions& options = {});

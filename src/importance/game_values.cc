@@ -17,8 +17,9 @@ namespace nde {
 
 namespace {
 
-/// Sorted copy helper: utilities accept any order, but we normalize anyway
-/// so memoizing utilities can key on the subset directly.
+/// Sorted copy: UtilityFunction takes subsets as sorted indices, and a cold
+/// fit relies on it (Gaussian NB's moments sum the subset's rows in order,
+/// so another order would change bits).
 std::vector<size_t> Sorted(std::vector<size_t> subset) {
   std::sort(subset.begin(), subset.end());
   return subset;
@@ -67,6 +68,7 @@ Result<ImportanceEstimate> LeaveOneOutValues(const UtilityFunction& utility,
   }
   NDE_TRACE_SPAN_VAR(span, "LeaveOneOutValues", "importance");
   NDE_SPAN_ARG(span, "units", static_cast<int64_t>(n));
+  NDE_RETURN_IF_ERROR(PrepareUtility(utility, options, "leave_one_out"));
   std::vector<size_t> all(n);
   std::iota(all.begin(), all.end(), size_t{0});
   NDE_ASSIGN_OR_RETURN(double full, EvaluateWithRetry(utility, all, options));
@@ -116,24 +118,9 @@ Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
         "TMC-Shapley requires at least one permutation");
   }
   NDE_TRACE_SPAN_VAR(span, "TmcShapleyValues", "importance");
-  if (options.use_prefix_scan) {
-    // The prelude: build the utility's shared scan state (KNN: every
-    // validation point's ranking of the training rows) on this estimator's
-    // threads, instead of lazily inside the first permutation while the other
-    // workers wait. v(N) below is then scored from it instead of retrained.
-    NDE_TRACE_SPAN("scorer_context", "importance");
-    telemetry::AllocationScope context_alloc("scorer_context");
-    Status prepared = utility.PreparePrefixScan(options.num_threads);
-    if (!prepared.ok()) {
-      // No wave ran, so there is no partial estimate: the cause is the
-      // run's Status (DESIGN.md §11).
-      NDE_METRIC_COUNT("estimator.aborted", 1);
-      telemetry::SetDegraded(prepared.ToString());
-      NDE_LOG(WARNING) << "tmc_shapley aborted before its first wave: "
-                       << prepared.ToString();
-      return prepared;
-    }
-  }
+  // Built here on this estimator's threads, not lazily inside the first
+  // permutation while the other workers wait.
+  NDE_RETURN_IF_ERROR(PrepareUtility(utility, options, "tmc_shapley"));
   NDE_ASSIGN_OR_RETURN(double empty_utility,
                        EvaluateWithRetry(utility, {}, options));
   std::vector<size_t> all_units(n);
@@ -194,10 +181,10 @@ Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
       // a time, so a utility offering an incremental scan evaluates each
       // prefix without retraining from scratch. Exact scans are
       // bit-identical to Evaluate; approximate warm-started scans are only
-      // handed out when options.warm_start opted in.
+      // handed out when options.warm_start opted in. A utility without a
+      // scan gets one Evaluate per prefix.
       std::unique_ptr<UtilityFunction::PrefixScan> scan =
-          options.use_prefix_scan ? utility.NewPrefixScan(options.warm_start)
-                                  : nullptr;
+          utility.NewPrefixScan(options.warm_start);
       failure = Status::OK();
       size_t failed_at = 0;
       std::vector<size_t> prefix;
@@ -380,6 +367,7 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
     return Status::InvalidArgument("Banzhaf MSR requires at least one sample");
   }
   NDE_TRACE_SPAN_VAR(span, "BanzhafValues", "importance");
+  NDE_RETURN_IF_ERROR(PrepareUtility(utility, options, "banzhaf"));
 
   // MSR: every sample updates every unit's in-mean or out-mean. Samples run
   // as fixed 16-sample chunks; sample t always draws from stream SeedFor(t)
@@ -569,6 +557,7 @@ Result<ImportanceEstimate> BetaShapleyValues(
         "Beta-Shapley requires at least one sample per unit");
   }
   NDE_TRACE_SPAN_VAR(span, "BetaShapleyValues", "importance");
+  NDE_RETURN_IF_ERROR(PrepareUtility(utility, options, "beta_shapley"));
   std::vector<double> cardinality_weights =
       BetaShapleyCardinalityWeights(n, options.alpha, options.beta);
 

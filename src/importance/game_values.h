@@ -14,6 +14,11 @@ namespace nde {
 /// Every estimator in this header follows one contract:
 ///  - options embed EstimatorOptions (seed, num_threads, convergence
 ///    tolerance, cancel flag, progress callback);
+///  - LOO, TMC-Shapley, Banzhaf and Beta-Shapley first build the utility's
+///    shared state on options.num_threads (PrepareUtility,
+///    importance/waves.h), so a KNN utility scores every coalition from its
+///    scorer context; a failed build is the run's Status. The Exact*Values
+///    ground truths evaluate unprepared;
 ///  - utility evaluations run as fixed waves of tasks through one runner
 ///    (importance/waves.h) with per-task Rng streams from SeedSequence, and
 ///    partial results reduce in fixed task order, so a fixed seed yields
@@ -64,31 +69,24 @@ struct TmcShapleyOptions : EstimatorOptions {
   /// Set to 0 to disable truncation.
   double truncation_tolerance = 0.01;
 
-  /// Scan each permutation through the utility's incremental prefix scan
-  /// (UtilityFunction::NewPrefixScan) when it offers one. Exact scans (the
-  /// KNN and Gaussian-NB coalition scorers) are bit-identical to per-prefix
-  /// Evaluate calls, so this is on by default; off runs the per-prefix
-  /// reference path the scan is tested against.
-  bool use_prefix_scan = true;
-
   /// Opt into *approximate* warm-started prefix training: when the utility
   /// has no exact scan, permutation scans may reuse one model per permutation
   /// via Classifier::FitIncremental (reduced iteration budget for gradient
   /// models). Like truncation_tolerance this trades a little bias for a big
   /// speedup, so it is off by default; results stay deterministic for any
-  /// thread count either way. Read only with use_prefix_scan.
+  /// thread count either way.
   bool warm_start = false;
 };
 
 /// Permutation-sampling Shapley estimator with truncation. Unbiased for
-/// truncation_tolerance == 0. With use_prefix_scan, the run starts by
-/// building the utility's shared scan state on options.num_threads
-/// (UtilityFunction::PreparePrefixScan); v(N) is then scored from that state
-/// where the utility can (a built KNN context), and a failed build is
-/// returned as the run's Status. Permutations are independent tasks (one Rng
-/// stream per permutation index); with convergence_tolerance > 0, sampling
-/// stops at the first 32-permutation wave where every std error is within
-/// tolerance. Returns InvalidArgument for zero units or zero permutations.
+/// truncation_tolerance == 0. Each permutation runs through the utility's
+/// incremental prefix scan (UtilityFunction::NewPrefixScan); exact scans
+/// (the KNN and Gaussian-NB coalition scorers) are bit-identical to
+/// per-prefix Evaluate calls, which a utility without a scan gets instead.
+/// Permutations are independent tasks (one Rng stream per permutation
+/// index); with convergence_tolerance > 0, sampling stops at the first
+/// 32-permutation wave where every std error is within tolerance. Returns
+/// InvalidArgument for zero units or zero permutations.
 Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
                                             const TmcShapleyOptions& options);
 

@@ -9,10 +9,10 @@
 
 namespace nde {
 
-Result<std::vector<double>> KnnShapleyValues(const MlDataset& train,
-                                             const MlDataset& validation,
-                                             size_t k,
-                                             const EstimatorOptions& options) {
+Result<ImportanceEstimate> KnnShapleyValues(const MlDataset& train,
+                                            const MlDataset& validation,
+                                            size_t k,
+                                            const EstimatorOptions& options) {
   NDE_CHECK_GE(k, 1u);
   NDE_CHECK_GT(train.size(), 0u);
   NDE_CHECK_GT(validation.size(), 0u);
@@ -76,7 +76,10 @@ Result<std::vector<double>> KnnShapleyValues(const MlDataset& train,
   if (!run.abort_cause.ok()) return run.abort_cause;
   double inv_m = 1.0 / static_cast<double>(validation.size());
   for (double& value : values) value *= inv_m;
-  return values;
+  ImportanceEstimate estimate;
+  estimate.values = std::move(values);
+  estimate.num_threads_used = run.threads_used;
+  return estimate;
 }
 
 SoftKnnUtility::SoftKnnUtility(MlDataset train, MlDataset validation, size_t k)

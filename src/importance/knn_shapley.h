@@ -5,6 +5,7 @@
 
 #include "common/result.h"
 #include "importance/estimator_options.h"
+#include "importance/game_values.h"
 #include "importance/utility.h"
 #include "ml/dataset.h"
 
@@ -29,11 +30,13 @@ namespace nde {
 /// Validation points are scored in parallel (fixed 8-point chunks with
 /// per-chunk partial sums folded in chunk order), so for any
 /// `options.num_threads` the result is bit-identical; the closed form draws
-/// no randomness, so `options.seed` is unused. Like LeaveOneOutValues, a run
-/// stopped by `options.cancel` (polled every 64 validation points) or by a
-/// lost pool task returns that cause as its Status: a closed form has no
-/// partial estimate.
-Result<std::vector<double>> KnnShapleyValues(
+/// no randomness, so `options.seed` is unused. The estimate carries the
+/// values and the threads the run fanned out over; a closed form evaluates
+/// no utility and has no std errors. Like LeaveOneOutValues, a run stopped
+/// by `options.cancel` (polled every 64 validation points) or by a lost pool
+/// task returns that cause as its Status: a closed form has no partial
+/// estimate.
+Result<ImportanceEstimate> KnnShapleyValues(
     const MlDataset& train, const MlDataset& validation, size_t k,
     const EstimatorOptions& options = {});
 

@@ -158,8 +158,9 @@ double ModelAccuracyUtility::Evaluate(const std::vector<size_t>& subset) const {
   if (context != nullptr && context->ReplacesColdFit()) {
     // Bit-identical to the retrain below by the CoalitionScorer contract,
     // but reads the context's precomputed ranks instead of recomputing
-    // |subset| x |validation| distances. TMC builds the context before its
-    // first wave, so this is how its v(N) is scored.
+    // |subset| x |validation| distances. Every game estimator builds the
+    // context before its first evaluation, so this is how they score
+    // whole coalitions.
     result = ExactScan(this, *context).Score(subset);
   } else {
     std::unique_ptr<Classifier> model = factory_();
@@ -192,7 +193,7 @@ Status ModelAccuracyUtility::BuildScorerContext(
   return Status::OK();
 }
 
-Status ModelAccuracyUtility::PreparePrefixScan(size_t num_threads) const {
+Status ModelAccuracyUtility::Prepare(size_t num_threads) const {
   return BuildScorerContext(
       [num_threads](size_t count, const std::function<void(size_t)>& body) {
         return TryParallelFor(0, count, body, num_threads,
@@ -205,9 +206,9 @@ std::unique_ptr<UtilityFunction::PrefixScan>
 ModelAccuracyUtility::NewPrefixScan(bool allow_warm_start) const {
   if (train_.size() == 0 || validation_.size() == 0) return nullptr;
   if (!scorer_context_built_.load(std::memory_order_acquire)) {
-    // Callers that skipped PreparePrefixScan build here, inline on this
-    // thread (concurrent callers wait on the mutex). No pool task runs, so
-    // there is nothing to lose.
+    // Callers that skipped Prepare build here, inline on this thread
+    // (concurrent callers wait on the mutex). No pool task runs, so there is
+    // nothing to lose.
     Status built = BuildScorerContext(nullptr);
     NDE_CHECK(built.ok()) << built.ToString();
   }

@@ -79,13 +79,14 @@ class UtilityFunction {
     return nullptr;
   }
 
-  /// Builds up front the shared state NewPrefixScan would otherwise build
-  /// lazily on its first call, fanning the work out over `num_threads`
-  /// (0 = the process-wide default). TMC-Shapley calls this once before its
-  /// first wave. A failure (such as a lost pool task) leaves the state
-  /// unbuilt, so a later call can build it. Never changes a value. Default:
-  /// nothing to build.
-  virtual Status PreparePrefixScan(size_t num_threads) const {
+  /// Builds up front the shared state that Evaluate and NewPrefixScan read,
+  /// fanning the work out over `num_threads` (0 = the process-wide default).
+  /// Every game estimator calls this once, through PrepareUtility
+  /// (importance/waves.h), before its first evaluation; NewPrefixScan still
+  /// builds lazily for callers that skip it. A failure (such as a lost pool
+  /// task) leaves the state unbuilt, so a later call can build it. Never
+  /// changes a value. Default: nothing to build.
+  virtual Status Prepare(size_t num_threads) const {
     (void)num_threads;
     return Status::OK();
   }
@@ -100,9 +101,11 @@ class UtilityFunction {
 ///     accuracy of predicting the subset's majority label on the validation
 ///     set.
 ///
-/// Coalitions train through zero-copy index views (Classifier::FitView,
-/// bit-identical to materializing them by the FitView contract), and each
-/// exact prefix scan owns one CoalitionScorer for its whole permutation.
+/// Once Prepare has built a context that ReplacesColdFit (KNN), coalitions
+/// are scored from it; otherwise they train through zero-copy index views
+/// (Classifier::FitView, bit-identical to materializing them by the FitView
+/// contract). Each exact prefix scan owns one CoalitionScorer for its whole
+/// permutation.
 class ModelAccuracyUtility : public UtilityFunction {
  public:
   ModelAccuracyUtility(ClassifierFactory factory, MlDataset train,
@@ -114,7 +117,7 @@ class ModelAccuracyUtility : public UtilityFunction {
   /// Exact scan via the model's CoalitionScorerContext when available (KNN,
   /// Gaussian NB), else a warm-started scan via Classifier::FitIncremental
   /// when `allow_warm_start`, else nullptr. Builds the context inline on the
-  /// calling thread when PreparePrefixScan has not.
+  /// calling thread when Prepare has not.
   std::unique_ptr<PrefixScan> NewPrefixScan(
       bool allow_warm_start) const override;
 
@@ -123,15 +126,15 @@ class ModelAccuracyUtility : public UtilityFunction {
   /// TryParallelFor. Once a built context ReplacesColdFit, Evaluate scores
   /// coalitions from it instead of retraining, bit-identically by the
   /// CoalitionScorer contract.
-  Status PreparePrefixScan(size_t num_threads) const override;
+  Status Prepare(size_t num_threads) const override;
 
   const MlDataset& train() const { return train_; }
   const MlDataset& validation() const { return validation_; }
 
   /// Total number of Evaluate calls so far (Monte-Carlo cost accounting).
   /// Prefix-scan pushes count too: the number reflects how often the *game*
-  /// was queried, not how often a model was trained, so it is identical with
-  /// the prefix scan on or off.
+  /// was queried, not how often a model was trained, so it is identical
+  /// whether coalitions are scored from the context or by a cold fit.
   size_t num_evaluations() const {
     return evaluations_.load(std::memory_order_relaxed);
   }
@@ -151,11 +154,10 @@ class ModelAccuracyUtility : public UtilityFunction {
   MlDataset train_;
   MlDataset validation_;
   int num_classes_;
-  /// Shared exact-scorer precomputation, built by PreparePrefixScan or the
-  /// first NewPrefixScan (it is useless — and not free — for plain Evaluate
-  /// users). Written once under the mutex, then published by the release
-  /// store of `scorer_context_built_`; a reader that sees the flag set reads
-  /// the pointer without locking.
+  /// Shared exact-scorer precomputation, built by Prepare or the first
+  /// NewPrefixScan, never by Evaluate itself. Written once under the mutex,
+  /// then published by the release store of `scorer_context_built_`; a
+  /// reader that sees the flag set reads the pointer without locking.
   mutable std::mutex scorer_context_mu_;
   mutable std::shared_ptr<const CoalitionScorerContext> scorer_context_;
   mutable std::atomic<bool> scorer_context_built_{false};

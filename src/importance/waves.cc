@@ -16,6 +16,34 @@
 
 namespace nde {
 
+namespace {
+
+/// The one abort record behind RunWaves and PrepareUtility: counts
+/// `estimator.aborted`, marks health degraded unless the cause is a cancel
+/// (not a fault), and logs where `phase` stopped.
+void RecordAbort(const char* phase, const std::string& where,
+                 const Status& cause) {
+  NDE_METRIC_COUNT("estimator.aborted", 1);
+  if (cause.code() != StatusCode::kCancelled) {
+    telemetry::SetDegraded(cause.ToString());
+  }
+  NDE_LOG(WARNING) << phase << " aborted " << where << ": "
+                   << cause.ToString();
+}
+
+}  // namespace
+
+Status PrepareUtility(const UtilityFunction& utility,
+                      const EstimatorOptions& options, const char* phase) {
+  NDE_TRACE_SPAN("scorer_context", "importance");
+  telemetry::AllocationScope context_alloc("scorer_context");
+  Status prepared = utility.Prepare(options.num_threads);
+  // No wave ran, so there is no partial estimate: the cause is the run's
+  // Status (DESIGN.md §11).
+  if (!prepared.ok()) RecordAbort(phase, "before its first wave", prepared);
+  return prepared;
+}
+
 WaveOutcome RunWaves(const EstimatorOptions& options, const char* phase,
                      const char* label, size_t num_tasks, size_t wave_size,
                      const std::function<Status(size_t)>& task,
@@ -75,14 +103,11 @@ WaveOutcome RunWaves(const EstimatorOptions& options, const char* phase,
     }
   }
   if (!outcome.abort_cause.ok()) {
-    NDE_METRIC_COUNT("estimator.aborted", 1);
-    if (outcome.abort_cause.code() != StatusCode::kCancelled) {
-      telemetry::SetDegraded(outcome.abort_cause.ToString());
-    }
     size_t num_waves = (num_tasks + wave_size - 1) / wave_size;
-    NDE_LOG(WARNING) << phase << " aborted after " << waves_done << "/"
-                     << num_waves
-                     << " waves: " << outcome.abort_cause.ToString();
+    RecordAbort(phase,
+                "after " + std::to_string(waves_done) + "/" +
+                    std::to_string(num_waves) + " waves",
+                outcome.abort_cause);
   }
   return outcome;
 }

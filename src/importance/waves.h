@@ -14,9 +14,21 @@
 namespace nde {
 
 /// Internal to the importance estimators: the one wave loop behind LOO,
-/// TMC-Shapley, Banzhaf, Beta-Shapley and KNN-Shapley, and the retry policy
-/// their utility evaluations share. DESIGN.md §8 (determinism) and §11
-/// (abort and cancel) describe the contracts this loop enforces.
+/// TMC-Shapley, Banzhaf, Beta-Shapley and KNN-Shapley, the prelude the game
+/// estimators run before it, and the retry policy their utility evaluations
+/// share. DESIGN.md §8 (determinism) and §11 (abort and cancel) describe the
+/// contracts this loop enforces.
+
+/// The scorer-context prelude: builds the utility's shared state
+/// (UtilityFunction::Prepare) on `options.num_threads` under a
+/// `scorer_context` span and allocation phase. LOO, TMC-Shapley, Banzhaf and
+/// Beta-Shapley call it once, before their first evaluation, so a KNN
+/// utility scores every coalition from its context rather than a cold fit. A
+/// failed build (such as a lost pool task) is recorded like a zero-wave
+/// abort of `phase` — `estimator.aborted`, degraded health, a warning — and
+/// returned; the state stays unbuilt, so a later call builds it.
+Status PrepareUtility(const UtilityFunction& utility,
+                      const EstimatorOptions& options, const char* phase);
 
 /// What a fold reports after reducing one wave: the progress fields, plus
 /// whether the estimator's convergence test passed at this boundary.

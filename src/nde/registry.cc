@@ -306,10 +306,6 @@ class TmcShapleyAlgorithm final : public GameAlgorithm {
                "take remaining marginals as zero once |v(prefix) - v(N)| "
                "falls below this (0 disables truncation)",
                &options_.truncation_tolerance, 0.0, false);
-    BindBool("use_prefix_scan",
-             "scan each permutation incrementally (exact for knn and "
-             "gaussian_nb; false retrains on every prefix)",
-             &options_.use_prefix_scan);
     BindBool("warm_start",
              "allow approximate warm-started prefix training for models "
              "without an exact scan (logreg)", &options_.warm_start);
@@ -392,11 +388,7 @@ class KnnShapleyAlgorithm final : public AlgorithmInstance {
     NDE_RETURN_IF_ERROR(CheckTrainValidation(*this, input, true));
     EstimatorOptions options = options_;
     ApplyRuntime(&options);
-    ImportanceEstimate estimate;
-    NDE_ASSIGN_OR_RETURN(
-        estimate.values,
-        KnnShapleyValues(*input.train, *input.validation, k_, options));
-    return estimate;
+    return KnnShapleyValues(*input.train, *input.validation, k_, options);
   }
 
  private:
@@ -428,14 +420,9 @@ class DatascopeAlgorithm final : public AlgorithmInstance {
     }
     EstimatorOptions options = options_;
     ApplyRuntime(&options);
-    NDE_ASSIGN_OR_RETURN(
-        std::vector<double> values,
-        KnnShapleyOverPipeline(*input.pipeline_output, *input.validation,
-                               input.source_table_id, input.num_source_rows,
-                               k_, options));
-    ImportanceEstimate estimate;
-    estimate.values = std::move(values);
-    return estimate;
+    return KnnShapleyOverPipeline(*input.pipeline_output, *input.validation,
+                                  input.source_table_id, input.num_source_rows,
+                                  k_, options);
   }
 
  private:

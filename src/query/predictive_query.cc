@@ -84,7 +84,9 @@ Result<std::vector<double>> AggregateAttribution(
   MlDataset pseudo_validation;
   pseudo_validation.features = query_features.SelectRows(rows);
   pseudo_validation.labels.assign(rows.size(), 1);
-  return KnnShapleyValues(train, pseudo_validation, k);
+  NDE_ASSIGN_OR_RETURN(ImportanceEstimate estimate,
+                       KnnShapleyValues(train, pseudo_validation, k));
+  return std::move(estimate.values);
 }
 
 Result<std::vector<size_t>> ComplaintDrivenRanking(

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -301,7 +302,6 @@ TEST_F(ChaosTest, RetryRecoversProbabilisticFaultsOnThePrefixScanPath) {
   options.seed = 11;
   options.max_retries = 10;
   options.retry_backoff_ms = 0;
-  options.use_prefix_scan = true;
   Result<ImportanceEstimate> clean = TmcShapleyValues(utility, options);
   ASSERT_TRUE(clean.ok());
 
@@ -373,10 +373,11 @@ TEST_F(ChaosTest, ExhaustedRetriesAbortWithCause) {
   EXPECT_FALSE(telemetry::IsHealthy());
 }
 
-/// On a real KNN utility, TMC's prelude ranks the training rows for blocks
-/// of validation points over pool tasks — the first ones of the run — so the
-/// pool's failpoint can kill the build itself. No wave ran: the fault is the run's typed Status, and the
-/// context stays unbuilt for the next call to build.
+/// On a real KNN utility, every game estimator's prelude ranks the training
+/// rows for blocks of validation points over pool tasks — the first ones of
+/// the run — so the pool's failpoint can kill the build itself. No wave ran
+/// and no coalition was evaluated: the fault is the run's typed Status, and
+/// the context stays unbuilt for the next call to build.
 TEST_F(ChaosTest, PoolFaultDuringScorerContextBuildIsTypedAndRetryable) {
   BlobsOptions blobs;
   blobs.num_examples = 40;
@@ -387,36 +388,71 @@ TEST_F(ChaosTest, PoolFaultDuringScorerContextBuildIsTypedAndRetryable) {
   blobs.seed = 6;
   MlDataset validation = MakeBlobs(blobs);
   ClassifierFactory knn = [] { return std::make_unique<KnnClassifier>(3); };
-  TmcShapleyOptions options;
-  options.num_permutations = 8;
-  options.num_threads = 4;
-  options.seed = 13;
+  using Estimator =
+      std::function<Result<ImportanceEstimate>(const UtilityFunction&)>;
+  const std::vector<std::pair<std::string, Estimator>> estimators = {
+      {"loo",
+       [](const UtilityFunction& utility) {
+         EstimatorOptions options;
+         options.num_threads = 4;
+         return LeaveOneOutValues(utility, options);
+       }},
+      {"tmc_shapley",
+       [](const UtilityFunction& utility) {
+         TmcShapleyOptions options;
+         options.num_permutations = 8;
+         options.num_threads = 4;
+         options.seed = 13;
+         return TmcShapleyValues(utility, options);
+       }},
+      {"banzhaf",
+       [](const UtilityFunction& utility) {
+         BanzhafOptions options;
+         options.num_samples = 32;
+         options.num_threads = 4;
+         options.seed = 13;
+         return BanzhafValues(utility, options);
+       }},
+      {"beta_shapley",
+       [](const UtilityFunction& utility) {
+         BetaShapleyOptions options;
+         options.samples_per_unit = 4;
+         options.num_threads = 4;
+         options.seed = 13;
+         return BetaShapleyValues(utility, options);
+       }},
+  };
 
-  ModelAccuracyUtility utility(knn, train, validation);
-  ASSERT_TRUE(
-      failpoint::Arm("threadpool.task=error(unavailable:worker fault)#1x1")
-          .ok());
-  Result<ImportanceEstimate> faulted = TmcShapleyValues(utility, options);
-  ASSERT_FALSE(faulted.ok());
-  EXPECT_EQ(faulted.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(faulted.status().message().find("worker fault"),
-            std::string::npos);
-  EXPECT_EQ(FiresFor("threadpool.task"), 1u);
-  EXPECT_EQ(utility.num_evaluations(), 0u);  // The build precedes v(empty).
-  EXPECT_FALSE(telemetry::IsHealthy());
+  for (const auto& [name, run] : estimators) {
+    SCOPED_TRACE(name);
+    Reset();
+    ModelAccuracyUtility utility(knn, train, validation);
+    ASSERT_TRUE(
+        failpoint::Arm("threadpool.task=error(unavailable:worker fault)#1x1")
+            .ok());
+    Result<ImportanceEstimate> faulted = run(utility);
+    ASSERT_FALSE(faulted.ok());
+    EXPECT_EQ(faulted.status().code(), StatusCode::kUnavailable);
+    EXPECT_NE(faulted.status().message().find("worker fault"),
+              std::string::npos);
+    EXPECT_EQ(FiresFor("threadpool.task"), 1u);
+    // The build precedes the first evaluation.
+    EXPECT_EQ(utility.num_evaluations(), 0u);
+    EXPECT_FALSE(telemetry::IsHealthy());
 
-  // Rerunning on the same utility builds the context and matches a fresh
-  // utility bit for bit.
-  failpoint::DisarmAll();
-  Result<ImportanceEstimate> rerun = TmcShapleyValues(utility, options);
-  ModelAccuracyUtility fresh(knn, train, validation);
-  Result<ImportanceEstimate> clean = TmcShapleyValues(fresh, options);
-  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  EXPECT_EQ(rerun->values, clean->values);
-  EXPECT_EQ(rerun->std_errors, clean->std_errors);
-  EXPECT_EQ(rerun->utility_evaluations, clean->utility_evaluations);
-  EXPECT_EQ(utility.num_evaluations(), fresh.num_evaluations());
+    // Rerunning on the same utility builds the context and matches a fresh
+    // utility bit for bit.
+    failpoint::DisarmAll();
+    Result<ImportanceEstimate> rerun = run(utility);
+    ModelAccuracyUtility fresh(knn, train, validation);
+    Result<ImportanceEstimate> clean = run(fresh);
+    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_EQ(rerun->values, clean->values);
+    EXPECT_EQ(rerun->std_errors, clean->std_errors);
+    EXPECT_EQ(rerun->utility_evaluations, clean->utility_evaluations);
+    EXPECT_EQ(utility.num_evaluations(), fresh.num_evaluations());
+  }
 }
 
 TEST_F(ChaosTest, KeyedDecisionBitmapIsThreadScheduleInvariant) {

@@ -64,6 +64,9 @@ fi
 "$CLI" importance train.csv --label label --top 5 --permutations 4 \
     --metrics --trace out.json > pipeline_out.txt 2> pipeline_err.txt \
     || fail "pipeline-mode importance failed"
+"$CLI" importance train.csv --label label --top 5 --method banzhaf \
+    --trace banzhaf_trace.json > /dev/null 2>&1 \
+    || fail "banzhaf importance with --trace failed"
 [ "$(grep -c '^[0-9]\+$' pipeline_out.txt)" -eq 5 ] \
     || fail "pipeline-mode importance did not print 5 candidate ids"
 # The annotated plan printout lists per-operator rows and timings.
@@ -80,8 +83,12 @@ else
       || fail "metrics table missing pipeline counters"
   grep -q '"ph":"X"' out.json || fail "trace file lacks complete events"
   grep -q 'tmc_permutation' out.json || fail "trace lacks Shapley iteration spans"
-  grep -q '"scorer_context"' out.json \
-      || fail "trace lacks the scorer-context prelude span"
+  # Every game estimator builds the scorer context before its first
+  # evaluation, under its own span.
+  for trace in out.json banzhaf_trace.json; do
+    grep -q '"scorer_context"' "$trace" \
+        || fail "$trace lacks the scorer-context prelude span"
+  done
 fi
 
 # --- --threads: parallel runs match the serial run ---------------------------
@@ -130,30 +137,7 @@ for flag in "--port x" "--port 65536" "--job-workers 0" "--max-queue -1"; do
   grep -q "serving on" err.txt && fail "serve bound a port before rejecting $flag"
 done
 
-# --- prefix-scan kernels: rankings match retraining on every prefix ----------
-# The exact coalition scorers (the SoA KNN kernel, the incremental Gaussian-NB
-# scorer) must rank exactly as retraining per prefix does, end to end through
-# the CLI. Three noisy classes keep KNN windows and NB class moments busy;
-# the Park-Miller generator keeps the fixture identical under any awk.
-awk 'BEGIN {
-  s = 11
-  print "x0,x1,x2,label"
-  for (i = 0; i < 90; i++) {
-    label = i % 3
-    cx = (label == 0) ? -1.5 : (label == 1 ? 1.5 : 0.0)
-    cy = (label == 0) ? 0.0 : (label == 1 ? 1.0 : -1.5)
-    for (f = 0; f < 3; f++) {
-      noise = 0
-      for (j = 0; j < 3; j++) {
-        s = (s * 16807) % 2147483647
-        noise += s / 2147483647
-      }
-      x[f] = noise * 2 - 3
-    }
-    printf "%.4f,%.4f,%.4f,%d\n", cx + x[0], cy + x[1], x[2], label
-  }
-}' > blobs.csv
-
+# --- the neighbor order's NaN rule, end to end --------------------------------
 # One `inf` cell: scaling turns its whole column into NaN, so every distance
 # is NaN and only the order's NaN rule and index tie-break rank neighbors.
 awk 'BEGIN {
@@ -168,25 +152,8 @@ awk 'BEGIN {
   }
 }' > inf.csv
 
-# Keeps only the ranking block: the timing lines above it legitimately differ
-# run to run.
-run_ranking() {
-  local csv="$1" out="$2"
-  shift 2
-  "$CLI" importance "$csv" --label label --method tmc_shapley \
-      --permutations 6 --top 30 --seed 5 "$@" \
-      | sed -n '/cleaning candidates/,$p' > "$out"
-  [ -s "$out" ] || fail "no ranking output for $out"
-}
-for csv in blobs.csv inf.csv; do
-  run_ranking "$csv" knn_kernel.txt
-  run_ranking "$csv" knn_slow.txt --set use_prefix_scan=false
-  cmp -s knn_slow.txt knn_kernel.txt \
-      || fail "KNN kernel ranking differs from the slow path on $csv"
-done
-# The closed forms rank through the full neighbor order; on inf.csv every
-# distance is NaN, so only its NaN rule and index tie-break order the rows,
-# and that order must not depend on the thread count.
+# The closed forms rank through the full neighbor order, and on inf.csv that
+# order must not depend on the thread count.
 for method in knn_shapley datascope; do
   for threads in 1 4; do
     "$CLI" importance inf.csv --label label --method "$method" --top 300 \
@@ -198,11 +165,6 @@ for method in knn_shapley datascope; do
   cmp -s "${method}_threads1.txt" "${method}_threads4.txt" \
       || fail "$method ranks inf.csv differently at --threads 4 than at 1"
 done
-run_ranking blobs.csv nb_kernel.txt --model gaussian_nb
-run_ranking blobs.csv nb_slow.txt --model gaussian_nb \
-    --set use_prefix_scan=false
-cmp -s nb_slow.txt nb_kernel.txt \
-    || fail "Gaussian-NB kernel ranking differs from the slow path"
 
 # --- observability flags: --report / --log-level / --log-json / --serve ------
 "$CLI" importance train.csv --label label --top 5 --permutations 8 \
@@ -479,6 +441,14 @@ grep -q "no option 'bogus'" err.txt \
 [ $? -eq 2 ] || fail "--set float32=true should exit 2"
 grep -q "no option 'float32'" err.txt \
     || fail "retired --set option error should name the option"
+# So is the switch that skipped TMC's prefix scan: every game estimator now
+# scores from the scorer context, and the cold reference it selected lives
+# in the determinism suite.
+"$CLI" importance train.csv --label label --set use_prefix_scan=false \
+    > /dev/null 2> err.txt
+[ $? -eq 2 ] || fail "--set use_prefix_scan=false should exit 2"
+grep -q "algorithm 'tmc_shapley' has no option 'use_prefix_scan'" err.txt \
+    || fail "retired --set use_prefix_scan error should name the option"
 # Each algorithm lists only the options its estimator reads: the closed-form
 # KNN-Shapley draws no randomness, so it has no seed to set.
 "$CLI" importance train.csv --label label --method knn_shapley --set seed=3 \

@@ -97,9 +97,12 @@ TEST(KnnShapleyOverPipelineTest, IdentityPipelineMatchesFlatKnnShapley) {
       KnnShapleyOverPipeline(fixture.output, validation, /*table=*/0,
                              fixture.pipeline.sources()[0].table.num_rows(),
                              /*k=*/3)
-          .value();
+          .value()
+          .values;
   std::vector<double> flat_values =
-      KnnShapleyValues(fixture.output.ToDataset(), validation, 3).value();
+      KnnShapleyValues(fixture.output.ToDataset(), validation, 3)
+          .value()
+          .values;
   ASSERT_EQ(pipeline_values.size(), flat_values.size());
   for (size_t i = 0; i < flat_values.size(); ++i) {
     EXPECT_NEAR(pipeline_values[i], flat_values[i], 1e-12);
@@ -117,7 +120,8 @@ TEST(KnnShapleyOverPipelineTest, CorruptedSourceRowsScoreLow) {
   std::vector<double> values =
       KnnShapleyOverPipeline(fixture.output, validation, 0,
                              fixture.pipeline.sources()[0].table.num_rows(), 5)
-          .value();
+          .value()
+          .values;
   double corrupted_mean = 0.0;
   for (size_t i : corrupted) corrupted_mean += values[i];
   corrupted_mean /= static_cast<double>(corrupted.size());
@@ -155,9 +159,9 @@ TEST(KnnShapleyOverPipelineTest, JoinFanOutAggregatesChildValues) {
   validation.labels = {0, 1};
 
   std::vector<double> output_values =
-      KnnShapleyValues(output.ToDataset(), validation, 1).value();
+      KnnShapleyValues(output.ToDataset(), validation, 1).value().values;
   std::vector<double> left_values =
-      KnnShapleyOverPipeline(output, validation, 0, 2, 1).value();
+      KnnShapleyOverPipeline(output, validation, 0, 2, 1).value().values;
   // Left row 0 feeds the three join results with k=1.
   double expected_row0 = 0.0;
   for (size_t r = 0; r < output.size(); ++r) {

@@ -5,12 +5,14 @@
 // {1, 2, 8} to early stopping, the utility fast path and kernels, the
 // observability hooks, and the serving layer.
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +41,8 @@
 #include "telemetry/run_report.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
+
+#include "cold_reference.h"
 
 namespace nde {
 namespace {
@@ -104,11 +108,11 @@ TEST(DeterminismTest, NumThreadsUsedIsReported) {
 }
 
 // ---------------------------------------------------------------------------
-// Utility fast path (DESIGN.md §9): the prefix-scan exact scorer must leave
-// estimates bit-identical — same values, same std errors, same eval counts —
-// on or off, at every thread count. Warm start is the one *opt-in
-// approximate* knob; its results must still be identical across thread
-// counts.
+// Utility fast path (DESIGN.md §9): the scorer context every game estimator
+// builds, and TMC's prefix scan over it, must leave estimates bit-identical —
+// same values, same std errors, same eval counts — to the cold reference, at
+// every thread count. Warm start is the one *opt-in approximate* knob; its
+// results must still be identical across thread counts.
 // ---------------------------------------------------------------------------
 
 MlDataset FastPathTrain() {
@@ -133,6 +137,10 @@ ClassifierFactory KnnFactory() {
   return []() { return std::make_unique<KnnClassifier>(3); };
 }
 
+ClassifierFactory NbFactory() {
+  return []() { return std::make_unique<GaussianNaiveBayes>(); };
+}
+
 ClassifierFactory SmallLogregFactory() {
   LogisticRegressionOptions options;
   options.epochs = 30;
@@ -151,26 +159,28 @@ TEST(FastPathBitIdentityTest, TmcIdenticalAcrossAllFastPathConfigs) {
   MlDataset train = FastPathTrain();
   MlDataset validation = FastPathValidation();
 
-  // Baseline: no prefix scan, single-threaded.
+  // Baseline: the cold reference, single-threaded.
   ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation);
   TmcShapleyOptions baseline_options = FastPathTmcOptions();
-  baseline_options.use_prefix_scan = false;
   baseline_options.num_threads = 1;
   ImportanceEstimate baseline =
-      TmcShapleyValues(baseline_utility, baseline_options).value();
+      TmcShapleyValues(ColdReference(baseline_utility), baseline_options)
+          .value();
 
-  for (bool prefix_scan : {false, true}) {
+  for (bool cold : {true, false}) {
     for (bool warm_start : {false, true}) {
       for (size_t threads : kThreadCounts) {
         ModelAccuracyUtility utility(KnnFactory(), train, validation);
+        ColdReference reference(utility);
         TmcShapleyOptions options = FastPathTmcOptions();
-        options.use_prefix_scan = prefix_scan;
         // KNN has an exact scorer, so opting into warm start must be a no-op
         // for values.
         options.warm_start = warm_start;
         options.num_threads = threads;
-        ImportanceEstimate run = TmcShapleyValues(utility, options).value();
-        std::string config = "prefix_scan=" + std::to_string(prefix_scan) +
+        ImportanceEstimate run = (cold ? TmcShapleyValues(reference, options)
+                                       : TmcShapleyValues(utility, options))
+                                     .value();
+        std::string config = "cold=" + std::to_string(cold) +
                              " warm_start=" + std::to_string(warm_start) +
                              " threads=" + std::to_string(threads);
         EXPECT_EQ(run.values, baseline.values) << config;
@@ -185,48 +195,109 @@ TEST(FastPathBitIdentityTest, TmcIdenticalAcrossAllFastPathConfigs) {
   }
 }
 
-TEST(FastPathBitIdentityTest, BanzhafIdenticalAcrossThreads) {
-  MlDataset train = FastPathTrain();
-  MlDataset validation = FastPathValidation();
-  BanzhafOptions options;
-  options.num_samples = 120;
-  options.seed = 9;
+/// One game estimator at a given thread count, with this suite's budgets.
+struct GameEstimator {
+  const char* name;
+  std::function<Result<ImportanceEstimate>(const UtilityFunction&, size_t)>
+      run;
+};
 
-  ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation);
-  options.num_threads = 1;
-  ImportanceEstimate baseline = BanzhafValues(baseline_utility, options).value();
-
-  for (size_t threads : kThreadCounts) {
-    ModelAccuracyUtility utility(KnnFactory(), train, validation);
-    options.num_threads = threads;
-    ImportanceEstimate run = BanzhafValues(utility, options).value();
-    EXPECT_EQ(run.values, baseline.values) << "threads=" << threads;
-    EXPECT_EQ(run.std_errors, baseline.std_errors);
-    EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations);
-  }
+std::vector<GameEstimator> GameEstimators() {
+  return {
+      {"loo",
+       [](const UtilityFunction& utility, size_t threads) {
+         EstimatorOptions options;
+         options.num_threads = threads;
+         return LeaveOneOutValues(utility, options);
+       }},
+      {"tmc_shapley",
+       [](const UtilityFunction& utility, size_t threads) {
+         TmcShapleyOptions options = FastPathTmcOptions();
+         options.num_threads = threads;
+         return TmcShapleyValues(utility, options);
+       }},
+      {"banzhaf",
+       [](const UtilityFunction& utility, size_t threads) {
+         BanzhafOptions options;
+         options.num_samples = 120;
+         options.seed = 9;
+         options.num_threads = threads;
+         return BanzhafValues(utility, options);
+       }},
+      {"beta_shapley",
+       [](const UtilityFunction& utility, size_t threads) {
+         BetaShapleyOptions options;
+         options.alpha = 1.0;
+         options.beta = 16.0;
+         options.samples_per_unit = 6;
+         options.seed = 31;
+         options.num_threads = threads;
+         return BetaShapleyValues(utility, options);
+       }},
+  };
 }
 
-TEST(FastPathBitIdentityTest, BetaShapleyIdenticalAcrossThreads) {
-  MlDataset train = FastPathTrain();
-  MlDataset validation = FastPathValidation();
-  BetaShapleyOptions options;
-  options.alpha = 1.0;
-  options.beta = 16.0;
-  options.samples_per_unit = 6;
-  options.seed = 31;
+MlDataset ThreeClassBlobs(size_t n, uint64_t seed) {
+  BlobsOptions blob;
+  blob.num_examples = n;
+  blob.num_features = 4;
+  blob.num_classes = 3;
+  blob.seed = seed;
+  blob.center_seed = 99;
+  return MakeBlobs(blob);
+}
 
-  ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation);
-  options.num_threads = 1;
-  ImportanceEstimate baseline =
-      BetaShapleyValues(baseline_utility, options).value();
-
-  for (size_t threads : kThreadCounts) {
-    ModelAccuracyUtility utility(KnnFactory(), train, validation);
-    options.num_threads = threads;
-    ImportanceEstimate run = BetaShapleyValues(utility, options).value();
-    EXPECT_EQ(run.values, baseline.values) << "threads=" << threads;
-    EXPECT_EQ(run.std_errors, baseline.std_errors);
-    EXPECT_EQ(run.utility_evaluations, baseline.utility_evaluations);
+TEST(FastPathBitIdentityTest, EveryGameEstimatorMatchesTheColdReference) {
+  // Each estimator prepares its utility before the first evaluation, so a
+  // KNN utility scores every coalition from its scorer context and trains
+  // only the model that builds it. Three classes keep KNN windows and NB
+  // class moments busy. The last training set has one NaN feature in every
+  // row, so every distance is NaN and only the neighbor order's NaN rule and
+  // index tie-break rank the rows (what one `inf` CSV cell does to a scaled
+  // column).
+  MlDataset nan_train = FastPathTrain();
+  for (size_t r = 0; r < nan_train.size(); ++r) {
+    nan_train.features(r, 0) = std::nan("");
+  }
+  struct Input {
+    std::string name;
+    MlDataset train;
+    MlDataset validation;
+  };
+  const std::vector<Input> inputs = {
+      {"blobs", FastPathTrain(), FastPathValidation()},
+      {"three_classes", ThreeClassBlobs(24, 19), ThreeClassBlobs(15, 20)},
+      {"nan_distances", nan_train, FastPathValidation()}};
+  const std::vector<std::pair<std::string, ClassifierFactory>> models = {
+      {"knn", KnnFactory()}, {"gaussian_nb", NbFactory()}};
+  for (const auto& [model_name, factory] : models) {
+    for (const auto& [input_name, train, validation] : inputs) {
+      for (const GameEstimator& estimator : GameEstimators()) {
+        SCOPED_TRACE(model_name + " on " + input_name + ", " +
+                     estimator.name);
+        ModelAccuracyUtility cold_utility(factory, train, validation);
+        ImportanceEstimate cold =
+            estimator.run(ColdReference(cold_utility), 1).value();
+        for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+          SCOPED_TRACE(threads);
+          std::atomic<size_t> models_trained{0};
+          ModelAccuracyUtility utility(
+              [&models_trained, &factory] {
+                models_trained.fetch_add(1, std::memory_order_relaxed);
+                return factory();
+              },
+              train, validation);
+          ImportanceEstimate run = estimator.run(utility, threads).value();
+          EXPECT_EQ(run.values, cold.values);
+          EXPECT_EQ(run.std_errors, cold.std_errors);
+          EXPECT_EQ(run.utility_evaluations, cold.utility_evaluations);
+          EXPECT_EQ(utility.num_evaluations(), cold_utility.num_evaluations());
+          if (model_name == "knn") {
+            EXPECT_EQ(models_trained.load(), 1u);
+          }
+        }
+      }
+    }
   }
 }
 
@@ -264,12 +335,11 @@ TEST(FastPathBitIdentityTest,
   options.num_threads = 1;
 
   ModelAccuracyUtility scan_utility(SmallLogregFactory(), train, validation);
-  options.use_prefix_scan = true;
   ImportanceEstimate with_scan = TmcShapleyValues(scan_utility, options).value();
 
   ModelAccuracyUtility plain_utility(SmallLogregFactory(), train, validation);
-  options.use_prefix_scan = false;
-  ImportanceEstimate plain = TmcShapleyValues(plain_utility, options).value();
+  ImportanceEstimate plain =
+      TmcShapleyValues(ColdReference(plain_utility), options).value();
 
   EXPECT_EQ(with_scan.values, plain.values);
   EXPECT_EQ(with_scan.std_errors, plain.std_errors);
@@ -279,7 +349,7 @@ TEST(FastPathBitIdentityTest,
 // ---------------------------------------------------------------------------
 // Coalition-scoring kernels (DESIGN.md §14): the SoA KNN kernel and the
 // incremental Gaussian-NB scorer must be bit-identical to the slow path
-// (retraining per prefix) at every thread count.
+// (the cold reference, retraining per prefix) at every thread count.
 // ---------------------------------------------------------------------------
 
 TEST(KernelBitIdentityTest, KnnSoaIdenticalToSlowPathAcrossThreads) {
@@ -288,15 +358,14 @@ TEST(KernelBitIdentityTest, KnnSoaIdenticalToSlowPathAcrossThreads) {
 
   ModelAccuracyUtility baseline_utility(KnnFactory(), train, validation);
   TmcShapleyOptions baseline_options = FastPathTmcOptions();
-  baseline_options.use_prefix_scan = false;
   baseline_options.num_threads = 1;
   ImportanceEstimate baseline =
-      TmcShapleyValues(baseline_utility, baseline_options).value();
+      TmcShapleyValues(ColdReference(baseline_utility), baseline_options)
+          .value();
 
   for (size_t threads : kThreadCounts) {
     ModelAccuracyUtility utility(KnnFactory(), train, validation);
     TmcShapleyOptions options = FastPathTmcOptions();
-    options.use_prefix_scan = true;
     options.num_threads = threads;
     ImportanceEstimate run = TmcShapleyValues(utility, options).value();
     std::string config = "threads=" + std::to_string(threads);
@@ -309,21 +378,20 @@ TEST(KernelBitIdentityTest, KnnSoaIdenticalToSlowPathAcrossThreads) {
 TEST(KernelBitIdentityTest, ScorerContextBuildThreadCountChangesNoBits) {
   // TMC builds the scorer context before its first wave and scores v(N)
   // from it. The build's own thread count must not move a bit: a context
-  // built on 1, 2 or 8 threads (waves fixed at 2) yields the cold slow
-  // path's values, std errors and eval counts.
+  // built on 1, 2 or 8 threads (waves fixed at 2) yields the cold
+  // reference's values, std errors and eval counts.
   MlDataset train = FastPathTrain();
   MlDataset validation = FastPathValidation();
   TmcShapleyOptions options = FastPathTmcOptions();
-  options.use_prefix_scan = false;
   options.num_threads = 1;
   ModelAccuracyUtility cold_utility(KnnFactory(), train, validation);
-  ImportanceEstimate cold = TmcShapleyValues(cold_utility, options).value();
+  ImportanceEstimate cold =
+      TmcShapleyValues(ColdReference(cold_utility), options).value();
 
-  options.use_prefix_scan = true;
   options.num_threads = 2;
   for (size_t build_threads : kThreadCounts) {
     ModelAccuracyUtility utility(KnnFactory(), train, validation);
-    ASSERT_TRUE(utility.PreparePrefixScan(build_threads).ok());
+    ASSERT_TRUE(utility.Prepare(build_threads).ok());
     ImportanceEstimate run = TmcShapleyValues(utility, options).value();
     std::string label = "build_threads=" + std::to_string(build_threads);
     EXPECT_EQ(run.values, cold.values) << label;
@@ -338,17 +406,15 @@ TEST(KernelBitIdentityTest, GaussianNbScanIdenticalToRetrainingAcrossThreads) {
   // permutations induce and at any thread count.
   MlDataset train = FastPathTrain();
   MlDataset validation = FastPathValidation();
-  auto factory = []() { return std::make_unique<GaussianNaiveBayes>(); };
   TmcShapleyOptions options = FastPathTmcOptions();
 
-  options.use_prefix_scan = false;
   options.num_threads = 1;
-  ModelAccuracyUtility slow_utility(factory, train, validation);
-  ImportanceEstimate baseline = TmcShapleyValues(slow_utility, options).value();
+  ModelAccuracyUtility slow_utility(NbFactory(), train, validation);
+  ImportanceEstimate baseline =
+      TmcShapleyValues(ColdReference(slow_utility), options).value();
 
-  options.use_prefix_scan = true;
   for (size_t threads : kThreadCounts) {
-    ModelAccuracyUtility utility(factory, train, validation);
+    ModelAccuracyUtility utility(NbFactory(), train, validation);
     options.num_threads = threads;
     ImportanceEstimate run = TmcShapleyValues(utility, options).value();
     EXPECT_EQ(run.values, baseline.values) << "threads=" << threads;

@@ -103,13 +103,6 @@ Outcome FromEstimate(const Result<ImportanceEstimate>& result) {
   return outcome;
 }
 
-Outcome FromValues(const Result<std::vector<double>>& result) {
-  Outcome outcome;
-  outcome.status = result.status();
-  if (result.ok()) outcome.values = *result;
-  return outcome;
-}
-
 void ExpectSameOutcome(const Outcome& a, const Outcome& b) {
   EXPECT_EQ(a.status.ToString(), b.status.ToString());
   EXPECT_EQ(a.values, b.values);
@@ -232,7 +225,7 @@ struct KnnShapleyTraits {
   static constexpr bool kEvaluatesUtility = false;
 
   static Outcome Run(size_t budget, const EstimatorOptions& options) {
-    return FromValues(
+    return FromEstimate(
         KnnShapleyValues(Blobs(30, 42), Blobs(budget, 43), 3, options));
   }
   /// The closed form checks its datasets with NDE_CHECK; it has no

@@ -277,7 +277,7 @@ TEST(KnnShapleyTest, MatchesExactEnumerationOfItsGame) {
     SoftKnnUtility game(train, validation, k);
     std::vector<double> exact = ExactShapleyValues(game).value();
     std::vector<double> closed_form =
-        KnnShapleyValues(train, validation, k).value();
+        KnnShapleyValues(train, validation, k).value().values;
     ASSERT_EQ(exact.size(), closed_form.size());
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_NEAR(closed_form[i], exact[i], 1e-9) << "k=" << k << " i=" << i;
@@ -292,7 +292,8 @@ TEST(KnnShapleyTest, EfficiencySumsToFullUtility) {
   val_options.seed = 77;
   MlDataset validation = MakeBlobs(val_options);
   size_t k = 5;
-  std::vector<double> values = KnnShapleyValues(train, validation, k).value();
+  std::vector<double> values =
+      KnnShapleyValues(train, validation, k).value().values;
   SoftKnnUtility game(train, validation, k);
   double total = std::accumulate(values.begin(), values.end(), 0.0);
   EXPECT_NEAR(total, game.FullUtility(), 1e-9);
@@ -304,7 +305,7 @@ TEST(KnnShapleyTest, FlippedLabelsGetLowValues) {
   Rng rng(13);
   std::vector<size_t> corrupted = InjectLabelErrors(&dirty, 0.1, &rng);
   std::vector<double> values =
-      KnnShapleyValues(dirty, splits.valid, 5).value();
+      KnnShapleyValues(dirty, splits.valid, 5).value().values;
 
   double corrupted_mean = 0.0;
   double clean_mean = 0.0;
@@ -565,11 +566,11 @@ TEST(ModelAccuracyUtilityTest, ZeroCopyViewsMatchMaterializedSubsets) {
 }
 
 TEST(ModelAccuracyUtilityTest, BuiltContextServesKnnFullSetButNotNb) {
-  // Once the scorer context is built (TMC's prelude), v(N) comes from it —
-  // training no model — only where the context ReplacesColdFit: KNN's
-  // kernel. Gaussian NB keeps the cold fit (its scorer recomputes the pushed
-  // class's moments over all members on every Add, so a full set through it
-  // is quadratic in n). Every value equals the cold one.
+  // Once the scorer context is built (the estimators' prelude), v(N) comes
+  // from it — training no model — only where the context ReplacesColdFit:
+  // KNN's kernel. Gaussian NB keeps the cold fit (its scorer recomputes the
+  // pushed class's moments over all members on every Add, so a full set
+  // through it is quadratic in n). Every value equals the cold one.
   BlobsOptions options;
   options.num_examples = 30;
   options.seed = 41;
@@ -595,7 +596,7 @@ TEST(ModelAccuracyUtilityTest, BuiltContextServesKnnFullSetButNotNb) {
           return c.model();
         },
         train, validation);
-    ASSERT_TRUE(utility.PreparePrefixScan(2).ok()) << c.name;
+    ASSERT_TRUE(utility.Prepare(2).ok()) << c.name;
     size_t after_build = models;
     double full = utility.FullUtility();
     EXPECT_EQ(models - after_build, c.served_from_context ? 0u : 1u)

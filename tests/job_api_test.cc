@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,38 +226,63 @@ TEST(JobApiTest, FailingJobDegradesHealthAndLaterSuccessRestoresIt) {
 }
 
 TEST(JobApiTest, PoolFaultDuringScorerContextBuildFailsTheJob) {
-  telemetry::SetHealthy();
   failpoint::DisarmAll();
-  // Hit 1 is the job's own task on the manager's pool; hit 2 is the first
-  // task of TMC's scorer-context fan-out, which the fault kills.
-  ASSERT_TRUE(
-      failpoint::Arm("threadpool.task=error(unavailable:worker fault)#2x1")
-          .ok());
-  JobApiOptions options;
-  options.num_workers = 1;
-  JobManager manager(options);
-  JobRequest request = QuickRequest();
-  request.algorithm = "tmc_shapley";
-  request.options = {
-      {"k", "3"}, {"num_permutations", "8"}, {"num_threads", "4"}};
-  std::string id = manager.Submit(request).value();
-  JobSnapshot failed = AwaitDone(manager, id);
-  failpoint::DisarmAll();
+  const std::vector<std::pair<std::string, std::string>> budgets = {
+      {"tmc_shapley", "num_permutations"}, {"banzhaf", "num_samples"}};
+  for (const auto& [algorithm, budget] : budgets) {
+    SCOPED_TRACE(algorithm);
+    telemetry::SetHealthy();
+    failpoint::ResetStats();
+    // Hit 1 is the job's own task on the manager's pool; hit 2 is the first
+    // task of the estimator's scorer-context fan-out, which the fault kills.
+    ASSERT_TRUE(
+        failpoint::Arm("threadpool.task=error(unavailable:worker fault)#2x1")
+            .ok());
+    JobApiOptions options;
+    options.num_workers = 1;
+    JobManager manager(options);
+    JobRequest request = QuickRequest();
+    request.algorithm = algorithm;
+    request.options = {{"k", "3"}, {budget, "8"}, {"num_threads", "4"}};
+    std::string id = manager.Submit(request).value();
+    JobSnapshot failed = AwaitDone(manager, id);
+    failpoint::DisarmAll();
 
-  EXPECT_EQ(failed.state, JobState::kError);
-  EXPECT_EQ(failed.error.code(), StatusCode::kUnavailable);
-  EXPECT_NE(failed.error.message().find("worker fault"), std::string::npos);
-  EXPECT_TRUE(failed.estimate.values.empty());
+    EXPECT_EQ(failed.state, JobState::kError);
+    EXPECT_EQ(failed.error.code(), StatusCode::kUnavailable);
+    EXPECT_NE(failed.error.message().find("worker fault"), std::string::npos);
+    EXPECT_TRUE(failed.estimate.values.empty());
+    EXPECT_FALSE(telemetry::IsHealthy());
+  }
   telemetry::SetHealthy();
 }
 
-TEST(JobApiTest, PoolFaultInKnnShapleyFanOutFailsTheJob) {
-  // Enough rows for the 1-in-5 validation split to span several 8-point
-  // chunks, so the closed form fans out over the pool.
+/// Enough rows for the 1-in-5 validation split to span several 8-point
+/// chunks, so the closed forms fan out over the pool.
+std::string FanOutCsv() {
   std::string csv = "a,b,label\n";
   for (int i = 0; i < 100; ++i) {
     csv += StrFormat("%d,%d,%d\n", i % 7, (i * 3) % 5, i % 2);
   }
+  return csv;
+}
+
+TEST(JobApiTest, KnnShapleyJobsReportTheThreadsTheyRanOn) {
+  JobManager manager;
+  for (const char* algorithm : {"knn_shapley", "datascope"}) {
+    SCOPED_TRACE(algorithm);
+    JobRequest request = QuickRequest();
+    request.algorithm = algorithm;
+    request.csv_data = FanOutCsv();
+    request.options = {{"k", "3"}, {"num_threads", "2"}};
+    JobSnapshot done = AwaitDone(manager, manager.Submit(request).value());
+    ASSERT_EQ(done.state, JobState::kDone) << done.error.ToString();
+    EXPECT_EQ(done.estimate.num_threads_used, 2u);
+  }
+}
+
+TEST(JobApiTest, PoolFaultInKnnShapleyFanOutFailsTheJob) {
+  std::string csv = FanOutCsv();
   for (const char* algorithm : {"knn_shapley", "datascope"}) {
     SCOPED_TRACE(algorithm);
     telemetry::SetHealthy();

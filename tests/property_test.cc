@@ -49,7 +49,8 @@ TEST_P(KnnShapleySweepTest, ClosedFormMatchesEnumeration) {
 
   SoftKnnUtility game(train, validation, k);
   std::vector<double> exact = ExactShapleyValues(game).value();
-  std::vector<double> closed = KnnShapleyValues(train, validation, k).value();
+  std::vector<double> closed =
+      KnnShapleyValues(train, validation, k).value().values;
   for (size_t i = 0; i < exact.size(); ++i) {
     EXPECT_NEAR(closed[i], exact[i], 1e-9) << "k=" << k << " seed=" << seed;
   }

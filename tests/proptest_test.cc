@@ -49,6 +49,8 @@
 #include "proptest/gen.h"
 #include "telemetry/health.h"
 
+#include "cold_reference.h"
+
 namespace nde {
 namespace prop {
 namespace {
@@ -432,7 +434,7 @@ Gen<std::string> AnyJobRequestJson() {
             "[]", "[1,\"a\"]", "{}", "{\"a\":{}}"};
         static const char* const kOptionNames[] = {
             "k", "num_permutations", "num_samples", "seed", "model",
-            "use_prefix_scan", "warm_start", "truncation_tolerance",
+            "samples_per_unit", "warm_start", "truncation_tolerance",
             "num_threads", "bogus"};
         const std::string csv =
             "\"x0,x1,label\\n0.1,1.2,0\\n0.3,0.8,0\\n-0.2,1.1,0\\n0.0,0.9,0\\n"
@@ -584,8 +586,9 @@ ClassifierFactory KnnFactory(size_t k) {
 }
 
 TEST(EstimatorPropertyTest, FastPathConfigSweepIsBitIdentical) {
-  // DESIGN.md §9/§13: the prefix scan on or off and any thread count must
-  // reproduce the same estimate bit for bit.
+  // DESIGN.md §9/§13: the scorer context and prefix scan against the cold
+  // reference, and any thread count, must reproduce the same estimate bit
+  // for bit.
   std::function<std::string(const EstimatorCase&)> property =
       [](const EstimatorCase& c) -> std::string {
     TmcShapleyOptions base_options = c.tmc;
@@ -601,17 +604,19 @@ TEST(EstimatorPropertyTest, FastPathConfigSweepIsBitIdentical) {
     struct Variant {
       std::string name;
       size_t num_threads = 1;
-      bool use_prefix_scan = true;
+      bool cold = false;
     };
     for (const Variant& variant :
-         {Variant{"num_threads=8", 8, true},
-          Variant{"use_prefix_scan=off", 1, false}}) {
+         {Variant{"num_threads=8", 8, false},
+          Variant{"cold_reference", 1, true}}) {
       TmcShapleyOptions options = c.tmc;
       options.num_threads = variant.num_threads;
-      options.use_prefix_scan = variant.use_prefix_scan;
       ModelAccuracyUtility utility(KnnFactory(3), c.scenario.train,
                                    c.scenario.valid);
-      Result<ImportanceEstimate> estimate = TmcShapleyValues(utility, options);
+      ColdReference cold(utility);
+      Result<ImportanceEstimate> estimate =
+          variant.cold ? TmcShapleyValues(cold, options)
+                       : TmcShapleyValues(utility, options);
       if (!estimate.ok()) {
         return variant.name + " failed: " + estimate.status().ToString();
       }
@@ -745,9 +750,9 @@ TEST(EstimatorPropertyTest, PrefixScanMatchesFullRetrain) {
 }
 
 TEST(EstimatorPropertyTest, BuiltContextServesEvaluateExactly) {
-  // Once a KNN utility's scorer context is built (TMC's prelude), Evaluate
-  // scores coalitions from it without training a model, and every generated
-  // coalition must equal a cold retrain.
+  // Once a KNN utility's scorer context is built (the estimators' prelude),
+  // Evaluate scores coalitions from it without training a model, and every
+  // generated coalition must equal a cold retrain.
   std::function<std::string(const ImportanceScenario&)> property =
       [](const ImportanceScenario& scenario) -> std::string {
     const size_t n = scenario.train.size();
@@ -760,7 +765,7 @@ TEST(EstimatorPropertyTest, BuiltContextServesEvaluateExactly) {
           return std::make_unique<KnnClassifier>(3);
         },
         scenario.train, scenario.valid);
-    Status prepared = built.PreparePrefixScan(4);
+    Status prepared = built.Prepare(4);
     if (!prepared.ok()) return "build failed: " + prepared.ToString();
     for (int trial = 0; trial < 6; ++trial) {
       std::vector<size_t> coalition =
@@ -961,7 +966,7 @@ TEST(MetamorphicPropertyTest, InjectedErrorsDropImportance) {
     if (c.corrupted.empty()) return "injector corrupted zero rows";
     // Closed-form KNN-Shapley: flipped labels must strictly lose.
     std::vector<double> shapley =
-        KnnShapleyValues(c.train, c.valid, /*k=*/3, {}).value();
+        KnnShapleyValues(c.train, c.valid, /*k=*/3, {}).value().values;
     std::string diff =
         CompareGroupMeans(shapley, c.corrupted, /*strict=*/true,
                           "knn_shapley");

@@ -98,7 +98,7 @@ TEST(RegistryTest, EachAlgorithmListsOnlyTheOptionsItsEstimatorReads) {
           {"tmc_shapley",
            {"model", "k", "num_threads", "max_retries", "retry_backoff_ms",
             "seed", "convergence_tolerance", "num_permutations",
-            "truncation_tolerance", "use_prefix_scan", "warm_start"}},
+            "truncation_tolerance", "warm_start"}},
           {"banzhaf",
            {"model", "k", "num_threads", "max_retries", "retry_backoff_ms",
             "seed", "convergence_tolerance", "num_samples"}},
@@ -121,7 +121,7 @@ TEST(RegistryTest, EachAlgorithmListsOnlyTheOptionsItsEstimatorReads) {
     EXPECT_EQ(names, options) << algorithm;
     total += names.size();
   }
-  EXPECT_EQ(total, 47u);
+  EXPECT_EQ(total, 46u);
 }
 
 TEST(RegistryTest, ConfigureRoundTripsThroughGetOption) {
@@ -203,7 +203,8 @@ TEST(RegistryTest, OptionsNoEstimatorReadsAreUnknown) {
   // Options an estimator never reads are not listed for it, so naming one
   // fails like any unknown option instead of being accepted and ignored.
   // KNN-Shapley (and datascope on top of it) is a closed form; LOO draws no
-  // randomness and has no convergence test; only TMC scans prefixes.
+  // randomness and has no convergence test; only TMC scans prefixes, and it
+  // always asks the utility for a scan, so even it has no `use_prefix_scan`.
   const std::vector<std::pair<std::string, std::vector<std::string>>>
       dropped = {
           {"knn_shapley",
@@ -215,6 +216,7 @@ TEST(RegistryTest, OptionsNoEstimatorReadsAreUnknown) {
           {"loo",
            {"seed", "convergence_tolerance", "use_prefix_scan",
             "warm_start"}},
+          {"tmc_shapley", {"use_prefix_scan"}},
           {"banzhaf", {"use_prefix_scan", "warm_start"}},
           {"beta_shapley", {"use_prefix_scan", "warm_start"}},
       };
@@ -230,7 +232,7 @@ TEST(RegistryTest, OptionsNoEstimatorReadsAreUnknown) {
       ++pairs;
     }
   }
-  EXPECT_EQ(pairs, 20u);
+  EXPECT_EQ(pairs, 21u);
 }
 
 TEST(RegistryTest, ConfigureAllStopsAtFirstError) {
@@ -304,7 +306,7 @@ TEST(RegistryTest, KnnShapleyBitIdenticalToDirectCall) {
 
   EstimatorOptions options;
   EXPECT_EQ(via_registry->values,
-            KnnShapleyValues(train, validation, 3, options).value());
+            KnnShapleyValues(train, validation, 3, options).value().values);
 }
 
 TEST(RegistryTest, MissingValidationIsInvalidArgument) {
