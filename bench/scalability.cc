@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -27,6 +28,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "datagen/synthetic.h"
@@ -262,6 +264,41 @@ void BM_KnnKernel(benchmark::State& state) {
       static_cast<double>(evaluations), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_KnnKernel)->Unit(benchmark::kMicrosecond);
+
+void BM_KnnRankBuild(benchmark::State& state) {
+  // The KNN scorer context's build at tmc-10k's shape: 8,000 training rows
+  // ranked for each of 2,000 evaluation points over 41 features, fanned out
+  // over `threads` workers as the scorer-context prelude fans it. A ledger
+  // figure for the distance pass and the radix argsort; tools/check.sh does
+  // not watch it.
+  BlobsOptions options;
+  options.num_features = 41;
+  options.center_seed = 99;
+  options.num_examples = 8000;
+  options.seed = 44;
+  const MlDataset train = MakeBlobs(options);
+  options.num_examples = 2000;
+  options.seed = 45;
+  const MlDataset eval = MakeBlobs(options);
+  const size_t threads = static_cast<size_t>(state.range(0));
+  const ParallelRunner parallel =
+      [threads](size_t count, const std::function<void(size_t)>& body) {
+        return TryParallelFor(0, count, body, threads, "scorer_context_rows")
+            .status();
+      };
+  const KnnClassifier knn(5);
+  for (auto _ : state) {
+    std::shared_ptr<const CoalitionScorerContext> context =
+        knn.NewCoalitionScorerContext(train, eval, 2, parallel).value();
+    benchmark::DoNotOptimize(context.get());
+  }
+}
+BENCHMARK(BM_KnnRankBuild)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GaussianNbPrefixScan(benchmark::State& state) {
   // TMC over the Gaussian-NB proxy utility: arg 0 retrains from scratch on

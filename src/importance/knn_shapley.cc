@@ -38,9 +38,7 @@ Result<ImportanceEstimate> KnnShapleyValues(const MlDataset& train,
     RankScratch scratch(n);
     size_t begin = chunk * kChunkPoints;
     size_t end = std::min(begin + kChunkPoints, validation.size());
-    for (size_t v = begin; v < end; ++v) {
-      NearestRows order = NearestOrder(
-          train.features, validation.features.RowSpan(v), &scratch);
+    auto add_point = [&](size_t v, NearestRows order) {
       int y = validation.labels[v];
       // Recurrence from Jia et al. (2019), Theorem 1. Positions are
       // 1-indexed in the paper; `pos` below is 0-indexed.
@@ -57,7 +55,9 @@ Result<ImportanceEstimate> KnnShapleyValues(const MlDataset& train,
                (indicator_i - indicator_next) / kd * std::min(kd, rank) / rank;
       }
       for (size_t i = 0; i < n; ++i) partial[i] += s[i];
-    }
+    };
+    NearestOrder(train.features, validation.features, begin, end - begin,
+                 &scratch, add_point);
     return Status::OK();
   };
   auto fold = [&](size_t begin, size_t end) {
@@ -87,14 +87,13 @@ SoftKnnUtility::SoftKnnUtility(MlDataset train, MlDataset validation, size_t k)
   NDE_CHECK_GE(k, 1u);
   RankScratch scratch(train_.size());
   distance_order_.resize(validation_.size());
-  for (size_t v = 0; v < validation_.size(); ++v) {
-    NearestRows order = NearestOrder(
-        train_.features, validation_.features.RowSpan(v), &scratch);
-    distance_order_[v].resize(order.size());
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      distance_order_[v][pos] = order[pos];
-    }
-  }
+  NearestOrder(train_.features, validation_.features, 0, validation_.size(),
+               &scratch, [this](size_t v, NearestRows order) {
+                 distance_order_[v].resize(order.size());
+                 for (size_t pos = 0; pos < order.size(); ++pos) {
+                   distance_order_[v][pos] = order[pos];
+                 }
+               });
 }
 
 namespace {

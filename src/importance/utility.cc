@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -13,6 +14,21 @@
 #include "telemetry/telemetry.h"
 
 namespace nde {
+
+namespace {
+
+/// The unit that a coalition of n - 1 distinct units out of [0, n) lacks, or
+/// nullopt when it holds all n: 0 + 1 + ... + (n - 1) minus the coalition's
+/// sum, which wrapping size_t arithmetic keeps exact.
+std::optional<size_t> MissingUnit(const std::vector<size_t>& subset,
+                                  size_t n) {
+  if (subset.size() == n) return std::nullopt;
+  size_t missing = n % 2 == 0 ? n / 2 * (n - 1) : (n - 1) / 2 * n;
+  for (size_t unit : subset) missing -= unit;
+  return missing;
+}
+
+}  // namespace
 
 double UtilityFunction::FullUtility() const {
   std::vector<size_t> all(num_units());
@@ -160,8 +176,17 @@ double ModelAccuracyUtility::Evaluate(const std::vector<size_t>& subset) const {
     // but reads the context's precomputed ranks instead of recomputing
     // |subset| x |validation| distances. Every game estimator builds the
     // context before its first evaluation, so this is how they score
-    // whole coalitions.
-    result = ExactScan(this, *context).Score(subset);
+    // whole coalitions. A coalition missing at most one unit (v(N), LOO)
+    // may be read from the context without a scorer.
+    const size_t n = train_.size();
+    std::optional<size_t> correct;
+    if (subset.size() + 1 >= n) {
+      correct = context->NumCorrectWithout(MissingUnit(subset, n));
+    }
+    result = correct.has_value()
+                 ? static_cast<double>(*correct) /
+                       static_cast<double>(validation_.labels.size())
+                 : ExactScan(this, *context).Score(subset);
   } else {
     std::unique_ptr<Classifier> model = factory_();
     MlDatasetView view(train_, subset);

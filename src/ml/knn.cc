@@ -18,47 +18,94 @@ namespace {
 /// Radix key of a distance: the bits of its float rounding. Rounding is
 /// monotone and a distance is a sum of squares (never negative, never -0.0),
 /// so keys never invert two distances, though distinct distances may share
-/// one. Every NaN gets the key one above +inf's.
+/// one. Every NaN gets the key one above +inf's: whatever its sign and
+/// payload, a NaN's float bits are at least that key, and a number's at most
+/// +inf's.
 constexpr uint32_t kNanKey = 0x7F800001u;
 
 uint32_t RadixKey(double dist) {
-  if (std::isnan(dist)) return kNanKey;
-  return std::bit_cast<uint32_t>(static_cast<float>(dist));
+  return std::min(std::bit_cast<uint32_t>(static_cast<float>(dist)), kNanKey);
 }
 
-}  // namespace
+/// The radix argsort's digits: three passes of 8 bits over a 24-bit key, for
+/// every row count. A digit's 256 buckets keep a pass's open write positions
+/// within 16 KB of cache lines; 24 bits leave few distinct distances sharing
+/// a key.
+constexpr int kDigitBits = 8;
+constexpr int kDigits = 3;
+constexpr size_t kBuckets = size_t{1} << kDigitBits;
 
-// Radix digits have 11 bits from 2,048 training rows up; below that, clearing
-// and summing 2,048 buckets a pass would cost more than moving the rows, so
-// they have 8. Entries keep the row index in their low 32 bits.
-RankScratch::RankScratch(size_t n)
-    : digit_bits(n < 2048 ? 8 : 11),
-      dist(n),
-      entries(n),
-      spare(n),
-      counts(size_t{2} << digit_bits) {
-  NDE_CHECK_LE(n, size_t{std::numeric_limits<uint32_t>::max()});
-}
+/// Two doubles, one per query, that the distance pass adds, subtracts and
+/// multiplies lane by lane (SSE2 on x86-64). Each lane runs exactly
+/// SquaredDistance's chain for its query; ml/CMakeLists.txt turns FMA
+/// contraction off, so `acc + diff * diff` rounds the product first on
+/// every target.
+typedef double Lanes __attribute__((vector_size(16)));
 
-// The distance pass fills the scratch's column; then an exact argsort. The
-// sort key is RadixKey minus this query's smallest RadixKey, shifted right
-// until it fits two radix digits: still monotone in the distance. A stable
-// two-pass LSD radix sort from index order orders the entries by (key,
-// index); then each run of equal keys is sorted exactly.
-NearestRows NearestOrder(const Matrix& train, std::span<const double> query,
-                         RankScratch* scratch) {
+/// Distances of training rows [first, first + kRows) to the interleaved
+/// queries of `block` into `dist`'s columns. The rows' accumulator chains are
+/// independent, so a step of several rows keeps the adder busy while each
+/// lane's own chain still runs in feature order.
+template <size_t kRows>
+void DistanceRows(const Matrix& train, size_t first, const double* block,
+                  double* dist) {
   const size_t n = train.rows();
   const size_t d = train.cols();
-  NDE_CHECK_EQ(query.size(), d);
-  NDE_CHECK_EQ(scratch->dist.size(), n);
-  uint64_t* src = scratch->entries.data();
-  if (n == 0) return {src, 0};
-  double* dist = scratch->dist.data();
-  for (size_t i = 0; i < n; ++i) {
-    dist[i] = SquaredDistance(train.RowPtr(i), query.data(), d);
+  const double* rows = train.RowPtr(first);
+  Lanes acc[kRows][2] = {};
+  for (size_t c = 0; c < d; ++c) {
+    Lanes q01;
+    Lanes q23;
+    std::memcpy(&q01, block + c * kPassQueries, sizeof(Lanes));
+    std::memcpy(&q23, block + c * kPassQueries + 2, sizeof(Lanes));
+    for (size_t r = 0; r < kRows; ++r) {
+      const double value = rows[r * d + c];
+      const Lanes x = {value, value};
+      const Lanes diff01 = x - q01;
+      const Lanes diff23 = x - q23;
+      acc[r][0] += diff01 * diff01;
+      acc[r][1] += diff23 * diff23;
+    }
   }
-  const int bits = scratch->digit_bits;
-  const size_t buckets = size_t{1} << bits;
+  for (size_t r = 0; r < kRows; ++r) {
+    dist[first + r] = acc[r][0][0];
+    dist[n + first + r] = acc[r][0][1];
+    dist[2 * n + first + r] = acc[r][1][0];
+    dist[3 * n + first + r] = acc[r][1][1];
+  }
+}
+
+/// The distance pass: `dist` column j (n entries) gets every training row's
+/// SquaredDistance to queries[j], j < count <= kPassQueries. The queries are
+/// interleaved into one d x 4 block, a spare lane repeating the last query,
+/// and every training row is read once, in place, for all four.
+void DistancePass(const Matrix& train, const double* const* queries,
+                  size_t count, double* dist) {
+  constexpr size_t kStepRows = 4;
+  const size_t n = train.rows();
+  const size_t d = train.cols();
+  std::vector<double> block(kPassQueries * d);
+  for (size_t c = 0; c < d; ++c) {
+    for (size_t j = 0; j < kPassQueries; ++j) {
+      block[c * kPassQueries + j] = queries[std::min(j, count - 1)][c];
+    }
+  }
+  size_t i = 0;
+  for (; i + kStepRows <= n; i += kStepRows) {
+    DistanceRows<kStepRows>(train, i, block.data(), dist);
+  }
+  for (; i < n; ++i) DistanceRows<1>(train, i, block.data(), dist);
+}
+
+/// The exact argsort of one distance column into the scratch's entries. The
+/// sort key is RadixKey minus the column's smallest RadixKey, shifted right
+/// until it fits kDigits radix digits: still monotone in the distance. A
+/// stable LSD radix sort from index order orders the entries by (key,
+/// index); then each run of equal keys is sorted exactly.
+NearestRows SortByDistance(const double* dist, RankScratch* scratch) {
+  const size_t n = scratch->entries.size();
+  uint64_t* src = scratch->entries.data();
+  if (n == 0) return {src, 0, dist};
   uint32_t lo = std::numeric_limits<uint32_t>::max();
   uint32_t hi = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -67,31 +114,31 @@ NearestRows NearestOrder(const Matrix& train, std::span<const double> query,
     hi = std::max(hi, key);
     src[i] = (uint64_t{key} << 32) | i;
   }
-  const int shift =
-      std::max(0, static_cast<int>(std::bit_width(hi - lo)) - 2 * bits);
-  uint32_t* counts = scratch->counts.data();
-  std::fill(scratch->counts.begin(), scratch->counts.end(), 0u);
+  const int shift = std::max(
+      0, static_cast<int>(std::bit_width(hi - lo)) - kDigits * kDigitBits);
+  uint32_t counts[kDigits][kBuckets] = {};
   for (size_t i = 0; i < n; ++i) {
     const uint32_t key =
         (static_cast<uint32_t>(src[i] >> 32) - lo) >> shift;
     src[i] = (uint64_t{key} << 32) | static_cast<uint32_t>(src[i]);
-    ++counts[key & (buckets - 1)];
-    ++counts[buckets + (key >> bits)];
+    for (int digit = 0; digit < kDigits; ++digit) {
+      ++counts[digit][(key >> (digit * kDigitBits)) & (kBuckets - 1)];
+    }
   }
   uint64_t* dst = scratch->spare.data();
-  for (int pass = 0; pass < 2; ++pass) {
-    uint32_t* offsets = counts + static_cast<size_t>(pass) * buckets;
-    const int digit_shift = 32 + pass * bits;
+  for (int digit = 0; digit < kDigits; ++digit) {
+    uint32_t* offsets = counts[digit];
+    const int digit_shift = 32 + digit * kDigitBits;
     // A digit every key shares would leave the order as it is.
-    if (offsets[(src[0] >> digit_shift) & (buckets - 1)] == n) continue;
+    if (offsets[(src[0] >> digit_shift) & (kBuckets - 1)] == n) continue;
     uint32_t sum = 0;
-    for (size_t b = 0; b < buckets; ++b) {
+    for (size_t b = 0; b < kBuckets; ++b) {
       const uint32_t count = offsets[b];
       offsets[b] = sum;
       sum += count;
     }
     for (size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i] >> digit_shift) & (buckets - 1)]++] = src[i];
+      dst[offsets[(src[i] >> digit_shift) & (kBuckets - 1)]++] = src[i];
     }
     std::swap(src, dst);
   }
@@ -102,14 +149,48 @@ NearestRows NearestOrder(const Matrix& train, std::span<const double> query,
     const uint32_t ib = static_cast<uint32_t>(b);
     return NearerThan(dist[ia], ia, dist[ib], ib);
   };
-  for (size_t begin = 0; begin < n;) {
-    const uint64_t key = src[begin] >> 32;
-    size_t end = begin + 1;
-    while (end < n && (src[end] >> 32) == key) ++end;
-    if (end - begin > 1) std::sort(src + begin, src + end, nearer);
-    begin = end;
+  for (size_t i = 1; i < n; ++i) {
+    if ((src[i] >> 32) != (src[i - 1] >> 32)) continue;
+    const size_t begin = i - 1;
+    while (i + 1 < n && (src[i + 1] >> 32) == (src[begin] >> 32)) ++i;
+    std::sort(src + begin, src + i + 1, nearer);
   }
-  return {src, n};
+  return {src, n, dist};
+}
+
+}  // namespace
+
+// Entries keep the row index in their low 32 bits.
+RankScratch::RankScratch(size_t n)
+    : dist(kPassQueries * n), entries(n), spare(n) {
+  NDE_CHECK_LE(n, size_t{std::numeric_limits<uint32_t>::max()});
+}
+
+NearestRows NearestOrder(const Matrix& train, std::span<const double> query,
+                         RankScratch* scratch) {
+  NDE_CHECK_EQ(query.size(), train.cols());
+  NDE_CHECK_EQ(scratch->entries.size(), train.rows());
+  const double* queries[] = {query.data()};
+  DistancePass(train, queries, 1, scratch->dist.data());
+  return SortByDistance(scratch->dist.data(), scratch);
+}
+
+void NearestOrder(const Matrix& train, const Matrix& queries, size_t first,
+                  size_t count, RankScratch* scratch,
+                  const std::function<void(size_t, NearestRows)>& visit) {
+  NDE_CHECK_EQ(queries.cols(), train.cols());
+  NDE_CHECK_LE(first + count, queries.rows());
+  NDE_CHECK_EQ(scratch->entries.size(), train.rows());
+  const size_t n = train.rows();
+  for (size_t pass = first; pass < first + count; pass += kPassQueries) {
+    const size_t width = std::min(kPassQueries, first + count - pass);
+    const double* rows[kPassQueries];
+    for (size_t j = 0; j < width; ++j) rows[j] = queries.RowPtr(pass + j);
+    DistancePass(train, rows, width, scratch->dist.data());
+    for (size_t j = 0; j < width; ++j) {
+      visit(pass + j, SortByDistance(scratch->dist.data() + j * n, scratch));
+    }
+  }
 }
 
 void KeepNearest(std::span<const double> dist, size_t k,
@@ -222,6 +303,10 @@ namespace {
 //     predictions are maintained incrementally on insertion instead of being
 //     recounted for every window on every Push, so Predict() is a pointer
 //     return and NumCorrect() a field read.
+//   - The context also keeps each evaluation point's k + 1 nearest rows, so
+//     the full training set and every coalition one row short of it (v(N),
+//     leave-one-out) are scored without a scorer: dropping row i changes
+//     only the points whose k nearest hold i.
 //
 // Each evaluation point keeps a sorted window of the (up to) k nearest
 // coalition rows keyed by rank. Ranks are positions in NearestOrder, which
@@ -237,6 +322,12 @@ namespace {
 /// contiguous write of 32 bytes per matrix row at 16-bit ranks, instead of
 /// one scattered write per point.
 constexpr size_t kGroupPoints = 16;
+
+/// How many matrix rows ahead of its writes the build asks for the cache
+/// line it will write. Consecutive rows' writes lie a whole rank row apart,
+/// further than the hardware prefetchers follow, so each would otherwise
+/// wait for its line.
+constexpr size_t kPrefetchRows = 16;
 
 template <typename Rank>
 class KnnSoaContext;
@@ -281,14 +372,16 @@ class KnnSoaContext final : public CoalitionScorerContext {
         num_classes_(num_classes),
         num_eval_(eval.size()),
         ranks_(std::make_unique_for_overwrite<Rank[]>(train.size() *
-                                                      eval.size())) {
+                                                      eval.size())),
+        nearest_width_(std::min(k + 1, train.size())),
+        nearest_(num_eval_ * nearest_width_) {
     // Every rank, n - 1 at most, stays below the underfull cutoff.
     NDE_CHECK_LE(train.size(), size_t{std::numeric_limits<Rank>::max()});
   }
 
   /// Ranks every training row for evaluation points [begin, end) and writes
-  /// their entries of the matrix. Each point's ranks depend only on that
-  /// point, so any block split yields the same matrix.
+  /// their entries of the matrix and their nearest rows. Each point's ranks
+  /// depend only on that point, so any block split yields the same matrix.
   void RankPoints(const Matrix& train_features, const Matrix& eval_features,
                   size_t begin, size_t end) {
     const size_t n = train_features.rows();
@@ -297,20 +390,36 @@ class KnnSoaContext final : public CoalitionScorerContext {
     std::vector<Rank> group(std::min(kGroupPoints, end - begin) * n);
     for (size_t first = begin; first < end; first += kGroupPoints) {
       const size_t width = std::min(kGroupPoints, end - first);
-      for (size_t g = 0; g < width; ++g) {
-        NearestRows sorted = NearestOrder(
-            train_features, eval_features.RowSpan(first + g), &scratch);
-        Rank* point_ranks = group.data() + g * n;
-        for (size_t pos = 0; pos < n; ++pos) {
-          point_ranks[sorted[pos]] = static_cast<Rank>(pos);
-        }
-      }
+      NearestOrder(train_features, eval_features, first, width, &scratch,
+                   [&](size_t e, NearestRows sorted) {
+                     Rank* point_ranks = group.data() + (e - first) * n;
+                     for (size_t pos = 0; pos < n; ++pos) {
+                       point_ranks[sorted[pos]] = static_cast<Rank>(pos);
+                     }
+                     uint32_t* nearest = NearestRowsOf(e);
+                     for (size_t pos = 0; pos < nearest_width_; ++pos) {
+                       nearest[pos] = static_cast<uint32_t>(sorted[pos]);
+                     }
+                   });
       Rank* out = ranks_.get() + first;
       for (size_t i = 0; i < n; ++i) {
+        if (i + kPrefetchRows < n) {
+          __builtin_prefetch(out + (i + kPrefetchRows) * num_eval_, 1);
+        }
         for (size_t g = 0; g < width; ++g) {
           out[i * num_eval_ + g] = group[g * n + i];
         }
       }
+    }
+  }
+
+  /// Counts the full training set's correct predictions once every point is
+  /// ranked.
+  void CountFullCorrect() {
+    std::vector<uint32_t> votes(static_cast<size_t>(num_classes_));
+    full_correct_ = 0;
+    for (size_t e = 0; e < num_eval_; ++e) {
+      full_correct_ += Vote(e, kNoRow, &votes) == eval_labels_[e];
     }
   }
 
@@ -319,6 +428,26 @@ class KnnSoaContext final : public CoalitionScorerContext {
   }
 
   bool ReplacesColdFit() const override { return true; }
+
+  /// Dropping row i changes only the votes of the points whose k nearest
+  /// rows hold it; their window becomes their k + 1 nearest minus i.
+  std::optional<size_t> NumCorrectWithout(
+      std::optional<size_t> missing) const override {
+    if (!missing.has_value()) return full_correct_;
+    const size_t window = std::min(k_, nearest_width_);
+    std::vector<uint32_t> votes(static_cast<size_t>(num_classes_));
+    size_t correct = full_correct_;
+    for (size_t e = 0; e < num_eval_; ++e) {
+      const uint32_t* nearest = NearestRowsOf(e);
+      if (std::find(nearest, nearest + window, *missing) == nearest + window) {
+        continue;
+      }
+      const bool was_correct = Vote(e, kNoRow, &votes) == eval_labels_[e];
+      const bool is_correct = Vote(e, *missing, &votes) == eval_labels_[e];
+      correct = correct - was_correct + is_correct;
+    }
+    return correct;
+  }
 
   /// Contiguous ranks of training row `i` for every evaluation point.
   const Rank* RankRow(size_t i) const { return ranks_.get() + i * num_eval_; }
@@ -329,12 +458,48 @@ class KnnSoaContext final : public CoalitionScorerContext {
   int num_classes() const { return num_classes_; }
 
  private:
+  static constexpr size_t kNoRow = std::numeric_limits<size_t>::max();
+
+  uint32_t* NearestRowsOf(size_t e) {
+    return nearest_.data() + e * nearest_width_;
+  }
+  const uint32_t* NearestRowsOf(size_t e) const {
+    return nearest_.data() + e * nearest_width_;
+  }
+
+  /// Point e's prediction under every training row but `skip` (kNoRow: every
+  /// row): the majority label of the first k of its stored nearest rows
+  /// other than `skip` (all of them when fewer), ties toward the smaller
+  /// class id, as Insert votes. `votes` has one slot per class.
+  int Vote(size_t e, size_t skip, std::vector<uint32_t>* votes) const {
+    std::fill(votes->begin(), votes->end(), 0u);
+    const uint32_t* nearest = NearestRowsOf(e);
+    size_t taken = 0;
+    for (size_t pos = 0; pos < nearest_width_ && taken < k_; ++pos) {
+      if (nearest[pos] == skip) continue;
+      ++(*votes)[static_cast<size_t>(labels_[nearest[pos]])];
+      ++taken;
+    }
+    int best = 0;
+    for (int c = 1; c < num_classes_; ++c) {
+      if ((*votes)[static_cast<size_t>(c)] >
+          (*votes)[static_cast<size_t>(best)]) {
+        best = c;
+      }
+    }
+    return best;
+  }
+
   std::vector<int> labels_;  ///< Owned copy: one indirection less in Insert.
   std::vector<int> eval_labels_;  ///< What NumCorrect counts against.
   size_t k_;
   int num_classes_;
   size_t num_eval_;
   std::unique_ptr<Rank[]> ranks_;  ///< n x num_eval, train-major.
+  size_t nearest_width_;           ///< min(k + 1, n).
+  /// num_eval x nearest_width_: each point's nearest rows, nearest first.
+  std::vector<uint32_t> nearest_;
+  size_t full_correct_ = 0;  ///< NumCorrect of the full training set.
 };
 
 template <typename Rank>
@@ -455,6 +620,7 @@ Result<std::shared_ptr<const CoalitionScorerContext>> BuildRankContext(
   } else {
     for (size_t b = 0; b < blocks; ++b) rank_block(b);
   }
+  context->CountFullCorrect();
   return std::shared_ptr<const CoalitionScorerContext>(std::move(context));
 }
 

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,7 +26,9 @@ inline bool NearerThan(double dist_a, size_t a, double dist_b, size_t b) {
 
 /// Squared Euclidean distance from training row `row` to `query` over `d`
 /// features: diff*diff summed in feature order. Every KNN component computes
-/// distances with this one chain, so their rankings agree bit for bit.
+/// distances with this one chain, so their rankings agree bit for bit. The
+/// library builds with FMA contraction off (ml/CMakeLists.txt), so that no
+/// copy of the chain fuses diff*diff into the sum and rounds differently.
 inline double SquaredDistance(const double* row, const double* query,
                               size_t d) {
   double acc = 0.0;
@@ -36,16 +39,18 @@ inline double SquaredDistance(const double* row, const double* query,
   return acc;
 }
 
+/// Queries whose distances one pass of NearestOrder computes together,
+/// reading each training row once for all of them.
+constexpr size_t kPassQueries = 4;
+
 /// The O(n) buffers of NearestOrder over an n-row training set, allocated
-/// once and reused by every query a task orders. One per task.
+/// once and reused by every pass a task runs. One per task.
 struct RankScratch {
   explicit RankScratch(size_t n);
 
-  int digit_bits;
-  std::vector<double> dist;       ///< The query's distances.
+  std::vector<double> dist;       ///< kPassQueries columns of n distances.
   std::vector<uint64_t> entries;  ///< (sort key << 32) | training index.
   std::vector<uint64_t> spare;    ///< The radix passes' other buffer.
-  std::vector<uint32_t> counts;   ///< Two digit histograms.
 };
 
 /// One query's training rows, nearest first, as NearestOrder left them in
@@ -53,6 +58,7 @@ struct RankScratch {
 struct NearestRows {
   const uint64_t* entries;  ///< Training row index in the low 32 bits.
   size_t count;
+  const double* dist;  ///< The query's SquaredDistance, by training row.
 
   size_t size() const { return count; }
   size_t operator[](size_t pos) const {
@@ -64,10 +70,20 @@ struct NearestRows {
 /// training rows by: every row of `train` (the one `scratch` was sized for)
 /// in NearerThan order of its SquaredDistance to `query`, which must have
 /// one value per column. Equal to a std::sort under NearerThan, by an exact
-/// radix argsort. The rank build, KNN-Shapley, SoftKnnUtility and the
-/// poisoning radii call it.
+/// radix argsort. The poisoning radii call it.
 NearestRows NearestOrder(const Matrix& train, std::span<const double> query,
                          RankScratch* scratch);
+
+/// The same order for each of rows [first, first + count) of `queries`
+/// (one value per column of `train`), kPassQueries queries per distance
+/// pass: calls visit(q, rows) once per query, in order, with q the row of
+/// `queries` and `rows` valid during that call only. Each distance is
+/// SquaredDistance's, bit for bit (a NaN only as NaN: which operand's sign
+/// and payload a sum keeps is the compiler's choice). The rank build,
+/// KNN-Shapley (and through it datascope) and SoftKnnUtility call it.
+void NearestOrder(const Matrix& train, const Matrix& queries, size_t first,
+                  size_t count, RankScratch* scratch,
+                  const std::function<void(size_t, NearestRows)>& visit);
 
 /// The top-k order: reorders `rows`, distinct indices into `dist`, to their
 /// min(k, rows->size()) nearest in NearerThan order, nearest first, and
@@ -100,13 +116,15 @@ class KnnClassifier : public Classifier {
   /// KNN supports exact incremental coalition scoring. The context holds a
   /// train-major matrix of ranks: entry (i, e) is training row i's position
   /// in evaluation point e's NearerThan order, as `uint16_t` when there are
-  /// at most 65,535 training rows and `uint32_t` above. It is built once, in
-  /// blocks of evaluation points through `parallel` when given, from each
-  /// point's NearestOrder. Scorers keep per-evaluation-
-  /// point k-nearest windows keyed by rank in flat structure-of-arrays
-  /// buffers with a vectorizable candidate-mask pass, and count correct
-  /// predictions as they flip. Bit-identical to the cold FitWithClasses +
-  /// Predict path, so the context ReplacesColdFit.
+  /// at most 65,535 training rows and `uint32_t` above, and each point's
+  /// k + 1 nearest rows, from which NumCorrectWithout scores the full
+  /// training set and every coalition one row short of it. It is built once,
+  /// in blocks of evaluation points through `parallel` when given, from
+  /// NearestOrder's passes. Scorers keep per-evaluation-point k-nearest
+  /// windows keyed by rank in flat structure-of-arrays buffers with a
+  /// vectorizable candidate-mask pass, and count correct predictions as they
+  /// flip. Bit-identical to the cold FitWithClasses + Predict path, so the
+  /// context ReplacesColdFit.
   Result<std::shared_ptr<const CoalitionScorerContext>>
   NewCoalitionScorerContext(const MlDataset& train, const MlDataset& eval,
                             int num_classes,

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,17 @@ class CoalitionScorerContext {
   /// once) can stand in for the cold fit: exact, and cheaper. A utility may
   /// then serve plain coalition evaluations from this context. Default false.
   virtual bool ReplacesColdFit() const { return false; }
+
+  /// NumCorrect of the coalition of every training row but `missing` (of
+  /// every row when nullopt), equal to a fresh scorer fed that coalition,
+  /// when the context can read it without one: KNN keeps each evaluation
+  /// point's k + 1 nearest rows, which hold the window of every such
+  /// coalition. nullopt (the default) when it cannot.
+  virtual std::optional<size_t> NumCorrectWithout(
+      std::optional<size_t> missing) const {
+    (void)missing;
+    return std::nullopt;
+  }
 };
 
 /// Abstract multi-class classifier. All models in the library implement this

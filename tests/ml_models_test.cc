@@ -2,6 +2,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -722,6 +724,87 @@ void CheckRankWidthBoundary(size_t n) {
 TEST(CoalitionScorerTest, KnnKernelMatchesColdFitAtTheRankWidthBoundary) {
   CheckRankWidthBoundary(65535);  // uint16_t ranks, the largest 65,534.
   CheckRankWidthBoundary(65536);  // uint32_t ranks.
+}
+
+/// NumCorrectWithout for the full training set and for every one-row-short
+/// coalition (v(N) and leave-one-out), read from the context's nearest rows,
+/// against a cold fit on that coalition.
+void CheckNearFullMatchesColdFit(size_t k, const MlDataset& train,
+                                 const MlDataset& eval, int num_classes) {
+  std::shared_ptr<const CoalitionScorerContext> context =
+      KnnClassifier(k).NewCoalitionScorerContext(train, eval, num_classes)
+          .value();
+  ASSERT_NE(context, nullptr);
+  std::vector<std::optional<size_t>> missing = {std::nullopt};
+  for (size_t i = 0; i < train.size(); ++i) missing.push_back(i);
+  for (const std::optional<size_t>& row : missing) {
+    std::vector<size_t> coalition;
+    for (size_t i = 0; i < train.size(); ++i) {
+      if (row != i) coalition.push_back(i);
+    }
+    if (coalition.empty()) continue;
+    KnnClassifier cold(k);
+    ASSERT_TRUE(cold.FitWithClasses(train.Subset(coalition), num_classes).ok());
+    EXPECT_EQ(context->NumCorrectWithout(row),
+              CountCorrect(cold.Predict(eval.features), eval.labels))
+        << "k=" << k << ", " << train.size() << " rows, without "
+        << (row.has_value() ? std::to_string(*row) : "none");
+  }
+}
+
+TEST(CoalitionScorerTest, KnnContextScoresNearFullCoalitionsAsTheColdFit) {
+  MlDataset train = ScorerBlobs(38, 13);
+  MlDataset eval = ScorerBlobs(39, 9);
+  for (size_t k : {size_t{1}, size_t{3}, size_t{5}}) {
+    CheckNearFullMatchesColdFit(k, train, eval, 3);
+  }
+  // Fewer rows than k, exactly k, exactly k + 1, and one row.
+  MlDataset few = train.Subset({0, 1, 2, 3});
+  for (size_t k : {size_t{3}, size_t{4}, size_t{6}}) {
+    CheckNearFullMatchesColdFit(k, few, eval, 3);
+  }
+  CheckNearFullMatchesColdFit(2, train.Subset({5}), eval, 3);
+  // A NaN in every row's feature 0: every distance is NaN, so index order
+  // alone picks the nearest rows.
+  MlDataset all_nan = train;
+  for (size_t i = 0; i < all_nan.size(); ++i) {
+    all_nan.features(i, 0) = std::numeric_limits<double>::quiet_NaN();
+  }
+  CheckNearFullMatchesColdFit(3, all_nan, eval, 3);
+}
+
+TEST(CoalitionScorerTest, KnnContextMatchesColdFitWhenBlocksHoldManyPoints) {
+  // Up to 64 evaluation points the build ranks one point a block, so only
+  // larger sets reach its multi-query passes. 1,100 points make 64 blocks
+  // of 17 or 18: a group of 16 in four full passes, then one or two points
+  // in a short pass. Shuffled, so that the points of one pass lie in
+  // different blobs.
+  MlDataset train = ScorerBlobs(40, 20);
+  MlDataset blobs = ScorerBlobs(41, 1100);
+  MlDataset eval = blobs.Subset(Rng(5).Permutation(blobs.size()));
+  CheckScorerMatchesColdFit(KnnClassifier(3), train, eval, 3);
+  CheckNearFullMatchesColdFit(3, train, eval, 3);
+}
+
+TEST(CoalitionScorerTest, KnnContextBreaksKthRowAndVoteTiesAsTheColdFit) {
+  // Rows on a line at 1, 2, 3, 3, 3 and 4. From 0 the k = 3 window ends in a
+  // three-way distance tie that only the index tie-break settles, and its
+  // labels 0, 1, 2 tie three ways, so the smallest class id wins; dropping
+  // any of rows 0-2 pulls row 3 in. From 3 the three tied rows fill the
+  // window and their labels tie three ways too.
+  MlDataset train;
+  train.features = Matrix(6, 1);
+  const double position[] = {1.0, 2.0, 3.0, 3.0, 3.0, 4.0};
+  for (size_t i = 0; i < 6; ++i) train.features(i, 0) = position[i];
+  train.labels = {0, 1, 2, 1, 0, 2};
+  MlDataset eval;
+  eval.features = Matrix(4, 1);
+  const double query[] = {0.0, 3.0, 2.5, 5.0};
+  for (size_t e = 0; e < 4; ++e) eval.features(e, 0) = query[e];
+  eval.labels = {0, 1, 1, 2};
+  for (size_t k : {size_t{2}, size_t{3}, size_t{4}}) {
+    CheckNearFullMatchesColdFit(k, train, eval, 3);
+  }
 }
 
 }  // namespace

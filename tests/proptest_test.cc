@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -823,11 +824,11 @@ Gen<double> AnyNeighborValue() {
 }
 
 TEST(NeighborOrderPropertyTest, OrdersEqualStdSortUnderNearerThan) {
-  // Sizes up to 64, and one case in sixteen from 2,040 to 2,056 rows: both
-  // sides of the switch from 8- to 11-bit radix digits.
+  // Sizes up to 64, and one case in sixteen from 250 to 270 rows: more rows
+  // than one 8-bit radix digit has buckets.
   Gen<size_t> sizes = Gen<size_t>(
       [](Rng* rng) {
-        return rng->NextBounded(16) == 0 ? 2040 + rng->NextBounded(17)
+        return rng->NextBounded(16) == 0 ? 250 + rng->NextBounded(21)
                                          : rng->NextBounded(65);
       },
       [](const size_t& n) { return ShrinkIntegerToward<size_t>(0, n); });
@@ -884,6 +885,152 @@ TEST(NeighborOrderPropertyTest, OrdersEqualStdSortUnderNearerThan) {
   std::string report = CheckProperty<std::vector<double>>(
       "neighbor-orders", VectorOf(sizes, AnyNeighborValue()), property,
       describe, HereConfig(100));
+  EXPECT_TRUE(report.empty()) << report;
+}
+
+/// One multi-query NearestOrder call: n training rows and `count` queries of
+/// d features, every cell from AnyNeighborValue's pool.
+struct PassCase {
+  size_t n = 0;
+  size_t d = 0;
+  size_t count = 1;
+  std::vector<double> cells;  ///< (n + count) x d, training rows first.
+};
+
+/// Widths 0, 1, 2, 3 and 5; 1 to 9 queries, so up to three passes of four
+/// with a partial last one; row counts odd and even. Shrinks toward fewer
+/// rows, fewer queries and cells of 0.
+Gen<PassCase> AnyPassCase() {
+  Gen<double> value = AnyNeighborValue();
+  return Gen<PassCase>(
+      [value](Rng* rng) {
+        const size_t widths[] = {0, 1, 2, 3, 5};
+        PassCase pass;
+        pass.d = widths[rng->NextBounded(std::size(widths))];
+        pass.n = rng->NextBounded(16) == 0 ? 250 + rng->NextBounded(21)
+                                           : rng->NextBounded(40);
+        pass.count = 1 + rng->NextBounded(2 * kPassQueries + 1);
+        pass.cells.resize((pass.n + pass.count) * pass.d);
+        for (double& cell : pass.cells) cell = value.Sample(rng);
+        return pass;
+      },
+      [](const PassCase& pass) {
+        std::vector<PassCase> smaller;
+        if (pass.n > 0) {
+          PassCase fewer_rows = pass;
+          --fewer_rows.n;
+          const auto row = fewer_rows.cells.begin() +
+                           static_cast<ptrdiff_t>(fewer_rows.n * pass.d);
+          fewer_rows.cells.erase(row, row + static_cast<ptrdiff_t>(pass.d));
+          smaller.push_back(std::move(fewer_rows));
+        }
+        if (pass.count > 1) {
+          PassCase fewer_queries = pass;
+          --fewer_queries.count;
+          fewer_queries.cells.resize((pass.n + fewer_queries.count) * pass.d);
+          smaller.push_back(std::move(fewer_queries));
+        }
+        for (size_t i = 0; i < pass.cells.size(); ++i) {
+          if (pass.cells[i] == 0.0) continue;
+          PassCase zeroed = pass;
+          zeroed.cells[i] = 0.0;
+          smaller.push_back(std::move(zeroed));
+        }
+        return smaller;
+      });
+}
+
+/// "" when `rows` holds, for every training row, the very bits of
+/// SquaredDistance to `query` and orders the rows as std::sort under
+/// NearerThan does; else what differs. A NaN distance only has to be NaN:
+/// the compiler may commute an addition, which decides whose sign and
+/// payload a NaN sum keeps, and the order reads only that it is NaN.
+std::string CheckNearestRows(const Matrix& train, const double* query,
+                             const NearestRows& rows,
+                             const std::string& what) {
+  const size_t n = train.rows();
+  if (rows.size() != n) {
+    return StrFormat("%s: %zu of %zu rows ordered", what.c_str(), rows.size(),
+                     n);
+  }
+  std::vector<double> dist(n);
+  for (size_t i = 0; i < n; ++i) {
+    dist[i] = SquaredDistance(train.RowPtr(i), query, train.cols());
+    const bool both_nan = std::isnan(dist[i]) && std::isnan(rows.dist[i]);
+    if (!both_nan &&
+        std::memcmp(&dist[i], &rows.dist[i], sizeof(double)) != 0) {
+      return StrFormat("%s: row %zu at distance %.17g, SquaredDistance %.17g",
+                       what.c_str(), i, rows.dist[i], dist[i]);
+    }
+  }
+  std::vector<size_t> expected(n);
+  std::iota(expected.begin(), expected.end(), size_t{0});
+  std::sort(expected.begin(), expected.end(), [&dist](size_t a, size_t b) {
+    return NearerThan(dist[a], a, dist[b], b);
+  });
+  for (size_t pos = 0; pos < n; ++pos) {
+    if (rows[pos] != expected[pos]) {
+      return StrFormat("%s: row %zu at position %zu, std::sort row %zu",
+                       what.c_str(), rows[pos], pos, expected[pos]);
+    }
+  }
+  return "";
+}
+
+TEST(NeighborOrderPropertyTest, EveryQueryOfAPassMatchesSquaredDistance) {
+  // Each lane of the four-query distance pass runs SquaredDistance's chain:
+  // its distances are memcmp-equal to it (0 and +inf included; NaN as NaN)
+  // and its order is std::sort's under NearerThan, for 1 to 4 queries in a
+  // pass. The one-query overload, on the same scratch, must agree as well.
+  std::function<std::string(const PassCase&)> property =
+      [](const PassCase& pass) -> std::string {
+    Matrix train(pass.n, pass.d);
+    Matrix queries(pass.count, pass.d);
+    for (size_t c = 0; c < pass.d; ++c) {
+      for (size_t i = 0; i < pass.n; ++i) {
+        train(i, c) = pass.cells[i * pass.d + c];
+      }
+      for (size_t q = 0; q < pass.count; ++q) {
+        queries(q, c) = pass.cells[(pass.n + q) * pass.d + c];
+      }
+    }
+    RankScratch scratch(pass.n);
+    std::string failure;
+    size_t next = 0;
+    NearestOrder(train, queries, 0, pass.count, &scratch,
+                 [&](size_t q, NearestRows rows) {
+                   if (!failure.empty()) return;
+                   if (q != next++) {
+                     failure = StrFormat("visited query %zu, expected %zu", q,
+                                         next - 1);
+                     return;
+                   }
+                   failure = CheckNearestRows(
+                       train, queries.RowPtr(q), rows,
+                       StrFormat("query %zu of %zu", q, pass.count));
+                 });
+    if (!failure.empty()) return failure;
+    if (next != pass.count) {
+      return StrFormat("visited %zu of %zu queries", next, pass.count);
+    }
+    for (size_t q = 0; q < pass.count; ++q) {
+      failure = CheckNearestRows(
+          train, queries.RowPtr(q),
+          NearestOrder(train, queries.RowSpan(q), &scratch),
+          StrFormat("one-query order of query %zu", q));
+      if (!failure.empty()) return failure;
+    }
+    return "";
+  };
+  std::function<std::string(const PassCase&)> describe =
+      [](const PassCase& pass) {
+        std::string out = StrFormat("%zu rows, %zu queries, %zu features:",
+                                    pass.n, pass.count, pass.d);
+        for (double cell : pass.cells) out += StrFormat(" %.17g", cell);
+        return out + "\n";
+      };
+  std::string report = CheckProperty<PassCase>(
+      "distance-passes", AnyPassCase(), property, describe, HereConfig(100));
   EXPECT_TRUE(report.empty()) << report;
 }
 
