@@ -265,27 +265,35 @@ void BM_KnnKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnKernel)->Unit(benchmark::kMicrosecond);
 
+/// Blobs at tmc-10k's KNN shape: 41 features, rows from `seed`.
+MlDataset RankBuildBlobs(size_t rows, uint64_t seed) {
+  BlobsOptions options;
+  options.num_features = 41;
+  options.center_seed = 99;
+  options.num_examples = rows;
+  options.seed = seed;
+  return MakeBlobs(options);
+}
+
+/// Runs the scorer context's build blocks on `threads` workers, as the
+/// scorer-context prelude fans them out.
+ParallelRunner RankBuildRunner(size_t threads) {
+  return [threads](size_t count, const std::function<void(size_t)>& body) {
+    return TryParallelFor(0, count, body, threads, "scorer_context_rows")
+        .status();
+  };
+}
+
 void BM_KnnRankBuild(benchmark::State& state) {
   // The KNN scorer context's build at tmc-10k's shape: 8,000 training rows
   // ranked for each of 2,000 evaluation points over 41 features, fanned out
   // over `threads` workers as the scorer-context prelude fans it. A ledger
   // figure for the distance pass and the radix argsort; tools/check.sh does
   // not watch it.
-  BlobsOptions options;
-  options.num_features = 41;
-  options.center_seed = 99;
-  options.num_examples = 8000;
-  options.seed = 44;
-  const MlDataset train = MakeBlobs(options);
-  options.num_examples = 2000;
-  options.seed = 45;
-  const MlDataset eval = MakeBlobs(options);
-  const size_t threads = static_cast<size_t>(state.range(0));
+  const MlDataset train = RankBuildBlobs(8000, 44);
+  const MlDataset eval = RankBuildBlobs(2000, 45);
   const ParallelRunner parallel =
-      [threads](size_t count, const std::function<void(size_t)>& body) {
-        return TryParallelFor(0, count, body, threads, "scorer_context_rows")
-            .status();
-      };
+      RankBuildRunner(static_cast<size_t>(state.range(0)));
   const KnnClassifier knn(5);
   for (auto _ : state) {
     std::shared_ptr<const CoalitionScorerContext> context =
@@ -299,6 +307,39 @@ BENCHMARK(BM_KnnRankBuild)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_KnnPrefixScan(benchmark::State& state) {
+  // Full-permutation scans through the KNN coalition scorer, every one from
+  // a single context built once at BM_KnnRankBuild's shape (k = 5): the
+  // mask pass over all 2,000 windows while any is wide, then the walk of
+  // each pushed row's near list. Eight permutations in turn; reports pushes
+  // per second. A ledger figure; tools/check.sh does not watch it.
+  const MlDataset train = RankBuildBlobs(8000, 44);
+  const MlDataset eval = RankBuildBlobs(2000, 45);
+  const std::shared_ptr<const CoalitionScorerContext> context =
+      KnnClassifier(5)
+          .NewCoalitionScorerContext(train, eval, 2, RankBuildRunner(4))
+          .value();
+  Rng rng(7);
+  std::vector<std::vector<size_t>> perms;
+  for (int p = 0; p < 8; ++p) perms.push_back(rng.Permutation(train.size()));
+  size_t pushes = 0;
+  size_t scans = 0;
+  for (auto _ : state) {
+    const std::vector<size_t>& perm = perms[scans++ % perms.size()];
+    std::unique_ptr<CoalitionScorer> scorer = context->NewScorer();
+    size_t correct = 0;
+    for (size_t unit : perm) {
+      scorer->Add(unit);
+      correct += scorer->NumCorrect();
+    }
+    benchmark::DoNotOptimize(correct);
+    pushes += perm.size();
+  }
+  state.counters["pushes_per_sec"] = benchmark::Counter(
+      static_cast<double>(pushes), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_KnnPrefixScan)->Unit(benchmark::kMillisecond);
 
 void BM_GaussianNbPrefixScan(benchmark::State& state) {
   // TMC over the Gaussian-NB proxy utility: arg 0 retrains from scratch on

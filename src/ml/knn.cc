@@ -4,10 +4,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <new>
 #include <numeric>
+
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
 
 #include "common/string_util.h"
 
@@ -303,10 +309,18 @@ namespace {
 //     predictions are maintained incrementally on insertion instead of being
 //     recounted for every window on every Push, so Predict() is a pointer
 //     return and NumCorrect() a field read.
-//   - The context also keeps each evaluation point's k + 1 nearest rows, so
-//     the full training set and every coalition one row short of it (v(N),
-//     leave-one-out) are scored without a scorer: dropping row i changes
-//     only the points whose k nearest hold i.
+//   - The context also keeps each evaluation point's nearest rows, at least
+//     k + 1 of them, so the full training set and every coalition one row
+//     short of it (v(N), leave-one-out) are scored without a scorer:
+//     dropping row i changes only the points whose k nearest hold i.
+//   - From n >= 64 (k + 1) training rows it keeps each point's first
+//     R = n / 64 rows and inverts them into near lists: for each training
+//     row, the (point, rank) pairs of the points that rank it below R, in
+//     point order. A row enters a window only below the window's cutoff, so
+//     once a scorer's every cutoff is at most R, only the points on row i's
+//     list can take it, and Add(i) walks that list instead of comparing all
+//     m ranks. Windows are kept per point and the correct count is an
+//     integer sum, so the results are the mask pass's, bit for bit.
 //
 // Each evaluation point keeps a sorted window of the (up to) k nearest
 // coalition rows keyed by rank. Ranks are positions in NearestOrder, which
@@ -329,6 +343,46 @@ constexpr size_t kGroupPoints = 16;
 /// wait for its line.
 constexpr size_t kPrefetchRows = 16;
 
+/// Near lists hold each point's first n / kNearShare rows. On a tmc-10k
+/// request (8,000 rows, 2,000 points, k = 5) 73% of the pushes come after
+/// every window's cutoff has fallen that far, and a list holds ~31 entries
+/// against the 2,000 ranks the mask pass compares.
+constexpr size_t kNearShare = 64;
+
+/// Transparent huge page size on x86-64 (and AArch64 with 4 KiB pages).
+constexpr size_t kHugePage = size_t{2} << 20;
+
+struct FreeRanks {
+  void operator()(void* ranks) const { std::free(ranks); }
+};
+
+/// Uninitialized storage for `count` ranks. From kHugePage bytes up it is
+/// kHugePage-aligned, its size rounded up to whole huge pages, and its
+/// whole huge pages of ranks are hinted MADV_HUGEPAGE where the platform
+/// has that hint, so the build's first touch takes one fault per 2 MiB
+/// instead of one per 4 KiB; the rest keeps 4 KiB pages, so no unused
+/// tail becomes resident. A tmc-10k-sized request (~34 MiB with alignment
+/// slack) exceeds glibc's largest dynamic mmap threshold, so a freed matrix
+/// is unmapped instead of staying in an idle server's heap (DESIGN.md §14).
+template <typename Rank>
+std::unique_ptr<Rank[], FreeRanks> AllocateRanks(size_t count) {
+  const size_t bytes = std::max(count, size_t{1}) * sizeof(Rank);
+  void* ranks;
+  if (bytes < kHugePage) {
+    ranks = std::malloc(bytes);
+  } else {
+    ranks = std::aligned_alloc(
+        kHugePage, (bytes + kHugePage - 1) / kHugePage * kHugePage);
+#ifdef MADV_HUGEPAGE
+    if (ranks != nullptr) {
+      madvise(ranks, bytes / kHugePage * kHugePage, MADV_HUGEPAGE);
+    }
+#endif
+  }
+  if (ranks == nullptr) throw std::bad_alloc();
+  return std::unique_ptr<Rank[], FreeRanks>(static_cast<Rank*>(ranks));
+}
+
 template <typename Rank>
 class KnnSoaContext;
 
@@ -348,6 +402,8 @@ class KnnSoaScorer final : public CoalitionScorer {
   size_t num_eval_;
   size_t k_;
   int num_classes_;
+  Rank near_width_;  ///< The context's R: near lists hold ranks below it.
+  size_t wide_;      ///< Windows whose cutoff is still above near_width_.
   // Flat SoA state:
   std::vector<Rank> cutoff_;            ///< num_eval; max() while underfull.
   std::vector<Rank> window_rank_;       ///< num_eval x k, ascending.
@@ -371,12 +427,16 @@ class KnnSoaContext final : public CoalitionScorerContext {
         k_(k),
         num_classes_(num_classes),
         num_eval_(eval.size()),
-        ranks_(std::make_unique_for_overwrite<Rank[]>(train.size() *
-                                                      eval.size())),
-        nearest_width_(std::min(k + 1, train.size())),
+        ranks_(AllocateRanks<Rank>(train.size() * eval.size())),
+        // No near lists when R <= k: scans would switch to them too late.
+        near_width_(train.size() / kNearShare > k ? train.size() / kNearShare
+                                                  : 0),
+        nearest_width_(std::min(std::max(k + 1, near_width_), train.size())),
         nearest_(num_eval_ * nearest_width_) {
     // Every rank, n - 1 at most, stays below the underfull cutoff.
     NDE_CHECK_LE(train.size(), size_t{std::numeric_limits<Rank>::max()});
+    NDE_CHECK_LE(num_eval_ * near_width_,
+                 size_t{std::numeric_limits<uint32_t>::max()});
   }
 
   /// Ranks every training row for evaluation points [begin, end) and writes
@@ -413,13 +473,34 @@ class KnnSoaContext final : public CoalitionScorerContext {
     }
   }
 
-  /// Counts the full training set's correct predictions once every point is
-  /// ranked.
-  void CountFullCorrect() {
+  /// Once every point is ranked: counts the full training set's correct
+  /// predictions, and inverts each point's first near_width_ rows into the
+  /// training rows' near lists, points ascending within each list.
+  void Finish() {
     std::vector<uint32_t> votes(static_cast<size_t>(num_classes_));
     full_correct_ = 0;
     for (size_t e = 0; e < num_eval_; ++e) {
       full_correct_ += Vote(e, kNoRow, &votes) == eval_labels_[e];
+    }
+    near_begin_.assign(labels_.size() + 1, 0);
+    for (size_t e = 0; e < num_eval_; ++e) {
+      const uint32_t* nearest = NearestRowsOf(e);
+      for (size_t pos = 0; pos < near_width_; ++pos) {
+        ++near_begin_[nearest[pos] + 1];
+      }
+    }
+    std::partial_sum(near_begin_.begin(), near_begin_.end(),
+                     near_begin_.begin());
+    std::vector<uint32_t> next(near_begin_.begin(), near_begin_.end() - 1);
+    near_points_.resize(near_begin_.back());
+    near_ranks_.resize(near_begin_.back());
+    for (size_t e = 0; e < num_eval_; ++e) {
+      const uint32_t* nearest = NearestRowsOf(e);
+      for (size_t pos = 0; pos < near_width_; ++pos) {
+        const uint32_t slot = next[nearest[pos]]++;
+        near_points_[slot] = static_cast<uint32_t>(e);
+        near_ranks_[slot] = static_cast<Rank>(pos);
+      }
     }
   }
 
@@ -451,6 +532,13 @@ class KnnSoaContext final : public CoalitionScorerContext {
 
   /// Contiguous ranks of training row `i` for every evaluation point.
   const Rank* RankRow(size_t i) const { return ranks_.get() + i * num_eval_; }
+  /// Training row `i`'s near list: entries [NearBegin(i), NearBegin(i + 1))
+  /// of NearPoints() and NearRanks().
+  uint32_t NearBegin(size_t i) const { return near_begin_[i]; }
+  const uint32_t* NearPoints() const { return near_points_.data(); }
+  const Rank* NearRanks() const { return near_ranks_.data(); }
+  /// R: the near lists hold exactly the ranks below it (0: no lists).
+  size_t near_width() const { return near_width_; }
   int label(size_t i) const { return labels_[i]; }
   const std::vector<int>& eval_labels() const { return eval_labels_; }
   size_t num_eval() const { return num_eval_; }
@@ -495,11 +583,17 @@ class KnnSoaContext final : public CoalitionScorerContext {
   size_t k_;
   int num_classes_;
   size_t num_eval_;
-  std::unique_ptr<Rank[]> ranks_;  ///< n x num_eval, train-major.
-  size_t nearest_width_;           ///< min(k + 1, n).
+  std::unique_ptr<Rank[], FreeRanks> ranks_;  ///< n x num_eval, train-major.
+  size_t near_width_;     ///< R = n / kNearShare when above k, else 0.
+  size_t nearest_width_;  ///< min(max(k + 1, R), n).
   /// num_eval x nearest_width_: each point's nearest rows, nearest first.
   std::vector<uint32_t> nearest_;
   size_t full_correct_ = 0;  ///< NumCorrect of the full training set.
+  /// The near lists, one per training row (n + 1 offsets), of num_eval x R
+  /// (point, rank) entries in all.
+  std::vector<uint32_t> near_begin_;
+  std::vector<uint32_t> near_points_;
+  std::vector<Rank> near_ranks_;
 };
 
 template <typename Rank>
@@ -508,6 +602,8 @@ KnnSoaScorer<Rank>::KnnSoaScorer(const KnnSoaContext<Rank>* context)
       num_eval_(context->num_eval()),
       k_(context->k()),
       num_classes_(context->num_classes()),
+      near_width_(static_cast<Rank>(context->near_width())),
+      wide_(num_eval_),
       cutoff_(num_eval_, std::numeric_limits<Rank>::max()),
       window_rank_(num_eval_ * k_),
       window_idx_(num_eval_ * k_),
@@ -520,6 +616,18 @@ KnnSoaScorer<Rank>::KnnSoaScorer(const KnnSoaContext<Rank>* context)
 
 template <typename Rank>
 void KnnSoaScorer<Rank>::Add(size_t train_index) {
+  const uint32_t index32 = static_cast<uint32_t>(train_index);
+  if (wide_ == 0) {
+    // Every cutoff is at most R, so every point that can take this row ranks
+    // it below R and is on its near list, in the mask pass's point order.
+    const uint32_t end = context_->NearBegin(train_index + 1);
+    const uint32_t* points = context_->NearPoints();
+    const Rank* ranks = context_->NearRanks();
+    for (uint32_t j = context_->NearBegin(train_index); j < end; ++j) {
+      if (ranks[j] < cutoff_[points[j]]) Insert(points[j], index32, ranks[j]);
+    }
+    return;
+  }
   const Rank* rank_row = context_->RankRow(train_index);
   const Rank* cutoff = cutoff_.data();
   uint8_t* mask = mask_.data();
@@ -534,7 +642,6 @@ void KnnSoaScorer<Rank>::Add(size_t train_index) {
   // words are skipped with one test. A byte-per-branch loop here ran 10-20%
   // slower whenever the linker happened to place it across a 32-byte fetch
   // boundary (DESIGN.md §14).
-  const uint32_t index32 = static_cast<uint32_t>(train_index);
   size_t e = 0;
   for (; e + 8 <= m; e += 8) {
     uint64_t word;
@@ -572,7 +679,11 @@ void KnnSoaScorer<Rank>::Insert(size_t e, uint32_t train_index, Rank rank) {
   wr[pos] = rank;
   wi[pos] = train_index;
   counts_[e] = static_cast<uint32_t>(new_count);
-  if (new_count == k_) cutoff_[e] = wr[k_ - 1];
+  if (new_count == k_) {
+    // Cutoffs only fall, so a window turns tight once.
+    wide_ -= cutoff_[e] > near_width_ && wr[k_ - 1] <= near_width_;
+    cutoff_[e] = wr[k_ - 1];
+  }
   ++class_counts[static_cast<size_t>(context_->label(train_index))];
   // Re-arg-max the counts — the same strict `>` keeping the smaller class id
   // as the cold PredictProba argmax.
@@ -620,7 +731,7 @@ Result<std::shared_ptr<const CoalitionScorerContext>> BuildRankContext(
   } else {
     for (size_t b = 0; b < blocks; ++b) rank_block(b);
   }
-  context->CountFullCorrect();
+  context->Finish();
   return std::shared_ptr<const CoalitionScorerContext>(std::move(context));
 }
 

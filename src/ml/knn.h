@@ -118,13 +118,16 @@ class KnnClassifier : public Classifier {
   /// in evaluation point e's NearerThan order, as `uint16_t` when there are
   /// at most 65,535 training rows and `uint32_t` above, and each point's
   /// k + 1 nearest rows, from which NumCorrectWithout scores the full
-  /// training set and every coalition one row short of it. It is built once,
+  /// training set and every coalition one row short of it. From
+  /// 64 (k + 1) training rows up it also keeps each point's first n / 64
+  /// rows, inverted into one near list per training row. It is built once,
   /// in blocks of evaluation points through `parallel` when given, from
   /// NearestOrder's passes. Scorers keep per-evaluation-point k-nearest
   /// windows keyed by rank in flat structure-of-arrays buffers with a
-  /// vectorizable candidate-mask pass, and count correct predictions as they
-  /// flip. Bit-identical to the cold FitWithClasses + Predict path, so the
-  /// context ReplacesColdFit.
+  /// vectorizable candidate-mask pass, which gives way to a walk of the
+  /// added row's near list once no window's k-th rank exceeds n / 64, and
+  /// count correct predictions as they flip. Bit-identical to the
+  /// cold FitWithClasses + Predict path, so the context ReplacesColdFit.
   Result<std::shared_ptr<const CoalitionScorerContext>>
   NewCoalitionScorerContext(const MlDataset& train, const MlDataset& eval,
                             int num_classes,

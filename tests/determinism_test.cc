@@ -379,24 +379,49 @@ TEST(KernelBitIdentityTest, ScorerContextBuildThreadCountChangesNoBits) {
   // TMC builds the scorer context before its first wave and scores v(N)
   // from it. The build's own thread count must not move a bit: a context
   // built on 1, 2 or 8 threads (waves fixed at 2) yields the cold
-  // reference's values, std errors and eval counts.
-  MlDataset train = FastPathTrain();
-  MlDataset validation = FastPathValidation();
-  TmcShapleyOptions options = FastPathTmcOptions();
-  options.num_threads = 1;
-  ModelAccuracyUtility cold_utility(KnnFactory(), train, validation);
-  ImportanceEstimate cold =
-      TmcShapleyValues(ColdReference(cold_utility), options).value();
+  // reference's values, std errors and eval counts. The second shape has
+  // near lists (640 training rows make R = 10 against k = 3; 40 points, so
+  // 40 build blocks), and its untruncated permutations reach them.
+  struct Shape {
+    MlDataset train;
+    MlDataset validation;
+    TmcShapleyOptions options;
+  };
+  BlobsOptions blob;
+  blob.num_examples = 640;
+  blob.num_features = 4;
+  blob.seed = 19;
+  blob.center_seed = 99;
+  MlDataset near_train = MakeBlobs(blob);
+  blob.num_examples = 40;
+  blob.seed = 20;
+  TmcShapleyOptions near_options = FastPathTmcOptions();
+  near_options.num_permutations = 5;
+  near_options.truncation_tolerance = 0.0;
+  const Shape shapes[] = {
+      {FastPathTrain(), FastPathValidation(), FastPathTmcOptions()},
+      {near_train, MakeBlobs(blob), near_options}};
+  for (const Shape& shape : shapes) {
+    TmcShapleyOptions options = shape.options;
+    options.num_threads = 1;
+    ModelAccuracyUtility cold_utility(KnnFactory(), shape.train,
+                                      shape.validation);
+    ImportanceEstimate cold =
+        TmcShapleyValues(ColdReference(cold_utility), options).value();
 
-  options.num_threads = 2;
-  for (size_t build_threads : kThreadCounts) {
-    ModelAccuracyUtility utility(KnnFactory(), train, validation);
-    ASSERT_TRUE(utility.Prepare(build_threads).ok());
-    ImportanceEstimate run = TmcShapleyValues(utility, options).value();
-    std::string label = "build_threads=" + std::to_string(build_threads);
-    EXPECT_EQ(run.values, cold.values) << label;
-    EXPECT_EQ(run.std_errors, cold.std_errors) << label;
-    EXPECT_EQ(run.utility_evaluations, cold.utility_evaluations) << label;
+    options.num_threads = 2;
+    for (size_t build_threads : kThreadCounts) {
+      ModelAccuracyUtility utility(KnnFactory(), shape.train,
+                                   shape.validation);
+      ASSERT_TRUE(utility.Prepare(build_threads).ok());
+      ImportanceEstimate run = TmcShapleyValues(utility, options).value();
+      std::string label = std::to_string(shape.train.size()) +
+                          " rows, build_threads=" +
+                          std::to_string(build_threads);
+      EXPECT_EQ(run.values, cold.values) << label;
+      EXPECT_EQ(run.std_errors, cold.std_errors) << label;
+      EXPECT_EQ(run.utility_evaluations, cold.utility_evaluations) << label;
+    }
   }
 }
 

@@ -807,5 +807,116 @@ TEST(CoalitionScorerTest, KnnContextBreaksKthRowAndVoteTiesAsTheColdFit) {
   }
 }
 
+/// Each training row's position in each evaluation point's NearestOrder:
+/// ranks[e][i].
+std::vector<std::vector<size_t>> RanksByPoint(const MlDataset& train,
+                                              const MlDataset& eval) {
+  std::vector<std::vector<size_t>> ranks(eval.size(),
+                                         std::vector<size_t>(train.size()));
+  RankScratch scratch(train.size());
+  NearestOrder(train.features, eval.features, 0, eval.size(), &scratch,
+               [&](size_t e, NearestRows rows) {
+                 for (size_t pos = 0; pos < rows.size(); ++pos) {
+                   ranks[e][rows[pos]] = pos;
+                 }
+               });
+  return ranks;
+}
+
+/// How many Adds of `order` it takes until every evaluation point's k-th
+/// nearest added row ranks below `bound` (order.size() + 1: never).
+size_t AddsUntilEveryKthRankIsBelow(
+    const std::vector<std::vector<size_t>>& ranks,
+    const std::vector<size_t>& order, size_t k, size_t bound) {
+  std::vector<size_t> below(ranks.size());
+  size_t tight = 0;
+  for (size_t step = 0; step < order.size(); ++step) {
+    for (size_t e = 0; e < ranks.size(); ++e) {
+      if (ranks[e][order[step]] < bound && ++below[e] == k) ++tight;
+    }
+    if (tight == ranks.size()) return step + 1;
+  }
+  return order.size() + 1;
+}
+
+TEST(CoalitionScorerTest, KnnNearListsMatchColdFitOnceEveryWindowIsTight) {
+  // From 64 (k + 1) training rows the context keeps each evaluation point's
+  // first R = n / 64 rows as near lists, and a scorer walks the added row's
+  // list once every window's k-th rank is within them; 1,024 rows make
+  // R = 16. A third of the labels are moved to the next class, so most
+  // window changes show in Predict(). For three evaluation points, eight
+  // copies of the point's rank R - 4 row (other labels) tie at one distance
+  // across rank R. The variant gives every fifth row a NaN feature, which
+  // ranks it last for every point.
+  constexpr size_t kRows = 1024;
+  constexpr size_t kNear = kRows / 64;
+  const MlDataset eval = ScorerBlobs(43, 40);
+  MlDataset train = ScorerBlobs(42, kRows - 24);
+  for (size_t i = 0; i < train.size(); i += 3) {
+    train.labels[i] = (train.labels[i] + 1) % 3;
+  }
+  // Three points whose copied rows rank beyond R + 8 from each other, so no
+  // point's copies shift another's tie.
+  const std::vector<std::vector<size_t>> base = RanksByPoint(train, eval);
+  const auto row_at = [&](size_t e, size_t rank) {
+    return static_cast<size_t>(
+        std::find(base[e].begin(), base[e].end(), rank) - base[e].begin());
+  };
+  std::vector<size_t> straddled;
+  for (size_t e = 0; e < eval.size() && straddled.size() < 3; ++e) {
+    bool apart = true;
+    for (size_t s : straddled) {
+      apart = apart && base[s][row_at(e, kNear - 4)] > kNear + 8 &&
+              base[e][row_at(s, kNear - 4)] > kNear + 8;
+    }
+    if (apart) straddled.push_back(e);
+  }
+  ASSERT_EQ(straddled.size(), 3u);
+  for (size_t e : straddled) {
+    const size_t row = row_at(e, kNear - 4);
+    const size_t first_copy = train.size();
+    AppendCopies(train, std::vector<size_t>(8, row));
+    for (size_t i = first_copy; i < train.size(); ++i) {
+      train.labels[i] = (train.labels[row] + 1 + static_cast<int>(i % 2)) % 3;
+    }
+  }
+  ASSERT_EQ(train.size(), kRows);
+  MlDataset with_nan = train;
+  for (size_t i = 0; i < kRows; i += 5) {
+    with_nan.features(i, 1) = std::numeric_limits<double>::quiet_NaN();
+  }
+  const std::vector<size_t> shuffled = Rng(6).Permutation(kRows);
+  for (const MlDataset* variant : {&train, &with_nan}) {
+    const std::vector<std::vector<size_t>> ranks = RanksByPoint(*variant, eval);
+    // The first straddled point's R nearest rows come last, farthest first,
+    // so its window stays wide long after every other one is tight, taking
+    // rows of rank R and above all that time, and then takes each of them,
+    // rank R - 1 first.
+    const std::vector<size_t>& late = ranks[straddled[0]];
+    std::vector<size_t> order = shuffled;
+    const auto near_rows = std::stable_partition(
+        order.begin(), order.end(), [&](size_t i) { return late[i] >= kNear; });
+    std::sort(near_rows, order.end(),
+              [&](size_t a, size_t b) { return late[a] > late[b]; });
+    if (variant == &train) {
+      // The rows at ranks R - 1 and R tie for each straddled point.
+      for (size_t e : straddled) {
+        std::vector<size_t> at(kRows);
+        for (size_t i = 0; i < kRows; ++i) at[ranks[e][i]] = i;
+        const auto dist = [&](size_t i) {
+          return SquaredDistance(train.features.RowPtr(i),
+                                 eval.features.RowPtr(e), train.features.cols());
+        };
+        ASSERT_EQ(dist(at[kNear - 1]), dist(at[kNear])) << "point " << e;
+      }
+    }
+    for (size_t k : {size_t{1}, size_t{3}, size_t{5}}) {
+      const size_t tight = AddsUntilEveryKthRankIsBelow(ranks, order, k, kNear);
+      EXPECT_LT(tight, kRows) << "k=" << k << ": no Add on the near lists";
+      CheckScorerMatchesColdFit(KnnClassifier(k), *variant, eval, 3, order);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nde
