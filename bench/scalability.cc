@@ -288,7 +288,7 @@ void BM_KnnRankBuild(benchmark::State& state) {
   // The KNN scorer context's build at tmc-10k's shape: 8,000 training rows
   // ranked for each of 2,000 evaluation points over 41 features, fanned out
   // over `threads` workers as the scorer-context prelude fans it. A ledger
-  // figure for the distance pass and the radix argsort; tools/check.sh does
+  // figure for the distance pass and the radix argsort; the bench gate does
   // not watch it.
   const MlDataset train = RankBuildBlobs(8000, 44);
   const MlDataset eval = RankBuildBlobs(2000, 45);
@@ -313,7 +313,7 @@ void BM_KnnPrefixScan(benchmark::State& state) {
   // a single context built once at BM_KnnRankBuild's shape (k = 5): the
   // mask pass over all 2,000 windows while any is wide, then the walk of
   // each pushed row's near list. Eight permutations in turn; reports pushes
-  // per second. A ledger figure; tools/check.sh does not watch it.
+  // per second. A ledger figure; the bench gate does not watch it.
   const MlDataset train = RankBuildBlobs(8000, 44);
   const MlDataset eval = RankBuildBlobs(2000, 45);
   const std::shared_ptr<const CoalitionScorerContext> context =

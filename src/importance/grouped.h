@@ -32,6 +32,13 @@ class GroupedUtility : public UtilityFunction {
   double Evaluate(const std::vector<size_t>& group_subset) const override;
   size_t num_units() const override { return num_groups_; }
 
+  /// Prepares the base utility: a coalition of groups is the base's
+  /// coalition of their rows, so a KNN base scores every one from the scorer
+  /// context this builds instead of training a model per coalition.
+  Status Prepare(size_t num_threads) const override {
+    return base_->Prepare(num_threads);
+  }
+
   /// Rows in group `g`.
   const std::vector<size_t>& GroupRows(size_t g) const {
     NDE_CHECK_LT(g, num_groups_);

@@ -39,10 +39,9 @@ struct MlDataset {
 /// coalition never materializes its feature rows.
 ///
 /// Lifetime: the view borrows both the parent dataset and the index vector;
-/// they must outlive the view. A classifier that *borrows* the view when
-/// fitting (see FitView) additionally requires the parent to outlive its use
-/// of the fitted model. Indices may repeat and appear in any order; row i of
-/// the view is parent row indices[i], exactly as in MlDataset::Subset.
+/// they must outlive the view. Indices may repeat and appear in any order;
+/// row i of the view is parent row indices[i], exactly as in
+/// MlDataset::Subset.
 class MlDatasetView {
  public:
   MlDatasetView(const MlDataset& parent, const std::vector<size_t>& indices)

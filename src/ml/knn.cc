@@ -224,23 +224,6 @@ Status KnnClassifier::FitWithClasses(const MlDataset& data, int num_classes) {
     return Status::InvalidArgument("num_classes below max label");
   }
   train_ = data;
-  view_parent_ = nullptr;
-  view_indices_.clear();
-  num_classes_ = std::max(num_classes, 1);
-  fitted_ = true;
-  return Status::OK();
-}
-
-Status KnnClassifier::FitView(const MlDatasetView& view, int num_classes) {
-  if (view.size() == 0) {
-    return Status::InvalidArgument("cannot fit KNN on an empty dataset");
-  }
-  if (num_classes < view.NumClasses()) {
-    return Status::InvalidArgument("num_classes below max label");
-  }
-  train_ = MlDataset{};  // Drop any previously owned rows.
-  view_parent_ = &view.parent();
-  view_indices_.assign(view.indices().begin(), view.indices().end());
   num_classes_ = std::max(num_classes, 1);
   fitted_ = true;
   return Status::OK();
@@ -249,12 +232,12 @@ Status KnnClassifier::FitView(const MlDatasetView& view, int num_classes) {
 std::vector<size_t> KnnClassifier::Neighbors(std::span<const double> query,
                                              size_t k) const {
   NDE_CHECK(fitted_) << "KNN not fitted";
-  size_t n = TrainSize();
-  size_t d = TrainCols();
+  size_t n = train_.size();
+  size_t d = train_.features.cols();
   NDE_CHECK_EQ(query.size(), d);
   std::vector<double> dist(n);
   for (size_t i = 0; i < n; ++i) {
-    dist[i] = SquaredDistance(TrainRowPtr(i), query.data(), d);
+    dist[i] = SquaredDistance(train_.features.RowPtr(i), query.data(), d);
   }
   std::vector<size_t> rows(n);
   std::iota(rows.begin(), rows.end(), size_t{0});
@@ -280,13 +263,13 @@ std::vector<int> KnnClassifier::Predict(const Matrix& features) const {
 
 Matrix KnnClassifier::PredictProba(const Matrix& features) const {
   NDE_CHECK(fitted_) << "KNN not fitted";
-  NDE_CHECK_EQ(features.cols(), TrainCols());
+  NDE_CHECK_EQ(features.cols(), train_.features.cols());
   Matrix proba(features.rows(), static_cast<size_t>(num_classes_));
   for (size_t r = 0; r < features.rows(); ++r) {
     std::vector<size_t> neighbors = Neighbors(features.RowSpan(r), k_);
     double weight = 1.0 / static_cast<double>(neighbors.size());
     for (size_t idx : neighbors) {
-      proba(r, static_cast<size_t>(TrainLabel(idx))) += weight;
+      proba(r, static_cast<size_t>(train_.labels[idx])) += weight;
     }
   }
   return proba;

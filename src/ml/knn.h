@@ -107,12 +107,6 @@ class KnnClassifier : public Classifier {
   Status Fit(const MlDataset& data) override;
   Status FitWithClasses(const MlDataset& data, int num_classes) override;
 
-  /// Zero-copy fit: borrows the parent dataset and the coalition indices
-  /// instead of copying the rows. Predictions are bit-identical to a fit on
-  /// view.Materialize() (distances, tie-breaks and labels all follow the view
-  /// order). The parent dataset must outlive this model's use.
-  Status FitView(const MlDatasetView& view, int num_classes) override;
-
   /// KNN supports exact incremental coalition scoring. The context holds a
   /// train-major matrix of ranks: entry (i, e) is training row i's position
   /// in evaluation point e's NearerThan order, as `uint16_t` when there are
@@ -152,28 +146,8 @@ class KnnClassifier : public Classifier {
   }
 
  private:
-  // Training-row accessors that hide whether the model owns its rows (train_)
-  // or borrows them from a view parent (view_parent_ + view_indices_).
-  size_t TrainSize() const {
-    return view_parent_ ? view_indices_.size() : train_.size();
-  }
-  size_t TrainCols() const {
-    return view_parent_ ? view_parent_->features.cols()
-                        : train_.features.cols();
-  }
-  const double* TrainRowPtr(size_t i) const {
-    return view_parent_ ? view_parent_->features.RowPtr(view_indices_[i])
-                        : train_.features.RowPtr(i);
-  }
-  int TrainLabel(size_t i) const {
-    return view_parent_ ? view_parent_->labels[view_indices_[i]]
-                        : train_.labels[i];
-  }
-
   size_t k_;
   MlDataset train_;
-  const MlDataset* view_parent_ = nullptr;  ///< Borrowed parent when FitView.
-  std::vector<size_t> view_indices_;
   int num_classes_ = 0;
   bool fitted_ = false;
 };

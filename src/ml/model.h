@@ -109,9 +109,8 @@ class Classifier {
   /// Trains on a zero-copy row view with results bit-identical to
   /// FitWithClasses(view.Materialize(), num_classes) — which is also the
   /// default implementation. Models that can train straight off the parent
-  /// rows override this to skip the coalition copy; an override that keeps
-  /// *borrowing* the view after returning (KnnClassifier does) requires the
-  /// parent dataset to outlive the model's use.
+  /// rows override this to skip the coalition copy, and keep nothing of the
+  /// view after returning.
   virtual Status FitView(const MlDatasetView& view, int num_classes);
 
   /// Refits on `data` reusing the previously fitted state as the starting

@@ -82,8 +82,8 @@ void ParseRequestLine(const std::string& line, HttpRequest* out) {
 /// Content-Length says so — the body. Bodyless methods keep the historical
 /// single-read fast path (a complete request line is enough; clients may
 /// never send the blank line). Every read gives up at `deadline`. Returns
-/// false when there is nothing to answer; a non-empty `error_response`
-/// carries a 413/400 to send instead.
+/// false when there is nothing to answer (the client sent no bytes); a
+/// non-empty `error_response` carries a 413/400 to send instead.
 bool ReadHttpRequest(int fd, size_t max_body_bytes, Clock::time_point deadline,
                      HttpRequest* out, std::string* error_response) {
   std::string data;
@@ -109,7 +109,13 @@ bool ReadHttpRequest(int fd, size_t max_body_bytes, Clock::time_point deadline,
   }
 
   size_t eol = data.find('\n');
-  if (eol == std::string::npos) return false;  // no request line at all
+  if (eol == std::string::npos) {  // no request line at all
+    if (!data.empty()) {
+      *error_response = MakeHttpResponse(400, "Bad Request", "text/plain",
+                                         "no request line\n");
+    }
+    return false;
+  }
   std::string line = data.substr(0, eol);
   if (!line.empty() && line.back() == '\r') line.pop_back();
   ParseRequestLine(line, out);

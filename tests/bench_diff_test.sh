@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Contract test for the bench_diff regression gate: exit 0 when every watched
 # counter is within threshold, 1 on a regression beyond it, 2 on unusable
-# input. Fixtures mimic the JSON-lines bench_util::ReportJson writes.
-# Registered with ctest.
+# input or on records from different host classes. Fixtures mimic the
+# JSON-lines bench_util::ReportJson writes; the last case runs the gate
+# against the committed baseline. Registered with ctest:
+#
+#   bench_diff_test.sh <bench_diff binary> <bench/BENCH_baseline.json>
 set -u
 
 DIFF="$1"
+BASELINE="$2"
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 cd "$WORKDIR"
@@ -15,12 +19,12 @@ fail() {
   exit 1
 }
 
-# make_results FILE EVALS_PER_SEC P99_MS — one stamped record per watched
-# benchmark, in the exact shape ReportJson emits.
+# make_results FILE EVALS_PER_SEC P99_MS [CPUS] — one stamped record per
+# watched benchmark, in the exact shape ReportJson emits.
 make_results() {
   cat > "$1" <<EOF
-{"name": "BM_TmcUtilityFastPath/fast:1", "ms": 1.25, "utility_evals_per_sec": $2, "git_rev": "fixture", "date": "2026-08-07", "cpus": 1, "telemetry": "off"}
-{"name": "BM_TmcWaveLatency", "ms": 4.0, "wave_p99_ms": $3, "git_rev": "fixture", "date": "2026-08-07", "cpus": 1, "telemetry": "off"}
+{"name": "BM_TmcUtilityFastPath/fast:1", "ms": 1.25, "utility_evals_per_sec": $2, "git_rev": "fixture", "date": "2026-08-07", "cpus": ${4:-1}, "telemetry": "off"}
+{"name": "BM_TmcWaveLatency", "ms": 4.0, "wave_p99_ms": $3, "git_rev": "fixture", "date": "2026-08-07", "cpus": ${4:-1}, "telemetry": "off"}
 EOF
 }
 
@@ -78,5 +82,36 @@ grep -v BM_TmcWaveLatency fresh.json > cand.json
 "$DIFF" --baseline base.json --candidate fresh.json --threshold -1 \
     > /dev/null 2>&1
 [ $? -eq 2 ] || fail "negative threshold should exit 2"
+
+# --- a candidate from another host class is refused, naming both stamps -----
+make_results cand.json 1000 4.0 4
+"$DIFF" --baseline base.json --candidate cand.json > /dev/null 2> err.txt
+[ $? -eq 2 ] || fail "a cpus 4 candidate against a cpus 1 baseline should exit 2"
+grep -q "baseline .*cpus 1 (rev fixture, 2026-08-07)" err.txt \
+    || fail "host-class refusal does not name the baseline's stamp"
+grep -q "candidate .*cpus 4 (rev fixture, 2026-08-07)" err.txt \
+    || fail "host-class refusal does not name the candidate's stamp"
+
+# --- the committed baseline's gate fires on a 20% regression -----------------
+# Every watched counter of the committed baseline scaled 20% the wrong way,
+# stamps unchanged: the gate must report a regression, not refuse the input.
+awk 'function scale(line, key, factor,   at, rest) {
+       at = index(line, "\"" key "\": ")
+       if (at == 0) return line
+       at += length(key) + 4
+       rest = substr(line, at)
+       match(rest, /^[-+0-9.eE]+/)
+       return substr(line, 1, at - 1) \
+              sprintf("%.6f", substr(rest, 1, RLENGTH) * factor) \
+              substr(rest, RLENGTH + 1)
+     }
+     NF { print scale(scale($0, "utility_evals_per_sec", 0.8),
+                      "wave_p99_ms", 1.2) }' "$BASELINE" > regressed.json
+"$DIFF" --baseline "$BASELINE" --candidate regressed.json > diff_out.txt 2>&1
+code=$?
+[ $code -eq 1 ] \
+    || fail "a 20% regression against the committed baseline exited $code, not 1"
+[ "$(grep -c REGRESSED diff_out.txt)" -eq 4 ] \
+    || fail "not every watched counter of the committed baseline regressed"
 
 echo "bench_diff test passed"

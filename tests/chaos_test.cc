@@ -1,13 +1,14 @@
 /// Deterministic chaos suite: proves every registered failpoint site degrades
 /// to a typed error (never a crash), that graceful-degradation sites keep
 /// working, and that keyed probabilistic injection replays bit-identically
-/// for any thread count. Runs under ASan and TSan via `tools/check.sh
-/// --chaos` (ctest label: chaos).
+/// for any thread count. Every case runs twice, untraced and with the
+/// tracing and metrics stack live, so injected failures also race span
+/// recording and labeled-series resolution. ctest label `chaos`: the `asan`
+/// and `tsan` presets in CMakePresets.json run it under the sanitizers.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -39,15 +40,13 @@
 namespace nde {
 namespace {
 
-class ChaosTest : public ::testing::Test {
+/// Parameter: whether the case runs with telemetry on under a job's trace
+/// context.
+class ChaosTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     Reset();
-    // NDE_CHAOS_TRACE=1 (set by `tools/check.sh --trace-smoke`) reruns the
-    // whole suite with the tracing/metrics stack live, so injected failures
-    // race span recording and labeled-series resolution under TSan too.
-    const char* trace_env = std::getenv("NDE_CHAOS_TRACE");
-    if (trace_env != nullptr && trace_env[0] == '1') {
+    if (GetParam()) {
       telemetry::SetEnabled(true);
       TraceContext context = MintTraceContext();
       context.job_id = "chaos";
@@ -192,7 +191,7 @@ std::map<std::string, SiteWorkload> BuildWorkloads() {
   return workloads;
 }
 
-TEST_F(ChaosTest, EveryKnownSiteDegradesToTypedError) {
+TEST_P(ChaosTest, EveryKnownSiteDegradesToTypedError) {
   std::map<std::string, SiteWorkload> workloads = BuildWorkloads();
   for (const std::string& site : failpoint::KnownSites()) {
     ASSERT_NE(workloads.find(site), workloads.end())
@@ -223,7 +222,7 @@ TEST_F(ChaosTest, EveryKnownSiteDegradesToTypedError) {
   }
 }
 
-TEST_F(ChaosTest, AllSitesArmedAtOnceStaysTypedAndRecovers) {
+TEST_P(ChaosTest, AllSitesArmedAtOnceStaysTypedAndRecovers) {
   std::map<std::string, SiteWorkload> workloads = BuildWorkloads();
   for (const std::string& site : failpoint::KnownSites()) {
     ASSERT_TRUE(
@@ -249,7 +248,7 @@ TEST_F(ChaosTest, AllSitesArmedAtOnceStaysTypedAndRecovers) {
   }
 }
 
-TEST_F(ChaosTest, NanPoisonBecomesTypedNonFiniteError) {
+TEST_P(ChaosTest, NanPoisonBecomesTypedNonFiniteError) {
   SumUtility utility(4);
   ASSERT_TRUE(failpoint::Arm("utility.evaluate=nan").ok());
   // TryEvaluate itself reports the poisoned value...
@@ -269,7 +268,7 @@ TEST_F(ChaosTest, NanPoisonBecomesTypedNonFiniteError) {
             std::string::npos);
 }
 
-TEST_F(ChaosTest, RetryRecoversFromOneShotTransientFault) {
+TEST_P(ChaosTest, RetryRecoversFromOneShotTransientFault) {
   SumUtility utility(4);
   TmcShapleyOptions options;
   options.num_permutations = 8;
@@ -294,7 +293,7 @@ TEST_F(ChaosTest, RetryRecoversFromOneShotTransientFault) {
   EXPECT_TRUE(telemetry::IsHealthy());
 }
 
-TEST_F(ChaosTest, RetryRecoversProbabilisticFaultsOnThePrefixScanPath) {
+TEST_P(ChaosTest, RetryRecoversProbabilisticFaultsOnThePrefixScanPath) {
   ScanSumUtility utility(4);
   TmcShapleyOptions options;
   options.num_permutations = 8;
@@ -324,13 +323,23 @@ TEST_F(ChaosTest, RetryRecoversProbabilisticFaultsOnThePrefixScanPath) {
 /// Both retry paths share one backoff helper, so a scan-path retry lands in
 /// the running job's labeled `estimator.retries` series too, not only in the
 /// unlabeled one.
-TEST_F(ChaosTest, PrefixScanRetriesCountTowardTheJob) {
+TEST_P(ChaosTest, PrefixScanRetriesCountTowardTheJob) {
   bool was_enabled = telemetry::Enabled();
   telemetry::SetEnabled(true);
   TraceContext context = MintTraceContext();
   context.job_id = "job-scan-retry";
   context.algorithm = "tmc_shapley";
   ScopedTraceContext scope(context);
+  // The registry outlives each case, so count this run's retries only.
+  auto job_retries = [] {
+    telemetry::MetricsSnapshot snapshot =
+        telemetry::MetricsRegistry::Global().Snapshot();
+    auto it = snapshot.counters.find(
+        "estimator.retries{algorithm=\"tmc_shapley\","
+        "job_id=\"job-scan-retry\"}");
+    return it == snapshot.counters.end() ? uint64_t{0} : it->second;
+  };
+  const uint64_t retries_before = job_retries();
   ScanSumUtility utility(4);
   TmcShapleyOptions options;
   options.num_permutations = 8;
@@ -345,15 +354,11 @@ TEST_F(ChaosTest, PrefixScanRetriesCountTowardTheJob) {
   ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
   EXPECT_FALSE(estimate->aborted_early);
   EXPECT_EQ(FiresFor("utility.evaluate"), 1u);
-  telemetry::MetricsSnapshot snapshot =
-      telemetry::MetricsRegistry::Global().Snapshot();
-  EXPECT_EQ(snapshot.counters.at("estimator.retries{algorithm=\"tmc_shapley\","
-                                 "job_id=\"job-scan-retry\"}"),
-            1u);
+  EXPECT_EQ(job_retries() - retries_before, 1u);
   telemetry::SetEnabled(was_enabled);
 }
 
-TEST_F(ChaosTest, ExhaustedRetriesAbortWithCause) {
+TEST_P(ChaosTest, ExhaustedRetriesAbortWithCause) {
   SumUtility utility(4);
   ASSERT_TRUE(
       failpoint::Arm("utility.evaluate=error(unavailable:backend down)")
@@ -378,7 +383,7 @@ TEST_F(ChaosTest, ExhaustedRetriesAbortWithCause) {
 /// the run — so the pool's failpoint can kill the build itself. No wave ran
 /// and no coalition was evaluated: the fault is the run's typed Status, and
 /// the context stays unbuilt for the next call to build.
-TEST_F(ChaosTest, PoolFaultDuringScorerContextBuildIsTypedAndRetryable) {
+TEST_P(ChaosTest, PoolFaultDuringScorerContextBuildIsTypedAndRetryable) {
   BlobsOptions blobs;
   blobs.num_examples = 40;
   blobs.seed = 5;
@@ -455,7 +460,7 @@ TEST_F(ChaosTest, PoolFaultDuringScorerContextBuildIsTypedAndRetryable) {
   }
 }
 
-TEST_F(ChaosTest, KeyedDecisionBitmapIsThreadScheduleInvariant) {
+TEST_P(ChaosTest, KeyedDecisionBitmapIsThreadScheduleInvariant) {
   ASSERT_TRUE(failpoint::Arm("chaos.bitmap=error@0.5/123").ok());
   constexpr size_t kKeys = 1000;
   std::vector<char> serial(kKeys, 0);
@@ -476,7 +481,7 @@ TEST_F(ChaosTest, KeyedDecisionBitmapIsThreadScheduleInvariant) {
 /// Probabilistic injection into the TMC estimator replays bit-identically
 /// for any thread count: the fire decision is keyed by (subset hash, attempt
 /// salt), never by hit order or thread schedule.
-TEST_F(ChaosTest, ProbabilisticTmcReplayIsIdenticalAcrossThreadCounts) {
+TEST_P(ChaosTest, ProbabilisticTmcReplayIsIdenticalAcrossThreadCounts) {
   SumUtility utility(6);
   std::vector<size_t> all_units = {0, 1, 2, 3, 4, 5};
 
@@ -520,7 +525,7 @@ TEST_F(ChaosTest, ProbabilisticTmcReplayIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one->abort_cause.ToString(), eight->abort_cause.ToString());
 }
 
-TEST_F(ChaosTest, HealthEndpointFlipsDegradedWhileMetricsStayScrapeable) {
+TEST_P(ChaosTest, HealthEndpointFlipsDegradedWhileMetricsStayScrapeable) {
   std::string healthy =
       telemetry::HttpExporter::HandleRequest("GET /healthz HTTP/1.1");
   EXPECT_EQ(healthy.find("HTTP/1.1 200"), 0u);
@@ -544,7 +549,7 @@ TEST_F(ChaosTest, HealthEndpointFlipsDegradedWhileMetricsStayScrapeable) {
   EXPECT_EQ(recovered.find("HTTP/1.1 200"), 0u);
 }
 
-TEST_F(ChaosTest, HttpHandlerFaultReturnsWellFormed500) {
+TEST_P(ChaosTest, HttpHandlerFaultReturnsWellFormed500) {
   ASSERT_TRUE(
       failpoint::Arm("http.handle_request=error(internal:scrape exploded)")
           .ok());
@@ -558,6 +563,11 @@ TEST_F(ChaosTest, HttpHandlerFaultReturnsWellFormed500) {
       telemetry::HttpExporter::HandleRequest("GET /metrics HTTP/1.1");
   EXPECT_EQ(after.find("HTTP/1.1 200"), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Tracing, ChaosTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Traced" : "Untraced";
+                         });
 
 }  // namespace
 }  // namespace nde

@@ -310,6 +310,20 @@ grep -q "backend down" chaos_err.txt \
 grep -q '"error":{"code":"unavailable","message":"backend down","exit_code":3}' \
     chaos_report.json || fail "report lacks the structured error block"
 
+# With a retry to exhaust first, the run still exits 3, and the --metrics
+# table counts the failpoint's hits and fires.
+NDE_FAILPOINTS='utility.evaluate=error(unavailable:chaos drill)' \
+    "$CLI" importance train.csv --label label --top 5 --permutations 4 \
+    --retries 1 --retry-backoff-ms 0 --metrics \
+    > chaos_metrics_out.txt 2> chaos_metrics_err.txt
+[ $? -eq 3 ] || fail "injected utility fault after a retry should exit 3"
+grep -q "chaos drill" chaos_metrics_err.txt \
+    || fail "injected fault after a retry not reported on stderr"
+for counter in hits fires; do
+  grep -q "failpoint.utility.evaluate.$counter" chaos_metrics_out.txt \
+      || fail "--metrics lacks the failpoint $counter counter"
+done
+
 # The run's first pool tasks fill TMC's scorer context, before any wave:
 # losing one is a typed runtime failure (exit 3), not a crash.
 NDE_FAILPOINTS='threadpool.task=error(unavailable:worker fault)#1x1' \

@@ -15,8 +15,9 @@
 //  - bad input returns InvalidArgument.
 // A calibration property then checks that the reported std errors cover
 // ExactShapleyValues / ExactBanzhafValues at close to the nominal rate on
-// generated games. The suite arms failpoints, so it carries the ctest label
-// `chaos` (tools/check.sh --chaos runs it under ASan+UBSan and TSan).
+// generated games. The suite arms failpoints and fans estimators across
+// threads, so it carries the ctest labels `chaos` and `threads` (the `asan`
+// and `tsan` presets run it under ASan+UBSan and TSan).
 
 #include <atomic>
 #include <chrono>

@@ -1,9 +1,11 @@
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "cold_reference.h"
 #include "common/rng.h"
 #include "datagen/synthetic.h"
 #include "importance/game_values.h"
@@ -105,6 +107,46 @@ TEST(GroupShapleyTest, CorruptedProviderGetsLowestValue) {
   EXPECT_LT(values[2], values[1]);
   EXPECT_LT(values[2], 0.0);
   EXPECT_GT(values[0], 0.0);
+}
+
+TEST(GroupedUtilityTest, TmcOverKnnGroupsScoresFromOnePreparedModel) {
+  // The estimator prepares the grouped utility, which prepares its KNN base:
+  // every group coalition is then scored from the base's scorer context, so
+  // the factory builds the one model that context comes from, and the values
+  // equal a run that fits every coalition cold.
+  BlobsOptions blobs;
+  blobs.num_examples = 240;
+  blobs.num_features = 4;
+  blobs.separation = 1.5;
+  MlDataset all = MakeBlobs(blobs);
+  Rng split_rng(11);
+  SplitResult split = TrainTestSplit(all, 0.25, &split_rng);
+  std::vector<size_t> group_of(split.train.size());
+  for (size_t i = 0; i < group_of.size(); ++i) group_of[i] = i % 12;
+
+  std::atomic<size_t> models{0};
+  ClassifierFactory counting = [&models] {
+    models.fetch_add(1);
+    return std::make_unique<KnnClassifier>(3);
+  };
+  ModelAccuracyUtility base(counting, split.train, split.test);
+  GroupedUtility grouped = GroupedUtility::Create(&base, group_of).value();
+  TmcShapleyOptions options;
+  options.num_permutations = 6;
+  options.truncation_tolerance = 0.0;
+  options.num_threads = 2;
+  ImportanceEstimate prepared = TmcShapleyValues(grouped, options).value();
+  EXPECT_EQ(models.load(), 1u);
+
+  ModelAccuracyUtility cold_base(
+      [] { return std::make_unique<KnnClassifier>(3); }, split.train,
+      split.test);
+  GroupedUtility cold_grouped =
+      GroupedUtility::Create(&cold_base, group_of).value();
+  ImportanceEstimate cold =
+      TmcShapleyValues(ColdReference(cold_grouped), options).value();
+  EXPECT_EQ(prepared.values, cold.values);
+  EXPECT_EQ(prepared.utility_evaluations, cold.utility_evaluations);
 }
 
 TEST(GroupShapleyTest, TooManyGroupsRejected) {

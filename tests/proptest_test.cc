@@ -4,16 +4,20 @@
 // generators and asserts an invariant the design document promises for *all*
 // inputs: bit-identity across fast-path configurations and thread counts,
 // CSV round-trips, prefix-scan-vs-full-retrain equality, registry-vs-direct
-// equality, pipeline removal semantics, and the paper-level metamorphic
-// property that corrupting rows drops their importance.
+// equality, pipeline removal semantics, the paper-level metamorphic
+// property that corrupting rows drops their importance, and totality of the
+// JSON parser, the job API's POST /jobs and the HTTP exporter's request
+// reader.
 //
 // On failure each suite prints a one-line replay command
 // (`NDE_PROP_SEED=<seed> ... ctest -R proptest_test`) plus the shrunk
 // counterexample as a pasteable CSV snippet. Case budgets scale with
-// NDE_PROP_CASES (tools/check.sh sets a reduced budget under sanitizers).
+// NDE_PROP_CASES (the `asan`, `tsan` and `property` test presets in
+// CMakePresets.json set reduced budgets).
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -27,6 +31,12 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +59,7 @@
 #include "proptest/domain.h"
 #include "proptest/gen.h"
 #include "telemetry/health.h"
+#include "telemetry/http_exporter.h"
 
 #include "cold_reference.h"
 
@@ -520,6 +531,169 @@ TEST(JobApiPropertyTest, PostJobsAnswers2xxOr4xxWithJsonBody) {
   EXPECT_TRUE(report.empty()) << report;
   // Accepted jobs that then failed marked the process degraded.
   telemetry::SetHealthy();
+}
+
+/// --- HTTP request parsing ---------------------------------------------------
+
+/// Raw request bytes for the exporter's socket reader. A request line, a
+/// header block and a body, each part right, wrong or missing: built-in and
+/// unknown targets, odd methods, CRLF or bare-LF endings, Content-Length
+/// values that match the body, overstate it, pass the exporter's body cap
+/// (`max_body_bytes`) or do not parse, traceparent and junk headers, a
+/// header block past the 16 KiB header cap; one case in eight is raw bytes.
+/// Shrinks toward shorter prefixes and suffixes.
+Gen<std::string> AnyHttpRequestBytes(size_t max_body_bytes) {
+  return Gen<std::string>(
+      [max_body_bytes](Rng* rng) {
+        auto raw = [rng](size_t min_len, size_t max_len) {
+          std::string bytes(min_len + rng->NextBounded(max_len - min_len + 1),
+                            '\0');
+          for (char& c : bytes) c = static_cast<char>(rng->NextBounded(256));
+          return bytes;
+        };
+        auto pick = [rng](std::initializer_list<std::string> items) {
+          return *(items.begin() + rng->NextBounded(items.size()));
+        };
+        if (rng->NextBernoulli(0.125)) return raw(1, 64);
+
+        const std::string eol = rng->NextBernoulli(0.8) ? "\r\n" : "\n";
+        std::string body = rng->NextBernoulli(0.5)
+                               ? raw(0, max_body_bytes + max_body_bytes / 2)
+                               : std::string();
+        std::string request =
+            (rng->NextBernoulli(0.5)
+                 ? std::string("GET")
+                 : pick({"POST", "PUT", "DELETE", "HEAD", "get", "",
+                         raw(1, 6)})) +
+            " " +
+            pick({"/healthz", "/metrics", "/varz", "/tracez", "/profilez",
+                  "/profilez?folded=1", "/healthz?probe=1", "/jobs", "/nope",
+                  "", "*", raw(1, 8)}) +
+            pick({" HTTP/1.1", " HTTP/1.0", "", " HTTP/9 extra"}) + eol;
+        for (size_t i = 0, n = rng->NextBounded(5); i < n; ++i) {
+          std::string length = pick(
+              {std::to_string(body.size()),
+               std::to_string(body.size() + 1 + rng->NextBounded(8)),
+               std::to_string(body.size() / 2), "0",
+               std::to_string(max_body_bytes + 1), "99999999999999999999999",
+               "", "-1", "abc", "1e3", "0x10", "+5", "5 "});
+          request +=
+              pick({"Host: localhost", "Content-Length: " + length,
+                    "content-length:" + length,
+                    "traceparent: "
+                    "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+                    "traceparent: " + raw(0, 12), "X-No-Colon", ": no name",
+                    "X-Junk: " + raw(0, 16)}) +
+              eol;
+        }
+        if (rng->NextBernoulli(0.05)) {
+          request += "X-Padding: " + std::string(17 * 1024, 'p') + eol;
+        }
+        if (rng->NextBernoulli(0.9)) request += eol;
+        return request + body;
+      },
+      [](const std::string& text) {
+        std::vector<std::string> candidates;  // All strictly shorter.
+        if (text.size() <= 1) return candidates;
+        candidates = {text.substr(0, text.size() / 2),
+                      text.substr(text.size() / 2 + 1),
+                      text.substr(0, text.size() - 1), text.substr(1)};
+        return candidates;
+      });
+}
+
+/// Sends `request` to 127.0.0.1:`port` in one write, shuts the write side
+/// (the server reads EOF rather than waiting out its deadline) and returns
+/// every byte the server sends back before closing.
+std::string ExchangeOnLoopback(uint16_t port, const std::string& request) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string response;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+    size_t sent = 0;
+    while (sent < request.size()) {
+      ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                         MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);
+    char buffer[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+      response.append(buffer, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  return response;
+}
+
+/// "" when `response` is exactly one well-formed HTTP/1.1 response with a
+/// status the exporter documents, else what is wrong with it.
+std::string CheckHttpResponse(const std::string& response) {
+  if (response.empty()) return "no response";
+  size_t head_end = response.find("\r\n\r\n");
+  if (head_end == std::string::npos) {
+    return "response has no header block: " + DescribeJsonText(response);
+  }
+  const std::string head = response.substr(0, head_end + 2);
+  const std::string status_line = head.substr(0, head.find("\r\n"));
+  if (status_line.size() < 13 || status_line.compare(0, 9, "HTTP/1.1 ") != 0 ||
+      !std::isdigit(static_cast<unsigned char>(status_line[9])) ||
+      !std::isdigit(static_cast<unsigned char>(status_line[10])) ||
+      !std::isdigit(static_cast<unsigned char>(status_line[11])) ||
+      status_line[12] != ' ') {
+    return "malformed status line '" + status_line + "'";
+  }
+  int status = std::atoi(status_line.c_str() + 9);
+  const std::set<int> documented = {200, 400, 404, 405, 413};
+  if (documented.count(status) == 0 &&
+      !(status == 503 && !telemetry::IsHealthy())) {
+    return "undocumented status in '" + status_line + "'";
+  }
+  const std::string length_key = "\r\nContent-Length: ";
+  size_t length_at = head.find(length_key);
+  if (length_at == std::string::npos) return "no Content-Length header";
+  size_t declared = std::strtoull(
+      head.c_str() + length_at + length_key.size(), nullptr, 10);
+  size_t body_size = response.size() - head_end - 4;
+  if (declared != body_size) {
+    return StrFormat("Content-Length %zu but %zu body bytes after '%s'",
+                     declared, body_size, status_line.c_str());
+  }
+  return "";
+}
+
+TEST(HttpPropertyTest, EveryRequestGetsOneWellFormedResponse) {
+  // The exporter's socket reader is untrusted ingress: whatever bytes a
+  // client sends before closing its write side, it answers with exactly one
+  // response, a documented status and a Content-Length equal to its body —
+  // and keeps serving afterwards.
+  constexpr size_t kMaxBodyBytes = 64;
+  telemetry::SetHealthy();
+  telemetry::HttpExporter exporter;
+  exporter.set_max_body_bytes(kMaxBodyBytes);
+  ASSERT_TRUE(exporter.Start(0).ok());
+  const uint16_t port = exporter.port();
+  std::function<std::string(const std::string&)> property =
+      [port](const std::string& request) {
+        return CheckHttpResponse(ExchangeOnLoopback(port, request));
+      };
+  std::string report = CheckProperty<std::string>(
+      "http-request-totality", AnyHttpRequestBytes(kMaxBodyBytes), property,
+      DescribeJsonText, HereConfig(200));
+  EXPECT_TRUE(report.empty()) << report;
+  EXPECT_EQ(ExchangeOnLoopback(port, "GET /healthz HTTP/1.1\r\n\r\n")
+                .rfind("HTTP/1.1 200 OK\r\n", 0),
+            0u);
+  exporter.Stop();
 }
 
 /// --- Estimator configuration sweeps ------------------------------------------

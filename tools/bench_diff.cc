@@ -18,10 +18,13 @@
 // committed baseline. A watched benchmark absent from the *baseline* is
 // skipped (a short smoke run may only exercise a subset); present in the
 // baseline but absent from the candidate is an error — the candidate run
-// silently dropped a guarded benchmark.
+// silently dropped a guarded benchmark. A candidate record whose "cpus"
+// stamp differs from its baseline record's is refused, not compared: a
+// counter measured on another host class is no regression signal.
 //
 // Exit codes: 0 all watched counters within threshold; 1 at least one
-// regressed beyond threshold; 2 usage or parse failure.
+// regressed beyond threshold; 2 usage or parse failure, or records stamped
+// on different host classes.
 
 #include <cctype>
 #include <cmath>
@@ -95,6 +98,11 @@ struct Record {
   double value = 0.0;
   std::string git_rev;
   std::string date;
+  std::string cpus;
+
+  std::string Stamp() const {
+    return "cpus " + cpus + " (rev " + git_rev + ", " + date + ")";
+  }
 };
 
 /// Loads the last record per watched benchmark from a JSON-lines file.
@@ -132,6 +140,7 @@ bool LoadLastRecords(const std::string& path,
       }
       ExtractRaw(line, "git_rev", &record.git_rev);
       ExtractRaw(line, "date", &record.date);
+      ExtractRaw(line, "cpus", &record.cpus);
       (*records)[name] = record;  // last entry per name wins
     }
   }
@@ -187,6 +196,21 @@ int main(int argc, char** argv) {
   if (baseline.empty()) {
     std::fprintf(stderr, "error: baseline '%s' has no watched benchmarks\n",
                  baseline_path.c_str());
+    return 2;
+  }
+
+  for (const WatchedCounter& watched : kWatched) {
+    auto base_it = baseline.find(watched.bench_name);
+    auto cand_it = candidate.find(watched.bench_name);
+    if (base_it == baseline.end() || cand_it == candidate.end() ||
+        base_it->second.cpus == cand_it->second.cpus) {
+      continue;
+    }
+    std::fprintf(stderr,
+                 "error: refusing to compare records from different host "
+                 "classes:\n  baseline  %s: %s\n  candidate %s: %s\n",
+                 watched.bench_name, base_it->second.Stamp().c_str(),
+                 watched.bench_name, cand_it->second.Stamp().c_str());
     return 2;
   }
 

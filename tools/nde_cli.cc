@@ -617,6 +617,17 @@ int RunImpute(const Args& args) {
   return 0;
 }
 
+/// Turns telemetry on, noting on stderr when it is compiled out: its
+/// outputs are then empty by design.
+void EnableTelemetry() {
+  telemetry::SetEnabled(true);
+#if !NDE_TELEMETRY_ENABLED
+  std::fprintf(stderr,
+               "note: telemetry compiled out (NDE_TELEMETRY=OFF); metrics "
+               "and traces will be empty\n");
+#endif
+}
+
 volatile std::sig_atomic_t g_serve_stop = 0;
 
 void HandleServeSignal(int) { g_serve_stop = 1; }
@@ -650,7 +661,7 @@ int RunServe(const Args& args) {
   if (!max_queue.ok()) return Fail(max_queue.status().ToString());
 
   // A long-lived server should always expose live metrics and traces.
-  telemetry::SetEnabled(true);
+  EnableTelemetry();
 
   JobApiOptions job_options;
   job_options.num_workers = static_cast<size_t>(*workers);
@@ -792,12 +803,7 @@ int Main(int argc, char** argv) {
   std::string profile_path = FlagOr(args, "profile", "");
   if (want_metrics || want_prometheus || !trace_path.empty() ||
       !serve_flag.empty() || !report_path.empty() || !profile_path.empty()) {
-    telemetry::SetEnabled(true);
-#if !NDE_TELEMETRY_ENABLED
-    std::fprintf(stderr,
-                 "note: telemetry compiled out (NDE_TELEMETRY=OFF); metrics "
-                 "and traces will be empty\n");
-#endif
+    EnableTelemetry();
   }
   // Root trace context for the whole run: adopt an externally supplied
   // --trace-parent (a driving system can then correlate this invocation with
