@@ -1,6 +1,7 @@
 #ifndef NDE_DATA_CSV_H_
 #define NDE_DATA_CSV_H_
 
+#include <cstddef>
 #include <string>
 
 #include "common/result.h"
@@ -8,8 +9,15 @@
 
 namespace nde {
 
+/// The reader cuts its input into chunks of this many bytes and parses them
+/// on up to DefaultNumThreads() workers; an input of one chunk or less runs
+/// on the calling thread. A constant rather than an option: the table read
+/// does not depend on it (DESIGN.md §8).
+inline constexpr size_t kCsvChunkBytes = size_t{1} << 20;
+
 /// Options controlling CSV parsing.
 struct CsvReadOptions {
+  /// Any byte but LF, which always ends a record outside quotes.
   char delimiter = ',';
   /// When true, the first line provides column names; otherwise columns are
   /// named "c0", "c1", ...
@@ -33,11 +41,14 @@ struct CsvReadOptions {
 /// CRLF), so records can span physical lines. Records end at unquoted LF or
 /// CRLF; a final record without a trailing newline is still read. Errors are
 /// reported against the physical line where the record (or the offending
-/// quote) started.
+/// quote) started; an unterminated quote is reported before any record
+/// error, and record errors in record order. The table and the error are
+/// the same for any thread count.
 Result<Table> ReadCsvString(const std::string& text,
                             const CsvReadOptions& options = {});
 
-/// Reads and parses a CSV file.
+/// Reads a CSV file into memory in one read and parses it. A file that
+/// cannot be opened or read in full is an IOError.
 Result<Table> ReadCsvFile(const std::string& path,
                           const CsvReadOptions& options = {});
 

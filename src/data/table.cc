@@ -48,6 +48,16 @@ Result<Table> Table::FromRows(Schema schema,
   return table;
 }
 
+Result<Table> Table::FromColumns(Schema schema,
+                                 std::vector<std::vector<Value>> columns) {
+  Table table(std::move(schema));
+  table.num_rows_ = columns.empty() ? 0 : columns.front().size();
+  table.columns_ = std::move(columns);
+  Status status = table.Validate();
+  if (!status.ok()) return Status::InvalidArgument(status.message());
+  return table;
+}
+
 Result<const std::vector<Value>*> Table::ColumnByName(
     const std::string& name) const {
   NDE_ASSIGN_OR_RETURN(size_t index, schema_.FieldIndex(name));
@@ -260,16 +270,10 @@ TableBuilder& TableBuilder::AddValueColumn(const std::string& name,
 }
 
 Table TableBuilder::Build() {
-  Table table{Schema(fields_)};
-  size_t rows = columns_.empty() ? 0 : columns_.front().size();
-  for (size_t r = 0; r < rows; ++r) {
-    std::vector<Value> row;
-    row.reserve(columns_.size());
-    for (auto& col : columns_) row.push_back(std::move(col[r]));
-    Status s = table.AppendRow(std::move(row));
-    NDE_CHECK(s.ok()) << s.ToString();
-  }
-  return table;
+  Result<Table> table =
+      Table::FromColumns(Schema(fields_), std::move(columns_));
+  NDE_CHECK(table.ok()) << table.status().ToString();
+  return std::move(table).value();
 }
 
 }  // namespace nde

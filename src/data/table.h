@@ -71,6 +71,13 @@ class Table {
   static Result<Table> FromRows(Schema schema,
                                 std::vector<std::vector<Value>> rows);
 
+  /// Builds a table from a schema and one column of cells per field, taking
+  /// the columns over. Every column must have the same length and cells of
+  /// its field's type (or null), as Validate() checks; a table that fails it
+  /// is InvalidArgument.
+  static Result<Table> FromColumns(Schema schema,
+                                   std::vector<std::vector<Value>> columns);
+
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return schema_.num_fields(); }

@@ -11,7 +11,7 @@
 namespace nde {
 
 Result<TableRunResult> RunAlgorithmOnTable(const AlgorithmInstance& algorithm,
-                                           const Table& table,
+                                           Table table,
                                            const std::string& label,
                                            std::string* annotated_plan) {
   NDE_RETURN_IF_ERROR(table.schema().FieldIndex(label).status());
@@ -31,7 +31,11 @@ Result<TableRunResult> RunAlgorithmOnTable(const AlgorithmInstance& algorithm,
         });
     return MakeProject(std::move(node), columns);
   };
-  MlPipeline pipeline({{"train", table}}, builder, std::move(transformer),
+  // Moved into the sources: an initializer list would copy it twice.
+  size_t num_source_rows = table.num_rows();
+  std::vector<NamedTable> sources;
+  sources.push_back({"train", std::move(table)});
+  MlPipeline pipeline(std::move(sources), builder, std::move(transformer),
                       label);
 
   PlanNodePtr plan = pipeline.BuildPlan();
@@ -67,7 +71,7 @@ Result<TableRunResult> RunAlgorithmOnTable(const AlgorithmInstance& algorithm,
   input.validation = &valid;
   input.pipeline_output = &output;
   input.source_table_id = 0;
-  input.num_source_rows = table.num_rows();
+  input.num_source_rows = num_source_rows;
   NDE_ASSIGN_OR_RETURN(result.estimate, algorithm.Run(input));
 
   // Most suspect first = lowest value. Train-split algorithms score the

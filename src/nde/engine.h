@@ -34,6 +34,8 @@ struct TableRunResult {
 
 /// Runs `algorithm` (already configured) over `table` with labels in column
 /// `label`. Split: every 5th pipeline-output row validates, the rest train.
+/// The table becomes the pipeline's source, so callers done with it move it
+/// in rather than copy it.
 ///
 /// `annotated_plan` (optional) is filled as soon as the pipeline has
 /// executed — before the estimator runs — so callers can surface the plan
@@ -44,7 +46,7 @@ struct TableRunResult {
 /// decides how to surface the partial result (the CLI warns and exits 3, the
 /// job API marks the job failed/cancelled).
 Result<TableRunResult> RunAlgorithmOnTable(
-    const AlgorithmInstance& algorithm, const Table& table,
+    const AlgorithmInstance& algorithm, Table table,
     const std::string& label, std::string* annotated_plan = nullptr);
 
 }  // namespace nde

@@ -341,7 +341,8 @@ Status JobManager::RunJob(Job* job) {
     });
     NDE_ASSIGN_OR_RETURN(
         TableRunResult result,
-        RunAlgorithmOnTable(*algorithm, *table, job->request.label));
+        RunAlgorithmOnTable(*algorithm, std::move(*table),
+                            job->request.label));
     if (result.estimate.aborted_early) {
       // Same contract as the CLI's exit 3: a partial estimate is not
       // published as a result; the abort cause is the job's outcome.

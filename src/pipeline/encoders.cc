@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
@@ -283,9 +284,12 @@ Result<ColumnTransformer> MakeAutoTransformer(
       continue;
     }
     // String column: one-hot when low-cardinality, hashed text otherwise.
-    std::unordered_map<Value, size_t, ValueHash> distinct;
+    // Counting stops once the column is known to be past the one-hot limit.
+    std::unordered_set<Value, ValueHash> distinct;
     for (const Value& v : table.column(c)) {
-      if (!v.is_null()) ++distinct[v];
+      if (v.is_null()) continue;
+      distinct.insert(v);
+      if (distinct.size() > max_onehot_cardinality) break;
     }
     if (distinct.empty()) continue;
     if (distinct.size() <= max_onehot_cardinality) {

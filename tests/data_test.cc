@@ -1,13 +1,25 @@
+#include <sys/stat.h>
+
+#include <cerrno>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/parallel.h"
 #include "common/status.h"
 #include "data/csv.h"
 #include "data/table.h"
 #include "data/value.h"
+
+#include "csv_reference.h"
 
 namespace nde {
 namespace {
@@ -200,6 +212,22 @@ TEST(TableTest, FromRowsValidates) {
   EXPECT_FALSE(Table::FromRows(schema, {{Value("x")}}).ok());
 }
 
+TEST(TableTest, FromColumnsValidates) {
+  Schema schema({{"a", DataType::kInt64}, {"b", DataType::kString}});
+  Result<Table> good = Table::FromColumns(
+      schema, {{Value(1), Value::Null()}, {Value("x"), Value("y")}});
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->num_rows(), 2u);
+  EXPECT_TRUE(good->Validate().ok());
+  EXPECT_TRUE(good->At(1, 0).is_null());
+  // Ragged columns, a mistyped cell and a missing column are each rejected.
+  EXPECT_FALSE(
+      Table::FromColumns(schema, {{Value(1)}, {Value("x"), Value("y")}}).ok());
+  EXPECT_FALSE(Table::FromColumns(schema, {{Value("1")}, {Value("x")}}).ok());
+  EXPECT_EQ(Table::FromColumns(schema, {{Value(1)}}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // --- CSV ------------------------------------------------------------------------
 
 TEST(CsvTest, ParsesTypedColumns) {
@@ -288,10 +316,37 @@ TEST(CsvTest, MissingFileReturnsIOError) {
             StatusCode::kIOError);
 }
 
+TEST(CsvTest, DirectoryReturnsIOError) {
+  // A directory opens as a stream, but its first read fails.
+  Result<Table> t = ReadCsvFile(::testing::TempDir());
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kIOError);
+}
+
 TEST(CsvTest, AllNullColumnDefaultsToString) {
   Result<Table> t = ReadCsvString("a,b\n1,\n2,\n");
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->schema().field(1).type, DataType::kString);
+}
+
+TEST(CsvTest, IntegerCellsFollowStrtollGrammar) {
+  // An optional sign and digits in int64's range make an integer; text one
+  // past the range still parses as a double, so its column is double.
+  Result<Table> t = ReadCsvString(
+      "a,b,c\n"
+      "+4,9223372036854775807,1\n"
+      "-3,-9223372036854775808,9223372036854775808\n"
+      "007,0,2\n");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->schema().field(0).type, DataType::kInt64);
+  EXPECT_EQ(t->At(0, 0).as_int64(), 4);
+  EXPECT_EQ(t->At(1, 0).as_int64(), -3);
+  EXPECT_EQ(t->At(2, 0).as_int64(), 7);
+  ASSERT_EQ(t->schema().field(1).type, DataType::kInt64);
+  EXPECT_EQ(t->At(0, 1).as_int64(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(t->At(1, 1).as_int64(), std::numeric_limits<int64_t>::min());
+  ASSERT_EQ(t->schema().field(2).type, DataType::kDouble);
+  EXPECT_EQ(t->At(1, 2).as_double(), 9223372036854775808.0);
 }
 
 // --- CSV negative paths -------------------------------------------------------
@@ -434,6 +489,231 @@ TEST(CsvHardeningTest, TrailingBlankAndWhitespaceLinesDropped) {
   Result<Table> t = ReadCsvString("a,b\n1,2\n\n   \n\r\n");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
   EXPECT_EQ(t->num_rows(), 1u);
+}
+
+TEST(CsvHardeningTest, LfDelimiterRejected) {
+  CsvReadOptions options;
+  options.delimiter = '\n';
+  Result<Table> t = ReadCsvString("a\n1\n", options);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- CSV chunk boundaries ---------------------------------------------------
+// The reader splits its input into kCsvChunkBytes chunks and parses them in
+// parallel. Each case below puts a tricky byte sequence exactly across a
+// chunk boundary and checks the table (or error) against the serial
+// reference reader at one and four threads.
+
+/// `head`, 64-byte filler records "0,xx...x\n" and one of 4 to 67 bytes, then
+/// `tail`, with the filler sized so that byte `at` of `tail` lands on input
+/// offset `offset`.
+std::string PlaceAt(const std::string& head, const std::string& tail,
+                    size_t at, size_t offset) {
+  size_t filler = offset - at - head.size();
+  NDE_CHECK_GE(filler, 4u);
+  std::string text = head;
+  text.reserve(offset - at + tail.size());
+  size_t full_records = (filler - 4) / 64;
+  for (size_t i = 0; i < full_records; ++i) {
+    text += "0," + std::string(61, 'x') + "\n";
+  }
+  text += "0," + std::string(filler - 64 * full_records - 3, 'x') + "\n";
+  text += tail;
+  NDE_CHECK_EQ(text.size(), offset - at + tail.size());
+  return text;
+}
+
+/// Cells compare with ==, except doubles, which compare bit for bit so that
+/// NaN cells count as equal.
+bool SameCell(const Value& a, const Value& b) {
+  if (!a.is_double() || !b.is_double()) return a == b;
+  double x = a.as_double(), y = b.as_double();
+  return std::memcmp(&x, &y, sizeof(x)) == 0;
+}
+
+/// The first difference between two tables, or "" when they are equal.
+std::string TableDiff(const Table& got, const Table& want) {
+  if (!(got.schema() == want.schema())) {
+    return got.schema().ToString() + " vs " + want.schema().ToString();
+  }
+  if (got.num_rows() != want.num_rows()) {
+    return std::to_string(got.num_rows()) + " rows vs " +
+           std::to_string(want.num_rows());
+  }
+  for (size_t c = 0; c < got.num_columns(); ++c) {
+    for (size_t r = 0; r < got.num_rows(); ++r) {
+      if (!SameCell(got.At(r, c), want.At(r, c))) {
+        return "cell (" + std::to_string(r) + ", " + std::to_string(c) +
+               "): '" + got.At(r, c).ToString() + "' vs '" +
+               want.At(r, c).ToString() + "'";
+      }
+    }
+  }
+  return "";
+}
+
+/// Parses `text` at one and four threads and expects the reference reader's
+/// table, or its error code and message, both times. Returns the parse.
+Result<Table> ParseLikeReference(const std::string& text,
+                                 const CsvReadOptions& options = {}) {
+  Result<Table> want = csv_reference::ReadCsvString(text, options);
+  Result<Table> got = Status::Internal("not parsed");
+  for (size_t threads : {1, 4}) {
+    SetDefaultNumThreads(threads);
+    got = ReadCsvString(text, options);
+    SetDefaultNumThreads(0);
+    EXPECT_EQ(got.ok(), want.ok())
+        << threads << " threads: " << got.status().ToString() << " vs "
+        << want.status().ToString();
+    if (!got.ok() || !want.ok()) {
+      EXPECT_EQ(got.status().code(), want.status().code());
+      EXPECT_EQ(got.status().message(), want.status().message());
+      continue;
+    }
+    EXPECT_EQ(TableDiff(*got, *want), "") << threads << " threads";
+  }
+  return got;
+}
+
+TEST(CsvChunkTest, QuotedLfAtChunkBoundary) {
+  // The quoted LF is the last byte of chunk 0, then the first of chunk 1:
+  // either way chunk 1 starts inside quotes and must not start a record at
+  // that LF.
+  for (size_t at : {4u, 3u}) {
+    std::string text = PlaceAt("a,b\n", "1,\"x\ny\"\n2,z\n", at,
+                               kCsvChunkBytes);
+    Result<Table> t = ParseLikeReference(text);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_EQ(t->At(t->num_rows() - 2, 1).as_string(), "x\ny");
+    EXPECT_EQ(t->At(t->num_rows() - 1, 1).as_string(), "z");
+  }
+}
+
+TEST(CsvChunkTest, EscapedQuoteSplitAcrossChunks) {
+  // `""` with its first quote ending chunk 0 and its second starting chunk 1.
+  std::string text =
+      PlaceAt("a,b\n", "1,\"p\"\"q\"\n2,\"r\"\n", 4, kCsvChunkBytes);
+  Result<Table> t = ParseLikeReference(text);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->At(t->num_rows() - 2, 1).as_string(), "p\"q");
+  EXPECT_EQ(t->At(t->num_rows() - 1, 1).as_string(), "r");
+}
+
+TEST(CsvChunkTest, CrlfSplitAcrossChunks) {
+  // CR ends chunk 0 and LF starts chunk 1: one line break, no CR in the cell.
+  std::string text = PlaceAt("a,b\r\n", "1,p\r\n2,q\r\n", 3, kCsvChunkBytes);
+  Result<Table> t = ParseLikeReference(text);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->At(t->num_rows() - 2, 1).as_string(), "p");
+  EXPECT_EQ(t->At(t->num_rows() - 1, 1).as_string(), "q");
+}
+
+TEST(CsvChunkTest, LoneCrAtChunkBoundaryIsContent) {
+  std::string text = PlaceAt("a,b\n", "1,p\rq\n2,r\n", 3, kCsvChunkBytes);
+  Result<Table> t = ParseLikeReference(text);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->At(t->num_rows() - 2, 1).as_string(), "p\rq");
+}
+
+TEST(CsvChunkTest, BlankAndRaggedRecordsAtChunkBoundary) {
+  // A blank record starting chunk 1 fails if a record follows it...
+  std::string blank_inside =
+      PlaceAt("a,b\n", "1,p\n\n2,q\n", 4, kCsvChunkBytes);
+  Result<Table> t = ParseLikeReference(blank_inside);
+  ASSERT_FALSE(t.ok());
+  EXPECT_NE(t.status().message().find("has 1 fields, expected 2"),
+            std::string::npos);
+  // ...and is dropped with the other trailing blank lines if none does.
+  t = ParseLikeReference(PlaceAt("a,b\n", "1,p\n\n  \r\n\n", 4,
+                                 kCsvChunkBytes));
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->At(t->num_rows() - 1, 1).as_string(), "p");
+  // A single-column blank record starting chunk 1 is a null row.
+  std::string single = "a\n";
+  while (single.size() + 64 + 2 <= kCsvChunkBytes - 2) {
+    single += std::string(63, 'x') + "\n";
+  }
+  single += std::string(kCsvChunkBytes - 2 - single.size() - 1, 'x') + "\n";
+  t = ParseLikeReference(single + "1\n\n2\n");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_TRUE(t->At(t->num_rows() - 2, 0).is_null());
+  EXPECT_EQ(t->At(t->num_rows() - 1, 0).as_string(), "2");
+  // A ragged record straddling the boundary.
+  t = ParseLikeReference(PlaceAt("a,b\n", "1,2,3\n4,5\n", 2, kCsvChunkBytes));
+  ASSERT_FALSE(t.ok());
+  EXPECT_NE(t.status().message().find("has 3 fields, expected 2"),
+            std::string::npos);
+}
+
+TEST(CsvChunkTest, FieldCountErrorInLastChunkReportsItsLine) {
+  // Three chunks; the only bad record lies in the last one, after a quoted
+  // field spanning two lines. Its line is one plus the LF bytes before it.
+  // The five-byte header puts the chunk boundaries inside filler records.
+  std::string text = PlaceAt("a,bb\n", "1,\"x\ny\"\n", 0,
+                             2 * kCsvChunkBytes + 100);
+  text += "2,p\nbad\n3,q\n";
+  size_t bad_line = 1;
+  size_t bad_at = text.find("bad\n");
+  for (size_t i = 0; i < bad_at; ++i) bad_line += text[i] == '\n';
+  Result<Table> t = ParseLikeReference(text);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().message(),
+            "line " + std::to_string(bad_line) + " has 1 fields, expected 2");
+}
+
+TEST(CsvChunkTest, UnterminatedQuoteOutranksEarlierRecordErrors) {
+  // A ragged record in chunk 0 and a quote left open in chunk 1: the quote
+  // is reported, against the line it opened on.
+  std::string text = PlaceAt("a,b\n1\n", "2,\"open\n3,4\n", 2,
+                             kCsvChunkBytes + 10);
+  Result<Table> t = ParseLikeReference(text);
+  ASSERT_FALSE(t.ok());
+  EXPECT_NE(t.status().message().find("unterminated quoted field"),
+            std::string::npos);
+}
+
+TEST(CsvChunkTest, RecordFailpointCountsRecordsAcrossChunks) {
+  // Armed, csv.record fires in record order whatever the thread count, so
+  // `#N` aborts at the Nth data record even when it lies in chunk 1.
+  std::string text = PlaceAt("a,b\n", "1,p\n", 0, kCsvChunkBytes);
+  size_t records = 0;
+  for (char c : text) records += c == '\n';
+  --records;  // the header
+  for (size_t threads : {1, 4}) {
+    SetDefaultNumThreads(threads);
+    failpoint::DisarmAll();
+    failpoint::ResetStats();
+    ASSERT_TRUE(failpoint::Arm("csv.record=error(io_error:bad sector)#" +
+                               std::to_string(records))
+                    .ok());
+    Result<Table> t = ReadCsvString(text);
+    failpoint::DisarmAll();
+    failpoint::ResetStats();
+    SetDefaultNumThreads(0);
+    ASSERT_FALSE(t.ok());
+    EXPECT_EQ(t.status().message(), "bad sector");
+  }
+}
+
+TEST(CsvChunkTest, FileReadThroughAPipeParses) {
+  // A FIFO has no size to reserve the text from: the reader reads it to its
+  // end, here past two chunks and many pipe buffers.
+  std::string path = ::testing::TempDir() + "/nde_csv_test.fifo";
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  std::string text = PlaceAt("a,b\n", "1,p\n", 0, 2 * kCsvChunkBytes + 100);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);  // waits for the reader
+    out << text;
+  });
+  Result<Table> parsed = ReadCsvFile(path);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Result<Table> want = csv_reference::ReadCsvString(text);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(TableDiff(*parsed, *want), "");
 }
 
 }  // namespace

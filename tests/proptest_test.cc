@@ -41,6 +41,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "data/csv.h"
@@ -62,6 +63,7 @@
 #include "telemetry/http_exporter.h"
 
 #include "cold_reference.h"
+#include "csv_reference.h"
 
 namespace nde {
 namespace prop {
@@ -278,6 +280,72 @@ TEST(CsvPropertyTest, ReaderIsTotalAndReparseIsStable) {
   std::string report = CheckProperty<std::string>(
       "csv-totality", AnyCsvText(), property, DescribeCsvText,
       HereConfig(200));
+  EXPECT_TRUE(report.empty()) << report;
+}
+
+TEST(CsvPropertyTest, ChunkedReaderMatchesSerialReference) {
+  // The reader parses kCsvChunkBytes chunks in parallel. Each generated text
+  // has its records repeated past two chunks, behind a run of leading spaces
+  // whose length the text picks, so that across cases the chunk boundaries
+  // fall at every offset of a record. The table, or the error code and
+  // message, must be the serial reference reader's at 1, 2 and 4 threads;
+  // doubles compare bit for bit, so NaN cells count as equal.
+  std::function<std::string(const std::string&)> property =
+      [](const std::string& text) -> std::string {
+    size_t header_end = text.find('\n');
+    std::string header =
+        header_end == std::string::npos ? "" : text.substr(0, header_end + 1);
+    std::string body = text.substr(header.size());
+    if (body.empty()) std::swap(header, body);
+    if (body.empty()) return "";
+    std::string big(std::hash<std::string>{}(text) % (body.size() + 1), ' ');
+    big += header;
+    while (big.size() <= 2 * kCsvChunkBytes) big += body;
+    Result<Table> want = csv_reference::ReadCsvString(big);
+    for (size_t threads : {1, 2, 4}) {
+      SetDefaultNumThreads(threads);
+      Result<Table> got = ReadCsvString(big);
+      SetDefaultNumThreads(0);
+      if (!got.ok() || !want.ok()) {
+        if (got.ok() != want.ok() ||
+            got.status().code() != want.status().code() ||
+            got.status().message() != want.status().message()) {
+          return StrFormat(
+              "%zu threads: %s, reference %s", threads,
+              got.ok() ? "a table" : got.status().ToString().c_str(),
+              want.ok() ? "a table" : want.status().ToString().c_str());
+        }
+        continue;
+      }
+      if (!(got->schema() == want->schema()) ||
+          got->num_rows() != want->num_rows()) {
+        return StrFormat("%zu threads: %zu rows of %s, reference %zu of %s",
+                         threads, got->num_rows(),
+                         got->schema().ToString().c_str(), want->num_rows(),
+                         want->schema().ToString().c_str());
+      }
+      for (size_t c = 0; c < got->num_columns(); ++c) {
+        for (size_t r = 0; r < got->num_rows(); ++r) {
+          const Value& a = got->At(r, c);
+          const Value& b = want->At(r, c);
+          bool same = a.is_double() && b.is_double()
+                          ? std::bit_cast<uint64_t>(a.as_double()) ==
+                                std::bit_cast<uint64_t>(b.as_double())
+                          : a == b;
+          if (!same) {
+            return StrFormat("%zu threads: cell (%zu,%zu) '%s', reference "
+                             "'%s'",
+                             threads, r, c, a.ToString().c_str(),
+                             b.ToString().c_str());
+          }
+        }
+      }
+    }
+    return "";
+  };
+  std::string report = CheckProperty<std::string>(
+      "csv-chunked-vs-reference", AnyCsvText(), property, DescribeCsvText,
+      HereConfig(8));
   EXPECT_TRUE(report.empty()) << report;
 }
 

@@ -489,7 +489,8 @@ int RunImportancePipeline(const Args& args) {
 
   std::string annotated_plan;
   Result<TableRunResult> run =
-      RunAlgorithmOnTable(**algorithm, *table, label, &annotated_plan);
+      RunAlgorithmOnTable(**algorithm, std::move(*table), label,
+                          &annotated_plan);
   // The plan is worth printing even when the estimator then failed.
   if (!annotated_plan.empty()) {
     std::printf("pipeline plan (per-operator timings):\n%s\n",
