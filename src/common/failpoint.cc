@@ -23,13 +23,13 @@ std::atomic<int> g_armed_count{0};
 
 namespace {
 
-enum class Action { kError, kDelay, kNanPoison, kAllocFail };
+enum class Action { kError, kDelay, kNanPoison };
 
 /// Parsed spec for one armed failpoint. Immutable after arming; Fire takes a
 /// copy under the registry lock and evaluates it lock-free afterwards.
 struct Config {
   Action action = Action::kError;
-  Status status;            ///< pre-built for kError / kAllocFail
+  Status status;            ///< pre-built for kError
   uint64_t delay_ms = 0;    ///< kDelay
   double probability = 1.0; ///< @prob
   uint64_t seed = 0;        ///< @prob/seed
@@ -173,15 +173,10 @@ Status ParseSpec(const std::string& spec, std::string* name, Config* config,
     NDE_ASSIGN_OR_RETURN(config->delay_ms, ParseUint(args, "delay(ms)"));
   } else if (action == "nan") {
     config->action = Action::kNanPoison;
-  } else if (action == "alloc_fail") {
-    config->action = Action::kAllocFail;
-    config->status = Status::ResourceExhausted(
-        StrFormat("failpoint '%s': injected allocation failure",
-                  name->c_str()));
   } else {
     return Status::InvalidArgument(StrFormat(
         "failpoint spec '%s': unknown action '%s' "
-        "(want error|delay|nan|alloc_fail|off)",
+        "(want error|delay|nan|off)",
         spec.c_str(), action.c_str()));
   }
 
@@ -277,10 +272,6 @@ Outcome FireImpl(const char* name, bool keyed, uint64_t key) {
       // that can only return a Status degrade to this typed error.
       outcome.status = Status::Internal(
           StrFormat("failpoint '%s': nan poison at a non-value site", name));
-      break;
-    case Action::kAllocFail:
-      outcome.kind = Outcome::kAllocFail;
-      outcome.status = config.status;
       break;
     case Action::kError:
       outcome.kind = Outcome::kError;
@@ -415,8 +406,9 @@ const std::vector<std::string>& KnownSites() {
       "pipeline.execute",    // PlanNode::Execute, per operator
       "encoder.fit",         // ColumnTransformer::Fit, per column encoder
       "encoder.transform",   // ColumnTransformer::Transform, per column
-      "utility.evaluate",    // UtilityFunction::TryEvaluate (key: subset hash)
-      "threadpool.task",     // ThreadPool worker, per dequeued task
+      "utility.evaluate",    // TryEvaluate (key: subset hash) and TMC's scan
+                             // Push (key: permutation x position)
+      "threadpool.task",     // ParallelFor, per worker task
       "http.handle_request", // HttpExporter::HandleRequest, per request
   };
   return *sites;

@@ -15,8 +15,8 @@ namespace failpoint {
 /// --- Failpoint fault injection ----------------------------------------------
 ///
 /// Named injection sites threaded through the engine's failure-prone layers
-/// (CSV reader, plan operators, encoders, utility evaluation, thread pool,
-/// HTTP exporter). Each site is a no-op until a spec arms it:
+/// (CSV reader, plan operators, encoders, utility evaluation, parallel
+/// fan-out, HTTP exporter). Each site is a no-op until a spec arms it:
 ///
 ///   NDE_FAILPOINTS="csv.record=error(io_error:disk gone)#3" nde_cli ...
 ///
@@ -32,8 +32,6 @@ namespace failpoint {
 ///             error(code:message)       ... and a custom message
 ///             delay(ms)                 sleep, then continue normally
 ///             nan                       poison the value path with a NaN
-///             alloc_fail                simulated allocation failure
-///                                       (Status::ResourceExhausted)
 ///   @prob[/seed]  fire with probability `prob` in [0, 1]. The decision is a
 ///             pure function of (seed, site name, key) — see Fire(name, key)
 ///             — so keyed sites replay bit-identically for any thread count.
@@ -48,8 +46,7 @@ namespace failpoint {
 ///
 /// Error codes accepted by `error(...)` are the canonical lowercase names
 /// from StatusCodeToString: "internal", "unavailable", "io_error",
-/// "resource_exhausted", "invalid_argument", ... Retry-aware callers (the
-/// estimators) treat "unavailable" and "resource_exhausted" as transient.
+/// "resource_exhausted", "invalid_argument", ...
 
 namespace internal {
 /// Number of currently armed failpoints. Sites read this through AnyArmed();
@@ -69,13 +66,11 @@ struct Outcome {
     kNone = 0,    ///< not armed / did not fire / delay already served
     kError,       ///< return `status` to the caller
     kNanPoison,   ///< value paths should produce a quiet NaN
-    kAllocFail,   ///< simulated allocation failure; `status` is
-                  ///< resource_exhausted for sites that surface it
   };
   Kind kind = kNone;
-  /// Non-OK whenever the point fired: the injected error for kError and
-  /// kAllocFail, and a typed internal error for kNanPoison so Status-only
-  /// sites (which cannot represent a poisoned value) still degrade cleanly.
+  /// Non-OK whenever the point fired: the injected error for kError, and a
+  /// typed internal error for kNanPoison so Status-only sites (which cannot
+  /// represent a poisoned value) still degrade cleanly.
   Status status;
 
   bool fired() const { return kind != kNone; }
@@ -140,8 +135,8 @@ std::vector<PointStats> Stats();
 const std::vector<std::string>& KnownSites();
 
 /// Exception form of an injected fault, for sites that cannot return a
-/// Status (the thread pool's worker loop). TryParallelFor unwraps it back
-/// into the carried Status on the coordinating thread.
+/// Status (ParallelFor's worker tasks). TryParallelFor unwraps it back into
+/// the carried Status on the coordinating thread.
 class InjectedFault : public std::exception {
  public:
   explicit InjectedFault(Status status)

@@ -114,14 +114,6 @@ void ThreadPool::WorkerLoop() {
       NDE_METRIC_GAUGE_SET("parallel.queue_depth", queue_.size());
     }
     try {
-      // Chaos hook: an armed `threadpool.task` failpoint kills this task
-      // before it runs. The throw lands in the pool's normal error latch, so
-      // injection exercises exactly the propagation path a real task
-      // exception takes (rethrown by the next WaitIdle).
-      if (failpoint::AnyArmed()) {
-        failpoint::Outcome fp = failpoint::Fire("threadpool.task");
-        if (fp.fired()) throw failpoint::InjectedFault(fp.status);
-      }
       task();
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);
@@ -158,6 +150,14 @@ size_t ParallelFor(size_t begin, size_t end,
   ThreadPool pool(threads);
   for (size_t t = 0; t < threads; ++t) {
     pool.Submit([&next, &failed, &body, end, label] {
+      // Chaos hook: an armed `threadpool.task` failpoint loses this worker
+      // task before it claims an index. The throw takes the path a body
+      // exception takes (the pool's latch, rethrown by WaitIdle below), and
+      // the other workers still claim every index.
+      if (failpoint::AnyArmed()) {
+        failpoint::Outcome fp = failpoint::Fire("threadpool.task");
+        if (fp.fired()) throw failpoint::InjectedFault(fp.status);
+      }
       NDE_TRACE_SPAN_VAR(worker_span, label, "parallel");
       size_t executed = 0;
       for (;;) {
@@ -185,14 +185,20 @@ Result<size_t> TryParallelFor(size_t begin, size_t end,
                               size_t num_threads, const char* label) {
   try {
     return ParallelFor(begin, end, body, num_threads, label);
+  } catch (...) {
+    return CurrentExceptionStatus(StrFormat("parallel task '%s'", label));
+  }
+}
+
+Status CurrentExceptionStatus(const std::string& what) {
+  try {
+    throw;
   } catch (const failpoint::InjectedFault& fault) {
     return fault.status();
   } catch (const std::exception& e) {
-    return Status::Internal(
-        StrFormat("parallel task '%s' failed: %s", label, e.what()));
+    return Status::Internal(what + " failed: " + e.what());
   } catch (...) {
-    return Status::Internal(StrFormat(
-        "parallel task '%s' failed with a non-exception throw", label));
+    return Status::Internal(what + " failed with a non-exception throw");
   }
 }
 

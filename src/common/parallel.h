@@ -7,6 +7,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -110,6 +111,11 @@ class ThreadPool {
 /// re-thrown on the calling thread after all workers stop. With one thread
 /// (or a single-item range) the body runs inline on the calling thread.
 ///
+/// Each pooled worker task is a hit of the `threadpool.task` failpoint
+/// (DESIGN.md §11): on a fire the task throws failpoint::InjectedFault before
+/// it claims an index, so the call throws after the other workers drain the
+/// range. The inline path never reaches it.
+///
 /// `label` names the per-worker trace spans in `--trace` output.
 size_t ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body,
@@ -126,6 +132,12 @@ Result<size_t> TryParallelFor(size_t begin, size_t end,
                               const std::function<void(size_t)>& body,
                               size_t num_threads = 0,
                               const char* label = "parallel_for");
+
+/// The typed Status of the exception being handled; call only inside a catch
+/// block. An injected fault returns the Status it carries; any other
+/// exception becomes Status::Internal("<what> failed: <exception text>").
+/// TryParallelFor and the job runner convert their exceptions through it.
+Status CurrentExceptionStatus(const std::string& what);
 
 /// --- SeedSequence -----------------------------------------------------------
 

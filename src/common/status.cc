@@ -50,11 +50,6 @@ bool StatusCodeFromString(const std::string& text, StatusCode* code) {
   return false;
 }
 
-bool IsRetryable(StatusCode code) {
-  return code == StatusCode::kUnavailable ||
-         code == StatusCode::kResourceExhausted;
-}
-
 std::string Status::ToString() const {
   if (ok()) return "ok";
   std::string out = StatusCodeToString(code_);

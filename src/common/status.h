@@ -20,14 +20,13 @@ enum class StatusCode {
   kUnimplemented = 6,
   kInternal = 7,
   kIOError = 8,
-  /// Transient failure (flaky backend, lost connection): safe to retry with
-  /// backoff. The estimators' retry policy keys off this code.
+  /// Transient failure (flaky backend, lost connection).
   kUnavailable = 9,
-  /// Out of memory/quota/capacity. Also retryable (pressure may pass).
+  /// Out of memory/quota/capacity, e.g. the job queue's 429.
   kResourceExhausted = 10,
   /// The caller asked for the operation to stop (cooperative cancellation,
-  /// e.g. DELETE /jobs/<id> raising EstimatorOptions::cancel). Not retryable:
-  /// the work was abandoned on purpose.
+  /// e.g. DELETE /jobs/<id> raising EstimatorOptions::cancel): the work was
+  /// abandoned on purpose, so it is not a fault.
   kCancelled = 11,
 };
 
@@ -39,10 +38,6 @@ const char* StatusCodeToString(StatusCode code);
 /// false (leaving `*code` untouched) for unknown names. Used by the failpoint
 /// spec parser, so operators can write `error(io_error:disk gone)`.
 bool StatusCodeFromString(const std::string& text, StatusCode* code);
-
-/// True for codes that describe transient conditions a caller may retry
-/// (kUnavailable, kResourceExhausted). Everything else is permanent.
-bool IsRetryable(StatusCode code);
 
 /// Result of an operation that can fail without it being a programming error.
 ///

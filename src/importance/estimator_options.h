@@ -34,16 +34,6 @@ struct EstimatorOptions {
   /// early stopping and runs the full sampling budget.
   double convergence_tolerance = 0.0;
 
-  /// Bounded retry budget for *retryable* utility failures (status codes
-  /// unavailable / resource_exhausted, the ones a transient backend emits).
-  /// Non-retryable failures — and NaN-poisoned values — abort the wave
-  /// immediately. Each retry counts toward `estimator.retries` telemetry.
-  size_t max_retries = 2;
-
-  /// Base backoff before the first retry; doubles per attempt, capped at
-  /// 10x the base. Kept small by default so chaos tests stay fast.
-  uint32_t retry_backoff_ms = 25;
-
   /// Observational progress hook, invoked on the coordinating thread at fixed
   /// wave boundaries (see common/progress.h). Powers live progress/ETA lines
   /// and RunReport convergence curves; installing one never changes results

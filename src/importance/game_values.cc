@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/failpoint.h"
@@ -9,7 +10,6 @@
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "importance/waves.h"
-#include "telemetry/health.h"
 #include "telemetry/profiler.h"
 #include "telemetry/telemetry.h"
 
@@ -71,7 +71,7 @@ Result<ImportanceEstimate> LeaveOneOutValues(const UtilityFunction& utility,
   NDE_RETURN_IF_ERROR(PrepareUtility(utility, options, "leave_one_out"));
   std::vector<size_t> all(n);
   std::iota(all.begin(), all.end(), size_t{0});
-  NDE_ASSIGN_OR_RETURN(double full, EvaluateWithRetry(utility, all, options));
+  NDE_ASSIGN_OR_RETURN(double full, EvaluateChecked(utility, all));
   // One task per unit, writing into its own slot: no randomness and no shared
   // accumulator, so results are identical for any thread count. Units run in
   // fixed 64-unit waves so progress and cancellation land on deterministic
@@ -88,8 +88,7 @@ Result<ImportanceEstimate> LeaveOneOutValues(const UtilityFunction& utility,
         for (size_t j = 0; j < n; ++j) {
           if (j != i) subset.push_back(j);
         }
-        NDE_ASSIGN_OR_RETURN(double without,
-                             EvaluateWithRetry(utility, subset, options));
+        NDE_ASSIGN_OR_RETURN(double without, EvaluateChecked(utility, subset));
         values[i] = full - without;
         return Status::OK();
       },
@@ -121,12 +120,11 @@ Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
   // Built here on this estimator's threads, not lazily inside the first
   // permutation while the other workers wait.
   NDE_RETURN_IF_ERROR(PrepareUtility(utility, options, "tmc_shapley"));
-  NDE_ASSIGN_OR_RETURN(double empty_utility,
-                       EvaluateWithRetry(utility, {}, options));
+  NDE_ASSIGN_OR_RETURN(double empty_utility, EvaluateChecked(utility, {}));
   std::vector<size_t> all_units(n);
   std::iota(all_units.begin(), all_units.end(), size_t{0});
   NDE_ASSIGN_OR_RETURN(double full_utility,
-                       EvaluateWithRetry(utility, all_units, options));
+                       EvaluateChecked(utility, all_units));
 
   // Permutation t always draws from stream SeedFor(t) and waves always span
   // the same permutation indices, so both the sampled marginals and the
@@ -160,105 +158,73 @@ Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
     PermutationPartial& out = wave[t % kWavePermutations];
     Rng rng = seeds.RngFor(t);
     std::vector<size_t> perm = rng.Permutation(n);
-    // A prefix scan is an incremental state machine, so a failed Push
-    // cannot be retried in place. A transient fault at position P instead
-    // re-runs the permutation against a fresh scan, replaying the
-    // already-succeeded prefix silently (exact scans make the replay
-    // idempotent, and settled fault decisions are not re-taken) and
-    // re-rolling only position P's decision — keyed by permutation x
-    // position x attempt, schedule-invariant for replay. Each evaluation
-    // gets the same bounded budget and backoff as EvaluateWithRetry, which
-    // handles the non-scan path.
+    // Prefix-scan fast path: the permutation grows one coalition a unit at a
+    // time, so a utility offering an incremental scan evaluates each prefix
+    // without retraining from scratch. Exact scans are bit-identical to
+    // Evaluate; approximate warm-started scans are only handed out when
+    // options.warm_start opted in. A utility without a scan gets one checked
+    // Evaluate per prefix.
+    std::unique_ptr<UtilityFunction::PrefixScan> scan =
+        utility.NewPrefixScan(options.warm_start);
+    std::vector<size_t> prefix;
+    // Only the slow per-prefix Evaluate path grows this vector; the scan
+    // path stays allocation-free, so reserve lazily.
+    if (scan == nullptr) prefix.reserve(n);
     Status failure;
     // Counted in a local and stored once: slots of neighbouring workers
     // share cache lines.
     size_t permutation_evaluations = 0;
-    size_t resume_pos = 0;     // First position still owed a decision.
-    size_t fail_attempts = 0;  // Failed attempts at resume_pos so far.
-    for (;;) {
-      if (fail_attempts > 0) BackoffBeforeRetry(options, fail_attempts);
-      // Prefix-scan fast path: the permutation grows one coalition a unit at
-      // a time, so a utility offering an incremental scan evaluates each
-      // prefix without retraining from scratch. Exact scans are
-      // bit-identical to Evaluate; approximate warm-started scans are only
-      // handed out when options.warm_start opted in. A utility without a
-      // scan gets one Evaluate per prefix.
-      std::unique_ptr<UtilityFunction::PrefixScan> scan =
-          utility.NewPrefixScan(options.warm_start);
-      failure = Status::OK();
-      size_t failed_at = 0;
-      std::vector<size_t> prefix;
-      // Only the slow per-prefix Evaluate path grows this vector; the scan
-      // path stays allocation-free, so reserve lazily.
-      if (scan == nullptr) prefix.reserve(n);
-      double previous = empty_utility;
-      bool truncated = false;
-      for (size_t pos = 0; pos < n && failure.ok(); ++pos) {
-        size_t unit = perm[pos];
-        double marginal = 0.0;
-        if (!truncated) {
-          if (options.truncation_tolerance > 0.0 &&
-              std::fabs(full_utility - previous) <
-                  options.truncation_tolerance) {
-            truncated = true;  // Remaining marginals are zero.
-            CountForJob("shapley.truncation_hits", 1);
-            NDE_SPAN_ARG(perm_span, "truncated_at", static_cast<int64_t>(pos));
-          } else {
-            double current;
-            if (scan != nullptr) {
-              if (failpoint::AnyArmed() && pos >= resume_pos) {
-                size_t attempt = pos == resume_pos ? fail_attempts : 0;
-                failpoint::Outcome fp = failpoint::Fire(
-                    "utility.evaluate",
-                    failpoint::MixKey(failpoint::MixKey(t, pos), attempt));
-                if (fp.kind == failpoint::Outcome::kNanPoison) {
-                  failure =
-                      Status::Internal("utility produced a non-finite value");
-                  failed_at = pos;
-                  break;
-                }
-                if (fp.fired()) {
-                  failure = fp.status;
-                  failed_at = pos;
-                  break;
-                }
-              }
-              current = scan->Push(unit);
-              if (!std::isfinite(current)) {
-                failure =
-                    Status::Internal("utility produced a non-finite value");
-                failed_at = pos;
+    double previous = empty_utility;
+    bool truncated = false;
+    for (size_t pos = 0; pos < n; ++pos) {
+      size_t unit = perm[pos];
+      double marginal = 0.0;
+      if (!truncated) {
+        if (options.truncation_tolerance > 0.0 &&
+            std::fabs(full_utility - previous) <
+                options.truncation_tolerance) {
+          truncated = true;  // Remaining marginals are zero.
+          CountForJob("shapley.truncation_hits", 1);
+          NDE_SPAN_ARG(perm_span, "truncated_at", static_cast<int64_t>(pos));
+        } else {
+          double current;
+          if (scan != nullptr) {
+            // TryEvaluate's failpoint and finiteness check, for a Push. The
+            // key is permutation x position (a scan grows one coalition, so
+            // that names the evaluation); the 0 keeps the key every existing
+            // `@prob/seed` spec was chosen against.
+            bool poisoned = false;
+            if (failpoint::AnyArmed()) {
+              failpoint::Outcome fp = failpoint::Fire(
+                  "utility.evaluate",
+                  failpoint::MixKey(failpoint::MixKey(t, pos), 0));
+              if (fp.kind == failpoint::Outcome::kError) {
+                failure = fp.status;
                 break;
               }
-            } else {
-              prefix.push_back(unit);
-              Result<double> value =
-                  EvaluateWithRetry(utility, Sorted(prefix), options);
-              if (!value.ok()) {
-                failure = value.status();
-                break;
-              }
-              current = *value;
+              poisoned = fp.kind == failpoint::Outcome::kNanPoison;
             }
-            ++permutation_evaluations;
-            marginal = current - previous;
-            previous = current;
+            current = poisoned ? std::numeric_limits<double>::quiet_NaN()
+                               : scan->Push(unit);
+            if (!std::isfinite(current)) {
+              failure = Status::Internal("utility produced a non-finite value");
+              break;
+            }
+          } else {
+            prefix.push_back(unit);
+            Result<double> value = EvaluateChecked(utility, Sorted(prefix));
+            if (!value.ok()) {
+              failure = value.status();
+              break;
+            }
+            current = *value;
           }
+          ++permutation_evaluations;
+          marginal = current - previous;
+          previous = current;
         }
-        out.marginals[unit] = marginal;
       }
-      if (failure.ok()) {
-        if (fail_attempts > 0) telemetry::SetHealthy();
-        break;
-      }
-      telemetry::SetDegraded(failure.ToString());
-      if (scan == nullptr || !IsRetryable(failure.code())) break;
-      if (failed_at != resume_pos) {
-        resume_pos = failed_at;  // Fresh evaluation, fresh budget.
-        fail_attempts = 0;
-      }
-      if (fail_attempts >= options.max_retries) break;
-      ++fail_attempts;
+      out.marginals[unit] = marginal;
     }
     out.evaluations = permutation_evaluations;
     NDE_SPAN_ARG(perm_span, "permutation", static_cast<int64_t>(t));
@@ -419,8 +385,7 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
         member[i] = rng.NextBernoulli(0.5);
         if (member[i]) subset.push_back(i);
       }
-      NDE_ASSIGN_OR_RETURN(double value,
-                           EvaluateWithRetry(utility, subset, options));
+      NDE_ASSIGN_OR_RETURN(double value, EvaluateChecked(utility, subset));
       for (size_t i = 0; i < n; ++i) {
         Moments& m = out[i];
         if (member[i]) {
@@ -596,12 +561,11 @@ Result<ImportanceEstimate> BetaShapleyValues(
       std::vector<size_t> subset;
       subset.reserve(cardinality + 1);
       for (size_t p : picks) subset.push_back(others[p]);
-      NDE_ASSIGN_OR_RETURN(double without, EvaluateWithRetry(
-                                               utility, Sorted(subset),
-                                               options));
+      NDE_ASSIGN_OR_RETURN(double without,
+                           EvaluateChecked(utility, Sorted(subset)));
       subset.push_back(i);
-      NDE_ASSIGN_OR_RETURN(double with, EvaluateWithRetry(
-                                            utility, Sorted(subset), options));
+      NDE_ASSIGN_OR_RETURN(double with,
+                           EvaluateChecked(utility, Sorted(subset)));
       double marginal = with - without;
       sum += marginal;
       sum_sq += marginal * marginal;

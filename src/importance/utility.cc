@@ -36,13 +36,14 @@ double UtilityFunction::FullUtility() const {
   return Evaluate(all);
 }
 
-Result<double> UtilityFunction::TryEvaluate(const std::vector<size_t>& subset,
-                                            uint64_t salt) const {
+Result<double> UtilityFunction::TryEvaluate(
+    const std::vector<size_t>& subset) const {
   if (failpoint::AnyArmed()) {
     // Order-insensitive subset hash: XOR of per-element mixes commutes, so
     // the key — and therefore a probabilistic fire decision — depends only on
-    // the coalition itself, not on which thread or wave evaluated it.
-    uint64_t key = failpoint::MixKey(subset.size(), salt);
+    // the coalition itself, not on which thread or wave evaluated it. The 0
+    // keeps the key every existing `@prob/seed` spec was chosen against.
+    uint64_t key = failpoint::MixKey(subset.size(), 0);
     for (size_t unit : subset) key ^= failpoint::MixKey(unit + 1, 0x5eed);
     failpoint::Outcome fp = failpoint::Fire("utility.evaluate", key);
     if (fp.kind == failpoint::Outcome::kNanPoison) {

@@ -34,13 +34,11 @@ class UtilityFunction {
   /// backend fault (injected through the `utility.evaluate` failpoint, or a
   /// real one once utilities grow fallible backends) surfaces as a typed
   /// Status instead of undefined behavior. The failpoint is keyed by an
-  /// order-insensitive hash of the subset mixed with `salt`, so probabilistic
-  /// specs replay bit-identically for any thread count; retrying callers pass
-  /// the attempt number as `salt` to re-roll the decision deterministically.
-  /// A `nan` action poisons the value path: TryEvaluate returns quiet NaN and
-  /// the caller's finiteness check converts it into a typed error.
-  Result<double> TryEvaluate(const std::vector<size_t>& subset,
-                             uint64_t salt = 0) const;
+  /// order-insensitive hash of the subset, so probabilistic specs replay
+  /// bit-identically for any thread count. A `nan` action poisons the value
+  /// path: TryEvaluate returns quiet NaN and the caller's finiteness check
+  /// converts it into a typed error.
+  Result<double> TryEvaluate(const std::vector<size_t>& subset) const;
 
   /// Number of training units (players).
   virtual size_t num_units() const = 0;

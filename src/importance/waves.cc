@@ -1,10 +1,8 @@
 #include "importance/waves.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
-#include <thread>
 
 #include "common/log.h"
 #include "common/parallel.h"
@@ -112,39 +110,14 @@ WaveOutcome RunWaves(const EstimatorOptions& options, const char* phase,
   return outcome;
 }
 
-void BackoffBeforeRetry(const EstimatorOptions& options, size_t attempt) {
-  CountForJob("estimator.retries", 1);
-  uint64_t delay_ms = static_cast<uint64_t>(options.retry_backoff_ms)
-                      << (attempt - 1);
-  delay_ms = std::min<uint64_t>(delay_ms,
-                                uint64_t{10} * options.retry_backoff_ms);
-  if (delay_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+Result<double> EvaluateChecked(const UtilityFunction& utility,
+                               const std::vector<size_t>& subset) {
+  Result<double> value = utility.TryEvaluate(subset);
+  if (value.ok() && !std::isfinite(*value)) {
+    value = Status::Internal("utility produced a non-finite value");
   }
-}
-
-Result<double> EvaluateWithRetry(const UtilityFunction& utility,
-                                 const std::vector<size_t>& subset,
-                                 const EstimatorOptions& options) {
-  Status last;
-  for (size_t attempt = 0; attempt <= options.max_retries; ++attempt) {
-    if (attempt > 0) BackoffBeforeRetry(options, attempt);
-    Result<double> value = utility.TryEvaluate(subset, attempt);
-    if (value.ok()) {
-      if (!std::isfinite(*value)) {
-        Status poisoned =
-            Status::Internal("utility produced a non-finite value");
-        telemetry::SetDegraded(poisoned.ToString());
-        return poisoned;
-      }
-      if (attempt > 0) telemetry::SetHealthy();  // Recovered on retry.
-      return value;
-    }
-    last = value.status();
-    telemetry::SetDegraded(last.ToString());
-    if (!IsRetryable(last.code())) break;
-  }
-  return last;
+  if (!value.ok()) telemetry::SetDegraded(value.status().ToString());
+  return value;
 }
 
 void CountForJob(const char* name, uint64_t delta) {

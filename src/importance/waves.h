@@ -15,7 +15,7 @@ namespace nde {
 
 /// Internal to the importance estimators: the one wave loop behind LOO,
 /// TMC-Shapley, Banzhaf, Beta-Shapley and KNN-Shapley, the prelude the game
-/// estimators run before it, and the retry policy their utility evaluations
+/// estimators run before it, and the checked evaluation their utility calls
 /// share. DESIGN.md §8 (determinism) and §11 (abort and cancel) describe the
 /// contracts this loop enforces.
 
@@ -71,27 +71,19 @@ WaveOutcome RunWaves(const EstimatorOptions& options, const char* phase,
                      const std::function<Status(size_t)>& task,
                      const std::function<WaveTally(size_t, size_t)>& fold);
 
-/// The wait before retry `attempt` (>= 1) of a failed utility evaluation:
-/// counts `estimator.retries` (also into the job-labeled series) and sleeps
-/// retry_backoff_ms doubled per attempt, capped at 10x the base.
-void BackoffBeforeRetry(const EstimatorOptions& options, size_t attempt);
-
-/// One utility evaluation with bounded retry. Retries only *retryable*
-/// failures (unavailable / resource_exhausted: a transient backend), after
-/// BackoffBeforeRetry. Non-finite values are data corruption and fail
-/// immediately: the utility is deterministic, so retrying would return the
-/// same poison. Passing the attempt number as the TryEvaluate salt re-rolls
-/// an injected probabilistic fault deterministically, so a flaky-backend
-/// simulation can succeed on retry and replay bit-identically.
-Result<double> EvaluateWithRetry(const UtilityFunction& utility,
-                                 const std::vector<size_t>& subset,
-                                 const EstimatorOptions& options);
+/// One utility evaluation, checked: TryEvaluate, then the finiteness check
+/// (a non-finite value is Status::Internal; averaging it would poison the
+/// estimate). A failure marks health degraded and comes back as the Status.
+/// The degrade matters for evaluations outside any wave (TMC's v(empty) and
+/// v(N), LOO's v(N)), which RunWaves' abort record never sees.
+Result<double> EvaluateChecked(const UtilityFunction& utility,
+                               const std::vector<size_t>& subset);
 
 /// Per-job labeled twin of NDE_METRIC_COUNT: under a job's TraceContext the
 /// count lands in both the base metric and the job-labeled series, so
 /// /metrics breaks the value out per job; outside a job (CLI, tests) only
-/// the base metric moves. Called at wave boundaries, retry slow paths and run
-/// ends, never per utility evaluation, so the registry lookup is irrelevant.
+/// the base metric moves. Called at wave boundaries, truncations and run ends,
+/// never per utility evaluation, so the registry lookup is irrelevant.
 void CountForJob(const char* name, uint64_t delta);
 
 }  // namespace nde

@@ -265,7 +265,14 @@ void JobManager::Execute(const std::shared_ptr<Job>& job) {
     }
     job->state = JobState::kRunning;
   }
-  Status status = RunJob(job.get());
+  Status status;
+  try {
+    status = RunJob(job.get());
+  } catch (...) {
+    // Caught here, not by the pool's latch, so the job still ends `error`
+    // and /healthz turns degraded (a std::bad_alloc anywhere in a job).
+    status = CurrentExceptionStatus("job " + job->id);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (status.ok()) {
     job->state = JobState::kDone;

@@ -145,22 +145,6 @@ void AlgorithmInstance::BindUint64(const std::string& name,
       });
 }
 
-void AlgorithmInstance::BindUint32(const std::string& name,
-                                   const std::string& doc, uint32_t* target) {
-  BindOption(
-      name, OptionType::kInt, doc,
-      [target](const std::string& value) -> Status {
-        NDE_ASSIGN_OR_RETURN(uint64_t parsed, ParseUnsigned(value));
-        if (parsed > 0xffffffffULL) {
-          return Status::InvalidArgument("integer out of range: '" + value +
-                                         "'");
-        }
-        *target = static_cast<uint32_t>(parsed);
-        return Status::OK();
-      },
-      [target]() -> std::string { return StrFormat("%u", *target); });
-}
-
 void AlgorithmInstance::BindDouble(const std::string& name,
                                    const std::string& doc, double* target,
                                    double min_value, bool exclusive_min) {
@@ -210,9 +194,9 @@ class GameAlgorithm : public AlgorithmInstance {
       : AlgorithmInstance(std::move(name), std::move(summary)) {}
 
   /// Binds what every estimator over the proxy utility reads: the model, its
-  /// k, the worker count and the retry policy for failed evaluations. Call
-  /// from the subclass constructor after its option struct holds its
-  /// defaults (binders snapshot defaults at bind time).
+  /// k and the worker count. Call from the subclass constructor after its
+  /// option struct holds its defaults (binders snapshot defaults at bind
+  /// time).
   void BindGameOptions(EstimatorOptions* options) {
     BindOption(
         "model", OptionType::kString,
@@ -228,12 +212,6 @@ class GameAlgorithm : public AlgorithmInstance {
         [this]() -> std::string { return model_; });
     BindSize("k", "neighbors of the KNN proxy model", &k_, 1);
     BindNumThreads(options);
-    BindSize("max_retries",
-             "retry budget per utility evaluation for transient failures",
-             &options->max_retries);
-    BindUint32("retry_backoff_ms",
-               "base retry backoff in ms, doubled per attempt",
-               &options->retry_backoff_ms);
   }
 
   /// Binds what the Monte-Carlo estimators (tmc_shapley, banzhaf,

@@ -138,8 +138,6 @@ class AlgorithmInstance {
                 size_t* target, size_t min_value = 0);
   void BindUint64(const std::string& name, const std::string& doc,
                   uint64_t* target);
-  void BindUint32(const std::string& name, const std::string& doc,
-                  uint32_t* target);
   void BindDouble(const std::string& name, const std::string& doc,
                   double* target, double min_value, bool exclusive_min);
 

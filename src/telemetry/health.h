@@ -8,10 +8,10 @@ namespace telemetry {
 
 /// Process-wide health flag feeding the HTTP exporter's /healthz endpoint.
 ///
-/// The estimators flip it to degraded when utility evaluation starts failing
-/// (after retries) and back to healthy when a retry succeeds, so an external
-/// prober sees a long-running serve flip 200 -> 503 -> 200 across a fault
-/// window instead of the process dying. Like the rest of the class-level
+/// A failed utility evaluation or an aborted estimator run flips it to
+/// degraded, and the job service's next successful job flips it back to
+/// healthy, so an external prober sees a long-running serve flip
+/// 200 -> 503 -> 200 across a fault window instead of the process dying. Like the rest of the class-level
 /// telemetry API this exists in both build modes (NDE_TELEMETRY=OFF only
 /// compiles out the macros).
 ///

@@ -251,8 +251,8 @@ std::string HttpExporter::Route(const HttpRequest& request,
   }
   if (request.target == "/healthz") {
     // Degraded keeps serving scrapes: the process is alive but its current
-    // work is failing (e.g. utility evaluation exhausted its retries), so
-    // probers see 503 while /metrics stays readable.
+    // work is failing (e.g. a utility evaluation failed), so probers see 503
+    // while /metrics stays readable.
     if (!IsHealthy()) {
       return MakeHttpResponse(503, "Service Unavailable", "text/plain",
                               "degraded: " + HealthReason() + "\n");

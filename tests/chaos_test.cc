@@ -95,9 +95,8 @@ class SumUtility : public UtilityFunction {
   size_t n_;
 };
 
-/// SumUtility plus an exact additive prefix scan, so the TMC fast path —
-/// where a failed Push re-runs the whole permutation against a fresh scan —
-/// is the one hosting the injected faults.
+/// SumUtility plus an exact additive prefix scan, so the injected faults land
+/// on TMC's fast path, where the site is keyed by permutation x position.
 class ScanSumUtility : public SumUtility {
  public:
   using SumUtility::SumUtility;
@@ -260,7 +259,6 @@ TEST_P(ChaosTest, NanPoisonBecomesTypedNonFiniteError) {
   TmcShapleyOptions options;
   options.num_permutations = 8;
   options.truncation_tolerance = 0.0;
-  options.max_retries = 0;
   Result<ImportanceEstimate> estimate = TmcShapleyValues(utility, options);
   ASSERT_FALSE(estimate.ok());
   EXPECT_EQ(estimate.status().code(), StatusCode::kInternal);
@@ -268,97 +266,9 @@ TEST_P(ChaosTest, NanPoisonBecomesTypedNonFiniteError) {
             std::string::npos);
 }
 
-TEST_P(ChaosTest, RetryRecoversFromOneShotTransientFault) {
-  SumUtility utility(4);
-  TmcShapleyOptions options;
-  options.num_permutations = 8;
-  options.truncation_tolerance = 0.0;
-  options.seed = 11;
-  options.retry_backoff_ms = 0;
-  Result<ImportanceEstimate> clean = TmcShapleyValues(utility, options);
-  ASSERT_TRUE(clean.ok());
-
-  // Fire exactly once, on the very first evaluation; the retry re-rolls with
-  // the attempt as salt and succeeds, so the run completes with results
-  // bit-identical to the clean run.
-  ASSERT_TRUE(failpoint::Arm("utility.evaluate=error(unavailable:flaky)#1x1")
-                  .ok());
-  Result<ImportanceEstimate> retried = TmcShapleyValues(utility, options);
-  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_FALSE(retried->aborted_early);
-  EXPECT_EQ(retried->values, clean->values);
-  EXPECT_EQ(retried->std_errors, clean->std_errors);
-  EXPECT_EQ(FiresFor("utility.evaluate"), 1u);
-  // The recovery path also restores health after the transient degradation.
-  EXPECT_TRUE(telemetry::IsHealthy());
-}
-
-TEST_P(ChaosTest, RetryRecoversProbabilisticFaultsOnThePrefixScanPath) {
-  ScanSumUtility utility(4);
-  TmcShapleyOptions options;
-  options.num_permutations = 8;
-  options.truncation_tolerance = 0.0;
-  options.seed = 11;
-  options.max_retries = 10;
-  options.retry_backoff_ms = 0;
-  Result<ImportanceEstimate> clean = TmcShapleyValues(utility, options);
-  ASSERT_TRUE(clean.ok());
-
-  // A scan Push cannot be retried in place, so a transient fault re-runs the
-  // permutation, replaying the settled prefix silently and re-rolling only
-  // the failed evaluation's decision: a flaky backend recovers instead of
-  // killing the wave, and the recovered run stays bit-identical to the
-  // clean one.
-  ASSERT_TRUE(
-      failpoint::Arm("utility.evaluate=error(unavailable:flaky)@0.2/3").ok());
-  Result<ImportanceEstimate> retried = TmcShapleyValues(utility, options);
-  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_FALSE(retried->aborted_early);
-  EXPECT_EQ(retried->values, clean->values);
-  EXPECT_EQ(retried->std_errors, clean->std_errors);
-  EXPECT_GE(FiresFor("utility.evaluate"), 1u);
-  EXPECT_TRUE(telemetry::IsHealthy());
-}
-
-/// Both retry paths share one backoff helper, so a scan-path retry lands in
-/// the running job's labeled `estimator.retries` series too, not only in the
-/// unlabeled one.
-TEST_P(ChaosTest, PrefixScanRetriesCountTowardTheJob) {
-  bool was_enabled = telemetry::Enabled();
-  telemetry::SetEnabled(true);
-  TraceContext context = MintTraceContext();
-  context.job_id = "job-scan-retry";
-  context.algorithm = "tmc_shapley";
-  ScopedTraceContext scope(context);
-  // The registry outlives each case, so count this run's retries only.
-  auto job_retries = [] {
-    telemetry::MetricsSnapshot snapshot =
-        telemetry::MetricsRegistry::Global().Snapshot();
-    auto it = snapshot.counters.find(
-        "estimator.retries{algorithm=\"tmc_shapley\","
-        "job_id=\"job-scan-retry\"}");
-    return it == snapshot.counters.end() ? uint64_t{0} : it->second;
-  };
-  const uint64_t retries_before = job_retries();
-  ScanSumUtility utility(4);
-  TmcShapleyOptions options;
-  options.num_permutations = 8;
-  options.truncation_tolerance = 0.0;
-  options.num_threads = 1;
-  options.retry_backoff_ms = 0;
-  // Hits 1 and 2 are v(empty) and v(N) through TryEvaluate; hit 3 is the
-  // first Push of permutation 0, on the scan path.
-  ASSERT_TRUE(
-      failpoint::Arm("utility.evaluate=error(unavailable:flaky)#3x1").ok());
-  Result<ImportanceEstimate> estimate = TmcShapleyValues(utility, options);
-  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
-  EXPECT_FALSE(estimate->aborted_early);
-  EXPECT_EQ(FiresFor("utility.evaluate"), 1u);
-  EXPECT_EQ(job_retries() - retries_before, 1u);
-  telemetry::SetEnabled(was_enabled);
-}
-
-TEST_P(ChaosTest, ExhaustedRetriesAbortWithCause) {
+/// v(empty) is evaluated before any wave, where the runner's abort record
+/// never sees it: the checked evaluation itself must degrade health.
+TEST_P(ChaosTest, FailedEmptyCoalitionAbortsWithCauseAndDegrades) {
   SumUtility utility(4);
   ASSERT_TRUE(
       failpoint::Arm("utility.evaluate=error(unavailable:backend down)")
@@ -366,8 +276,6 @@ TEST_P(ChaosTest, ExhaustedRetriesAbortWithCause) {
   TmcShapleyOptions options;
   options.num_permutations = 8;
   options.truncation_tolerance = 0.0;
-  options.max_retries = 1;
-  options.retry_backoff_ms = 0;
   Result<ImportanceEstimate> estimate = TmcShapleyValues(utility, options);
   // Every evaluation fails, so no wave completes and the cause surfaces as
   // the estimator's status.
@@ -479,8 +387,8 @@ TEST_P(ChaosTest, KeyedDecisionBitmapIsThreadScheduleInvariant) {
 }
 
 /// Probabilistic injection into the TMC estimator replays bit-identically
-/// for any thread count: the fire decision is keyed by (subset hash, attempt
-/// salt), never by hit order or thread schedule.
+/// for any thread count: the fire decision is keyed by the subset hash, never
+/// by hit order or thread schedule.
 TEST_P(ChaosTest, ProbabilisticTmcReplayIsIdenticalAcrossThreadCounts) {
   SumUtility utility(6);
   std::vector<size_t> all_units = {0, 1, 2, 3, 4, 5};
@@ -503,7 +411,6 @@ TEST_P(ChaosTest, ProbabilisticTmcReplayIsIdenticalAcrossThreadCounts) {
   TmcShapleyOptions options;
   options.num_permutations = 64;
   options.truncation_tolerance = 0.0;
-  options.max_retries = 0;
   options.seed = 17;
   auto run = [&](size_t threads) {
     failpoint::ResetStats();
@@ -523,6 +430,63 @@ TEST_P(ChaosTest, ProbabilisticTmcReplayIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one->utility_evaluations, eight->utility_evaluations);
   EXPECT_EQ(one->aborted_early, eight->aborted_early);
   EXPECT_EQ(one->abort_cause.ToString(), eight->abort_cause.ToString());
+}
+
+/// TMC's prefix scan hosts the same site, keyed by permutation x position:
+/// an injected error or NaN on a Push aborts its wave with a typed cause,
+/// degrades health, and replays identically for any thread count.
+TEST_P(ChaosTest, PrefixScanFaultsAreTypedAndReplayAcrossThreadCounts) {
+  ScanSumUtility utility(6);
+  std::vector<size_t> all_units = {0, 1, 2, 3, 4, 5};
+  auto clean = [&](const std::vector<size_t>& subset) {
+    Result<double> value = utility.TryEvaluate(subset);
+    return value.ok() && std::isfinite(*value);
+  };
+  const std::vector<std::pair<std::string, StatusCode>> actions = {
+      {"error(unavailable:flaky)", StatusCode::kUnavailable},
+      {"nan", StatusCode::kInternal},
+  };
+  for (const auto& [action, code] : actions) {
+    SCOPED_TRACE(action);
+    // A seed whose decisions spare v(empty) and v(N), so every fire lands on
+    // a Push.
+    std::string spec;
+    for (int seed = 0; seed < 64 && spec.empty(); ++seed) {
+      std::string candidate =
+          StrFormat("utility.evaluate=%s@0.02/%d", action.c_str(), seed);
+      ASSERT_TRUE(failpoint::Arm(candidate).ok());
+      if (clean({}) && clean(all_units)) spec = candidate;
+    }
+    ASSERT_FALSE(spec.empty()) << "no usable seed found";
+
+    TmcShapleyOptions options;
+    options.num_permutations = 64;
+    options.truncation_tolerance = 0.0;
+    options.seed = 17;
+    auto run = [&](size_t threads) {
+      Reset();
+      EXPECT_TRUE(failpoint::Arm(spec).ok());
+      options.num_threads = threads;
+      Result<ImportanceEstimate> estimate = TmcShapleyValues(utility, options);
+      EXPECT_GE(FiresFor("utility.evaluate"), 1u);
+      EXPECT_FALSE(telemetry::IsHealthy());
+      return estimate;
+    };
+    Result<ImportanceEstimate> one = run(1);
+    Result<ImportanceEstimate> eight = run(8);
+    Status cause = one.ok() ? one->abort_cause : one.status();
+    EXPECT_EQ(cause.code(), code) << cause.ToString();
+    ASSERT_EQ(one.ok(), eight.ok());
+    if (!one.ok()) {
+      EXPECT_EQ(one.status().ToString(), eight.status().ToString());
+      continue;
+    }
+    EXPECT_TRUE(one->aborted_early);
+    EXPECT_EQ(one->values, eight->values);
+    EXPECT_EQ(one->std_errors, eight->std_errors);
+    EXPECT_EQ(one->utility_evaluations, eight->utility_evaluations);
+    EXPECT_EQ(one->abort_cause.ToString(), eight->abort_cause.ToString());
+  }
 }
 
 TEST_P(ChaosTest, HealthEndpointFlipsDegradedWhileMetricsStayScrapeable) {

@@ -119,8 +119,7 @@ grep -q -- "--threads" err.txt || fail "--threads error does not name the flag"
 
 # --- numeric flags: a malformed value is a usage error naming the flag ---------
 for flag in "--top abc" "--top -1" "--permutations x" \
-            "--permutations 2305843009213693952" "--seed x" "--retries x" \
-            "--retry-backoff-ms x" "--retry-backoff-ms 4294967296"; do
+            "--permutations 2305843009213693952" "--seed x"; do
   name="${flag%% *}"
   "$CLI" importance train.csv --label label $flag > /dev/null 2> err.txt
   [ $? -eq 2 ] || fail "importance $flag should exit 2"
@@ -297,11 +296,12 @@ grep -q -- "--trace" err.txt || fail "missing-value error does not name the flag
 "$CLI" screen missing.csv > /dev/null 2>&1
 [ $? -eq 3 ] || fail "missing input file should exit 3"
 
-# An injected utility fault with retries exhausted aborts the run with exit 3
-# and a structured error block in the run report.
+# An injected utility fault aborts the run with exit 3, a structured error
+# block in the run report, and the failpoint's hits and fires in the
+# --metrics table.
 NDE_FAILPOINTS='utility.evaluate=error(unavailable:backend down)' \
     "$CLI" importance train.csv --label label --top 5 --permutations 4 \
-    --retries 0 --report chaos_report.json \
+    --report chaos_report.json --metrics \
     > chaos_out.txt 2> chaos_err.txt
 [ $? -eq 3 ] || fail "injected utility fault should exit 3"
 grep -q "backend down" chaos_err.txt \
@@ -309,18 +309,8 @@ grep -q "backend down" chaos_err.txt \
 [ -s chaos_report.json ] || fail "run report missing after injected fault"
 grep -q '"error":{"code":"unavailable","message":"backend down","exit_code":3}' \
     chaos_report.json || fail "report lacks the structured error block"
-
-# With a retry to exhaust first, the run still exits 3, and the --metrics
-# table counts the failpoint's hits and fires.
-NDE_FAILPOINTS='utility.evaluate=error(unavailable:chaos drill)' \
-    "$CLI" importance train.csv --label label --top 5 --permutations 4 \
-    --retries 1 --retry-backoff-ms 0 --metrics \
-    > chaos_metrics_out.txt 2> chaos_metrics_err.txt
-[ $? -eq 3 ] || fail "injected utility fault after a retry should exit 3"
-grep -q "chaos drill" chaos_metrics_err.txt \
-    || fail "injected fault after a retry not reported on stderr"
 for counter in hits fires; do
-  grep -q "failpoint.utility.evaluate.$counter" chaos_metrics_out.txt \
+  grep -q "failpoint.utility.evaluate.$counter" chaos_out.txt \
       || fail "--metrics lacks the failpoint $counter counter"
 done
 
@@ -345,67 +335,16 @@ for method in knn_shapley datascope; do
 done
 
 # A malformed NDE_FAILPOINTS spec warns and is ignored — an operator typo
-# must not break the run it was trying to observe.
-NDE_FAILPOINTS='utility.evaluate=bogus_action' \
-    "$CLI" importance train.csv --label label --top 5 --permutations 4 \
-    > /dev/null 2> badspec_err.txt \
-    || fail "malformed NDE_FAILPOINTS spec aborted the run"
-grep -q "warning: NDE_FAILPOINTS" badspec_err.txt \
-    || fail "malformed NDE_FAILPOINTS spec not warned about"
-
-# While utility retries back off, /healthz flips to 503 but /metrics stays
-# scrapeable (including the failpoint counters); the run then exits 3.
-http_fetch() {  # prints the response body, then the HTTP status on a new line
-  if command -v curl >/dev/null 2>&1; then
-    curl -s --max-time 5 -w '\n%{http_code}' "$1"
-  else
-    python3 - "$1" <<'EOF'
-import sys, urllib.error, urllib.request
-try:
-    r = urllib.request.urlopen(sys.argv[1], timeout=5)
-    body, code = r.read().decode(), r.getcode()
-except urllib.error.HTTPError as e:
-    body, code = e.read().decode(), e.code
-except Exception:
-    body, code = "", 0
-print(body)
-print(code)
-EOF
-  fi
-}
-
-: > serve3_err.txt
-NDE_FAILPOINTS='utility.evaluate=error(unavailable:flaky backend)' \
-    "$CLI" importance train.csv --label label --top 5 --permutations 4 \
-    --retries 4 --retry-backoff-ms 300 --serve 0 \
-    > serve3_out.txt 2> serve3_err.txt &
-cli_pid=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's#^serving on http://127.0.0.1:\([0-9]*\)$#\1#p' serve3_err.txt)
-  [ -n "$PORT" ] && break
-  sleep 0.1
+# must not break the run it was trying to observe. So does the retired
+# alloc_fail action, which was error(resource_exhausted) under another name.
+for action in bogus_action alloc_fail; do
+  NDE_FAILPOINTS="utility.evaluate=$action" \
+      "$CLI" importance train.csv --label label --top 5 --permutations 4 \
+      > /dev/null 2> badspec_err.txt \
+      || fail "NDE_FAILPOINTS action $action aborted the run"
+  grep -q "warning: NDE_FAILPOINTS.*unknown action '$action'" badspec_err.txt \
+      || fail "NDE_FAILPOINTS action $action not warned about"
 done
-[ -n "$PORT" ] || { kill "$cli_pid" 2>/dev/null; fail "--serve port not announced under fault"; }
-saw_degraded=""
-for _ in $(seq 1 100); do
-  http_fetch "http://127.0.0.1:$PORT/healthz" > healthz.txt 2>/dev/null
-  if [ "$(tail -1 healthz.txt)" = "503" ]; then
-    saw_degraded=1
-    break
-  fi
-  sleep 0.1
-done
-[ -n "$saw_degraded" ] || { kill "$cli_pid" 2>/dev/null; fail "/healthz never flipped to 503 under fault"; }
-grep -q "degraded: " healthz.txt \
-    || { kill "$cli_pid" 2>/dev/null; fail "503 healthz body lacks the degraded reason"; }
-http_fetch "http://127.0.0.1:$PORT/metrics" > metrics_degraded.txt 2>/dev/null
-[ "$(tail -1 metrics_degraded.txt)" = "200" ] \
-    || { kill "$cli_pid" 2>/dev/null; fail "/metrics not scrapeable while degraded"; }
-grep -q "failpoint_utility_evaluate" metrics_degraded.txt \
-    || { kill "$cli_pid" 2>/dev/null; fail "/metrics lacks failpoint counters while degraded"; }
-wait "$cli_pid"
-[ $? -eq 3 ] || fail "faulty --serve run should exit 3 after retries"
 
 # --- algorithm registry ---------------------------------------------------------
 "$CLI" --list-algorithms > algorithms.txt || fail "--list-algorithms failed"
@@ -475,6 +414,20 @@ for flag in --utility-cache --float32; do
   [ $? -eq 2 ] || fail "retired flag $flag should exit 2"
   grep -q -- "$flag" err.txt || fail "retired flag error does not name $flag"
 done
+# The retry policy is gone too: its flags are unknown flags and its registry
+# option an unknown option.
+for flag in "--retries 1" "--retry-backoff-ms 0"; do
+  name="${flag%% *}"
+  "$CLI" importance train.csv --label label $flag > /dev/null 2> err.txt
+  [ $? -eq 2 ] || fail "retired flag $name should exit 2"
+  grep -q -- "unknown flag '$name'" err.txt \
+      || fail "retired flag error does not name $name"
+done
+"$CLI" importance train.csv --label label --set max_retries=1 \
+    > /dev/null 2> err.txt
+[ $? -eq 2 ] || fail "--set max_retries=1 should exit 2"
+grep -q "algorithm 'tmc_shapley' has no option 'max_retries'" err.txt \
+    || fail "retired --set max_retries error should name the option"
 
 # --- usage ----------------------------------------------------------------------
 "$CLI" > /dev/null 2>&1

@@ -252,8 +252,6 @@ class EstimatorContractTest : public ::testing::Test {
   static EstimatorOptions Options(size_t threads) {
     EstimatorOptions options;
     options.num_threads = threads;
-    options.max_retries = 0;
-    options.retry_backoff_ms = 0;
     return options;
   }
 

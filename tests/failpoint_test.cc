@@ -61,14 +61,6 @@ TEST_F(FailpointTest, ErrorActionWithCodeAndMessage) {
   EXPECT_EQ(out.status.message(), "disk gone");
 }
 
-TEST_F(FailpointTest, RetryableCodesAreRetryable) {
-  ASSERT_TRUE(failpoint::Arm("test.err=error(unavailable)").ok());
-  failpoint::Outcome out = failpoint::Fire("test.err");
-  EXPECT_EQ(out.status.code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(IsRetryable(out.status.code()));
-  EXPECT_FALSE(IsRetryable(StatusCode::kInternal));
-}
-
 TEST_F(FailpointTest, DelayServesThenContinues) {
   ASSERT_TRUE(failpoint::Arm("test.delay=delay(20)").ok());
   auto start = std::chrono::steady_clock::now();
@@ -92,14 +84,6 @@ TEST_F(FailpointTest, NanPoisonCarriesTypedStatus) {
   // a typed non-OK status instead of a silent "fired but OK" outcome.
   EXPECT_EQ(out.status.code(), StatusCode::kInternal);
   EXPECT_NE(out.status.message().find("nan poison"), std::string::npos);
-}
-
-TEST_F(FailpointTest, AllocFailIsResourceExhausted) {
-  ASSERT_TRUE(failpoint::Arm("test.alloc=alloc_fail").ok());
-  failpoint::Outcome out = failpoint::Fire("test.alloc");
-  EXPECT_EQ(out.kind, failpoint::Outcome::kAllocFail);
-  EXPECT_EQ(out.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(IsRetryable(out.status.code()));
 }
 
 TEST_F(FailpointTest, FirstHitModifierSkipsEarlyHits) {
@@ -141,6 +125,7 @@ TEST_F(FailpointTest, MalformedSpecsAreRejected) {
       "=error",                     // empty name
       "test.x=",                    // empty action
       "test.x=bogus",               // unknown action
+      "test.x=alloc_fail",          // retired: error(resource_exhausted)
       "test.x=error(not_a_code)",   // unknown status code
       "test.x=error(ok)",           // firing cannot succeed
       "test.x=delay",               // delay needs (ms)
@@ -164,11 +149,13 @@ TEST_F(FailpointTest, MalformedSpecsAreRejected) {
 
 TEST_F(FailpointTest, ArmFromListArmsEverySpec) {
   ASSERT_TRUE(
-      failpoint::ArmFromList("test.a=error; test.b=nan, test.c=alloc_fail")
+      failpoint::ArmFromList(
+          "test.a=error; test.b=nan, test.c=error(resource_exhausted)")
           .ok());
   EXPECT_TRUE(failpoint::Fire("test.a").fired());
   EXPECT_EQ(failpoint::Fire("test.b").kind, failpoint::Outcome::kNanPoison);
-  EXPECT_EQ(failpoint::Fire("test.c").kind, failpoint::Outcome::kAllocFail);
+  EXPECT_EQ(failpoint::Fire("test.c").status.code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST_F(FailpointTest, ArmFromListStopsAtFirstBadSpec) {

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -208,7 +209,6 @@ TEST(JobApiTest, FailingJobDegradesHealthAndLaterSuccessRestoresIt) {
   JobManager manager;
   JobRequest failing = QuickRequest();
   failing.algorithm = "loo";
-  failing.options = {{"max_retries", "0"}};
   std::string id = manager.Submit(failing).value();
   JobSnapshot failed = AwaitDone(manager, id);
   failpoint::DisarmAll();
@@ -233,10 +233,10 @@ TEST(JobApiTest, PoolFaultDuringScorerContextBuildFailsTheJob) {
     SCOPED_TRACE(algorithm);
     telemetry::SetHealthy();
     failpoint::ResetStats();
-    // Hit 1 is the job's own task on the manager's pool; hit 2 is the first
-    // task of the estimator's scorer-context fan-out, which the fault kills.
+    // Hit 1 is the first task of the estimator's scorer-context fan-out,
+    // which the fault kills.
     ASSERT_TRUE(
-        failpoint::Arm("threadpool.task=error(unavailable:worker fault)#2x1")
+        failpoint::Arm("threadpool.task=error(unavailable:worker fault)#1x1")
             .ok());
     JobApiOptions options;
     options.num_workers = 1;
@@ -287,10 +287,10 @@ TEST(JobApiTest, PoolFaultInKnnShapleyFanOutFailsTheJob) {
     SCOPED_TRACE(algorithm);
     telemetry::SetHealthy();
     failpoint::ResetStats();
-    // Hit 1 is the job's own task on the manager's pool; hit 2 is the first
-    // task of the estimator's fan-out, which the fault kills.
+    // Hit 1 is the first task of the estimator's fan-out, which the fault
+    // kills.
     ASSERT_TRUE(
-        failpoint::Arm("threadpool.task=error(unavailable:worker fault)#2x1")
+        failpoint::Arm("threadpool.task=error(unavailable:worker fault)#1x1")
             .ok());
     JobApiOptions options;
     options.num_workers = 1;
@@ -310,6 +310,69 @@ TEST(JobApiTest, PoolFaultInKnnShapleyFanOutFailsTheJob) {
     EXPECT_FALSE(telemetry::IsHealthy());
   }
   telemetry::SetHealthy();
+}
+
+/// The pool's failpoint models a lost fan-out task, so it never fires on the
+/// manager's own job task: a fault on the first hit ends the job `error`
+/// instead of leaving it `queued`, and frees its queue slot.
+TEST(JobApiTest, PoolFaultOnTheFirstHitEndsTheJobAndFreesItsSlot) {
+  telemetry::SetHealthy();
+  failpoint::ResetStats();
+  ASSERT_TRUE(
+      failpoint::Arm("threadpool.task=error(unavailable:worker fault)#1x1")
+          .ok());
+  JobApiOptions options;
+  options.num_workers = 1;
+  options.max_queued = 1;
+  JobManager manager(options);
+  JobRequest request = QuickRequest();
+  request.csv_data = FanOutCsv();
+  request.options = {{"k", "3"}, {"num_threads", "4"}};
+  JobSnapshot failed = AwaitDone(manager, manager.Submit(request).value());
+  failpoint::DisarmAll();
+  EXPECT_EQ(failed.state, JobState::kError);
+  EXPECT_NE(failed.error.message().find("worker fault"), std::string::npos);
+  EXPECT_FALSE(telemetry::IsHealthy());
+
+  // The one queue slot is free again, and the next job runs to done.
+  Result<std::string> next = manager.Submit(request);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(AwaitDone(manager, *next).state, JobState::kDone);
+  telemetry::SetHealthy();
+}
+
+/// A registry algorithm whose Run throws, as a std::bad_alloc deep in a job
+/// would.
+class ThrowingAlgorithm : public AlgorithmInstance {
+ public:
+  ThrowingAlgorithm() : AlgorithmInstance("test_throwing", "always throws") {}
+  Result<ImportanceEstimate> Run(const RunInput&) const override {
+    throw std::runtime_error("out of luck");
+  }
+};
+
+TEST(JobApiTest, ThrowingJobEndsInErrorNamingTheException) {
+  static const bool registered =
+      AlgorithmRegistry::Global()
+          .Register([]() { return std::make_unique<ThrowingAlgorithm>(); })
+          .ok();
+  ASSERT_TRUE(registered);
+  telemetry::SetHealthy();
+  JobManager manager;
+  JobRequest request = QuickRequest();
+  request.algorithm = "test_throwing";
+  request.options.clear();
+  JobSnapshot failed = AwaitDone(manager, manager.Submit(request).value());
+  EXPECT_EQ(failed.state, JobState::kError);
+  EXPECT_EQ(failed.error.code(), StatusCode::kInternal);
+  EXPECT_NE(failed.error.message().find("out of luck"), std::string::npos)
+      << failed.error.ToString();
+  EXPECT_FALSE(telemetry::IsHealthy());
+
+  // The worker survives the throw: a clean job still runs to done.
+  EXPECT_EQ(AwaitDone(manager, manager.Submit(QuickRequest()).value()).state,
+            JobState::kDone);
+  EXPECT_TRUE(telemetry::IsHealthy());
 }
 
 TEST(JobApiTest, WritesRunReportArtifact) {
@@ -449,6 +512,14 @@ TEST(JobApiHttpTest, BadRequestsGetStructuredErrors) {
   EXPECT_NE(StatusLine(retired).find("404"), std::string::npos);
   EXPECT_NE(Body(retired).find("no option 'soa_kernels'"), std::string::npos)
       << Body(retired);
+  // So is the retired retry policy.
+  std::string retry = manager.HandleHttp(Request(
+      "POST", "/jobs",
+      "{\"algorithm\":\"tmc_shapley\",\"label\":\"y\","
+      "\"csv\":\"a,y\\n1,0\\n\",\"options\":{\"max_retries\":1}}"));
+  EXPECT_NE(StatusLine(retry).find("404"), std::string::npos);
+  EXPECT_NE(Body(retry).find("no option 'max_retries'"), std::string::npos)
+      << Body(retry);
 
   std::string bad_method = manager.HandleHttp(Request("PUT", "/jobs"));
   EXPECT_NE(StatusLine(bad_method).find("405"), std::string::npos);

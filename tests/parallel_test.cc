@@ -162,15 +162,17 @@ struct FailpointGuard {
 };
 
 TEST(ThreadPoolTest, InjectedFaultPropagatesThroughWaitIdle) {
-  FailpointGuard guard;
-  // Kill exactly one task: the third one a worker picks up.
-  ASSERT_TRUE(
-      failpoint::Arm("threadpool.task=error(unavailable:worker fault)#3x1")
-          .ok());
+  // Kill exactly one task, the third submitted, with the exception an
+  // injected fault throws.
   std::atomic<int> counter{0};
   ThreadPool pool(4);
   for (int i = 0; i < 8; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    pool.Submit([&counter, i] {
+      if (i == 2) {
+        throw failpoint::InjectedFault(Status::Unavailable("worker fault"));
+      }
+      counter.fetch_add(1);
+    });
   }
   bool threw = false;
   try {
@@ -181,7 +183,7 @@ TEST(ThreadPoolTest, InjectedFaultPropagatesThroughWaitIdle) {
     EXPECT_EQ(fault.status().message(), "worker fault");
   }
   EXPECT_TRUE(threw);
-  // The killed task never ran its body; the other seven drained normally.
+  // The killed task never counted; the other seven drained normally.
   EXPECT_EQ(counter.load(), 7);
   // The error latch is one-shot: the pool is healthy again and keeps
   // accepting work.
@@ -192,13 +194,14 @@ TEST(ThreadPoolTest, InjectedFaultPropagatesThroughWaitIdle) {
 }
 
 TEST(ThreadPoolTest, DrainsCleanlyOnDestructionAfterFault) {
-  FailpointGuard guard;
-  ASSERT_TRUE(failpoint::Arm("threadpool.task=error(internal:boom)#1x1").ok());
   std::atomic<int> counter{0};
   {
     ThreadPool pool(2);
     for (int i = 0; i < 32; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      pool.Submit([&counter, i] {
+        if (i == 0) throw failpoint::InjectedFault(Status::Internal("boom"));
+        counter.fetch_add(1);
+      });
     }
     // No WaitIdle: the destructor must drain every remaining task and must
     // not terminate on the latched exception.

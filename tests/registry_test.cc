@@ -93,19 +93,16 @@ TEST(RegistryTest, EachAlgorithmListsOnlyTheOptionsItsEstimatorReads) {
   // catalog never searches an inert knob.
   const std::vector<std::pair<std::string, std::vector<std::string>>>
       expected = {
-          {"loo",
-           {"model", "k", "num_threads", "max_retries", "retry_backoff_ms"}},
+          {"loo", {"model", "k", "num_threads"}},
           {"tmc_shapley",
-           {"model", "k", "num_threads", "max_retries", "retry_backoff_ms",
-            "seed", "convergence_tolerance", "num_permutations",
-            "truncation_tolerance", "warm_start"}},
+           {"model", "k", "num_threads", "seed", "convergence_tolerance",
+            "num_permutations", "truncation_tolerance", "warm_start"}},
           {"banzhaf",
-           {"model", "k", "num_threads", "max_retries", "retry_backoff_ms",
-            "seed", "convergence_tolerance", "num_samples"}},
+           {"model", "k", "num_threads", "seed", "convergence_tolerance",
+            "num_samples"}},
           {"beta_shapley",
-           {"model", "k", "num_threads", "max_retries", "retry_backoff_ms",
-            "seed", "convergence_tolerance", "alpha", "beta",
-            "samples_per_unit"}},
+           {"model", "k", "num_threads", "seed", "convergence_tolerance",
+            "alpha", "beta", "samples_per_unit"}},
           {"knn_shapley", {"k", "num_threads"}},
           {"datascope", {"k", "num_threads"}},
           {"influence", {"l2", "newton_iterations", "standardize"}},
@@ -121,7 +118,7 @@ TEST(RegistryTest, EachAlgorithmListsOnlyTheOptionsItsEstimatorReads) {
     EXPECT_EQ(names, options) << algorithm;
     total += names.size();
   }
-  EXPECT_EQ(total, 46u);
+  EXPECT_EQ(total, 38u);
 }
 
 TEST(RegistryTest, ConfigureRoundTripsThroughGetOption) {
@@ -183,14 +180,15 @@ TEST(RegistryTest, UnknownOptionIsNotFound) {
   EXPECT_TRUE(knn->HasOption("k"));
 }
 
-TEST(RegistryTest, RetiredFastPathSwitchesAreUnknownOptions) {
-  // The subset cache, float32 and the benchmark-only kernel switches are
-  // gone: naming one is an unknown option on every game algorithm.
+TEST(RegistryTest, RetiredOptionsAreUnknown) {
+  // The subset cache, float32, the benchmark-only kernel switches and the
+  // retry policy are gone: naming one is an unknown option on every game
+  // algorithm.
   for (const char* algorithm : {"loo", "tmc_shapley", "banzhaf",
                                 "beta_shapley"}) {
     std::unique_ptr<AlgorithmInstance> instance = Make(algorithm);
-    for (const char* retired :
-         {"utility_cache", "soa_kernels", "float32", "arena"}) {
+    for (const char* retired : {"utility_cache", "soa_kernels", "float32",
+                                "arena", "max_retries", "retry_backoff_ms"}) {
       EXPECT_FALSE(instance->HasOption(retired)) << algorithm << " " << retired;
       EXPECT_EQ(instance->Configure(retired, "true").code(),
                 StatusCode::kNotFound)

@@ -5,7 +5,9 @@
 # artifact; the full queue's 429 and DELETE cancellation; and that one
 # client-chosen trace id comes back out of every surface the job touches:
 # its snapshot, span tree, wave timeline, artifact, JSON logs and labeled
-# /metrics series. Registered with ctest (label `serve`):
+# /metrics series. A second server runs under an injected utility fault: its
+# job ends in error and the server stays up, degraded but scrapeable.
+# Registered with ctest (label `serve`):
 #
 #   serve_smoke_test.sh <nde_cli binary>
 set -u
@@ -86,20 +88,32 @@ awk 'BEGIN {
   }
 }' > train.csv
 
-# --- one server for the whole test --------------------------------------------
-: > server_err.txt
-"$CLI" serve --port 0 --job-workers 1 --max-queue 1 --artifact-dir artifacts \
-    --log-level info --log-json > /dev/null 2> server_err.txt &
-SERVER_PID=$!
-PORT=""
-for _ in $(seq 1 200); do
-  PORT="$(sed -n 's#.*serving on http://127\.0\.0\.1:\([0-9]*\).*#\1#p' \
-      server_err.txt | head -1)"
-  [ -n "$PORT" ] && break
-  kill -0 "$SERVER_PID" 2>/dev/null || fail "nde_cli serve exited before serving"
-  sleep 0.05
-done
-[ -n "$PORT" ] || fail "nde_cli serve never announced its port"
+# start_server [serve flags...]: starts `nde_cli serve --port 0` with the
+# flags and the caller's environment; sets SERVER_PID and PORT.
+start_server() {
+  : > server_err.txt
+  "$CLI" serve --port 0 "$@" > /dev/null 2> server_err.txt &
+  SERVER_PID=$!
+  PORT=""
+  for _ in $(seq 1 200); do
+    PORT="$(sed -n 's#.*serving on http://127\.0\.0\.1:\([0-9]*\).*#\1#p' \
+        server_err.txt | head -1)"
+    [ -n "$PORT" ] && return 0
+    kill -0 "$SERVER_PID" 2>/dev/null || fail "nde_cli serve exited before serving"
+    sleep 0.05
+  done
+  fail "nde_cli serve never announced its port"
+}
+
+stop_server() {
+  kill -TERM "$SERVER_PID"
+  wait "$SERVER_PID" || fail "nde_cli serve did not exit 0 on SIGTERM"
+  SERVER_PID=""
+}
+
+# --- the main server ----------------------------------------------------------
+start_server --job-workers 1 --max-queue 1 --artifact-dir artifacts \
+    --log-level info --log-json
 # NDE_TELEMETRY=OFF builds record no spans, series or log lines: skip what
 # reads them.
 telemetry=on
@@ -195,9 +209,30 @@ await_state "$QUEUED" cancelled || fail "DELETE did not cancel the queued job"
 
 call GET /healthz > healthz.txt
 expect 200 healthz.txt || fail "/healthz stopped answering ok after cancellation"
+stop_server
 
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID" || fail "nde_cli serve did not exit 0 on SIGTERM"
-SERVER_PID=""
+# --- a failing backend: the job ends in error, the server stays degraded -----
+# Every utility evaluation fails, so the job's first evaluation ends it with
+# the injected cause. /healthz then answers 503 with the reason, and /metrics
+# stays scrapeable, failpoint counters included.
+NDE_FAILPOINTS='utility.evaluate=error(unavailable:flaky backend)' \
+    start_server --job-workers 1
+call POST /jobs \
+    "{\"algorithm\":\"tmc_shapley\",\"label\":\"label\",\"csv_path\":\"$WORKDIR/train.csv\",\"options\":{\"num_permutations\":4}}" \
+    > faulty.txt
+expect 202 faulty.txt || fail "POST /jobs under a fault not accepted: $(cat faulty.txt)"
+FAULTY="$(job_id faulty.txt)"
+await_state "$FAULTY" error \
+    || fail "faulty job never reached error: $(cat "job_$FAULTY.txt")"
+grep -q "flaky backend" "job_$FAULTY.txt" \
+    || fail "faulty job's error lacks the injected message: $(cat "job_$FAULTY.txt")"
+call GET /healthz > healthz.txt
+expect 503 healthz.txt || fail "/healthz did not answer 503 after the failed job"
+grep -q "degraded: " healthz.txt || fail "503 healthz body lacks the degraded reason"
+call GET /metrics > metrics.txt
+expect 200 metrics.txt || fail "/metrics not scrapeable while degraded"
+grep -q "failpoint_utility_evaluate" metrics.txt \
+    || fail "/metrics lacks failpoint counters while degraded"
+stop_server
 
 echo "serve smoke test passed"

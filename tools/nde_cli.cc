@@ -78,10 +78,6 @@
 //   --model <name>       proxy model for the game estimators: knn (default) |
 //                        gaussian_nb | logreg (knn and gaussian_nb scan
 //                        prefixes exactly; logreg pairs with --warm-start)
-//   --retries <N>        retry budget per utility evaluation for transient
-//                        (unavailable/resource_exhausted) failures (default 2)
-//   --retry-backoff-ms <ms>  base retry backoff, doubled per attempt and
-//                        capped at 10x (default 25)
 //
 // Exit codes: 0 success; 1 screen found error-severity issues; 2 bad usage or
 // configuration; 3 runtime failure (I/O, pipeline, or estimator error —
@@ -380,8 +376,6 @@ struct ImportanceFlags {
   uint64_t seed = 42;
   bool warm_start = false;
   std::string model = "knn";
-  size_t retries = 2;
-  uint32_t retry_backoff_ms = 25;
 };
 
 /// Parses the importance flags. `default_permutations` stands in for an
@@ -402,13 +396,6 @@ Result<ImportanceFlags> ParseImportanceFlags(
   NDE_ASSIGN_OR_RETURN(flags.seed, UnsignedFlag(args, "seed", flags.seed));
   flags.warm_start = args.flags.count("warm-start") > 0;
   flags.model = FlagOr(args, "model", flags.model);
-  NDE_ASSIGN_OR_RETURN(flags.retries,
-                       UnsignedFlag(args, "retries", flags.retries));
-  NDE_ASSIGN_OR_RETURN(
-      uint64_t backoff,
-      UnsignedFlag(args, "retry-backoff-ms", flags.retry_backoff_ms, 0,
-                   std::numeric_limits<uint32_t>::max()));
-  flags.retry_backoff_ms = static_cast<uint32_t>(backoff);
   return flags;
 }
 
@@ -438,10 +425,6 @@ Status ConfigureFromFlags(const Args& args, const ImportanceFlags& flags,
   NDE_RETURN_IF_ERROR(
       configure("warm_start", flags.warm_start ? "true" : "false"));
   NDE_RETURN_IF_ERROR(configure("model", flags.model));
-  NDE_RETURN_IF_ERROR(
-      configure("max_retries", StrFormat("%zu", flags.retries)));
-  NDE_RETURN_IF_ERROR(configure(
-      "retry_backoff_ms", StrFormat("%u", flags.retry_backoff_ms)));
   return ApplySetFlags(args, algorithm);
 }
 
@@ -468,9 +451,6 @@ int RunImportancePipeline(const Args& args) {
                         static_cast<int64_t>(*flags->permutations));
     g_report->SetConfig("warm_start", flags->warm_start);
     g_report->SetConfig("model", flags->model);
-    g_report->SetConfig("retries", static_cast<int64_t>(flags->retries));
-    g_report->SetConfig("retry_backoff_ms",
-                        static_cast<int64_t>(flags->retry_backoff_ms));
   }
 
   Result<std::unique_ptr<AlgorithmInstance>> algorithm =
@@ -535,7 +515,7 @@ int RunImportance(const Args& args) {
   Status flags_ok =
       CheckFlags(args, "importance",
                  {"label", "method", "top", "permutations", "warm-start",
-                  "model", "seed", "retries", "retry-backoff-ms", "set"});
+                  "model", "seed", "set"});
   if (!flags_ok.ok()) return Fail(flags_ok.ToString());
   if (args.positional.size() == 1) return RunImportancePipeline(args);
   if (args.positional.size() != 2) {
@@ -709,7 +689,6 @@ int Usage() {
                "knn_shapley]\n"
                "             [--top 25] [--permutations 8] [--warm-start]\n"
                "             [--model knn|gaussian_nb|logreg]\n"
-               "             [--retries 2] [--retry-backoff-ms 25]\n"
                "  impute <table.csv> --column <col>\n"
                "         [--strategy mean|median|most_frequent] "
                "[--out <out.csv>]\n"
