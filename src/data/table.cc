@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -36,6 +37,35 @@ std::string Schema::ToString() const {
   return JoinStrings(parts, ", ");
 }
 
+Table::SharedColumn::SharedColumn(std::vector<Value> cells)
+    : buffer_(new Buffer{std::move(cells)}) {}
+
+Table::SharedColumn::SharedColumn(const SharedColumn& other) noexcept
+    : buffer_(other.buffer_) {
+  buffer_->holders.fetch_add(1);
+}
+
+Table::SharedColumn::SharedColumn(SharedColumn&& other) noexcept
+    : buffer_(std::exchange(other.buffer_, nullptr)) {}
+
+Table::SharedColumn& Table::SharedColumn::operator=(
+    SharedColumn other) noexcept {
+  std::swap(buffer_, other.buffer_);
+  return *this;
+}
+
+Table::SharedColumn::~SharedColumn() {
+  if (buffer_ != nullptr && buffer_->holders.fetch_sub(1) == 1) delete buffer_;
+}
+
+std::vector<Value>& Table::SharedColumn::MutableCells() {
+  // Reading 1 means no other table holds the buffer, and none can start to:
+  // a new holder is made only by copying a holder, and this one belongs to
+  // a table that its thread has to itself. Reading more than 1 copies.
+  if (buffer_->holders.load() != 1) *this = SharedColumn(buffer_->cells);
+  return buffer_->cells;
+}
+
 Table::Table(Schema schema)
     : schema_(std::move(schema)), columns_(schema_.num_fields()) {}
 
@@ -50,9 +80,13 @@ Result<Table> Table::FromRows(Schema schema,
 
 Result<Table> Table::FromColumns(Schema schema,
                                  std::vector<std::vector<Value>> columns) {
-  Table table(std::move(schema));
+  Table table;
+  table.schema_ = std::move(schema);
   table.num_rows_ = columns.empty() ? 0 : columns.front().size();
-  table.columns_ = std::move(columns);
+  table.columns_.reserve(columns.size());
+  for (std::vector<Value>& cells : columns) {
+    table.columns_.emplace_back(std::move(cells));
+  }
   Status status = table.Validate();
   if (!status.ok()) return Status::InvalidArgument(status.message());
   return table;
@@ -61,7 +95,7 @@ Result<Table> Table::FromColumns(Schema schema,
 Result<const std::vector<Value>*> Table::ColumnByName(
     const std::string& name) const {
   NDE_ASSIGN_OR_RETURN(size_t index, schema_.FieldIndex(name));
-  return &columns_[index];
+  return &columns_[index].cells();
 }
 
 Status Table::SetCell(size_t row, size_t col, Value value) {
@@ -77,7 +111,7 @@ Status Table::SetCell(size_t row, size_t col, Value value) {
                   schema_.field(col).name.c_str(),
                   DataTypeToString(schema_.field(col).type)));
   }
-  columns_[col][row] = std::move(value);
+  columns_[col].MutableCells()[row] = std::move(value);
   return Status::OK();
 }
 
@@ -85,7 +119,7 @@ std::vector<Value> Table::Row(size_t row) const {
   NDE_CHECK_LT(row, num_rows_);
   std::vector<Value> out;
   out.reserve(columns_.size());
-  for (const auto& col : columns_) out.push_back(col[row]);
+  for (const SharedColumn& col : columns_) out.push_back(col.cells()[row]);
   return out;
 }
 
@@ -104,7 +138,7 @@ Status Table::AppendRow(std::vector<Value> row) {
     }
   }
   for (size_t c = 0; c < row.size(); ++c) {
-    columns_[c].push_back(std::move(row[c]));
+    columns_[c].MutableCells().push_back(std::move(row[c]));
   }
   ++num_rows_;
   return Status::OK();
@@ -115,8 +149,11 @@ Status Table::AppendTable(const Table& other) {
     return Status::InvalidArgument("schema mismatch in AppendTable");
   }
   for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].insert(columns_[c].end(), other.columns_[c].begin(),
-                       other.columns_[c].end());
+    // Holding the source makes `this` share it when `other` is `this`, so
+    // the cells are copied before they are appended to.
+    SharedColumn source = other.columns_[c];
+    std::vector<Value>& cells = columns_[c].MutableCells();
+    cells.insert(cells.end(), source.cells().begin(), source.cells().end());
   }
   num_rows_ += other.num_rows_;
   return Status::OK();
@@ -137,7 +174,7 @@ Status Table::AddColumn(Field field, std::vector<Value> values) {
     }
   }
   NDE_RETURN_IF_ERROR(schema_.AddField(std::move(field)));
-  columns_.push_back(std::move(values));
+  columns_.emplace_back(std::move(values));
   return Status::OK();
 }
 
@@ -152,28 +189,36 @@ Status Table::DropColumn(const std::string& name) {
 
 Result<Table> Table::SelectColumns(const std::vector<std::string>& names) const {
   std::vector<Field> fields;
-  std::vector<std::vector<Value>> cols;
+  std::vector<SharedColumn> cols;
   for (const std::string& name : names) {
     NDE_ASSIGN_OR_RETURN(size_t index, schema_.FieldIndex(name));
     fields.push_back(schema_.field(index));
     cols.push_back(columns_[index]);
   }
-  Table out{Schema(std::move(fields))};
+  Table out;
+  out.schema_ = Schema(std::move(fields));
   out.columns_ = std::move(cols);
   out.num_rows_ = num_rows_;
   return out;
 }
 
 Table Table::SelectRows(const std::vector<size_t>& row_indices) const {
-  Table out(schema_);
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    out.columns_[c].reserve(row_indices.size());
-    for (size_t r : row_indices) {
-      NDE_CHECK_LT(r, num_rows_);
-      out.columns_[c].push_back(columns_[c][r]);
-    }
+  bool every_row_in_order = row_indices.size() == num_rows_;
+  for (size_t i = 0; i < row_indices.size(); ++i) {
+    NDE_CHECK_LT(row_indices[i], num_rows_);
+    every_row_in_order &= row_indices[i] == i;
   }
+  if (every_row_in_order) return *this;
+  Table out;
+  out.schema_ = schema_;
   out.num_rows_ = row_indices.size();
+  out.columns_.reserve(columns_.size());
+  for (const SharedColumn& column : columns_) {
+    std::vector<Value> cells;
+    cells.reserve(row_indices.size());
+    for (size_t r : row_indices) cells.push_back(column.cells()[r]);
+    out.columns_.emplace_back(std::move(cells));
+  }
   return out;
 }
 
@@ -190,7 +235,7 @@ Table Table::FilterRows(const std::function<bool(size_t)>& predicate,
 size_t Table::CountNulls(size_t col) const {
   NDE_CHECK_LT(col, columns_.size());
   size_t count = 0;
-  for (const Value& v : columns_[col]) {
+  for (const Value& v : columns_[col].cells()) {
     if (v.is_null()) ++count;
   }
   return count;
@@ -201,14 +246,14 @@ Status Table::Validate() const {
     return Status::Internal("column count does not match schema");
   }
   for (size_t c = 0; c < columns_.size(); ++c) {
-    if (columns_[c].size() != num_rows_) {
+    const std::vector<Value>& cells = columns_[c].cells();
+    if (cells.size() != num_rows_) {
       return Status::Internal(
           StrFormat("column '%s' has %zu values, expected %zu",
-                    schema_.field(c).name.c_str(), columns_[c].size(),
-                    num_rows_));
+                    schema_.field(c).name.c_str(), cells.size(), num_rows_));
     }
     for (size_t r = 0; r < num_rows_; ++r) {
-      if (!columns_[c][r].MatchesType(schema_.field(c).type)) {
+      if (!cells[r].MatchesType(schema_.field(c).type)) {
         return Status::Internal(
             StrFormat("cell (%zu, %zu) violates column type %s", r, c,
                       DataTypeToString(schema_.field(c).type)));
@@ -226,7 +271,7 @@ std::string Table::DebugString(size_t max_rows) const {
     os << "\n  ";
     for (size_t c = 0; c < columns_.size(); ++c) {
       if (c > 0) os << " | ";
-      os << columns_[c][r].ToString();
+      os << columns_[c].cells()[r].ToString();
     }
   }
   if (show < num_rows_) os << "\n  ... (" << (num_rows_ - show) << " more)";

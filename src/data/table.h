@@ -1,6 +1,7 @@
 #ifndef NDE_DATA_TABLE_H_
 #define NDE_DATA_TABLE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -55,12 +56,23 @@ class Schema {
   std::vector<Field> fields_;
 };
 
-/// Columnar in-memory table: a schema plus one `std::vector<Value>` per
-/// column, all of equal length. The substrate that pipeline operators
-/// consume and produce.
+/// Columnar in-memory table: a schema plus one column of cells per field,
+/// all of equal length. The substrate that pipeline operators consume and
+/// produce.
 ///
-/// Tables are value types (copyable); pipeline operators produce new tables
-/// rather than mutating inputs, which keeps provenance reasoning simple.
+/// Tables are value types whose copies share immutable column buffers.
+/// Copying a table, SelectColumns, and a SelectRows or FilterRows that keeps
+/// every row in order copy no cell: they cost O(columns). A mutator
+/// (SetCell, AppendRow, AppendTable) copies a column first when another
+/// table still holds it, so a change to one table never shows in another;
+/// AddColumn and DropColumn change only this table's list of columns.
+/// Pipeline operators produce new tables rather than mutating inputs, which
+/// keeps provenance reasoning simple.
+///
+/// Threads: one Table object may be read from many threads at once and
+/// mutated only by a thread that has it to itself, as with std::vector.
+/// Distinct copies may be mutated at the same time (DESIGN §3, "The table
+/// layer").
 class Table {
  public:
   Table() = default;
@@ -82,10 +94,11 @@ class Table {
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return schema_.num_fields(); }
 
-  /// Column access by index / name.
+  /// Column access by index / name. The reference stays valid until this
+  /// table is mutated or destroyed.
   const std::vector<Value>& column(size_t i) const {
     NDE_CHECK_LT(i, columns_.size());
-    return columns_[i];
+    return columns_[i].cells();
   }
   Result<const std::vector<Value>*> ColumnByName(const std::string& name) const;
 
@@ -93,7 +106,7 @@ class Table {
   const Value& At(size_t row, size_t col) const {
     NDE_CHECK_LT(col, columns_.size());
     NDE_CHECK_LT(row, num_rows_);
-    return columns_[col][row];
+    return columns_[col].cells()[row];
   }
 
   /// Overwrites one cell; the value must match the column type or be null.
@@ -115,14 +128,18 @@ class Table {
   /// Removes the column named `name`.
   Status DropColumn(const std::string& name);
 
-  /// New table with only the given columns, in the given order.
+  /// New table with only the given columns, in the given order. It shares
+  /// them with this table.
   Result<Table> SelectColumns(const std::vector<std::string>& names) const;
 
-  /// New table with the given rows (indices may repeat / reorder).
+  /// New table with the given rows (indices may repeat / reorder), gathered
+  /// in one pass per column; indices 0..num_rows()-1 in order share every
+  /// column instead.
   Table SelectRows(const std::vector<size_t>& row_indices) const;
 
   /// Rows for which `predicate(row_index)` is true, plus the surviving row
-  /// indices in `*kept` when non-null.
+  /// indices in `*kept` when non-null. Gathers as SelectRows does, so a
+  /// filter that keeps every row shares every column.
   Table FilterRows(const std::function<bool(size_t)>& predicate,
                    std::vector<size_t>* kept = nullptr) const;
 
@@ -136,8 +153,37 @@ class Table {
   std::string DebugString(size_t max_rows = 10) const;
 
  private:
+  /// One column's cells and the number of tables holding them; the last
+  /// holder frees them. std::shared_ptr is not used because its use_count()
+  /// is a relaxed load: a writer reading 1 there is not ordered after the
+  /// reads that the last other holder made before letting go on another
+  /// thread. Every count operation here is sequentially consistent, so a
+  /// writer that reads 1 acquires that holder's release (the check
+  /// libstdc++'s copy-on-write std::string makes before writing in place).
+  class SharedColumn {
+   public:
+    explicit SharedColumn(std::vector<Value> cells = {});
+    SharedColumn(const SharedColumn& other) noexcept;
+    SharedColumn(SharedColumn&& other) noexcept;
+    SharedColumn& operator=(SharedColumn other) noexcept;
+    ~SharedColumn();
+
+    const std::vector<Value>& cells() const { return buffer_->cells; }
+
+    /// The cells for writing: copied into a buffer of this holder's own
+    /// first when another holder still has them.
+    std::vector<Value>& MutableCells();
+
+   private:
+    struct Buffer {
+      std::vector<Value> cells;
+      std::atomic<size_t> holders{1};
+    };
+    Buffer* buffer_;  ///< null only when moved from
+  };
+
   Schema schema_;
-  std::vector<std::vector<Value>> columns_;
+  std::vector<SharedColumn> columns_;
   size_t num_rows_ = 0;
 };
 

@@ -11,11 +11,22 @@ namespace {
 
 constexpr double kBiasRegularization = 1e-9;
 
-/// Design matrix with standardization and a trailing intercept column.
+/// Design matrix with standardization and a trailing intercept column,
+/// written in one pass. Each cell is FeatureScaler::Transform's expression,
+/// so the matrix is bit-identical to Transform followed by a column of ones.
 Matrix BuildDesign(const Matrix& features, const FeatureScaler& scaler) {
-  Matrix x = scaler.Transform(features);
-  Matrix ones(x.rows(), 1, 1.0);
-  return x.ConcatCols(ones);
+  size_t d = features.cols();
+  NDE_CHECK_EQ(d, scaler.mean.size());
+  Matrix design(features.rows(), d + 1);
+  for (size_t r = 0; r < features.rows(); ++r) {
+    const double* x = features.RowPtr(r);
+    double* row = design.RowPtr(r);
+    for (size_t c = 0; c < d; ++c) {
+      row[c] = (x[c] - scaler.mean[c]) / scaler.stddev[c];
+    }
+    row[d] = 1.0;
+  }
+  return design;
 }
 
 double Sigmoid(double z) {

@@ -47,21 +47,28 @@ Result<TableRunResult> RunAlgorithmOnTable(const AlgorithmInstance& algorithm,
   // Surface the plan before the (possibly failing) estimator runs.
   if (annotated_plan != nullptr) *annotated_plan = result.annotated_plan;
 
-  // Internal split: every 5th output row validates, the rest train.
+  // Internal split: every 5th output row validates, the rest train. Each
+  // side is gathered straight from the output's features.
   std::vector<size_t> train_rows, valid_rows;
   MlDataset train, valid;
   {
     NDE_TRACE_SPAN("ToDataset", "engine");
-    MlDataset all = output.ToDataset();
-    for (size_t r = 0; r < all.size(); ++r) {
+    for (size_t r = 0; r < output.size(); ++r) {
       (r % 5 == 4 ? valid_rows : train_rows).push_back(r);
     }
     if (train_rows.empty() || valid_rows.empty()) {
       return Status::InvalidArgument(
           "not enough rows for an importance split");
     }
-    train = all.Subset(train_rows);
-    valid = all.Subset(valid_rows);
+    auto gather = [&output](const std::vector<size_t>& rows) {
+      MlDataset part;
+      part.features = output.features.SelectRows(rows);
+      part.labels.reserve(rows.size());
+      for (size_t r : rows) part.labels.push_back(output.labels[r]);
+      return part;
+    };
+    train = gather(train_rows);
+    valid = gather(valid_rows);
   }
   result.train_rows = train_rows.size();
   result.valid_rows = valid_rows.size();

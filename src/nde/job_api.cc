@@ -269,8 +269,9 @@ void JobManager::Execute(const std::shared_ptr<Job>& job) {
   try {
     status = RunJob(job.get());
   } catch (...) {
-    // Caught here, not by the pool's latch, so the job still ends `error`
-    // and /healthz turns degraded (a std::bad_alloc anywhere in a job).
+    // RunJob converts what its job's code throws; this is the last resort,
+    // caught here rather than by the pool's latch so the job still ends
+    // `error` and /healthz turns degraded.
     status = CurrentExceptionStatus("job " + job->id);
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -311,7 +312,7 @@ Status JobManager::RunJob(Job* job) {
     report.SetConfig("option." + option, value);
   }
 
-  Status status = [&]() -> Status {
+  auto run_job = [&]() -> Status {
     Result<Table> table = job->request.csv_path.empty()
                               ? ReadCsvString(job->request.csv_data)
                               : ReadCsvFile(job->request.csv_path);
@@ -361,7 +362,15 @@ Status JobManager::RunJob(Job* job) {
     job->train_rows = result.train_rows;
     job->valid_rows = result.valid_rows;
     return Status::OK();
-  }();
+  };
+  Status status;
+  try {
+    status = run_job();
+  } catch (...) {
+    // Converted here, not in Execute, so a job whose code throws still
+    // writes its RunReport and events with the exception as its error.
+    status = CurrentExceptionStatus("job " + job->id);
+  }
 
   if (!status.ok()) report.SetError(status, 3);
   if (!options_.artifact_dir.empty()) {

@@ -26,11 +26,7 @@ class ProvenanceFilterNode : public PlanNode {
     for (size_t r = 0; r < in.table.num_rows(); ++r) {
       if (!in.provenance[r].IntersectsKeys(removed_keys_)) kept.push_back(r);
     }
-    AnnotatedTable out;
-    out.table = in.table.SelectRows(kept);
-    out.provenance.reserve(kept.size());
-    for (size_t r : kept) out.provenance.push_back(std::move(in.provenance[r]));
-    return out;
+    return KeepRows(std::move(in), kept);
   }
 
   std::string label() const override {

@@ -116,6 +116,15 @@ Status AnnotatedTable::Validate() const {
   return Status::OK();
 }
 
+AnnotatedTable KeepRows(AnnotatedTable in, const std::vector<size_t>& kept) {
+  if (kept.size() == in.table.num_rows()) return in;
+  AnnotatedTable out;
+  out.table = in.table.SelectRows(kept);
+  out.provenance.reserve(kept.size());
+  for (size_t r : kept) out.provenance.push_back(std::move(in.provenance[r]));
+  return out;
+}
+
 Result<Value> RowView::Get(const std::string& column) const {
   NDE_ASSIGN_OR_RETURN(size_t col, table_->schema().FieldIndex(column));
   return table_->At(row_, col);
@@ -168,12 +177,10 @@ class FilterNode : public PlanNode {
   Result<AnnotatedTable> ExecuteImpl() const override {
     NDE_ASSIGN_OR_RETURN(AnnotatedTable in, input_->Execute());
     std::vector<size_t> kept;
-    AnnotatedTable out;
-    out.table = in.table.FilterRows(
-        [&](size_t r) { return predicate_(RowView(&in.table, r)); }, &kept);
-    out.provenance.reserve(kept.size());
-    for (size_t r : kept) out.provenance.push_back(in.provenance[r]);
-    return out;
+    for (size_t r = 0; r < in.table.num_rows(); ++r) {
+      if (predicate_(RowView(&in.table, r))) kept.push_back(r);
+    }
+    return KeepRows(std::move(in), kept);
   }
 
   std::string label() const override {

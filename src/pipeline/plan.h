@@ -21,6 +21,11 @@ struct AnnotatedTable {
   Status Validate() const;
 };
 
+/// The rows of `in` at `kept`, row indices in increasing order, with their
+/// provenance moved out of `in`. When `kept` is every row, `in` itself is
+/// returned: no column is gathered and no provenance entry is touched.
+AnnotatedTable KeepRows(AnnotatedTable in, const std::vector<size_t>& kept);
+
 /// Lightweight accessor for one row during predicate / UDF evaluation.
 class RowView {
  public:

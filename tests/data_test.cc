@@ -5,9 +5,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -226,6 +228,196 @@ TEST(TableTest, FromColumnsValidates) {
   EXPECT_FALSE(Table::FromColumns(schema, {{Value("1")}, {Value("x")}}).ok());
   EXPECT_EQ(Table::FromColumns(schema, {{Value(1)}}).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// --- Shared column buffers ---------------------------------------------------
+
+bool SharesEveryColumn(const Table& a, const Table& b) {
+  if (a.num_columns() != b.num_columns()) return false;
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    if (&a.column(c) != &b.column(c)) return false;
+  }
+  return true;
+}
+
+bool SharesAnyColumn(const Table& a, const Table& b) {
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    for (size_t d = 0; d < b.num_columns(); ++d) {
+      if (&a.column(c) == &b.column(d)) return true;
+    }
+  }
+  return false;
+}
+
+// Schema plus every cell, row by row.
+std::string Contents(const Table& t) { return t.DebugString(t.num_rows()); }
+
+TEST(TableShareTest, CopiesAndWholeSelectionsShareEveryColumn) {
+  Table t = MakeSampleTable();
+  Table copy = t;
+  EXPECT_TRUE(SharesEveryColumn(t, copy));
+  Table assigned;
+  assigned = t;
+  EXPECT_TRUE(SharesEveryColumn(t, assigned));
+
+  Table projected = t.SelectColumns({"score", "id"}).value();
+  EXPECT_EQ(&projected.column(0), &t.column(2));
+  EXPECT_EQ(&projected.column(1), &t.column(0));
+
+  EXPECT_TRUE(SharesEveryColumn(t, t.SelectRows({0, 1, 2, 3})));
+  std::vector<size_t> kept;
+  Table all = t.FilterRows([](size_t) { return true; }, &kept);
+  EXPECT_TRUE(SharesEveryColumn(t, all));
+  EXPECT_EQ(kept, (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(Contents(all), Contents(t));
+
+  // Any other selection gathers fresh columns, even one of every row.
+  EXPECT_FALSE(SharesAnyColumn(t, t.SelectRows({3, 2, 1, 0})));
+  EXPECT_FALSE(SharesAnyColumn(t, t.SelectRows({0, 1, 2})));
+  EXPECT_FALSE(SharesAnyColumn(t, t.SelectRows({0, 0, 1, 2})));
+}
+
+TEST(TableShareTest, PartialFilterGathersExactly) {
+  Table t = TableBuilder()
+                .AddInt64Column("id", {1, 2, 3, 4, 5})
+                .AddValueColumn("name", DataType::kString,
+                                {Value("ann"), Value::Null(), Value("cat"),
+                                 Value("dan"), Value("eve")})
+                .AddDoubleColumn("score", {1.5, 2.5, 3.5, 4.5, 5.5})
+                .Build();
+  std::vector<size_t> kept;
+  Table odd = t.FilterRows([](size_t r) { return r % 2 == 1; }, &kept);
+  EXPECT_EQ(kept, (std::vector<size_t>{1, 3}));
+  Table expected = TableBuilder()
+                       .AddInt64Column("id", {2, 4})
+                       .AddValueColumn("name", DataType::kString,
+                                       {Value::Null(), Value("dan")})
+                       .AddDoubleColumn("score", {2.5, 4.5})
+                       .Build();
+  EXPECT_TRUE(odd.Validate().ok());
+  EXPECT_EQ(Contents(odd), Contents(expected));
+  EXPECT_FALSE(SharesAnyColumn(t, odd));
+
+  Table none = t.FilterRows([](size_t) { return false; }, &kept);
+  EXPECT_TRUE(kept.empty());
+  EXPECT_EQ(none.num_rows(), 0u);
+  EXPECT_EQ(none.num_columns(), 3u);
+  EXPECT_TRUE(none.Validate().ok());
+}
+
+// Each mutator, applied to one of two tables that share every column, must
+// leave the other as it was.
+TEST(TableShareTest, MutatingOneCopyLeavesTheOtherUnchanged) {
+  const std::vector<std::pair<std::string, std::function<Status(Table*)>>>
+      mutators = {
+          {"SetCell", [](Table* t) { return t->SetCell(1, 1, Value("zed")); }},
+          {"AppendRow",
+           [](Table* t) {
+             return t->AppendRow({Value(9), Value("ivy"), Value(9.5)});
+           }},
+          {"AppendTable",
+           [](Table* t) { return t->AppendTable(MakeSampleTable()); }},
+          {"AddColumn",
+           [](Table* t) {
+             return t->AddColumn({"flag", DataType::kInt64},
+                                 {Value(0), Value(1), Value(0), Value(1)});
+           }},
+          {"DropColumn", [](Table* t) { return t->DropColumn("name"); }},
+      };
+  const std::string before = Contents(MakeSampleTable());
+  for (const auto& [name, mutate] : mutators) {
+    for (bool mutate_copy : {true, false}) {
+      SCOPED_TRACE(name + (mutate_copy ? " on the copy" : " on the original"));
+      Table original = MakeSampleTable();
+      Table copy = original;
+      Table& changed = mutate_copy ? copy : original;
+      const Table& kept = mutate_copy ? original : copy;
+      ASSERT_TRUE(mutate(&changed).ok());
+      EXPECT_EQ(Contents(kept), before);
+      EXPECT_NE(Contents(changed), before);
+      EXPECT_TRUE(changed.Validate().ok());
+      // A second change to the same table writes its own column in place.
+      if (name == "SetCell") {
+        const std::vector<Value>* column = &changed.column(1);
+        ASSERT_TRUE(changed.SetCell(2, 1, Value("yan")).ok());
+        EXPECT_EQ(&changed.column(1), column);
+        EXPECT_EQ(Contents(kept), before);
+      }
+    }
+  }
+}
+
+TEST(TableShareTest, AppendingATableToItselfDoublesIt) {
+  Table t = MakeSampleTable();
+  Table copy = t;
+  ASSERT_TRUE(t.AppendTable(t).ok());
+  ASSERT_EQ(t.num_rows(), 8u);
+  for (size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(t.Row(r + 4), copy.Row(r));
+    EXPECT_EQ(t.Row(r), copy.Row(r));
+  }
+  EXPECT_EQ(copy.num_rows(), 4u);
+  EXPECT_EQ(copy.column(0).size(), 4u);
+}
+
+// Label `threads`: run under ThreadSanitizer by the tsan preset.
+TEST(TableShareTest, FourThreadsWriteTheirOwnCopiesOfOneTable) {
+  const Table shared = MakeSampleTable();
+  const std::string before = Contents(shared);
+  std::vector<Table> results(4);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < 4; ++i) {
+    threads.emplace_back([&shared, &results, i] {
+      Table mine = shared;
+      for (size_t r = 0; r < mine.num_rows(); ++r) {
+        EXPECT_TRUE(mine.SetCell(r, 1, Value("t" + std::to_string(i))).ok());
+      }
+      results[i] = std::move(mine);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(Contents(shared), before);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_NE(&results[i].column(1), &shared.column(1));
+    EXPECT_EQ(&results[i].column(0), &shared.column(0));
+    for (size_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(results[i].At(r, 1).as_string(), "t" + std::to_string(i));
+      EXPECT_EQ(results[i].At(r, 0), shared.At(r, 0));
+    }
+  }
+}
+
+// The copies are made on this thread and the original dropped, so the last
+// thread to write finds itself the only holder and writes in place after the
+// others have read the same buffer and let it go on their own threads. Under
+// ThreadSanitizer this checks that the holder count orders that write after
+// those reads.
+TEST(TableShareTest, LastHolderWritesInPlaceAfterOtherThreadsLetGo) {
+  std::vector<Table> copies;
+  {
+    Table original = MakeSampleTable();
+    copies.assign(4, original);
+  }
+  std::vector<std::string> seen(4);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < 4; ++i) {
+    threads.emplace_back([&copies, &seen, i] {
+      Table& mine = copies[i];
+      for (size_t r = 0; r < mine.num_rows(); ++r) {
+        seen[i] += mine.At(r, 1).as_string();
+      }
+      EXPECT_TRUE(mine.SetCell(0, 1, Value("t" + std::to_string(i))).ok());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(seen[i], "annbobcatdan");
+    EXPECT_EQ(copies[i].At(0, 1).as_string(), "t" + std::to_string(i));
+    EXPECT_EQ(copies[i].At(1, 1).as_string(), "bob");
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_NE(&copies[i].column(1), &copies[j].column(1));
+    }
+  }
 }
 
 // --- CSV ------------------------------------------------------------------------

@@ -351,12 +351,17 @@ class ThrowingAlgorithm : public AlgorithmInstance {
   }
 };
 
-TEST(JobApiTest, ThrowingJobEndsInErrorNamingTheException) {
+/// Registers test_throwing once, for whichever test asks first.
+bool ThrowingAlgorithmRegistered() {
   static const bool registered =
       AlgorithmRegistry::Global()
           .Register([]() { return std::make_unique<ThrowingAlgorithm>(); })
           .ok();
-  ASSERT_TRUE(registered);
+  return registered;
+}
+
+TEST(JobApiTest, ThrowingJobEndsInErrorNamingTheException) {
+  ASSERT_TRUE(ThrowingAlgorithmRegistered());
   telemetry::SetHealthy();
   JobManager manager;
   JobRequest request = QuickRequest();
@@ -375,6 +380,49 @@ TEST(JobApiTest, ThrowingJobEndsInErrorNamingTheException) {
   EXPECT_TRUE(telemetry::IsHealthy());
 }
 
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::string contents;
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) return contents;
+  char buffer[4096];
+  size_t n;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    contents.append(buffer, n);
+  }
+  std::fclose(f);
+  return contents;
+}
+
+TEST(JobApiTest, ThrowingJobStillWritesItsArtifacts) {
+  ASSERT_TRUE(ThrowingAlgorithmRegistered());
+  JobApiOptions options;
+  options.artifact_dir = ::testing::TempDir() + "nde_thrown_job_artifacts";
+  JobManager manager(options);
+  JobRequest request = QuickRequest();
+  request.algorithm = "test_throwing";
+  request.options.clear();
+  JobSnapshot failed = AwaitDone(manager, manager.Submit(request).value());
+  ASSERT_EQ(failed.state, JobState::kError);
+  EXPECT_EQ(failed.error.ToString(),
+            "internal: job " + failed.id + " failed: out of luck");
+
+  std::string path = options.artifact_dir + "/" + failed.id + ".json";
+  EXPECT_EQ(failed.artifact_path, path);
+  Result<json::Value> report = json::Parse(ReadFileOrEmpty(path));
+  ASSERT_TRUE(report.ok()) << path << ": " << report.status().ToString();
+  const json::Value* error = report->Find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->Find("code")->as_string(),
+            StatusCodeToString(StatusCode::kInternal));
+  EXPECT_EQ(error->Find("message")->as_string(),
+            "job " + failed.id + " failed: out of luck");
+  std::string events_path = options.artifact_dir + "/" + failed.id +
+                            ".events.json";
+  EXPECT_TRUE(json::Parse(ReadFileOrEmpty(events_path)).ok()) << events_path;
+  std::remove(path.c_str());
+  std::remove(events_path.c_str());
+}
+
 TEST(JobApiTest, WritesRunReportArtifact) {
   JobApiOptions options;
   options.artifact_dir = ::testing::TempDir() + "nde_job_artifacts";
@@ -384,16 +432,8 @@ TEST(JobApiTest, WritesRunReportArtifact) {
   ASSERT_EQ(done.state, JobState::kDone);
   ASSERT_FALSE(done.artifact_path.empty());
 
-  std::FILE* f = std::fopen(done.artifact_path.c_str(), "r");
-  ASSERT_NE(f, nullptr) << done.artifact_path;
-  std::string contents;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    contents.append(buffer, n);
-  }
-  std::fclose(f);
-  EXPECT_TRUE(json::Parse(contents).ok());
+  std::string contents = ReadFileOrEmpty(done.artifact_path);
+  EXPECT_TRUE(json::Parse(contents).ok()) << done.artifact_path;
   EXPECT_NE(contents.find("knn_shapley"), std::string::npos);
 }
 

@@ -125,6 +125,59 @@ TEST(PlanTest, ProjectSelectsAndComputes) {
   EXPECT_EQ(out.provenance.size(), 4u);
 }
 
+TEST(PlanTest, SourceFilterProjectOutputsTheSourcesOwnBuffers) {
+  Table people = People();
+  PlanNodePtr plan = MakeProject(
+      MakeFilter(MakeSource(0, "people", people), "id is not null",
+                 [](const RowView& row) {
+                   return !row.GetOrDie("id").is_null();
+                 }),
+      {"id", "name", "dept"});
+  AnnotatedTable out = plan->Execute().value();
+  ASSERT_EQ(out.table.num_columns(), people.num_columns());
+  for (size_t c = 0; c < people.num_columns(); ++c) {
+    EXPECT_EQ(&out.table.column(c), &people.column(c)) << "column " << c;
+  }
+  ASSERT_EQ(out.provenance.size(), 4u);
+  for (uint32_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(out.provenance[r], RowProvenance(SourceRef{0, r}));
+  }
+
+  // The pipeline's output table holds its source's buffers too.
+  MlPipeline pipeline({{"people", people}},
+                      [](const std::vector<PlanNodePtr>& sources) {
+                        return MakeProject(sources[0], {"id", "name", "dept"});
+                      },
+                      MakeAutoTransformer(people, {"dept"}).value(), "dept");
+  PipelineOutput output = pipeline.Run().value();
+  for (size_t c = 0; c < people.num_columns(); ++c) {
+    EXPECT_EQ(&output.processed.column(c), &people.column(c)) << "column " << c;
+  }
+}
+
+TEST(PlanTest, FilterThatDropsRowsGathersCellsAndProvenance) {
+  PlanNodePtr source = MakeSource(2, "people", People());
+  PlanNodePtr not_surgery =
+      MakeFilter(source, "dept != 20", [](const RowView& row) {
+        return row.GetOrDie("dept").as_int64() != 20;
+      });
+  PlanNodePtr plan = MakeFilter(not_surgery, "id > 0", [](const RowView& row) {
+    return row.GetOrDie("id").as_int64() > 0;
+  });
+  AnnotatedTable in = source->Execute().value();
+  AnnotatedTable out = plan->Execute().value();
+  ASSERT_TRUE(out.Validate().ok());
+  const std::vector<uint32_t> expected_rows = {2, 3};
+  ASSERT_EQ(out.table.num_rows(), expected_rows.size());
+  for (size_t i = 0; i < expected_rows.size(); ++i) {
+    EXPECT_EQ(out.table.Row(i), in.table.Row(expected_rows[i]));
+    EXPECT_EQ(out.provenance[i], RowProvenance(SourceRef{2, expected_rows[i]}));
+  }
+  for (size_t c = 0; c < in.table.num_columns(); ++c) {
+    EXPECT_NE(&out.table.column(c), &in.table.column(c));
+  }
+}
+
 TEST(PlanTest, ProjectUnknownColumnFails) {
   PlanNodePtr plan = MakeProject(MakeSource(0, "people", People()), {"nope"});
   EXPECT_FALSE(plan->Execute().ok());
