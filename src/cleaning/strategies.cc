@@ -1,6 +1,7 @@
 #include "cleaning/strategies.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <unordered_set>
 
@@ -17,8 +18,14 @@ namespace nde {
 std::vector<size_t> AscendingOrder(const std::vector<double>& scores) {
   std::vector<size_t> order(scores.size());
   std::iota(order.begin(), order.end(), size_t{0});
+  // NaN ranks after every number: `!=` alone is no strict weak order once
+  // some scores are NaN, and std::sort is then undefined. Ties, and NaNs
+  // among themselves, go by index.
   std::sort(order.begin(), order.end(), [&scores](size_t a, size_t b) {
-    if (scores[a] != scores[b]) return scores[a] < scores[b];
+    bool a_nan = std::isnan(scores[a]);
+    bool b_nan = std::isnan(scores[b]);
+    if (a_nan != b_nan) return b_nan;
+    if (!a_nan && scores[a] != scores[b]) return scores[a] < scores[b];
     return a < b;
   });
   return order;
@@ -68,9 +75,9 @@ CleaningStrategy InfluenceStrategy() {
       [](const MlDataset& dirty, const MlDataset& validation,
          uint64_t seed) -> Result<std::vector<size_t>> {
         (void)seed;
-        NDE_ASSIGN_OR_RETURN(std::vector<double> values,
+        NDE_ASSIGN_OR_RETURN(ImportanceEstimate influence,
                              InfluenceOnValidationLoss(dirty, validation));
-        return AscendingOrder(values);
+        return AscendingOrder(influence.values);
       }};
 }
 

@@ -49,8 +49,8 @@ CleaningStrategy TmcShapleyStrategy(size_t permutations = 30, size_t k = 5);
 /// influence, self_confidence, aum.
 std::vector<CleaningStrategy> StandardStrategies();
 
-/// Helper: indices of `scores` sorted ascending (ties by index). Exposed for
-/// custom strategies.
+/// Helper: indices of `scores` sorted ascending, NaN after every number, ties
+/// and NaNs by index. Exposed for custom strategies.
 std::vector<size_t> AscendingOrder(const std::vector<double>& scores);
 
 /// Precision@k of a ranking against the true corrupted set: the fraction of

@@ -39,6 +39,18 @@ size_t ResolveNumThreads(size_t num_threads);
 /// report `num_threads_used` without duplicating the policy.
 size_t PlannedNumThreads(size_t range, size_t num_threads);
 
+/// Rows per task of a fan-out over the rows of a table or matrix (the column
+/// transformer, influence's Newton passes). A constant, not an option: those
+/// results never depend on it, so there is nothing to tune. An input of b
+/// blocks fans out over at most b tasks, so one of at most kRowBlock rows
+/// runs inline and pays for no pool.
+inline constexpr size_t kRowBlock = 4096;
+
+/// Blocks of kRowBlock rows covering `rows` rows.
+inline constexpr size_t NumRowBlocks(size_t rows) {
+  return (rows + kRowBlock - 1) / kRowBlock;
+}
+
 /// --- ThreadPool -------------------------------------------------------------
 
 /// Fixed-size FIFO thread pool: no work stealing, no task priorities — tasks

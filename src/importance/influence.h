@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "importance/game_values.h"
 #include "ml/dataset.h"
 
 namespace nde {
@@ -26,8 +27,16 @@ struct InfluenceOptions {
 /// the same sign convention as the Shapley-style scores, making the methods
 /// directly comparable in ranking benchmarks.
 ///
-/// Requires binary labels {0, 1}; returns InvalidArgument otherwise.
-Result<std::vector<double>> InfluenceOnValidationLoss(
+/// The Newton passes and the Hessian at the optimum fan out over blocks of
+/// kRowBlock training rows (common/parallel.h) on the process-default thread
+/// count, and every floating-point sum keeps the order of a one-row-at-a-time
+/// pass, so the values are bit-identical for any thread count. The estimate
+/// has no std errors or utility evaluations; `num_threads_used` is the widest
+/// fan-out the run used (1 under one block).
+///
+/// Requires binary labels {0, 1}; returns InvalidArgument otherwise. A pool
+/// task lost to the `threadpool.task` failpoint returns its typed Status.
+Result<ImportanceEstimate> InfluenceOnValidationLoss(
     const MlDataset& train, const MlDataset& validation,
     const InfluenceOptions& options = {});
 

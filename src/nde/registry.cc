@@ -428,12 +428,8 @@ class InfluenceAlgorithm final : public AlgorithmInstance {
       return Status::Cancelled("'influence' cancelled before start");
     }
     NDE_RETURN_IF_ERROR(CheckTrainValidation(*this, input, true));
-    NDE_ASSIGN_OR_RETURN(
-        std::vector<double> values,
-        InfluenceOnValidationLoss(*input.train, *input.validation, options_));
-    ImportanceEstimate estimate;
-    estimate.values = std::move(values);
-    return estimate;
+    return InfluenceOnValidationLoss(*input.train, *input.validation,
+                                     options_);
   }
 
  private:

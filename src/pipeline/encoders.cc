@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/failpoint.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "telemetry/telemetry.h"
 
@@ -220,32 +221,42 @@ Result<Matrix> ColumnTransformer::Transform(const Table& table) const {
   NDE_FAILPOINT("encoder.transform");
   NDE_TRACE_SPAN_VAR(span, "ColumnTransformer::Transform", "encoder");
   NDE_SPAN_ARG(span, "rows", static_cast<int64_t>(table.num_rows()));
-  size_t width = num_features();
-  Matrix out(table.num_rows(), width);
-  size_t offset = 0;
+  std::vector<const std::vector<Value>*> columns;
+  columns.reserve(entries_.size());
   for (const Entry& e : entries_) {
     NDE_ASSIGN_OR_RETURN(const std::vector<Value>* column,
                          table.ColumnByName(e.column));
-    NDE_TRACE_SPAN_VAR(col_span,
-                       telemetry::Enabled()
-                           ? StrFormat("transform %s(%s)",
-                                       e.encoder->name().c_str(),
-                                       e.column.c_str())
-                           : std::string(),
-                       "encoder");
-    size_t block = e.encoder->num_features();
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      double* cells = out.RowPtr(r) + offset;
-      e.encoder->Transform((*column)[r], cells);
-      if (e.weight != 1.0) {
-        for (size_t j = 0; j < block; ++j) cells[j] *= e.weight;
-      }
-    }
-    offset += block;
-    NDE_METRIC_RECORD("encoder.transform_ms", col_span.ElapsedMs());
+    columns.push_back(column);
   }
+  size_t rows = table.num_rows();
+  Matrix out(rows, num_features());
+  // One task per block of rows runs every encoder over its rows and writes
+  // only those rows of `out`. Encoders are const and allocate nothing here,
+  // so the workers allocate nothing either.
+  auto transform_block = [&](size_t block) {
+    size_t begin = block * kRowBlock;
+    size_t end = std::min(rows, begin + kRowBlock);
+    size_t offset = 0;
+    for (size_t c = 0; c < entries_.size(); ++c) {
+      const Entry& e = entries_[c];
+      const std::vector<Value>& column = *columns[c];
+      size_t block_width = e.encoder->num_features();
+      for (size_t r = begin; r < end; ++r) {
+        double* cells = out.RowPtr(r) + offset;
+        e.encoder->Transform(column[r], cells);
+        if (e.weight != 1.0) {
+          for (size_t j = 0; j < block_width; ++j) cells[j] *= e.weight;
+        }
+      }
+      offset += block_width;
+    }
+  };
+  NDE_RETURN_IF_ERROR(TryParallelFor(0, NumRowBlocks(rows), transform_block,
+                                     0, "encoder.transform_block")
+                          .status());
+  NDE_METRIC_RECORD("encoder.transform_ms", span.ElapsedMs());
   NDE_METRIC_COUNT("encoder.transforms", 1);
-  NDE_METRIC_COUNT("encoder.transform_rows", table.num_rows());
+  NDE_METRIC_COUNT("encoder.transform_rows", rows);
   return out;
 }
 

@@ -142,7 +142,10 @@ class ColumnTransformer {
   /// Fits every encoder on its column of `table`.
   Status Fit(const Table& table);
 
-  /// Encodes every row of `table` into an n x num_features() matrix.
+  /// Encodes every row of `table` into an n x num_features() matrix. Blocks
+  /// of kRowBlock rows (common/parallel.h) fan out on the process-default
+  /// thread count; the matrix does not depend on it. A lost pool task
+  /// returns its typed Status.
   /// Precondition: fitted; table must contain all configured columns.
   Result<Matrix> Transform(const Table& table) const;
 

@@ -28,6 +28,7 @@
 #include "data/table.h"
 #include "datagen/synthetic.h"
 #include "importance/game_values.h"
+#include "importance/influence.h"
 #include "importance/utility.h"
 #include "ml/knn.h"
 #include "pipeline/encoders.h"
@@ -365,6 +366,52 @@ TEST_P(ChaosTest, PoolFaultDuringScorerContextBuildIsTypedAndRetryable) {
     EXPECT_EQ(rerun->std_errors, clean->std_errors);
     EXPECT_EQ(rerun->utility_evaluations, clean->utility_evaluations);
     EXPECT_EQ(utility.num_evaluations(), fresh.num_evaluations());
+  }
+}
+
+/// Influence's Newton passes and the column transformer fan out over blocks
+/// of kRowBlock rows. Each input here spans two blocks, so each fans out, and
+/// a lost pool task comes back as the fault's typed Status.
+TEST_P(ChaosTest, PoolFaultInRowBlockFanOutsIsTyped) {
+  struct DefaultThreads {
+    DefaultThreads() { SetDefaultNumThreads(4); }
+    ~DefaultThreads() { SetDefaultNumThreads(0); }
+  } threads;
+  size_t rows = kRowBlock + 1;
+  std::vector<double> numbers(rows);
+  for (size_t r = 0; r < rows; ++r) numbers[r] = static_cast<double>(r % 9);
+  Table table = TableBuilder().AddDoubleColumn("x", numbers).Build();
+  ColumnTransformer transformer;
+  transformer.Add("x", std::make_unique<NumericEncoder>());
+  ASSERT_TRUE(transformer.Fit(table).ok());
+
+  BlobsOptions blobs;
+  blobs.num_examples = rows;
+  MlDataset train = MakeBlobs(blobs);
+  blobs.num_examples = 50;
+  blobs.seed = 43;
+  blobs.center_seed = 42;
+  MlDataset validation = MakeBlobs(blobs);
+
+  const std::vector<std::pair<std::string, std::function<Status()>>> runs = {
+      {"transform", [&] { return transformer.Transform(table).status(); }},
+      {"influence",
+       [&] { return InfluenceOnValidationLoss(train, validation).status(); }},
+  };
+  for (const auto& [name, run] : runs) {
+    SCOPED_TRACE(name);
+    Reset();
+    ASSERT_TRUE(run().ok());
+    ASSERT_TRUE(
+        failpoint::Arm("threadpool.task=error(unavailable:worker fault)#1x1")
+            .ok());
+    Status faulted = run();
+    EXPECT_EQ(faulted.code(), StatusCode::kUnavailable);
+    EXPECT_NE(faulted.message().find("worker fault"), std::string::npos)
+        << faulted.ToString();
+    EXPECT_EQ(FiresFor("threadpool.task"), 1u);
+    failpoint::DisarmAll();
+    EXPECT_TRUE(run().ok());
   }
 }
 

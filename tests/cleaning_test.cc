@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -8,6 +10,7 @@
 #include "cleaning/challenge.h"
 #include "cleaning/cleaner.h"
 #include "cleaning/strategies.h"
+#include "common/rng.h"
 #include "datagen/synthetic.h"
 #include "ml/knn.h"
 
@@ -45,6 +48,41 @@ ClassifierFactory KnnFactory(size_t k = 5) {
 TEST(StrategiesTest, AscendingOrderSortsByScore) {
   std::vector<size_t> order = AscendingOrder({3.0, -1.0, 2.0, -1.0});
   EXPECT_EQ(order, (std::vector<size_t>{1, 3, 2, 0}));
+}
+
+/// NaN ranks after every number (ties, and NaNs among themselves, by
+/// index), so the comparator stays a strict weak order on any input.
+TEST(StrategiesTest, AscendingOrderRanksNanLast) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> scores = {nan, 2.0,  -0.0, inf,  nan,  0.0,
+                                -inf, -1.5, 2.0,  -nan, 1e-300};
+  EXPECT_EQ(AscendingOrder(scores),
+            (std::vector<size_t>{6, 7, 2, 5, 10, 1, 8, 3, 0, 4, 9}));
+
+  // Past std::sort's insertion-sort cutoff, against the order spelled out:
+  // the numbers by (value, index), then the NaNs by index.
+  Rng rng(11);
+  std::vector<double> mixed(500);
+  for (double& value : mixed) {
+    uint64_t kind = rng.NextBounded(6);
+    value = kind == 0   ? nan
+            : kind == 1 ? (rng.NextBounded(2) == 0 ? inf : -inf)
+            : kind == 2 ? (rng.NextBounded(2) == 0 ? 0.0 : -0.0)
+                        : static_cast<double>(rng.NextBounded(40)) - 20.0;
+  }
+  std::vector<size_t> numbers, nans;
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    (std::isnan(mixed[i]) ? nans : numbers).push_back(i);
+  }
+  std::stable_sort(numbers.begin(), numbers.end(),
+                   [&](size_t a, size_t b) { return mixed[a] < mixed[b]; });
+  numbers.insert(numbers.end(), nans.begin(), nans.end());
+  EXPECT_EQ(AscendingOrder(mixed), numbers);
+
+  std::vector<size_t> identity(100);
+  std::iota(identity.begin(), identity.end(), size_t{0});
+  EXPECT_EQ(AscendingOrder(std::vector<double>(100, nan)), identity);
 }
 
 TEST(StrategiesTest, PrecisionAtK) {

@@ -264,6 +264,14 @@ else
   done
   grep -q '"profile":{"spans":[1-9]' prof_report.json \
       || fail "report profile block folded no spans under --profile"
+  # Influence roots a stack of its own, with its Newton fit under it.
+  "$CLI" importance train.csv --label label --method influence --top 5 \
+      --profile influence.folded > /dev/null 2>&1 \
+      || fail "--profile influence importance failed"
+  grep -q "^influence[ ;]" influence.folded \
+      || fail "folded stacks lack an influence frame"
+  grep -q "^influence;influence.newton[ ;]" influence.folded \
+      || fail "folded stacks lack influence's Newton fit"
 fi
 # Profiling must not change the ranking: compare against the plain run.
 "$CLI" importance train.csv --label label --top 5 \

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -8,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "datagen/synthetic.h"
 #include "importance/fairness_debugging.h"
 #include "importance/game_values.h"
@@ -19,6 +23,8 @@
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
+
+#include "influence_reference.h"
 
 namespace nde {
 namespace {
@@ -341,7 +347,8 @@ TEST(InfluenceTest, ApproximatesExactRemovalEffects) {
   influence_options.l2 = 0.05;  // Stronger convexity = better approximation.
   std::vector<double> approx =
       InfluenceOnValidationLoss(split.train, split.test, influence_options)
-          .value();
+          .value()
+          .values;
   std::vector<double> exact =
       ExactRemovalLossChange(split.train, split.test, influence_options)
           .value();
@@ -354,7 +361,7 @@ TEST(InfluenceTest, FlippedLabelsGetNegativeInfluence) {
   Rng rng(23);
   std::vector<size_t> corrupted = InjectLabelErrors(&dirty, 0.1, &rng);
   std::vector<double> values =
-      InfluenceOnValidationLoss(dirty, splits.valid).value();
+      InfluenceOnValidationLoss(dirty, splits.valid).value().values;
   double corrupted_mean = 0.0;
   for (size_t i : corrupted) corrupted_mean += values[i];
   corrupted_mean /= static_cast<double>(corrupted.size());
@@ -368,6 +375,70 @@ TEST(InfluenceTest, RejectsNonBinaryLabels) {
   options.num_classes = 3;
   MlDataset data = MakeBlobs(options);
   EXPECT_FALSE(InfluenceOnValidationLoss(data, data).ok());
+}
+
+/// A binary problem with `d` features whose labels follow a noisy linear
+/// rule, so every Newton step moves the fit.
+MlDataset NoisyLinearProblem(size_t rows, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> beta(d);
+  for (double& b : beta) b = rng.NextGaussian();
+  MlDataset data;
+  data.features = Matrix(rows, d);
+  for (size_t i = 0; i < rows; ++i) {
+    double score = rng.NextGaussian();
+    for (size_t j = 0; j < d; ++j) {
+      data.features(i, j) = rng.NextGaussian(j % 3 == 0 ? 1.0 : 0.0, 1.0);
+      score += beta[j] * data.features(i, j);
+    }
+    data.labels.push_back(score > 0.0 ? 1 : 0);
+  }
+  return data;
+}
+
+/// Sets the process-default thread count for one scope.
+class ScopedDefaultThreads {
+ public:
+  explicit ScopedDefaultThreads(size_t threads) {
+    SetDefaultNumThreads(threads);
+  }
+  ~ScopedDefaultThreads() { SetDefaultNumThreads(0); }
+};
+
+/// The fanned-out Newton and optimum passes against the serial loop they
+/// replaced (tests/influence_reference.h): the same bits at any thread count.
+/// p is the design's width (features + intercept): odd and even, under and
+/// over one row pair per band; n covers one row, n mod 4 != 0, and designs
+/// just over one and two kRowBlock blocks.
+TEST(InfluenceTest, FanOutMatchesTheSerialReferenceBitForBit) {
+  for (size_t p : {2, 3, 8, 9, 42, 43}) {
+    for (size_t n : {1, 3, 4097, 8195}) {
+      MlDataset train = NoisyLinearProblem(n, p - 1, 31 * p + n);
+      MlDataset validation = NoisyLinearProblem(37, p - 1, 7 * p + n);
+      InfluenceOptions options;
+      Result<std::vector<double>> reference =
+          influence_reference::InfluenceOnValidationLoss(train, validation,
+                                                         options);
+      for (size_t threads : {1, 2, 3, 8}) {
+        SCOPED_TRACE(StrFormat("p=%zu n=%zu threads=%zu", p, n, threads));
+        ScopedDefaultThreads scope(threads);
+        Result<ImportanceEstimate> fanned =
+            InfluenceOnValidationLoss(train, validation, options);
+        ASSERT_EQ(fanned.ok(), reference.ok());
+        if (!reference.ok()) {
+          EXPECT_EQ(fanned.status().ToString(),
+                    reference.status().ToString());
+          continue;
+        }
+        ASSERT_EQ(fanned->values.size(), reference->size());
+        EXPECT_EQ(std::memcmp(fanned->values.data(), reference->data(),
+                              reference->size() * sizeof(double)),
+                  0);
+        EXPECT_EQ(fanned->num_threads_used,
+                  PlannedNumThreads(NumRowBlocks(n), threads));
+      }
+    }
+  }
 }
 
 // --- Label scores -------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 
 #include "common/failpoint.h"
 #include "common/json.h"
+#include "common/parallel.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/trace_context.h"
@@ -309,6 +310,71 @@ TEST(JobApiTest, PoolFaultInKnnShapleyFanOutFailsTheJob) {
     EXPECT_TRUE(failed.estimate.values.empty());
     EXPECT_FALSE(telemetry::IsHealthy());
   }
+  telemetry::SetHealthy();
+}
+
+/// A binary CSV whose training split (4 of every 5 rows) spans two
+/// kRowBlock blocks, so the transformer and influence's passes fan out.
+std::string TwoBlockCsv() {
+  std::string csv = "a,b,label\n";
+  for (int i = 0; i < 6000; ++i) {
+    csv += StrFormat("%d,%d,%d\n", i % 7, (i * 3) % 5, (i % 7 + i % 3) % 2);
+  }
+  return csv;
+}
+
+/// Sets the process-default thread count, which influence fans out on, for
+/// one scope.
+struct ScopedDefaultThreads {
+  explicit ScopedDefaultThreads(size_t threads) {
+    SetDefaultNumThreads(threads);
+  }
+  ~ScopedDefaultThreads() { SetDefaultNumThreads(0); }
+};
+
+TEST(JobApiTest, InfluenceJobsReportTheThreadsTheyRanOn) {
+  ScopedDefaultThreads threads(2);
+  JobManager manager;
+  JobRequest request = QuickRequest();
+  request.algorithm = "influence";
+  request.csv_data = TwoBlockCsv();
+  request.options = {};
+  JobSnapshot done = AwaitDone(manager, manager.Submit(request).value());
+  ASSERT_EQ(done.state, JobState::kDone) << done.error.ToString();
+  EXPECT_EQ(done.train_rows, 4800u);
+  EXPECT_EQ(done.estimate.num_threads_used, 2u);
+}
+
+/// At two threads the transformer's fan-out is hits 1 and 2 of the pool's
+/// failpoint, and influence's first pass is hits 3 and 4: a fault on hit 3
+/// loses a task of influence itself.
+TEST(JobApiTest, PoolFaultInInfluenceFanOutFailsTheJob) {
+  ScopedDefaultThreads threads(2);
+  telemetry::SetHealthy();
+  failpoint::ResetStats();
+  ASSERT_TRUE(
+      failpoint::Arm("threadpool.task=error(unavailable:worker fault)#3x1")
+          .ok());
+  JobApiOptions options;
+  options.num_workers = 1;
+  JobManager manager(options);
+  JobRequest request = QuickRequest();
+  request.algorithm = "influence";
+  request.csv_data = TwoBlockCsv();
+  request.options = {};
+  JobSnapshot failed = AwaitDone(manager, manager.Submit(request).value());
+  uint64_t fires = 0;
+  for (const failpoint::PointStats& point : failpoint::Stats()) {
+    if (point.name == "threadpool.task") fires = point.fires;
+  }
+  failpoint::DisarmAll();
+
+  EXPECT_EQ(fires, 1u);
+  EXPECT_EQ(failed.state, JobState::kError);
+  EXPECT_EQ(failed.error.code(), StatusCode::kUnavailable);
+  EXPECT_NE(failed.error.message().find("worker fault"), std::string::npos);
+  EXPECT_TRUE(failed.estimate.values.empty());
+  EXPECT_FALSE(telemetry::IsHealthy());
   telemetry::SetHealthy();
 }
 

@@ -1,12 +1,17 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/parallel.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "datagen/synthetic.h"
 #include "pipeline/encoders.h"
 #include "pipeline/inspection.h"
@@ -406,6 +411,92 @@ TEST(ColumnTransformerTest, TransformBeforeFitFails) {
   transformer.Add("v", std::make_unique<NumericEncoder>());
   EXPECT_EQ(transformer.Transform(t).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+/// A table of three kRowBlock blocks and a ragged fourth, with nulls in
+/// every column, for the transformer's row-block fan-out.
+Table BlockSpanningTable() {
+  size_t rows = 3 * kRowBlock + 123;
+  std::vector<Value> numbers, counts, sectors, texts, handles;
+  for (size_t r = 0; r < rows; ++r) {
+    numbers.push_back(r % 11 == 0 ? Value::Null()
+                                  : Value(0.25 * static_cast<double>(r % 97)));
+    counts.push_back(r % 13 == 0 ? Value::Null()
+                                 : Value(static_cast<int64_t>(r % 7)));
+    sectors.push_back(r % 17 == 0 ? Value::Null()
+                                  : Value(std::string(1, 'a' + r % 5)));
+    texts.push_back(r % 19 == 0
+                        ? Value::Null()
+                        : Value(StrFormat("letter %zu  for row %zu ", r % 31,
+                                          r % 9)));
+    handles.push_back(r % 3 == 0 ? Value::Null() : Value("@h"));
+  }
+  return TableBuilder()
+      .AddValueColumn("number", DataType::kDouble, numbers)
+      .AddValueColumn("count", DataType::kInt64, counts)
+      .AddValueColumn("sector", DataType::kString, sectors)
+      .AddValueColumn("text", DataType::kString, texts)
+      .AddValueColumn("handle", DataType::kString, handles)
+      .Build();
+}
+
+/// Transform fans out over blocks of rows, one task running every encoder
+/// over its block; the matrix must equal a row-at-a-time pass over the same
+/// fitted encoders, bit for bit, at any thread count.
+TEST(ColumnTransformerTest, BlockFanOutMatchesRowAtATimeReference) {
+  Table table = BlockSpanningTable();
+  struct Column {
+    std::string name;
+    std::function<std::unique_ptr<FeatureEncoder>()> make;
+    double weight;
+  };
+  const std::vector<Column> columns = {
+      {"number", [] { return std::make_unique<NumericEncoder>(); }, 1.0},
+      {"count", [] { return std::make_unique<NumericEncoder>(false); }, 2.0},
+      {"sector", [] { return std::make_unique<OneHotEncoder>(); }, 1.0},
+      {"sector", [] { return std::make_unique<OneHotEncoder>(false); }, 1.0},
+      {"text", [] { return std::make_unique<HashingVectorizer>(16); }, 0.3},
+      {"handle",
+       [] { return std::make_unique<NotNullIndicatorEncoder>(); }, 1.0},
+  };
+  ColumnTransformer transformer;
+  std::vector<std::unique_ptr<FeatureEncoder>> reference_encoders;
+  for (const Column& column : columns) {
+    transformer.Add(column.name, column.make(), column.weight);
+    reference_encoders.push_back(column.make());
+    ASSERT_TRUE(reference_encoders.back()
+                    ->Fit(*table.ColumnByName(column.name).value())
+                    .ok());
+  }
+  ASSERT_TRUE(transformer.Fit(table).ok());
+
+  Matrix reference(table.num_rows(), transformer.num_features());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    size_t offset = 0;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      const FeatureEncoder& encoder = *reference_encoders[c];
+      double* cells = reference.RowPtr(r) + offset;
+      encoder.Transform((*table.ColumnByName(columns[c].name).value())[r],
+                        cells);
+      for (size_t j = 0; j < encoder.num_features(); ++j) {
+        if (columns[c].weight != 1.0) cells[j] *= columns[c].weight;
+      }
+      offset += encoder.num_features();
+    }
+  }
+
+  for (size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    SetDefaultNumThreads(threads);
+    Result<Matrix> out = transformer.Transform(table);
+    SetDefaultNumThreads(0);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->rows(), reference.rows());
+    ASSERT_EQ(out->cols(), reference.cols());
+    EXPECT_EQ(std::memcmp(out->data().data(), reference.data().data(),
+                          reference.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(AutoTransformerTest, PicksEncodersBySchemaAndCardinality) {
